@@ -5,147 +5,26 @@ regular languages at levels 1/2, 1, and 3/2 of the hierarchy whose
 basis consists of Boolean combinations of length-residue languages.
 Queries reduce to fixpoint computations over finite idempotent
 semirings; `decide` holds the user-facing operations and `cli` the
-command-line front end.
+command-line front end. The package root exports the library API the
+README documents; everything else is reached through its module.
 """
 
-from .basis import (
-    BasisOracle,
-    LengthProfile,
-    SeparationAnswer,
-    generic_iopti,
-    length_profile,
-    mod_cover_oracle,
-    mod_iopti,
-    mod_separable,
-    oracle_for,
-)
+from .basis import mod_cover_oracle
 from .decide import LEVELS, Verdict, coverable, member, separable
-from .engines import (
-    Imprint,
-    PointedImprint,
-    bpol_iopti,
-    bpol_opti,
-    pbpol_iopti,
-    pbpol_pointed_imprint,
-    pol_imprint,
-)
 from .errors import BudgetExceededError, RegexSyntaxError, UnsupportedError
-from .lang import (
-    Alphabet,
-    Dfa,
-    MonoidMorphism,
-    compile_regex,
-    complement,
-    disjoint,
-    equivalent,
-    included,
-    intersect,
-    is_empty,
-    minimize,
-    parse_regex,
-    short_words,
-    transition_monoid,
-    union,
-)
-from .rating import (
-    RatingMap,
-    canonical_covering_map,
-    eval_regular,
-    eval_word,
-    image_values,
-    value_automaton,
-)
-from .refcheck import (
-    SeparatorCandidate,
-    block_language,
-    brute_iopti_mod,
-    candidate_language,
-    mod_iopti_bound,
-    pol_mod_separator_search,
-    verify_separator,
-)
-from .semiring import (
-    Antichain,
-    AntichainSemiring,
-    DownSet,
-    MultMonoid,
-    PairSpace,
-    PowerSemiring,
-    ProductMonoid,
-    Semiring,
-    TableSemiring,
-    add_closure,
-    downclose,
-    omega_power,
-    pair_semiring,
-    power_semiring,
-)
+from .lang import Alphabet, compile_regex, parse_regex
 
 __all__ = [
     "Alphabet",
-    "Antichain",
-    "AntichainSemiring",
-    "BasisOracle",
     "BudgetExceededError",
-    "Dfa",
-    "DownSet",
-    "Imprint",
     "LEVELS",
-    "LengthProfile",
-    "MonoidMorphism",
-    "MultMonoid",
-    "PairSpace",
-    "PointedImprint",
-    "PowerSemiring",
-    "ProductMonoid",
-    "RatingMap",
     "RegexSyntaxError",
-    "Semiring",
-    "SeparationAnswer",
-    "SeparatorCandidate",
-    "TableSemiring",
     "UnsupportedError",
     "Verdict",
-    "add_closure",
-    "block_language",
-    "bpol_iopti",
-    "bpol_opti",
-    "brute_iopti_mod",
-    "candidate_language",
-    "canonical_covering_map",
     "compile_regex",
-    "complement",
     "coverable",
-    "disjoint",
-    "downclose",
-    "equivalent",
-    "eval_regular",
-    "eval_word",
-    "generic_iopti",
-    "image_values",
-    "included",
-    "intersect",
-    "is_empty",
-    "length_profile",
     "member",
-    "minimize",
     "mod_cover_oracle",
-    "mod_iopti",
-    "mod_iopti_bound",
-    "mod_separable",
-    "omega_power",
-    "oracle_for",
-    "pair_semiring",
     "parse_regex",
-    "pbpol_iopti",
-    "pbpol_pointed_imprint",
-    "pol_imprint",
-    "pol_mod_separator_search",
-    "power_semiring",
     "separable",
-    "short_words",
-    "transition_monoid",
-    "union",
-    "value_automaton",
-    "verify_separator",
 ]

@@ -16,18 +16,17 @@ import time
 from pathlib import Path
 
 from .basis import oracle_for
-from .decide import LEVELS, Verdict, coverable, member, separable
-from .engines import bpol_iopti, bpol_opti, pbpol_iopti, pbpol_pointed_imprint, pol_imprint
-from .errors import BudgetExceededError, UnsupportedError
-from .lang import (
-    DEFAULT_STATE_BUDGET,
-    Alphabet,
-    compile_regex,
-    complement,
-    parse_regex,
-    transition_monoid,
+from .decide import (
+    LEVELS,
+    Verdict,
+    coverable,
+    level_imprint,
+    maximal_in_order,
+    member,
+    separable,
 )
-from .rating import canonical_covering_map
+from .errors import BudgetExceededError, UnsupportedError
+from .lang import DEFAULT_STATE_BUDGET, Alphabet, compile_regex, parse_regex
 from .semiring import DEFAULT_ANTICHAIN_BUDGET
 
 RESULT_WORDS = {
@@ -93,30 +92,8 @@ def _compile(text: str, alphabet: Alphabet, max_states: int):
     return compile_regex(parse_regex(text, alphabet), alphabet, max_states=max_states)
 
 
-def _compute_imprint(level, dfas, oracle, max_monoid, max_antichain):
-    """Morphism, imprint, and pointedness for the given input languages."""
-    if level == "0":
-        raise UnsupportedError("imprints are not defined at level 0")
-    morphism = transition_monoid(dfas, max_elements=max_monoid)
-    rho = canonical_covering_map(morphism)
-    if level == "1/2":
-        imprint = pol_imprint(morphism, rho, oracle, max_antichain=max_antichain)
-        return morphism, imprint, True
-    if level == "1":
-        iopti = bpol_iopti(rho, oracle, max_antichain=max_antichain)
-        return morphism, bpol_opti(rho, iopti, max_antichain=max_antichain), False
-    iopti = pbpol_iopti(morphism, rho, oracle, max_antichain=max_antichain)
-    return morphism, pbpol_pointed_imprint(morphism, rho, iopti, max_antichain=max_antichain), True
-
-
 def _format_value(value) -> str:
     return "{" + ",".join(str(i) for i in sorted(value)) + "}"
-
-
-def _sorted_maximal(imprint, pointed):
-    if pointed:
-        return sorted(imprint.maximal, key=lambda pair: (pair[0], tuple(sorted(pair[1]))))
-    return sorted(imprint.maximal, key=lambda value: tuple(sorted(value)))
 
 
 def _imprint_text(morphism, imprint, pointed, out) -> None:
@@ -124,17 +101,17 @@ def _imprint_text(morphism, imprint, pointed, out) -> None:
     for i in range(morphism.size):
         out.write(f'  {i} = "{morphism.word_for[i]}"\n')
     if pointed:
-        cells = ["(%d,%s)" % (s, _format_value(t)) for s, t in _sorted_maximal(imprint, True)]
+        cells = ["(%d,%s)" % (s, _format_value(t)) for s, t in maximal_in_order(imprint, True)]
     else:
-        cells = [_format_value(t) for t in _sorted_maximal(imprint, False)]
+        cells = [_format_value(t) for t in maximal_in_order(imprint, False)]
     out.write("IMPRINT: " + " ".join(cells) + "\n")
 
 
 def _imprint_json(morphism, imprint, pointed) -> dict:
     if pointed:
-        maximal = [[s, sorted(t)] for s, t in _sorted_maximal(imprint, True)]
+        maximal = [[s, sorted(t)] for s, t in maximal_in_order(imprint, True)]
     else:
-        maximal = [sorted(t) for t in _sorted_maximal(imprint, False)]
+        maximal = [sorted(t) for t in maximal_in_order(imprint, False)]
     return {
         "pointed": pointed,
         "monoid": list(morphism.word_for),
@@ -159,6 +136,10 @@ def _witness_text(witness: dict) -> str:
     return f"WITNESS: separator d={fields['modulus']} markers {json.dumps(fields['markers'])}"
 
 
+def _stats_line(stats: dict) -> str:
+    return "STATS: " + " ".join(f"{k}={v}" for k, v in stats.items()) + "\n"
+
+
 def _emit(args, verdict: Verdict, imprint_parts, out) -> None:
     if args.json:
         payload = {
@@ -181,8 +162,7 @@ def _emit(args, verdict: Verdict, imprint_parts, out) -> None:
     if imprint_parts is not None:
         _imprint_text(*imprint_parts, out)
     if not args.no_stats:
-        pairs = " ".join(f"{k}={v}" for k, v in verdict.stats.items())
-        out.write(f"STATS: {pairs}\n")
+        out.write(_stats_line(verdict.stats))
 
 
 def _run_query(args, out) -> int:
@@ -196,9 +176,15 @@ def _run_query(args, out) -> int:
     if args.command == "imprint":
         started = time.perf_counter()
         dfas = [_compile(r, alphabet, args.max_states) for r in args.regexes]
-        morphism, imprint, pointed = _compute_imprint(
+        morphism, imprint, pointed, iterations = level_imprint(
             args.level, dfas, oracle, args.max_states, args.max_antichain
         )
+        stats = {
+            "monoid": morphism.size,
+            "iterations": iterations,
+            "antichain": len(imprint.maximal),
+            "ms": round((time.perf_counter() - started) * 1000, 3),
+        }
         if args.json:
             payload = {
                 "command": "imprint",
@@ -207,46 +193,31 @@ def _run_query(args, out) -> int:
                 "imprint": _imprint_json(morphism, imprint, pointed),
             }
             if not args.no_stats:
-                payload["stats"] = {
-                    "monoid": morphism.size,
-                    "iterations": imprint.passes,
-                    "antichain": len(imprint.maximal),
-                    "ms": round((time.perf_counter() - started) * 1000, 3),
-                }
+                payload["stats"] = stats
             out.write(json.dumps(payload, sort_keys=True) + "\n")
         else:
             _imprint_text(morphism, imprint, pointed, out)
             if not args.no_stats:
-                elapsed = round((time.perf_counter() - started) * 1000, 3)
-                out.write(
-                    f"STATS: monoid={morphism.size} iterations={imprint.passes} "
-                    f"antichain={len(imprint.maximal)} ms={elapsed}\n"
-                )
+                out.write(_stats_line(stats))
         return 0
 
     if args.command == "member":
         language = _compile(args.regex, alphabet, args.max_states)
         verdict = member(args.level, language, oracle, want_witness=args.witness, **budgets)
-        imprint_inputs = [language, complement(language)]
     elif args.command == "separate":
         l1 = _compile(args.regex1, alphabet, args.max_states)
         l2 = _compile(args.regex2, alphabet, args.max_states)
         verdict = separable(args.level, l1, l2, oracle, want_witness=args.witness, **budgets)
-        imprint_inputs = [l1, l2]
     else:
         target = _compile(args.target, alphabet, args.max_states)
         constraints = [_compile(r, alphabet, args.max_states) for r in args.constraints]
         verdict = coverable(
             args.level, target, constraints, oracle, want_witness=args.witness, **budgets
         )
-        imprint_inputs = [target] + constraints
 
-    imprint_parts = None
-    if args.emit_imprint:
-        imprint_parts = _compute_imprint(
-            args.level, imprint_inputs, oracle, args.max_states, args.max_antichain
-        )
-    _emit(args, verdict, imprint_parts, out)
+    if args.emit_imprint and verdict.imprint is None:
+        raise UnsupportedError(f"imprints are not defined at level {args.level}")
+    _emit(args, verdict, verdict.imprint if args.emit_imprint else None, out)
     return 0
 
 

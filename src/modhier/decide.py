@@ -12,7 +12,7 @@ language at once.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .basis import BasisOracle
@@ -27,7 +27,7 @@ from .errors import UnsupportedError
 from .lang import DEFAULT_MONOID_BUDGET, Dfa, complement, transition_monoid
 from .rating import canonical_covering_map
 from .refcheck import pol_mod_separator_search
-from .semiring import DEFAULT_ANTICHAIN_BUDGET
+from .semiring import DEFAULT_ANTICHAIN_BUDGET, DownSet
 
 LEVELS = ("0", "1/2", "1", "3/2")
 COVER_LEVELS = ("1/2", "1", "3/2")
@@ -47,7 +47,9 @@ class Verdict:
     `witness`, when present, is independently checkable: a modulus for
     level-zero separation, a blocking imprint element for negative
     covering answers, or an explicit separator candidate for positive
-    level-1/2 answers when the bounded search finds one.
+    level-1/2 answers when the bounded search finds one. `imprint` is
+    the (morphism, imprint, pointed) triple the answer was read from,
+    absent at level zero.
     """
 
     kind: str
@@ -55,6 +57,7 @@ class Verdict:
     answer: bool
     witness: Optional[dict] = None
     stats: Optional[dict] = None
+    imprint: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 def _check_level(level: str) -> None:
@@ -62,29 +65,62 @@ def _check_level(level: str) -> None:
         raise ValueError(f"unknown level {level!r}; expected one of {', '.join(LEVELS)}")
 
 
-def _pointed_blocking(maximal, accept_sets):
-    """Least pointed element whose value meets every constraint set.
+def level_imprint(
+    level: str,
+    dfas: list[Dfa],
+    oracle: BasisOracle,
+    max_monoid: int = DEFAULT_MONOID_BUDGET,
+    max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
+):
+    """The optimal imprint of the languages at a level, by that level's engines.
 
-    A pointed pair (s, t) with s accepted by the target and t meeting
-    the accepting set of every constraint witnesses an uncoverable
-    query. It suffices to scan maximal elements: the pair ordering
-    fixes s and grows t, and the blocking condition survives growth.
+    Returns (morphism, imprint, pointed, iterations): the transition
+    monoid of the languages, the imprint of their canonical covering
+    map, whether its elements pair a monoid element with a value, and
+    the fixpoint passes of every engine run. Imprints start at level
+    1/2.
+    """
+    _check_level(level)
+    if level not in COVER_LEVELS:
+        raise UnsupportedError(f"imprints are not defined at level {level}")
+    morphism = transition_monoid(dfas, max_elements=max_monoid)
+    rho = canonical_covering_map(morphism)
+    if level == "1/2":
+        imprint = pol_imprint(morphism, rho, oracle, max_antichain=max_antichain)
+        return morphism, imprint, True, imprint.passes
+    if level == "1":
+        iopti = bpol_iopti(rho, oracle, max_antichain=max_antichain)
+        imprint = bpol_opti(rho, iopti, max_antichain=max_antichain)
+        return morphism, imprint, False, iopti.passes + imprint.passes
+    iopti = pbpol_iopti(morphism, rho, oracle, max_antichain=max_antichain)
+    imprint = pbpol_pointed_imprint(morphism, rho, iopti, max_antichain=max_antichain)
+    return morphism, imprint, True, iopti.passes + imprint.passes
+
+
+def maximal_in_order(imprint: DownSet, pointed: bool) -> list:
+    """The imprint's maximal elements in the order scans and listings use."""
+    if pointed:
+        return sorted(imprint.maximal, key=lambda pair: (pair[0], tuple(sorted(pair[1]))))
+    return sorted(imprint.maximal, key=lambda value: tuple(sorted(value)))
+
+
+def _blocking(imprint: DownSet, pointed: bool, accept_sets):
+    """Least imprint element that meets every constraint set.
+
+    A value t meeting the accepting set of every constraint, attached
+    to something the target accepts, witnesses an uncoverable query:
+    for a pointed pair (s, t) the monoid element s is accepted by the
+    target, for a plain value t meets the target's accepting set. It
+    suffices to scan maximal elements: the order fixes s and grows t,
+    and the blocking condition survives growth.
     """
     target = accept_sets[0]
     rest = accept_sets[1:]
-    for s, t in sorted(maximal, key=lambda pair: (pair[0], tuple(sorted(pair[1])))):
-        if s in target and all(t & f for f in rest):
-            return s, t
-    return None
-
-
-def _plain_blocking(maximal, accept_sets):
-    """Same obstruction scan for unpointed imprints at level one."""
-    target = accept_sets[0]
-    rest = accept_sets[1:]
-    for t in sorted(maximal, key=lambda value: tuple(sorted(value))):
-        if t & target and all(t & f for f in rest):
-            return t
+    for element in maximal_in_order(imprint, pointed):
+        s, t = element if pointed else (None, element)
+        hits_target = s in target if pointed else t & target
+        if hits_target and all(t & f for f in rest):
+            return element
     return None
 
 
@@ -113,39 +149,18 @@ def coverable(
         raise ValueError("covering inputs use different alphabets")
 
     started = time.perf_counter()
-    morphism = transition_monoid([target] + list(constraints), max_elements=max_monoid)
-    rho = canonical_covering_map(morphism)
+    morphism, imprint, pointed, iterations = level_imprint(
+        level, [target] + list(constraints), oracle, max_monoid, max_antichain
+    )
+    blocking = _blocking(imprint, pointed, morphism.accept_sets)
+    answer = blocking is None
     witness = None
-
-    if level == "1":
-        iopti = bpol_iopti(rho, oracle, max_antichain=max_antichain)
-        opti = bpol_opti(rho, iopti, max_antichain=max_antichain)
-        blocking = _plain_blocking(opti.maximal, morphism.accept_sets)
-        answer = blocking is None
-        iterations = iopti.passes + opti.passes
-        antichain = len(opti.maximal)
-        if want_witness and blocking is not None:
-            witness = {"blocking": {"image": sorted(blocking)}}
-    else:
-        if level == "1/2":
-            imprint = pol_imprint(morphism, rho, oracle, max_antichain=max_antichain)
-            iterations = imprint.passes
-        else:
-            iopti = pbpol_iopti(morphism, rho, oracle, max_antichain=max_antichain)
-            imprint = pbpol_pointed_imprint(morphism, rho, iopti, max_antichain=max_antichain)
-            iterations = iopti.passes + imprint.passes
-        blocking = _pointed_blocking(imprint.maximal, morphism.accept_sets)
-        answer = blocking is None
-        antichain = len(imprint.maximal)
-        if want_witness and blocking is not None:
+    if want_witness and blocking is not None:
+        if pointed:
             s, t = blocking
-            witness = {
-                "blocking": {
-                    "element": s,
-                    "word": morphism.word_for[s],
-                    "image": sorted(t),
-                }
-            }
+            witness = {"blocking": {"element": s, "word": morphism.word_for[s], "image": sorted(t)}}
+        else:
+            witness = {"blocking": {"image": sorted(blocking)}}
 
     if want_witness and answer and level == "1/2" and len(constraints) == 1:
         found = pol_mod_separator_search(
@@ -163,10 +178,10 @@ def coverable(
     stats = {
         "monoid": morphism.size,
         "iterations": iterations,
-        "antichain": antichain,
+        "antichain": len(imprint.maximal),
         "ms": round((time.perf_counter() - started) * 1000, 3),
     }
-    return Verdict("cover", level, answer, witness, stats)
+    return Verdict("cover", level, answer, witness, stats, (morphism, imprint, pointed))
 
 
 def separable(
@@ -199,7 +214,7 @@ def separable(
         max_antichain=max_antichain,
         want_witness=want_witness,
     )
-    return Verdict("separate", level, inner.answer, inner.witness, inner.stats)
+    return replace(inner, kind="separate")
 
 
 def member(
@@ -224,4 +239,4 @@ def member(
         max_antichain=max_antichain,
         want_witness=want_witness,
     )
-    return Verdict("member", level, inner.answer, inner.witness, inner.stats)
+    return replace(inner, kind="member")

@@ -7,12 +7,10 @@ fixpoint seeded by letters and the basis approximation; level 1 is a
 greatest fixpoint filtered through an auxiliary rating map; level 3/2
 is a least fixpoint whose rules are re-evaluated against its own
 auxiliary map as the set grows. All state is kept as antichains of
-maximal elements.
+maximal elements, and every engine returns a `DownSet`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .basis import BasisOracle
 from .errors import BudgetExceededError
@@ -28,6 +26,7 @@ from .rating import (
 from .semiring import (
     DEFAULT_ANTICHAIN_BUDGET,
     Antichain,
+    DownSet,
     MultMonoid,
     PairSpace,
     Semiring,
@@ -38,52 +37,11 @@ from .semiring import (
 DEFAULT_ITERATION_BUDGET = 10000
 
 
-@dataclass(frozen=True)
-class Imprint:
-    """Downward-closed subset of a semiring, as the antichain of its maxima."""
-
-    semiring: Semiring = field(compare=False)
-    maximal: frozenset = frozenset()
-    passes: int = field(default=0, compare=False)
-
-    def __contains__(self, value) -> bool:
-        return any(self.semiring.leq(value, m) for m in self.maximal)
-
-    def to_set(self, budget: int = DEFAULT_ANTICHAIN_BUDGET) -> frozenset:
-        out: set = set()
-        for m in self.maximal:
-            for value in self.semiring.iter_below(m):
-                out.add(value)
-                if len(out) > budget:
-                    raise BudgetExceededError("imprint materialization", budget)
-        return frozenset(out)
-
-
-@dataclass(frozen=True)
-class PointedImprint:
-    """Downward-closed subset of monoid-value pairs (closure moves values only)."""
-
-    space: PairSpace = field(compare=False)
-    maximal: frozenset = frozenset()
-    passes: int = field(default=0, compare=False)
-
-    def __contains__(self, pair) -> bool:
-        return any(self.space.leq(pair, m) for m in self.maximal)
-
-    def to_set(self, budget: int = DEFAULT_ANTICHAIN_BUDGET) -> frozenset:
-        out: set = set()
-        for m in self.maximal:
-            for pair in self.space.iter_below(m):
-                out.add(pair)
-                if len(out) > budget:
-                    raise BudgetExceededError("imprint materialization", budget)
-        return frozenset(out)
-
-    def unpointed(self) -> Imprint:
-        """Forget the monoid coordinate, keeping the value downset."""
-        semiring = self.space.semiring
-        values = antichain_of(semiring.leq, {r for _, r in self.maximal})
-        return Imprint(semiring, values, self.passes)
+def unpointed(imprint: DownSet) -> DownSet:
+    """Forget the monoid coordinate of a pointed imprint, keeping the value downset."""
+    semiring = imprint.space.semiring
+    values = antichain_of(semiring.leq, {r for _, r in imprint.maximal})
+    return DownSet(semiring, values, imprint.passes)
 
 
 def _close_products(space, acc: Antichain):
@@ -112,7 +70,7 @@ def pol_imprint(
     rho: RatingMap,
     oracle: BasisOracle,
     max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
-) -> PointedImprint:
+) -> DownSet:
     """Least pair set for level 1/2: the pointed imprint of marked products.
 
     Seeded with the unit pair, the letter pairs, and the basis
@@ -130,7 +88,7 @@ def pol_imprint(
         acc.add((morphism.letter_image[letter], rho.letter_image[letter]))
     acc.add((morphism.unit, oracle.iopti(rho)))
     _, passes = _close_products(space, acc)
-    return PointedImprint(space, acc.freeze(), passes)
+    return DownSet(space, acc.freeze(), passes)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +117,23 @@ def admissible_totals(semiring: Semiring, pairs) -> frozenset:
     return frozenset(valid)
 
 
-def _bpol_iopti_antichain(rho, oracle, max_antichain, max_iterations):
-    """Greatest-fixpoint filter with the set kept as an antichain of maxima.
+def bpol_iopti(
+    rho: RatingMap,
+    oracle: BasisOracle,
+    max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
+    max_iterations: int = DEFAULT_ITERATION_BUDGET,
+) -> DownSet:
+    """Greatest value set for level 1: survivors of the auxiliary-map filter.
 
-    Requires meets: the filtered set is an intersection of downsets,
-    whose maxima are the pairwise meets of the operands' maxima.
+    Starting from the full semiring, repeatedly keep the values s
+    admitting a family of auxiliary-approximation pairs whose sum
+    dominates s and lies in every chosen pair's set; the descending
+    sequence stabilizes on the answer. The filter condition is
+    downward closed in s, so the set is a downset throughout, kept as
+    the antichain of its maxima. That needs meets, which the power
+    semirings of covering maps have: the filtered set is an
+    intersection of downsets, whose maxima are the pairwise meets of
+    the operands' maxima.
     """
     semiring = rho.semiring
     inner = antichain_inner_for_bpol(semiring)
@@ -180,51 +150,15 @@ def _bpol_iopti_antichain(rho, oracle, max_antichain, max_iterations):
         if len(new_maxima) > max_antichain:
             raise BudgetExceededError("antichain", max_antichain)
         if new_maxima == maxima:
-            return Imprint(semiring, maxima, iterations)
+            return DownSet(semiring, maxima, iterations)
         maxima = new_maxima
-
-
-def _bpol_iopti_enumerated(rho, oracle, max_iterations):
-    """Greatest-fixpoint filter over an explicitly enumerated carrier."""
-    semiring = rho.semiring
-    current = set(semiring.elements())
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > max_iterations:
-            raise BudgetExceededError("iteration", max_iterations)
-        eta = aux_bpol_map(rho, frozenset(current))
-        valid = admissible_totals(semiring, oracle.iopti(eta))
-        survivors = {s for s in current if any(semiring.leq(s, t) for t in valid)}
-        if survivors == current:
-            return Imprint(semiring, antichain_of(semiring.leq, current), iterations)
-        current = survivors
-
-
-def bpol_iopti(
-    rho: RatingMap,
-    oracle: BasisOracle,
-    max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
-    max_iterations: int = DEFAULT_ITERATION_BUDGET,
-) -> Imprint:
-    """Greatest value set for level 1: survivors of the auxiliary-map filter.
-
-    Starting from the full semiring, repeatedly keep the values s
-    admitting a family of auxiliary-approximation pairs whose sum
-    dominates s and lies in every chosen pair's set; the descending
-    sequence stabilizes on the answer. The filter condition is
-    downward closed in s, so the set is a downset throughout.
-    """
-    if rho.semiring.has_meets:
-        return _bpol_iopti_antichain(rho, oracle, max_antichain, max_iterations)
-    return _bpol_iopti_enumerated(rho, oracle, max_iterations)
 
 
 def bpol_opti(
     rho: RatingMap,
-    iopti: Imprint,
+    iopti: DownSet,
     max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
-) -> Imprint:
+) -> DownSet:
     """Full level-1 imprint over all words: close iopti with the word images.
 
     Least superset of the level-1 approximation containing every
@@ -237,22 +171,11 @@ def bpol_opti(
     for value in image_values(rho):
         acc.add(value)
     _, passes = _close_products(space, acc)
-    return Imprint(rho.semiring, acc.freeze(), passes)
+    return DownSet(rho.semiring, acc.freeze(), passes)
 
 
 # ---------------------------------------------------------------------------
 # Level 3/2
-
-
-def _downset_pairs(space: PairSpace, maxima, budget: int):
-    """Materialize the downset of an antichain of pairs, budget-capped."""
-    out: set = set()
-    for m in maxima:
-        for pair in space.iter_below(m):
-            out.add(pair)
-            if len(out) > budget:
-                raise BudgetExceededError("downset materialization", budget)
-    return out
 
 
 def pbpol_iopti(
@@ -261,7 +184,7 @@ def pbpol_iopti(
     oracle: BasisOracle,
     max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
     max_iterations: int = DEFAULT_ITERATION_BUDGET,
-) -> PointedImprint:
+) -> DownSet:
     """Least pair set for level 3/2, saturated against its own auxiliary map.
 
     From the empty set, repeatedly: rebuild the auxiliary map from the
@@ -288,7 +211,7 @@ def pbpol_iopti(
             for pair in t_value:
                 if acc.add(pair):
                     changed = True
-            for candidate in _downset_pairs(space, t_value, max_antichain):
+            for candidate in DownSet(space, t_value).to_set(max_antichain):
                 if space.mult(candidate, candidate) != candidate:
                     continue
                 e, f = candidate
@@ -297,15 +220,15 @@ def pbpol_iopti(
                     changed = True
         closed_changed, _ = _close_products(space, acc)
         if not (changed or closed_changed):
-            return PointedImprint(space, acc.freeze(), iterations)
+            return DownSet(space, acc.freeze(), iterations)
 
 
 def pbpol_pointed_imprint(
     morphism: MonoidMorphism,
     rho: RatingMap,
-    iopti: PointedImprint,
+    iopti: DownSet,
     max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
-) -> PointedImprint:
+) -> DownSet:
     """Full level-3/2 pointed imprint: close iopti with unit and letter pairs."""
     space = iopti.space
     acc = Antichain(space.leq, budget=max_antichain)
@@ -315,4 +238,4 @@ def pbpol_pointed_imprint(
     for letter in rho.alphabet:
         acc.add((morphism.letter_image[letter], rho.letter_image[letter]))
     _, passes = _close_products(space, acc)
-    return PointedImprint(space, acc.freeze(), passes)
+    return DownSet(space, acc.freeze(), passes)

@@ -274,7 +274,7 @@ def minimize(dfa: Dfa) -> Dfa:
     minimized values.
     """
     nletters = len(dfa.alphabet)
-    reach = _bfs_order(dfa.transitions, dfa.initial, nletters)
+    reach = _bfs_order_map(dfa.transitions, dfa.initial, nletters)
     # Moore partition refinement on the reachable part.
     block = {q: (1 if q in dfa.accepting else 0) for q in reach}
     nblocks = 2 if len(set(block.values())) == 2 else 1
@@ -305,22 +305,8 @@ def minimize(dfa: Dfa) -> Dfa:
     return Dfa(dfa.alphabet, transitions, 0, accepting)
 
 
-def _bfs_order(transitions, initial: int, nletters: int) -> list[int]:
-    seen = {initial}
-    order = [initial]
-    queue = deque([initial])
-    while queue:
-        q = queue.popleft()
-        for l in range(nletters):
-            t = transitions[q][l]
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-                queue.append(t)
-    return order
-
-
-def _bfs_order_map(trans_map: dict, initial, nletters: int) -> dict:
+def _bfs_order_map(trans_map, initial, nletters: int) -> dict:
+    """BFS number of every state reachable from the initial one, in BFS order."""
     order = {initial: 0}
     queue = deque([initial])
     while queue:

@@ -4,9 +4,10 @@ Everything here answers questions the engines also answer, but by a
 different route: explicit separator verification with exact language
 operations, a bounded search for separators shaped like unions of
 marked products of length-residue languages, and a direct minimum
-over the block languages (A^d)* for the basis approximation. Tests
-cross-check the engines against these; verdict assembly uses the
-search for best-effort witnesses.
+over the block languages (A^d)* for the basis approximation, and the
+level-1 filter over an enumerated carrier. Tests cross-check the
+engines against these; verdict assembly uses the search for
+best-effort witnesses.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .engines import DEFAULT_ITERATION_BUDGET, admissible_totals
+from .errors import BudgetExceededError
 from .lang import (
     Alphabet,
     Dfa,
@@ -28,7 +31,8 @@ from .lang import (
     included,
     short_words,
 )
-from .rating import RatingMap, eval_regular
+from .rating import RatingMap, aux_bpol_map, eval_regular
+from .semiring import DownSet, MultMonoid, PowerSemiring, antichain_of
 
 
 @dataclass(frozen=True)
@@ -158,3 +162,26 @@ def brute_iopti_mod(rho: RatingMap, dmax: int):
         if all(semiring.leq(value, other) for other in values):
             return value
     raise ValueError("no order-minimal block value below the given bound")
+
+
+def bpol_iopti_enumerated(rho: RatingMap, oracle, max_iterations: int = DEFAULT_ITERATION_BUDGET):
+    """Level-1 basis value by the greatest-fixpoint filter over an enumerated carrier.
+
+    The same filter as `engines.bpol_iopti`, but on explicit value sets
+    with exact inner sets in the auxiliary map, so it needs no meets
+    and no antichain pruning: the differential oracle for that engine.
+    """
+    semiring = rho.semiring
+    inner = PowerSemiring(MultMonoid(semiring))
+    current = set(semiring.elements())
+    iterations = 0
+    while True:
+        iterations += 1
+        if iterations > max_iterations:
+            raise BudgetExceededError("iteration", max_iterations)
+        eta = aux_bpol_map(rho, frozenset(current), inner=inner)
+        valid = admissible_totals(semiring, oracle.iopti(eta))
+        survivors = {s for s in current if any(semiring.leq(s, t) for t in valid)}
+        if survivors == current:
+            return DownSet(semiring, antichain_of(semiring.leq, current), iterations)
+        current = survivors

@@ -23,7 +23,6 @@ class Semiring:
 
     zero: object
     one: object
-    has_meets = False
 
     def add(self, x, y):
         raise NotImplementedError
@@ -33,10 +32,6 @@ class Semiring:
 
     def leq(self, x, y) -> bool:
         return self.add(x, y) == y
-
-    def meet(self, x, y):
-        """Greatest lower bound, or None when the order is not known to have one."""
-        return None
 
     def elements(self) -> Iterable:
         raise NotImplementedError("carrier is virtual")
@@ -177,8 +172,6 @@ class PowerSemiring(Semiring):
     `elements()` materializes it only for small monoids.
     """
 
-    has_meets = True
-
     def __init__(self, monoid, max_carrier_bits: int = 16):
         self.monoid = monoid
         self.max_carrier_bits = max_carrier_bits
@@ -252,10 +245,6 @@ class AntichainSemiring(Semiring):
 # Order utilities
 
 
-def leq(semiring: Semiring, r, s) -> bool:
-    return semiring.leq(r, s)
-
-
 def omega_power(semiring: Semiring, s):
     """The unique idempotent among the positive powers of s.
 
@@ -293,10 +282,17 @@ def antichain_of(space_leq: Callable, items: Iterable) -> frozenset:
 
 @dataclass(frozen=True)
 class DownSet:
-    """Downward-closed set given by the antichain of its maxima."""
+    """Downward-closed set given by the antichain of its maxima.
+
+    Also the type of every imprint the engines compute: over the
+    semiring itself at level 1, over a `PairSpace` (pointed) at levels
+    1/2 and 3/2. `passes` counts the fixpoint rounds that produced it
+    and takes no part in equality.
+    """
 
     space: object = field(compare=False)
     maximal: frozenset
+    passes: int = field(default=0, compare=False)
 
     def __contains__(self, item) -> bool:
         return any(self.space.leq(item, m) for m in self.maximal)
@@ -375,10 +371,6 @@ def add_closure(semiring: Semiring, xs: Iterable) -> frozenset:
 def power_semiring(monoid) -> PowerSemiring:
     """2^M; accepts any finite monoid (e.g. a morphism or MultMonoid)."""
     return PowerSemiring(monoid)
-
-
-def pair_space(monoid, semiring: Semiring) -> PairSpace:
-    return PairSpace(monoid, semiring)
 
 
 def pair_semiring(monoid, semiring: Semiring) -> PowerSemiring:

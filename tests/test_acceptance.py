@@ -20,6 +20,7 @@ from modhier.engines import (
     pbpol_iopti,
     pbpol_pointed_imprint,
     pol_imprint,
+    unpointed,
 )
 from modhier.lang import (
     Alphabet,
@@ -138,11 +139,11 @@ def test_criterion_06_imprint_inclusion_chain():
     for l1, l2 in random_pairs(30, size_cap=6, seed=5000):
         morphism = transition_monoid([l1, l2])
         rho = canonical_covering_map(morphism)
-        pol = pol_imprint(morphism, rho, ORACLE).unpointed()
+        pol = unpointed(pol_imprint(morphism, rho, ORACLE))
         bpol = bpol_opti(rho, bpol_iopti(rho, ORACLE))
-        pbpol = pbpol_pointed_imprint(
-            morphism, rho, pbpol_iopti(morphism, rho, ORACLE)
-        ).unpointed()
+        pbpol = unpointed(
+            pbpol_pointed_imprint(morphism, rho, pbpol_iopti(morphism, rho, ORACLE))
+        )
         assert imprint_covers(pol, bpol)
         assert imprint_covers(bpol, pbpol)
 

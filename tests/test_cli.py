@@ -1,8 +1,13 @@
 """End-to-end command-line tests driving run() with captured streams."""
 
 import json
+import sys
+from collections import Counter
 from io import StringIO
 
+import pytest
+
+from modhier import engines
 from modhier.cli import build_parser, run
 
 
@@ -124,6 +129,68 @@ def test_emit_imprint_attaches_to_decision():
     assert code == 0
     assert lines(out)[0] == "RESULT: separable"
     assert lines(out)[-1] == "IMPRINT: (0,{0}) (1,{1})"
+
+
+ENGINES_BY_LEVEL = {
+    "1/2": ["pol_imprint"],
+    "1": ["bpol_iopti", "bpol_opti"],
+    "3/2": ["pbpol_iopti", "pbpol_pointed_imprint"],
+}
+
+
+def count_engine_runs(monkeypatch) -> Counter:
+    """Count calls of every engine, wherever a modhier module binds it."""
+    calls = Counter()
+    names = [name for group in ENGINES_BY_LEVEL.values() for name in group]
+    modules = [m for key, m in sorted(sys.modules.items()) if key.startswith("modhier")]
+    for name in names:
+        original = getattr(engines, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("level", sorted(ENGINES_BY_LEVEL))
+def test_emit_imprint_runs_each_engine_once(monkeypatch, level):
+    calls = count_engine_runs(monkeypatch)
+    code, out, _ = invoke(
+        "separate", "--level", level, "--alphabet", "ab", "a*", "(a|b)*b(a|b)*",
+        "--emit-imprint", "--no-stats",
+    )
+    assert code == 0
+    assert lines(out)[-1].startswith("IMPRINT: ")
+    assert calls == Counter({name: 1 for name in ENGINES_BY_LEVEL[level]})
+
+
+def test_emit_imprint_at_level_zero_exits_four():
+    code, out, err = invoke(
+        "separate", "--level", "0", "--alphabet", "a", "--emit-imprint", "(aa)*", "a(aa)*"
+    )
+    assert code == 4
+    assert out == ""
+    assert "imprints are not defined at level 0" in err
+
+
+def iterations_stat(out: str) -> str:
+    (stats,) = [line for line in lines(out) if line.startswith("STATS: ")]
+    (field,) = [word for word in stats.split() if word.startswith("iterations=")]
+    return field
+
+
+@pytest.mark.parametrize("level", sorted(ENGINES_BY_LEVEL))
+def test_imprint_and_cover_report_the_same_iterations(level):
+    regexes = ["a*", "(a|b)*b(a|b)*"]
+    code, imprinted, _ = invoke("imprint", "--level", level, "--alphabet", "ab", *regexes)
+    assert code == 0
+    code, covered, _ = invoke("cover", "--level", level, "--alphabet", "ab", *regexes)
+    assert code == 0
+    assert iterations_stat(imprinted) == iterations_stat(covered)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Verdict tests: separation, covering, and membership across levels."""
 
+import contextlib
+import io
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -233,3 +237,19 @@ def test_witnesses_are_independently_checkable(seed):
         )
         assert included(l1, denoted)
         assert disjoint(denoted, l2)
+
+
+# ---------------------------------------------------------------------------
+# The package root
+
+
+def test_readme_library_snippet_runs_from_the_package_root():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme[readme.index("## Library"):]
+    snippet = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    assert "from modhier import " in snippet
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(snippet, {})
+    assert printed.getvalue().splitlines() == ["0 False", "1/2 False", "1 True", "3/2 True"]
+    assert "# 0 False / 1/2 False / 1 True / 3/2 True" in snippet

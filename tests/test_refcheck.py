@@ -1,4 +1,5 @@
-"""Brute-force cross-checks: separator search and direct iopti minimization."""
+"""Brute-force cross-checks: separator search, direct iopti minimization,
+and the enumerated level-1 filter."""
 
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modhier.basis import mod_iopti
+from modhier.basis import mod_cover_oracle, mod_iopti
 from modhier.lang import (
     Alphabet,
     compile_regex,
@@ -20,6 +21,7 @@ from modhier.rating import RatingMap
 from modhier.refcheck import (
     SeparatorCandidate,
     block_language,
+    bpol_iopti_enumerated,
     brute_iopti_mod,
     candidate_language,
     mod_iopti_bound,
@@ -185,3 +187,12 @@ def test_brute_iopti_matches_mod_iopti(seed):
     rho = random_rating_map(random.Random(seed), AB)
     bound = mod_iopti_bound(rho)
     assert brute_iopti_mod(rho, bound) == mod_iopti(rho)
+
+
+# ---------------------------------------------------------------------------
+# Enumerated level-1 filter
+
+
+def test_bpol_iopti_enumerated_trivial_semiring():
+    rho = RatingMap(A, TableSemiring([[0]], [[0]], zero=0, one=0), {"a": 0})
+    assert bpol_iopti_enumerated(rho, mod_cover_oracle()).to_set() == {0}
