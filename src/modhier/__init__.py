@@ -11,11 +11,12 @@ README documents; everything else is reached through its module.
 
 from .basis import mod_cover_oracle
 from .decide import LEVELS, Verdict, coverable, member, separable
-from .errors import BudgetExceededError, RegexSyntaxError, UnsupportedError
+from .errors import Budget, BudgetExceededError, RegexSyntaxError, UnsupportedError
 from .lang import Alphabet, compile_regex, parse_regex
 
 __all__ = [
     "Alphabet",
+    "Budget",
     "BudgetExceededError",
     "LEVELS",
     "RegexSyntaxError",

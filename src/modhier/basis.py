@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import UnsupportedError
+from .errors import Budget, UnsupportedError
 from .lang import Alphabet, Dfa
 from .rating import RatingMap, value_automaton
 from .semiring import omega_power
@@ -122,7 +122,7 @@ def _epsilon_language(alphabet: Alphabet) -> Dfa:
     return Dfa(alphabet, ((1,) * width, (1,) * width), 0, frozenset({0}))
 
 
-def generic_iopti(rho: RatingMap, separates, max_values: int = 20000):
+def generic_iopti(rho: RatingMap, separates, budget: Budget = Budget()):
     """Oracle-backed iopti: sum the values inseparable from the empty word.
 
     Sums every reachable word image r whose preimage language is not
@@ -130,7 +130,7 @@ def generic_iopti(rho: RatingMap, separates, max_values: int = 20000):
     empty preimages and never contribute. Agrees with any closed
     formula for the same basis.
     """
-    values, transitions = value_automaton(rho, max_values)
+    values, transitions = value_automaton(rho, budget)
     eps = _epsilon_language(rho.alphabet)
     semiring = rho.semiring
     total = semiring.zero

@@ -25,9 +25,8 @@ from .decide import (
     member,
     separable,
 )
-from .errors import BudgetExceededError, UnsupportedError
-from .lang import DEFAULT_STATE_BUDGET, Alphabet, compile_regex, parse_regex
-from .semiring import DEFAULT_ANTICHAIN_BUDGET
+from .errors import Budget, BudgetExceededError, InputError, UnsupportedError
+from .lang import Alphabet, compile_regex, parse_regex
 
 RESULT_WORDS = {
     ("member", True): "member",
@@ -52,13 +51,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-states",
         type=int,
-        default=DEFAULT_STATE_BUDGET,
-        help="budget for automaton states and monoid elements",
+        default=Budget().states,
+        help="budget for automaton states",
     )
     common.add_argument(
         "--max-antichain",
         type=int,
-        default=DEFAULT_ANTICHAIN_BUDGET,
+        default=Budget().antichain,
         help="antichain size budget for the engines",
     )
     common.add_argument(
@@ -88,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _compile(text: str, alphabet: Alphabet, max_states: int):
-    return compile_regex(parse_regex(text, alphabet), alphabet, max_states=max_states)
+def _compile(text: str, alphabet: Alphabet, budget: Budget):
+    return compile_regex(parse_regex(text, alphabet), alphabet, budget)
 
 
 def _format_value(value) -> str:
@@ -168,17 +167,12 @@ def _emit(args, verdict: Verdict, imprint_parts, out) -> None:
 def _run_query(args, out) -> int:
     oracle = oracle_for(args.basis)
     alphabet = Alphabet.of(args.alphabet)
-    budgets = {
-        "max_monoid": args.max_states,
-        "max_antichain": args.max_antichain,
-    }
+    budget = Budget(states=args.max_states, antichain=args.max_antichain)
 
     if args.command == "imprint":
         started = time.perf_counter()
-        dfas = [_compile(r, alphabet, args.max_states) for r in args.regexes]
-        morphism, imprint, pointed, iterations = level_imprint(
-            args.level, dfas, oracle, args.max_states, args.max_antichain
-        )
+        dfas = [_compile(r, alphabet, budget) for r in args.regexes]
+        morphism, imprint, pointed, iterations = level_imprint(args.level, dfas, oracle, budget)
         stats = {
             "monoid": morphism.size,
             "iterations": iterations,
@@ -202,18 +196,16 @@ def _run_query(args, out) -> int:
         return 0
 
     if args.command == "member":
-        language = _compile(args.regex, alphabet, args.max_states)
-        verdict = member(args.level, language, oracle, want_witness=args.witness, **budgets)
+        language = _compile(args.regex, alphabet, budget)
+        verdict = member(args.level, language, oracle, budget, args.witness)
     elif args.command == "separate":
-        l1 = _compile(args.regex1, alphabet, args.max_states)
-        l2 = _compile(args.regex2, alphabet, args.max_states)
-        verdict = separable(args.level, l1, l2, oracle, want_witness=args.witness, **budgets)
+        l1 = _compile(args.regex1, alphabet, budget)
+        l2 = _compile(args.regex2, alphabet, budget)
+        verdict = separable(args.level, l1, l2, oracle, budget, args.witness)
     else:
-        target = _compile(args.target, alphabet, args.max_states)
-        constraints = [_compile(r, alphabet, args.max_states) for r in args.constraints]
-        verdict = coverable(
-            args.level, target, constraints, oracle, want_witness=args.witness, **budgets
-        )
+        target = _compile(args.target, alphabet, budget)
+        constraints = [_compile(r, alphabet, budget) for r in args.constraints]
+        verdict = coverable(args.level, target, constraints, oracle, budget, args.witness)
 
     if args.emit_imprint and verdict.imprint is None:
         raise UnsupportedError(f"imprints are not defined at level {args.level}")
@@ -223,12 +215,19 @@ def _run_query(args, out) -> int:
 
 def _run_batch(args, out, err) -> int:
     status = 0
-    for raw in Path(args.file).read_text().splitlines():
+    try:
+        text = Path(args.file).read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.file}: {exc}") from None
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         out.write(f"QUERY: {line}\n")
-        tokens = shlex.split(line)
+        try:
+            tokens = shlex.split(line)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         if tokens and tokens[0] == "batch":
             err.write("batch files cannot nest batch commands\n")
             code = 2
@@ -258,7 +257,7 @@ def run(argv=None, out=None, err=None) -> int:
     except UnsupportedError as exc:
         err.write(f"error: {exc}\n")
         return 4
-    except (ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 2
 

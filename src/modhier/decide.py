@@ -23,11 +23,11 @@ from .engines import (
     pbpol_pointed_imprint,
     pol_imprint,
 )
-from .errors import UnsupportedError
-from .lang import DEFAULT_MONOID_BUDGET, Dfa, complement, transition_monoid
+from .errors import Budget, InputError, UnsupportedError
+from .lang import Dfa, complement, transition_monoid
 from .rating import canonical_covering_map
 from .refcheck import pol_mod_separator_search
-from .semiring import DEFAULT_ANTICHAIN_BUDGET, DownSet
+from .semiring import DownSet
 
 LEVELS = ("0", "1/2", "1", "3/2")
 COVER_LEVELS = ("1/2", "1", "3/2")
@@ -62,16 +62,10 @@ class Verdict:
 
 def _check_level(level: str) -> None:
     if level not in LEVELS:
-        raise ValueError(f"unknown level {level!r}; expected one of {', '.join(LEVELS)}")
+        raise InputError(f"unknown level {level!r}; expected one of {', '.join(LEVELS)}")
 
 
-def level_imprint(
-    level: str,
-    dfas: list[Dfa],
-    oracle: BasisOracle,
-    max_monoid: int = DEFAULT_MONOID_BUDGET,
-    max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
-):
+def level_imprint(level: str, dfas: list[Dfa], oracle: BasisOracle, budget: Budget = Budget()):
     """The optimal imprint of the languages at a level, by that level's engines.
 
     Returns (morphism, imprint, pointed, iterations): the transition
@@ -83,17 +77,17 @@ def level_imprint(
     _check_level(level)
     if level not in COVER_LEVELS:
         raise UnsupportedError(f"imprints are not defined at level {level}")
-    morphism = transition_monoid(dfas, max_elements=max_monoid)
+    morphism = transition_monoid(dfas, budget)
     rho = canonical_covering_map(morphism)
     if level == "1/2":
-        imprint = pol_imprint(morphism, rho, oracle, max_antichain=max_antichain)
+        imprint = pol_imprint(morphism, rho, oracle, budget)
         return morphism, imprint, True, imprint.passes
     if level == "1":
-        iopti = bpol_iopti(rho, oracle, max_antichain=max_antichain)
-        imprint = bpol_opti(rho, iopti, max_antichain=max_antichain)
+        iopti = bpol_iopti(rho, oracle, budget)
+        imprint = bpol_opti(rho, iopti, budget)
         return morphism, imprint, False, iopti.passes + imprint.passes
-    iopti = pbpol_iopti(morphism, rho, oracle, max_antichain=max_antichain)
-    imprint = pbpol_pointed_imprint(morphism, rho, iopti, max_antichain=max_antichain)
+    iopti = pbpol_iopti(morphism, rho, oracle, budget)
+    imprint = pbpol_pointed_imprint(morphism, rho, iopti, budget)
     return morphism, imprint, True, iopti.passes + imprint.passes
 
 
@@ -129,8 +123,7 @@ def coverable(
     target: Dfa,
     constraints: list[Dfa],
     oracle: BasisOracle,
-    max_monoid: int = DEFAULT_MONOID_BUDGET,
-    max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
+    budget: Budget = Budget(),
     want_witness: bool = False,
 ) -> Verdict:
     """Decide whether some partition of A* separates the target from
@@ -144,13 +137,13 @@ def coverable(
     if level not in COVER_LEVELS:
         raise UnsupportedError(f"covering is not supported at level {level}")
     if not constraints:
-        raise ValueError("covering needs at least one constraint language")
+        raise InputError("covering needs at least one constraint language")
     if any(c.alphabet != target.alphabet for c in constraints):
-        raise ValueError("covering inputs use different alphabets")
+        raise InputError("covering inputs use different alphabets")
 
     started = time.perf_counter()
     morphism, imprint, pointed, iterations = level_imprint(
-        level, [target] + list(constraints), oracle, max_monoid, max_antichain
+        level, [target] + list(constraints), oracle, budget
     )
     blocking = _blocking(imprint, pointed, morphism.accept_sets)
     answer = blocking is None
@@ -189,14 +182,13 @@ def separable(
     l1: Dfa,
     l2: Dfa,
     oracle: BasisOracle,
-    max_monoid: int = DEFAULT_MONOID_BUDGET,
-    max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
+    budget: Budget = Budget(),
     want_witness: bool = False,
 ) -> Verdict:
     """Decide whether some level language contains l1 and avoids l2."""
     _check_level(level)
     if l1.alphabet != l2.alphabet:
-        raise ValueError("separation inputs use different alphabets")
+        raise InputError("separation inputs use different alphabets")
     if level == "0":
         started = time.perf_counter()
         answer = oracle.separates(l1, l2)
@@ -205,15 +197,7 @@ def separable(
             witness = {"modulus": answer.modulus}
         stats = {"ms": round((time.perf_counter() - started) * 1000, 3)}
         return Verdict("separate", level, bool(answer), witness, stats)
-    inner = coverable(
-        level,
-        l1,
-        [l2],
-        oracle,
-        max_monoid=max_monoid,
-        max_antichain=max_antichain,
-        want_witness=want_witness,
-    )
+    inner = coverable(level, l1, [l2], oracle, budget, want_witness)
     return replace(inner, kind="separate")
 
 
@@ -221,8 +205,7 @@ def member(
     level: str,
     language: Dfa,
     oracle: BasisOracle,
-    max_monoid: int = DEFAULT_MONOID_BUDGET,
-    max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
+    budget: Budget = Budget(),
     want_witness: bool = False,
 ) -> Verdict:
     """Decide whether the language itself lies at the given level.
@@ -230,13 +213,5 @@ def member(
     A regular language is a level language exactly when it is separable
     from its complement (the separator then equals the language).
     """
-    inner = separable(
-        level,
-        language,
-        complement(language),
-        oracle,
-        max_monoid=max_monoid,
-        max_antichain=max_antichain,
-        want_witness=want_witness,
-    )
+    inner = separable(level, language, complement(language), oracle, budget, want_witness)
     return replace(inner, kind="member")

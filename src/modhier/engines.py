@@ -13,7 +13,7 @@ maximal elements, and every engine returns a `DownSet`.
 from __future__ import annotations
 
 from .basis import BasisOracle
-from .errors import BudgetExceededError
+from .errors import Budget
 from .lang import MonoidMorphism
 from .rating import (
     RatingMap,
@@ -24,7 +24,6 @@ from .rating import (
     image_values,
 )
 from .semiring import (
-    DEFAULT_ANTICHAIN_BUDGET,
     Antichain,
     DownSet,
     MultMonoid,
@@ -33,8 +32,6 @@ from .semiring import (
     add_closure,
     antichain_of,
 )
-
-DEFAULT_ITERATION_BUDGET = 10000
 
 
 def unpointed(imprint: DownSet) -> DownSet:
@@ -61,6 +58,13 @@ def _close_products(space, acc: Antichain):
         changed_any = True
 
 
+def _saturate(space, seeds, budget: Budget) -> DownSet:
+    """Least downset of the space holding the seeds and closed under its product."""
+    acc = Antichain(space.leq, seeds, budget)
+    _, passes = _close_products(space, acc)
+    return DownSet(space, acc.freeze(), passes)
+
+
 # ---------------------------------------------------------------------------
 # Level 1/2
 
@@ -69,7 +73,7 @@ def pol_imprint(
     morphism: MonoidMorphism,
     rho: RatingMap,
     oracle: BasisOracle,
-    max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
+    budget: Budget = Budget(),
 ) -> DownSet:
     """Least pair set for level 1/2: the pointed imprint of marked products.
 
@@ -81,14 +85,10 @@ def pol_imprint(
     """
     if morphism.alphabet != rho.alphabet:
         raise ValueError("morphism and rating map use different alphabets")
-    space = PairSpace(morphism, rho.semiring)
-    acc = Antichain(space.leq, budget=max_antichain)
-    acc.add((morphism.unit, rho.semiring.one))
-    for letter in rho.alphabet:
-        acc.add((morphism.letter_image[letter], rho.letter_image[letter]))
-    acc.add((morphism.unit, oracle.iopti(rho)))
-    _, passes = _close_products(space, acc)
-    return DownSet(space, acc.freeze(), passes)
+    seeds = [(morphism.unit, rho.semiring.one)]
+    seeds += [(morphism.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
+    seeds.append((morphism.unit, oracle.iopti(rho)))
+    return _saturate(PairSpace(morphism, rho.semiring), seeds, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -103,26 +103,23 @@ def admissible_totals(semiring: Semiring, pairs) -> frozenset:
     subsets: addition is commutative and idempotent, so a family's sum
     equals its support's sum, and the side condition only depends on
     the support and the total. Hence t qualifies exactly when t is an
-    additive combination of the pairs that tolerate it.
+    additive combination of the pairs that tolerate it, that is, when
+    the tolerating r with r <= t sum to t: a combination reaching t
+    uses only such r, and their full sum lies between it and t.
     """
     pairs = list(pairs)
     if not pairs:
         return frozenset()
-    totals = add_closure(semiring, [r for r, _ in pairs])
+    leq = semiring.leq
     valid = []
-    for t in totals:
-        support = [r for r, u in pairs if any(semiring.leq(t, v) for v in u)]
-        if support and t in add_closure(semiring, support):
+    for t in add_closure(semiring, [r for r, _ in pairs]):
+        below = [r for r, u in pairs if leq(r, t) and any(leq(t, v) for v in u)]
+        if below and semiring.sum(below) == t:
             valid.append(t)
     return frozenset(valid)
 
 
-def bpol_iopti(
-    rho: RatingMap,
-    oracle: BasisOracle,
-    max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
-    max_iterations: int = DEFAULT_ITERATION_BUDGET,
-) -> DownSet:
+def bpol_iopti(rho: RatingMap, oracle: BasisOracle, budget: Budget = Budget()) -> DownSet:
     """Greatest value set for level 1: survivors of the auxiliary-map filter.
 
     Starting from the full semiring, repeatedly keep the values s
@@ -141,37 +138,28 @@ def bpol_iopti(
     iterations = 0
     while True:
         iterations += 1
-        if iterations > max_iterations:
-            raise BudgetExceededError("iteration", max_iterations)
-        eta = aux_bpol_map(rho, maxima, inner=inner)
+        if iterations > budget.iterations:
+            raise budget.exceeded("iterations")
+        eta = aux_bpol_map(rho, maxima, inner)
         valid = admissible_totals(semiring, oracle.iopti(eta))
         meets = {semiring.meet(m, t) for m in maxima for t in valid}
         new_maxima = antichain_of(semiring.leq, meets)
-        if len(new_maxima) > max_antichain:
-            raise BudgetExceededError("antichain", max_antichain)
+        if len(new_maxima) > budget.antichain:
+            raise budget.exceeded("antichain")
         if new_maxima == maxima:
             return DownSet(semiring, maxima, iterations)
         maxima = new_maxima
 
 
-def bpol_opti(
-    rho: RatingMap,
-    iopti: DownSet,
-    max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
-) -> DownSet:
+def bpol_opti(rho: RatingMap, iopti: DownSet, budget: Budget = Budget()) -> DownSet:
     """Full level-1 imprint over all words: close iopti with the word images.
 
     Least superset of the level-1 approximation containing every
     reachable word image, closed under downward closure and product.
     """
-    space = MultMonoid(rho.semiring)
-    acc = Antichain(space.leq, budget=max_antichain)
-    for value in iopti.maximal:
-        acc.add(value)
-    for value in image_values(rho):
-        acc.add(value)
-    _, passes = _close_products(space, acc)
-    return DownSet(rho.semiring, acc.freeze(), passes)
+    seeds = list(iopti.maximal) + list(image_values(rho, budget))
+    closed = _saturate(MultMonoid(rho.semiring), seeds, budget)
+    return DownSet(rho.semiring, closed.maximal, closed.passes)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +170,7 @@ def pbpol_iopti(
     morphism: MonoidMorphism,
     rho: RatingMap,
     oracle: BasisOracle,
-    max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
-    max_iterations: int = DEFAULT_ITERATION_BUDGET,
+    budget: Budget = Budget(),
 ) -> DownSet:
     """Least pair set for level 3/2, saturated against its own auxiliary map.
 
@@ -199,19 +186,19 @@ def pbpol_iopti(
     semiring = rho.semiring
     space = PairSpace(morphism, semiring)
     inner = antichain_inner_for_pbpol(morphism, semiring)
-    acc = Antichain(space.leq, budget=max_antichain)
+    acc = Antichain(space.leq, budget=budget)
     iterations = 0
     while True:
         iterations += 1
-        if iterations > max_iterations:
-            raise BudgetExceededError("iteration", max_iterations)
-        eta = aux_pbpol_map(morphism, rho, acc.freeze(), inner=inner)
+        if iterations > budget.iterations:
+            raise budget.exceeded("iterations")
+        eta = aux_pbpol_map(morphism, rho, acc.freeze(), inner)
         changed = False
         for r, t_value in oracle.iopti(eta):
             for pair in t_value:
                 if acc.add(pair):
                     changed = True
-            for candidate in DownSet(space, t_value).to_set(max_antichain):
+            for candidate in DownSet(space, t_value).to_set(budget):
                 if space.mult(candidate, candidate) != candidate:
                     continue
                 e, f = candidate
@@ -227,15 +214,9 @@ def pbpol_pointed_imprint(
     morphism: MonoidMorphism,
     rho: RatingMap,
     iopti: DownSet,
-    max_antichain: int = DEFAULT_ANTICHAIN_BUDGET,
+    budget: Budget = Budget(),
 ) -> DownSet:
     """Full level-3/2 pointed imprint: close iopti with unit and letter pairs."""
-    space = iopti.space
-    acc = Antichain(space.leq, budget=max_antichain)
-    for pair in iopti.maximal:
-        acc.add(pair)
-    acc.add((morphism.unit, rho.semiring.one))
-    for letter in rho.alphabet:
-        acc.add((morphism.letter_image[letter], rho.letter_image[letter]))
-    _, passes = _close_products(space, acc)
-    return DownSet(space, acc.freeze(), passes)
+    seeds = list(iopti.maximal) + [(morphism.unit, rho.semiring.one)]
+    seeds += [(morphism.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
+    return _saturate(iopti.space, seeds, budget)

@@ -1,10 +1,12 @@
-"""Shared error types.
+"""Shared error types and the resource budget.
 
 Budget overruns are structured errors, never wrong answers: callers map
 them to a dedicated exit code.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 
 class BudgetExceededError(RuntimeError):
@@ -16,11 +18,50 @@ class BudgetExceededError(RuntimeError):
         self.limit = limit
 
 
+# What each budget field bounds, as its overrun message names it.
+_BOUNDS = {
+    "states": "state",
+    "monoid": "monoid",
+    "antichain": "antichain",
+    "iterations": "iteration",
+    "values": "rating value",
+    "pairs": "evaluation pair",
+}
+
+
+@dataclass(frozen=True)
+class Budget:
+    """Every resource limit of a query, one field per kind of growth.
+
+    `states` bounds each automaton built from a regex, `monoid` the
+    transition monoid, `antichain` every antichain and materialized
+    downset the engines keep, `iterations` the rounds of a fixpoint,
+    `values` the word images of a rating map, and `pairs` the (state,
+    value) pairs of evaluating a rating map on a language. Loops compare
+    their size with a field and raise `exceeded(field)` past it.
+    """
+
+    states: int = 4096
+    monoid: int = 20000
+    antichain: int = 50000
+    iterations: int = 10000
+    values: int = 20000
+    pairs: int = 100000
+
+    def exceeded(self, field: str, what: str | None = None) -> BudgetExceededError:
+        """The error for growing past `field`; `what` renames the bounded thing."""
+        return BudgetExceededError(what or _BOUNDS[field], getattr(self, field))
+
+
 class UnsupportedError(ValueError):
     """Requested a basis or level that is reserved but not implemented."""
 
 
-class RegexSyntaxError(ValueError):
+class InputError(ValueError):
+    """A caller's input is malformed: the query itself is at fault."""
+
+
+class RegexSyntaxError(InputError):
     """Malformed regular expression; carries the offending position."""
 
     def __init__(self, message: str, position: int):

@@ -24,10 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import BudgetExceededError, RegexSyntaxError
-
-DEFAULT_STATE_BUDGET = 4096
-DEFAULT_MONOID_BUDGET = 20000
+from .errors import Budget, InputError, RegexSyntaxError
 
 _RESERVED = frozenset("0e")
 
@@ -40,15 +37,15 @@ class Alphabet:
 
     def __post_init__(self):
         if not self.letters:
-            raise ValueError("alphabet must be non-empty")
+            raise InputError("alphabet must be non-empty")
         seen = set()
         for a in self.letters:
             if len(a) != 1 or not ("a" <= a <= "z"):
-                raise ValueError(f"alphabet letter {a!r} must be a lowercase ascii letter")
+                raise InputError(f"alphabet letter {a!r} must be a lowercase ascii letter")
             if a in _RESERVED:
-                raise ValueError(f"letter {a!r} is reserved regex syntax")
+                raise InputError(f"letter {a!r} is reserved regex syntax")
             if a in seen:
-                raise ValueError(f"duplicate alphabet letter {a!r}")
+                raise InputError(f"duplicate alphabet letter {a!r}")
             seen.add(a)
 
     @classmethod
@@ -59,7 +56,7 @@ class Alphabet:
         try:
             return self.letters.index(letter)
         except ValueError:
-            raise ValueError(f"letter {letter!r} not in alphabet {''.join(self.letters)!r}") from None
+            raise InputError(f"letter {letter!r} not in alphabet {''.join(self.letters)!r}") from None
 
     def __contains__(self, letter: str) -> bool:
         return letter in self.letters
@@ -324,9 +321,10 @@ def _determinize(
     start: frozenset[int],
     move: Callable[[int, int], Iterable[int]],
     is_accept: Callable[[frozenset[int]], bool],
-    max_states: int,
+    budget: Budget,
 ) -> Dfa:
     """Subset construction over an implicit NFA given by `move`."""
+    limit = budget.states
     index = {start: 0}
     rows = []
     accepting = set()
@@ -339,8 +337,8 @@ def _determinize(
         for l in range(len(alphabet)):
             nxt = frozenset(t for s in subset for t in move(s, l))
             if nxt not in index:
-                if len(index) >= max_states:
-                    raise BudgetExceededError("state", max_states)
+                if len(index) >= limit:
+                    raise budget.exceeded("states")
                 index[nxt] = len(index)
                 queue.append(nxt)
             row.append(index[nxt])
@@ -348,9 +346,10 @@ def _determinize(
     return Dfa(alphabet, tuple(rows), 0, frozenset(accepting))
 
 
-def _product(x: Dfa, y: Dfa, keep: Callable[[bool, bool], bool], max_states: int) -> Dfa:
+def _product(x: Dfa, y: Dfa, keep: Callable[[bool, bool], bool], budget: Budget) -> Dfa:
     if x.alphabet != y.alphabet:
         raise ValueError("alphabet mismatch")
+    limit = budget.states
     nletters = len(x.alphabet)
     index = {(x.initial, y.initial): 0}
     rows = []
@@ -364,8 +363,8 @@ def _product(x: Dfa, y: Dfa, keep: Callable[[bool, bool], bool], max_states: int
         for l in range(nletters):
             nxt = (x.transitions[p][l], y.transitions[q][l])
             if nxt not in index:
-                if len(index) >= max_states:
-                    raise BudgetExceededError("state", max_states)
+                if len(index) >= limit:
+                    raise budget.exceeded("states")
                 index[nxt] = len(index)
                 queue.append(nxt)
             row.append(index[nxt])
@@ -373,12 +372,12 @@ def _product(x: Dfa, y: Dfa, keep: Callable[[bool, bool], bool], max_states: int
     return Dfa(x.alphabet, tuple(rows), 0, frozenset(accepting))
 
 
-def union(x: Dfa, y: Dfa, max_states: int = DEFAULT_STATE_BUDGET) -> Dfa:
-    return minimize(_product(x, y, lambda a, b: a or b, max_states))
+def union(x: Dfa, y: Dfa, budget: Budget = Budget()) -> Dfa:
+    return minimize(_product(x, y, lambda a, b: a or b, budget))
 
 
-def intersect(x: Dfa, y: Dfa, max_states: int = DEFAULT_STATE_BUDGET) -> Dfa:
-    return minimize(_product(x, y, lambda a, b: a and b, max_states))
+def intersect(x: Dfa, y: Dfa, budget: Budget = Budget()) -> Dfa:
+    return minimize(_product(x, y, lambda a, b: a and b, budget))
 
 
 def complement(x: Dfa) -> Dfa:
@@ -441,9 +440,9 @@ def short_words(dfa: Dfa, max_len: int) -> list[str]:
 # Regex compilation
 
 
-def compile_regex(regex: Regex, alphabet: Alphabet, max_states: int = DEFAULT_STATE_BUDGET) -> Dfa:
+def compile_regex(regex: Regex, alphabet: Alphabet, budget: Budget = Budget()) -> Dfa:
     """Minimal complete DFA for `regex`; raises on state-budget overrun."""
-    return _build(regex, alphabet, max_states)
+    return _build(regex, alphabet, budget)
 
 
 def _dfa_empty(alphabet: Alphabet) -> Dfa:
@@ -462,7 +461,7 @@ def _dfa_letter(alphabet: Alphabet, letter: str) -> Dfa:
     return Dfa(alphabet, (first, sink, sink), 0, frozenset({1}))
 
 
-def _concat(x: Dfa, y: Dfa, max_states: int) -> Dfa:
+def _concat(x: Dfa, y: Dfa, budget: Budget) -> Dfa:
     off = x.num_states
 
     def move(s: int, l: int) -> list[int]:
@@ -484,10 +483,10 @@ def _concat(x: Dfa, y: Dfa, max_states: int) -> Dfa:
                 return True
         return False
 
-    return minimize(_determinize(x.alphabet, start, move, is_accept, max_states))
+    return minimize(_determinize(x.alphabet, start, move, is_accept, budget))
 
 
-def _star(x: Dfa, max_states: int, plus: bool) -> Dfa:
+def _star(x: Dfa, budget: Budget, plus: bool) -> Dfa:
     # Fresh start state avoids false accepts from loops through the old
     # initial state; for plus it accepts only when x itself accepts eps.
     s0 = x.num_states
@@ -506,10 +505,10 @@ def _star(x: Dfa, max_states: int, plus: bool) -> Dfa:
             return start_accepts
         return any(s in x.accepting for s in subset)
 
-    return minimize(_determinize(x.alphabet, frozenset({s0}), move, is_accept, max_states))
+    return minimize(_determinize(x.alphabet, frozenset({s0}), move, is_accept, budget))
 
 
-def _build(r: Regex, alp: Alphabet, budget: int) -> Dfa:
+def _build(r: Regex, alp: Alphabet, budget: Budget) -> Dfa:
     if isinstance(r, Empty):
         return _dfa_empty(alp)
     if isinstance(r, Eps):
@@ -602,7 +601,7 @@ class MonoidMorphism:
                             raise ValueError(f"associativity fails at ({i},{j},{k})")
 
 
-def transition_monoid(dfas: list[Dfa], max_elements: int = DEFAULT_MONOID_BUDGET) -> MonoidMorphism:
+def transition_monoid(dfas: list[Dfa], budget: Budget = Budget()) -> MonoidMorphism:
     """Close the letter transformations of the product DFA under composition.
 
     The product-state space is restricted to states reachable from the
@@ -639,6 +638,7 @@ def transition_monoid(dfas: list[Dfa], max_elements: int = DEFAULT_MONOID_BUDGET
             )
         )
 
+    limit = budget.monoid
     identity = tuple(range(npoints))
     index = {identity: 0}
     transformations = [identity]
@@ -650,8 +650,8 @@ def transition_monoid(dfas: list[Dfa], max_elements: int = DEFAULT_MONOID_BUDGET
         for l, a in enumerate(alphabet):
             composed = tuple(map(letter_maps[l].__getitem__, t))
             if composed not in index:
-                if len(transformations) >= max_elements:
-                    raise BudgetExceededError("monoid", max_elements)
+                if len(transformations) >= limit:
+                    raise budget.exceeded("monoid")
                 index[composed] = len(transformations)
                 transformations.append(composed)
                 word_for.append(word_for[i] + a)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import BudgetExceededError
+from .errors import Budget
 from .lang import Alphabet, Dfa, MonoidMorphism
 from .semiring import (
     AntichainSemiring,
@@ -22,9 +22,6 @@ from .semiring import (
     ProductMonoid,
     Semiring,
 )
-
-DEFAULT_VALUE_BUDGET = 20000
-DEFAULT_PAIR_BUDGET = 100000
 
 
 class RatingMap:
@@ -50,7 +47,7 @@ def eval_word(rho: RatingMap, word: str):
     return value
 
 
-def eval_regular(rho: RatingMap, dfa: Dfa, max_pairs: int = DEFAULT_PAIR_BUDGET):
+def eval_regular(rho: RatingMap, dfa: Dfa, budget: Budget = Budget()):
     """Sum of rho over a regular language.
 
     Saturates the reachable (DFA state, semiring value) pairs and adds
@@ -61,6 +58,7 @@ def eval_regular(rho: RatingMap, dfa: Dfa, max_pairs: int = DEFAULT_PAIR_BUDGET)
     if dfa.alphabet != rho.alphabet:
         raise ValueError("language and rating map use different alphabets")
     semiring = rho.semiring
+    limit = budget.pairs
     start = (dfa.initial, semiring.one)
     seen = {start}
     todo = [start]
@@ -71,13 +69,13 @@ def eval_regular(rho: RatingMap, dfa: Dfa, max_pairs: int = DEFAULT_PAIR_BUDGET)
             nxt = (row[j], semiring.mul(value, rho.letter_image[letter]))
             if nxt not in seen:
                 seen.add(nxt)
-                if len(seen) > max_pairs:
-                    raise BudgetExceededError("evaluation pair", max_pairs)
+                if len(seen) > limit:
+                    raise budget.exceeded("pairs")
                 todo.append(nxt)
     return semiring.sum(value for state, value in seen if state in dfa.accepting)
 
 
-def value_automaton(rho: RatingMap, max_values: int = DEFAULT_VALUE_BUDGET):
+def value_automaton(rho: RatingMap, budget: Budget = Budget()):
     """Reachable word images of rho with their right-multiplication graph.
 
     Returns (values, transitions): values[0] is the unit, and
@@ -86,6 +84,7 @@ def value_automaton(rho: RatingMap, max_values: int = DEFAULT_VALUE_BUDGET):
     values[i] under the word-level map.
     """
     semiring = rho.semiring
+    limit = budget.values
     values = [semiring.one]
     index = {semiring.one: 0}
     transitions: list[tuple[int, ...]] = []
@@ -100,17 +99,17 @@ def value_automaton(rho: RatingMap, max_values: int = DEFAULT_VALUE_BUDGET):
                 at = len(values)
                 index[nxt] = at
                 values.append(nxt)
-                if len(values) > max_values:
-                    raise BudgetExceededError("rating value", max_values)
+                if len(values) > limit:
+                    raise budget.exceeded("values")
             row.append(at)
         transitions.append(tuple(row))
         i += 1
     return values, tuple(transitions)
 
 
-def image_values(rho: RatingMap, max_values: int = DEFAULT_VALUE_BUDGET) -> frozenset:
+def image_values(rho: RatingMap, budget: Budget = Budget()) -> frozenset:
     """The set of word images rho(w), w ranging over all words."""
-    values, _ = value_automaton(rho, max_values)
+    values, _ = value_automaton(rho, budget)
     return frozenset(values)
 
 
@@ -125,52 +124,43 @@ def canonical_covering_map(morphism: MonoidMorphism) -> RatingMap:
     return RatingMap(morphism.alphabet, semiring, images)
 
 
-def _inner_canon(inner, items: Iterable) -> frozenset:
-    if isinstance(inner, AntichainSemiring):
-        return inner.normal(items)
-    return frozenset(items)
-
-
-def aux_bpol_map(rho: RatingMap, s_values: Iterable, inner=None) -> RatingMap:
+def aux_bpol_map(rho: RatingMap, s_values: Iterable, inner: Semiring) -> RatingMap:
     """The auxiliary map a -> {(rho(a), S.{rho(a)}.S)} into 2^(R x 2^R).
 
-    S is a set of semiring values. With the default exact inner
-    semiring the second coordinates are literal subsets of R; passing
-    an AntichainSemiring over R's multiplicative order prunes them to
-    maxima, which is sound for consumers that only read the result
-    through downward closure.
+    S is a set of semiring values and `inner` the semiring of the
+    second coordinates. The exact `PowerSemiring(MultMonoid(R))` keeps
+    them as literal subsets of R; an AntichainSemiring over R's
+    multiplicative order prunes them to maxima, which is sound for
+    consumers that only read the result through downward closure.
     """
     semiring = rho.semiring
-    if inner is None:
-        inner = PowerSemiring(MultMonoid(semiring))
-    s_value = _inner_canon(inner, s_values)
+    s_value = inner.normal(s_values)
     outer = PowerSemiring(ProductMonoid(MultMonoid(semiring), MultMonoid(inner)))
     images = {}
     for letter in rho.alphabet:
         r = rho.letter_image[letter]
-        wrapped = inner.mul(inner.mul(s_value, _inner_canon(inner, [r])), s_value)
+        wrapped = inner.mul(inner.mul(s_value, inner.normal([r])), s_value)
         images[letter] = frozenset({(r, wrapped)})
     return RatingMap(rho.alphabet, outer, images)
 
 
 def aux_pbpol_map(
-    morphism: MonoidMorphism, rho: RatingMap, s_pairs: Iterable, inner=None
+    morphism: MonoidMorphism, rho: RatingMap, s_pairs: Iterable, inner: Semiring
 ) -> RatingMap:
     """The auxiliary map a -> {(rho(a), S.{(alpha(a), rho(a))}.S)}.
 
     S is a set of monoid-value pairs; values land in 2^(R x 2^(M x R)).
-    The inner semiring is exact by default, antichain-pruned on request
-    (same soundness condition as aux_bpol_map).
+    The inner semiring is exact as `PowerSemiring(ProductMonoid(M,
+    MultMonoid(R)))` or antichain-pruned (same soundness condition as
+    aux_bpol_map).
     """
     semiring = rho.semiring
-    if inner is None:
-        inner = PowerSemiring(ProductMonoid(morphism, MultMonoid(semiring)))
-    s_value = _inner_canon(inner, s_pairs)
+    s_value = inner.normal(s_pairs)
     outer = PowerSemiring(ProductMonoid(MultMonoid(semiring), MultMonoid(inner)))
     images = {}
     for letter in rho.alphabet:
         r = rho.letter_image[letter]
-        marked = _inner_canon(inner, [(morphism.letter_image[letter], r)])
+        marked = inner.normal([(morphism.letter_image[letter], r)])
         wrapped = inner.mul(inner.mul(s_value, marked), s_value)
         images[letter] = frozenset({(r, wrapped)})
     return RatingMap(rho.alphabet, outer, images)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .engines import DEFAULT_ITERATION_BUDGET, admissible_totals
-from .errors import BudgetExceededError
+from .engines import admissible_totals
+from .errors import Budget
 from .lang import (
     Alphabet,
     Dfa,
@@ -70,7 +70,7 @@ def _block(alphabet: Alphabet, modulus: int) -> Regex:
 
 
 def candidate_language(
-    candidate: SeparatorCandidate, alphabet: Alphabet, max_states: int = 4096
+    candidate: SeparatorCandidate, alphabet: Alphabet, budget: Budget = Budget()
 ) -> Dfa:
     """Compile a candidate's denotation over the given alphabet."""
     block = _block(alphabet, candidate.modulus)
@@ -80,7 +80,7 @@ def candidate_language(
         for letter in word:
             product = Seq(Seq(product, Sym(letter)), block)
         total = Alt(total, product)
-    return compile_regex(total, alphabet, max_states=max_states)
+    return compile_regex(total, alphabet, budget)
 
 
 def verify_separator(k: Dfa, l1: Dfa, l2: Dfa) -> bool:
@@ -94,7 +94,7 @@ def pol_mod_separator_search(
     dmax: int,
     nmax: int,
     union_bound: int,
-    max_states: int = 4096,
+    budget: Budget = Budget(),
 ) -> SeparatorCandidate | None:
     """Bounded search for a marked-product separator of l1 from l2.
 
@@ -112,15 +112,15 @@ def pol_mod_separator_search(
         for size in range(0, union_bound + 1):
             for markers in combinations(pool, size):
                 candidate = SeparatorCandidate(d, markers)
-                denoted = candidate_language(candidate, l1.alphabet, max_states)
+                denoted = candidate_language(candidate, l1.alphabet, budget)
                 if verify_separator(denoted, l1, l2):
                     return candidate
     return None
 
 
-def block_language(alphabet: Alphabet, modulus: int, max_states: int = 4096) -> Dfa:
+def block_language(alphabet: Alphabet, modulus: int, budget: Budget = Budget()) -> Dfa:
     """The language (A^d)* of lengths divisible by the modulus."""
-    return compile_regex(_block(alphabet, modulus), alphabet, max_states)
+    return compile_regex(_block(alphabet, modulus), alphabet, budget)
 
 
 def mod_iopti_bound(rho: RatingMap) -> int:
@@ -164,7 +164,7 @@ def brute_iopti_mod(rho: RatingMap, dmax: int):
     raise ValueError("no order-minimal block value below the given bound")
 
 
-def bpol_iopti_enumerated(rho: RatingMap, oracle, max_iterations: int = DEFAULT_ITERATION_BUDGET):
+def bpol_iopti_enumerated(rho: RatingMap, oracle, budget: Budget = Budget()):
     """Level-1 basis value by the greatest-fixpoint filter over an enumerated carrier.
 
     The same filter as `engines.bpol_iopti`, but on explicit value sets
@@ -177,9 +177,9 @@ def bpol_iopti_enumerated(rho: RatingMap, oracle, max_iterations: int = DEFAULT_
     iterations = 0
     while True:
         iterations += 1
-        if iterations > max_iterations:
-            raise BudgetExceededError("iteration", max_iterations)
-        eta = aux_bpol_map(rho, frozenset(current), inner=inner)
+        if iterations > budget.iterations:
+            raise budget.exceeded("iterations")
+        eta = aux_bpol_map(rho, frozenset(current), inner)
         valid = admissible_totals(semiring, oracle.iopti(eta))
         survivors = {s for s in current if any(semiring.leq(s, t) for t in valid)}
         if survivors == current:

@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .errors import BudgetExceededError
-
-DEFAULT_ANTICHAIN_BUDGET = 50000
+from .errors import Budget, BudgetExceededError
 
 
 class Semiring:
@@ -191,6 +189,9 @@ class PowerSemiring(Semiring):
     def meet(self, x, y):
         return x & y
 
+    def normal(self, items: Iterable) -> frozenset:
+        return frozenset(items)
+
     def elements(self) -> Iterator[frozenset]:
         base = list(self.monoid.elements())
         if len(base) > self.max_carrier_bits:
@@ -300,14 +301,15 @@ class DownSet:
     def __iter__(self):
         return iter(self.maximal)
 
-    def to_set(self, budget: int = DEFAULT_ANTICHAIN_BUDGET) -> frozenset:
-        """Materialize the full downset (fixtures and small cross-checks)."""
+    def to_set(self, budget: Budget = Budget()) -> frozenset:
+        """Materialize the full downset, within the antichain budget."""
+        limit = budget.antichain
         out: set = set()
         for m in self.maximal:
             for x in self.space.iter_below(m):
                 out.add(x)
-                if len(out) > budget:
-                    raise BudgetExceededError("downset materialization", budget)
+                if len(out) > limit:
+                    raise budget.exceeded("antichain", "downset materialization")
         return frozenset(out)
 
 
@@ -318,9 +320,10 @@ def downclose(space, xs: Iterable) -> DownSet:
 class Antichain:
     """Mutable antichain accumulator used by the saturation loops."""
 
-    def __init__(self, space_leq: Callable, items: Iterable = (), budget: int = DEFAULT_ANTICHAIN_BUDGET):
+    def __init__(self, space_leq: Callable, items: Iterable = (), budget: Budget = Budget()):
         self.leq = space_leq
         self.budget = budget
+        self.limit = budget.antichain
         self._items: list = []
         for x in items:
             self.add(x)
@@ -331,8 +334,8 @@ class Antichain:
             return False
         self._items = [m for m in self._items if not self.leq(m, x)]
         self._items.append(x)
-        if len(self._items) > self.budget:
-            raise BudgetExceededError("antichain", self.budget)
+        if len(self._items) > self.limit:
+            raise self.budget.exceeded("antichain")
         return True
 
     def dominates(self, x) -> bool:

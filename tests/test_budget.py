@@ -1,0 +1,82 @@
+"""The one resource budget: every field can be tripped, and no module keeps its own."""
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+import modhier
+from modhier import Alphabet, Budget, BudgetExceededError, compile_regex, member, parse_regex
+from modhier.basis import mod_cover_oracle
+from modhier.rating import canonical_covering_map, eval_regular
+from modhier.lang import transition_monoid
+
+AB = Alphabet.of("ab")
+ORACLE = mod_cover_oracle()
+
+
+def lang(text):
+    return compile_regex(parse_regex(text, AB), AB)
+
+
+def evaluate(budget):
+    language = lang("(ab)*")
+    return eval_regular(canonical_covering_map(transition_monoid([language])), language, budget)
+
+
+# field, tiny limit, the bounded thing the error names, a query that grows past it
+TRIPS = [
+    ("states", 1, "state", lambda b: compile_regex(parse_regex("(a|b)*b", AB), AB, b)),
+    ("monoid", 1, "monoid", lambda b: member("1/2", lang("a*"), ORACLE, b)),
+    ("antichain", 1, "antichain", lambda b: member("1/2", lang("a*"), ORACLE, b)),
+    ("iterations", 1, "iteration", lambda b: member("1", lang("a*"), ORACLE, b)),
+    ("values", 1, "rating value", lambda b: member("1", lang("a*"), ORACLE, b)),
+    ("pairs", 1, "evaluation pair", evaluate),
+]
+
+
+@pytest.mark.parametrize("field, limit, what, query", TRIPS, ids=[t[0] for t in TRIPS])
+def test_each_budget_field_trips_by_name(field, limit, what, query):
+    with pytest.raises(BudgetExceededError) as caught:
+        query(Budget(**{field: limit}))
+    assert (caught.value.what, caught.value.limit) == (what, limit)
+    assert str(caught.value) == f"{what} budget exceeded (limit {limit})"
+    query(Budget())  # the same query fits the defaults
+
+
+def test_trips_cover_every_field():
+    assert sorted(t[0] for t in TRIPS) == sorted(vars(Budget()))
+
+
+BUDGET_KEYWORDS = {"max_states", "max_monoid", "max_antichain", "max_iterations", "max_values",
+                   "max_pairs", "max_elements"}
+
+
+def test_no_module_but_errors_keeps_its_own_budget():
+    package = Path(modhier.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                if node.id.startswith("DEFAULT_") and node.id.endswith("_BUDGET"):
+                    found.append((path.name, node.id))
+            elif isinstance(node, ast.arg) and node.arg in BUDGET_KEYWORDS:
+                found.append((path.name, node.arg))
+    assert found == []
+
+
+def test_readme_budget_snippet_prints_what_it_says():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library, budget = re.findall(r"```python\n(.*?)```", readme[readme.index("## Library"):], re.S)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        namespace = {}
+        exec(library, namespace)
+        exec(budget, namespace)
+    assert printed.getvalue().splitlines()[-1] == "antichain budget exceeded (limit 1)"
+    assert "# antichain budget exceeded (limit 1)" in budget

@@ -277,6 +277,24 @@ def test_budget_overflow_exits_three():
     assert "budget" in err
 
 
+def test_max_states_bounds_automata_not_the_monoid():
+    # The 10-state DFA has a 20-element monoid, which the monoid budget allows.
+    code, out, err = invoke(
+        "member", "--level", "1/2", "--alphabet", "ab", "--max-states", "10",
+        "(a|b)*abba(a|b)*", "--no-stats",
+    )
+    assert (code, lines(out), err) == (0, ["RESULT: not-member"], "")
+
+
+def test_internal_value_error_is_not_an_input_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("no order-minimal block value below the given bound")
+
+    monkeypatch.setattr("modhier.cli.member", broken)
+    with pytest.raises(ValueError, match="order-minimal"):
+        invoke("member", "--level", "1", "--alphabet", "ab", "a*")
+
+
 def test_reserved_basis_exits_four():
     for name in ("gr", "amod", "xyz"):
         code, _, err = invoke(
@@ -340,6 +358,17 @@ def test_batch_rejects_nesting(tmp_path):
 
 def test_batch_missing_file_exits_two():
     assert invoke("batch", "/nonexistent/queries.txt")[0] == 2
+
+
+def test_batch_unreadable_lines_exit_two(tmp_path):
+    unquoted = tmp_path / "unquoted.txt"
+    unquoted.write_text('member --level 1 --alphabet ab "a*\n')
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe member\n")
+    for script in (unquoted, binary):
+        code, _, err = invoke("batch", str(script))
+        assert code == 2, script
+        assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

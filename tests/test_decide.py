@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from modhier.basis import mod_cover_oracle
 from modhier.decide import LEVELS, Verdict, coverable, member, separable
-from modhier.errors import UnsupportedError
+from modhier.errors import InputError, UnsupportedError
 from modhier.lang import (
     Alphabet,
     compile_regex,
@@ -86,19 +86,19 @@ def test_cover_level_zero_unsupported():
 
 
 def test_unknown_level_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         separable("5/2", lang("a*"), lang("b*"), ORACLE)
 
 
 def test_cover_needs_constraints():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         coverable("1/2", lang("a*"), [], ORACLE)
 
 
 def test_alphabet_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         separable("1/2", lang("a*", A), lang("a*"), ORACLE)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         coverable("1/2", lang("a*", A), [lang("a*")], ORACLE)
 
 

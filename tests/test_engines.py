@@ -17,7 +17,7 @@ from modhier.engines import (
     pol_imprint,
     unpointed,
 )
-from modhier.errors import BudgetExceededError
+from modhier.errors import Budget, BudgetExceededError
 from modhier.lang import Alphabet, compile_regex, parse_regex, transition_monoid
 from modhier.rating import RatingMap, canonical_covering_map
 from modhier.refcheck import bpol_iopti_enumerated
@@ -91,7 +91,7 @@ def test_pol_imprint_contains_basis_seed(parity_instance):
 def test_pol_imprint_budget(parity_instance):
     morphism, rho = parity_instance
     with pytest.raises(BudgetExceededError):
-        pol_imprint(morphism, rho, ORACLE, max_antichain=1)
+        pol_imprint(morphism, rho, ORACLE, Budget(antichain=1))
 
 
 def assert_pol_rules_stable(morphism, rho, oracle, result):
@@ -167,7 +167,7 @@ def test_bpol_iopti_unit_letters():
 def test_bpol_iopti_iteration_budget(parity_instance):
     _, rho = parity_instance
     with pytest.raises(BudgetExceededError):
-        bpol_iopti(rho, ORACLE, max_iterations=1)
+        bpol_iopti(rho, ORACLE, Budget(iterations=1))
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modhier.errors import BudgetExceededError, RegexSyntaxError
+from modhier.errors import Budget, BudgetExceededError, InputError, RegexSyntaxError
 from modhier.lang import (
     Alphabet,
     Alt,
@@ -71,14 +71,16 @@ def test_parse_errors():
 
 
 def test_alphabet_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Alphabet.of("")
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Alphabet.of("aa")
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Alphabet.of("ae")  # e is grammar syntax
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Alphabet.of("aB")
+    with pytest.raises(InputError):
+        A2.index("c")
 
 
 # -- compilation ------------------------------------------------------------
@@ -134,7 +136,7 @@ def test_compile_boolean_ops():
 
 def test_compile_budget():
     with pytest.raises(BudgetExceededError):
-        compile_regex(parse_regex("(a|b)(a|b)(a|b)(a|b)(a|b)", A2), A2, max_states=4)
+        compile_regex(parse_regex("(a|b)(a|b)(a|b)(a|b)(a|b)", A2), A2, Budget(states=4))
 
 
 def test_minimize_idempotent_and_canonical():
@@ -156,7 +158,7 @@ def test_regular_ops_examples():
     assert is_empty(intersect(lang("a*"), lang("(a|b)*b(a|b)*")))
     assert not disjoint(lang("a*"), lang("a|b"))
     assert equivalent(union(even, odd), lang("a*", A1))
-    assert is_empty(intersect(even, complement(even), max_states=64))
+    assert is_empty(intersect(even, complement(even), Budget(states=64)))
 
 
 def test_short_words():
@@ -207,7 +209,7 @@ def test_monoid_two_languages():
 
 def test_monoid_budget():
     with pytest.raises(BudgetExceededError):
-        transition_monoid([lang("(ab)*")], max_elements=3)
+        transition_monoid([lang("(ab)*")], Budget(monoid=3))
 
 
 @settings(max_examples=1000, deadline=None)

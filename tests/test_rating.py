@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modhier.errors import BudgetExceededError
+from modhier.errors import Budget, BudgetExceededError
 from modhier.lang import Alphabet, compile_regex, disjoint, parse_regex, transition_monoid
 from modhier.rating import (
     RatingMap,
@@ -20,7 +20,7 @@ from modhier.rating import (
     image_values,
     value_automaton,
 )
-from modhier.semiring import power_semiring
+from modhier.semiring import MultMonoid, PowerSemiring, ProductMonoid, power_semiring
 
 from gen import CyclicMonoid, random_rating_map
 
@@ -65,7 +65,7 @@ def test_eval_regular_checks_alphabet(parity):
 
 def test_eval_regular_budget(parity):
     with pytest.raises(BudgetExceededError):
-        eval_regular(parity, lang("(aa)*", A), max_pairs=1)
+        eval_regular(parity, lang("(aa)*", A), Budget(pairs=1))
 
 
 def test_value_automaton_parity(parity):
@@ -119,13 +119,13 @@ def test_covering_map_detects_intersection(seed):
 
 def test_aux_bpol_map_full_s(parity):
     full = [fs(), fs(0), fs(1), fs(0, 1)]
-    eta = aux_bpol_map(parity, full)
+    eta = aux_bpol_map(parity, full, PowerSemiring(MultMonoid(parity.semiring)))
     assert eta.letter_image["a"] == {(fs(1), frozenset(full))}
     assert eta.semiring.one == {(fs(0), frozenset({fs(0)}))}
 
 
 def test_aux_bpol_map_empty_s(parity):
-    eta = aux_bpol_map(parity, [])
+    eta = aux_bpol_map(parity, [], PowerSemiring(MultMonoid(parity.semiring)))
     assert eta.letter_image["a"] == {(fs(1), frozenset())}
 
 
@@ -140,10 +140,11 @@ def test_aux_bpol_map_antichain_inner(parity):
 def test_aux_pbpol_map_fixtures():
     morphism = transition_monoid([lang("(aa)*", A)])
     rho = canonical_covering_map(morphism)
-    empty = aux_pbpol_map(morphism, rho, [])
+    inner = PowerSemiring(ProductMonoid(morphism, MultMonoid(rho.semiring)))
+    empty = aux_pbpol_map(morphism, rho, [], inner)
     assert empty.letter_image["a"] == {(fs(1), frozenset())}
     unit_pair = (morphism.unit, rho.semiring.one)
-    eta = aux_pbpol_map(morphism, rho, [unit_pair])
+    eta = aux_pbpol_map(morphism, rho, [unit_pair], inner)
     assert eta.letter_image["a"] == {(fs(1), frozenset({(1, fs(1))}))}
     assert eta.semiring.one == {(fs(0), frozenset({(0, fs(0))}))}
 

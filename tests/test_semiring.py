@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modhier.errors import BudgetExceededError
+from modhier.errors import Budget, BudgetExceededError
 from modhier.semiring import (
     Antichain,
     AntichainSemiring,
@@ -196,7 +196,7 @@ def test_antichain_accumulator(parity_power):
 
 def test_antichain_budget():
     incomparable = lambda x, y: x == y
-    acc = Antichain(incomparable, budget=2)
+    acc = Antichain(incomparable, budget=Budget(antichain=2))
     acc.add(1)
     acc.add(2)
     with pytest.raises(BudgetExceededError):
