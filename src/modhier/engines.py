@@ -42,20 +42,30 @@ def unpointed(imprint: DownSet) -> DownSet:
 
 
 def _close_products(space, acc: Antichain):
-    """Saturate an antichain under the space's product; pass-based."""
+    """Saturate an antichain under the space's product; pass-based.
+
+    Semi-naive: a pass skips the pairs whose two factors were both in
+    the previous pass's snapshot. That pass added their product, and
+    the downset only grows, so adding it again would change nothing.
+    """
     changed_any = False
     passes = 0
+    old: frozenset = frozenset()
     while True:
         passes += 1
         changed = False
         snapshot = list(acc)
         for x in snapshot:
+            x_old = x in old
             for y in snapshot:
+                if x_old and y in old:
+                    continue
                 if acc.add(space.mult(x, y)):
                     changed = True
         if not changed:
             return changed_any, passes
         changed_any = True
+        old = frozenset(snapshot)
 
 
 def _saturate(space, seeds, budget: Budget) -> DownSet:

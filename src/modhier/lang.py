@@ -426,14 +426,18 @@ def equivalent(x: Dfa, y: Dfa) -> bool:
     return included(x, y) and included(y, x)
 
 
+def iter_short_words(dfa: Dfa, max_len: int) -> Iterator[str]:
+    """Accepted words of length <= max_len, ordered by length then letters."""
+    layer = [("", dfa.initial)]
+    for length in range(max_len + 1):
+        yield from (w for w, q in layer if q in dfa.accepting)
+        if length < max_len:
+            layer = [(w + a, dfa.transitions[q][l]) for w, q in layer for l, a in enumerate(dfa.alphabet)]
+
+
 def short_words(dfa: Dfa, max_len: int) -> list[str]:
     """Accepted words of length <= max_len, ordered by length then letters."""
-    found = []
-    layer = [("", dfa.initial)]
-    for _ in range(max_len + 1):
-        found.extend(w for w, q in layer if q in dfa.accepting)
-        layer = [(w + a, dfa.transitions[q][l]) for w, q in layer for l, a in enumerate(dfa.alphabet)]
-    return found
+    return list(iter_short_words(dfa, max_len))
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +546,11 @@ class MonoidMorphism:
     initial product state into a configuration accepting for the i-th
     input DFA, so a word w lies in L_i iff its image lies there.
 
-    Multiplication composes transformation tuples on demand (a full
-    table for a 20000-element monoid would not fit); results are cached.
+    Multiplication reads Cayley rows: `row(i)` holds the product of i
+    with every element, formed in full the first time it is needed and
+    kept for the morphism's lifetime. Rows are filled only for the left
+    factors in use, so a large monoid whose products are never asked
+    costs nothing, but the worst case is |M|^2 integers.
     """
 
     def __init__(self, alphabet, transformations, letter_image, accept_sets, word_for):
@@ -554,7 +561,7 @@ class MonoidMorphism:
         self.accept_sets = tuple(frozenset(f) for f in accept_sets)
         self.word_for = tuple(word_for)
         self.unit = 0
-        self._cache: dict[tuple[int, int], int] = {}
+        self._rows: list[tuple[int, ...] | None] = [None] * len(self._transformations)
         npoints = len(self._transformations[0])
         if self._transformations[0] != tuple(range(npoints)):
             raise ValueError("element 0 must be the identity transformation")
@@ -569,17 +576,25 @@ class MonoidMorphism:
     def elements(self) -> range:
         return range(self.size)
 
+    def row(self, i: int) -> tuple[int, ...]:
+        """The products of element i followed by each element, by index."""
+        row = self._rows[i]
+        if row is None:
+            ti, index = self._transformations[i], self._index
+            row = tuple(index[tuple(map(tj.__getitem__, ti))] for tj in self._transformations)
+            self._rows[i] = row
+        return row
+
     def mult(self, i: int, j: int) -> int:
         """Index of element i followed by element j."""
-        key = (i, j)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        tj = self._transformations[j]
-        composed = tuple(map(tj.__getitem__, self._transformations[i]))
-        result = self._index[composed]
-        self._cache[key] = result
-        return result
+        row = self._rows[i]
+        if row is None:
+            row = self.row(i)
+        return row[j]
+
+    def mult_sets(self, xs, ys) -> frozenset:
+        """All products x * y with x in xs and y in ys."""
+        return frozenset([row[y] for row in map(self.row, xs) for y in ys])
 
     def image_of_word(self, word: str) -> int:
         m = self.unit

@@ -13,7 +13,7 @@ best-effort witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .engines import admissible_totals
 from .errors import Budget
@@ -29,6 +29,7 @@ from .lang import (
     compile_regex,
     disjoint,
     included,
+    iter_short_words,
     short_words,
 )
 from .rating import RatingMap, aux_bpol_map, eval_regular
@@ -83,9 +84,36 @@ def candidate_language(
     return compile_regex(total, alphabet, budget)
 
 
+def marked_product_accepts(word: str, modulus: int, marker: str) -> bool:
+    """Is the word in (A^d)* a1 (A^d)* ... an (A^d)*, for d the modulus and a1...an the marker?
+
+    `starts` holds the positions where a block (A^d)* may begin after
+    the marker letters read so far; a block ends where the next marker
+    letter is found a multiple of d further on.
+    """
+    starts = {0}
+    for letter in marker:
+        starts = {q + 1 for p in starts for q in range(p, len(word), modulus) if word[q] == letter}
+    return any((len(word) - p) % modulus == 0 for p in starts)
+
+
+def _agrees_on(candidate: SeparatorCandidate, members, nonmembers) -> bool:
+    """Does the candidate contain every word of `members` and none of `nonmembers`?"""
+
+    def accepts(word):
+        return any(marked_product_accepts(word, candidate.modulus, m) for m in candidate.markers)
+
+    return all(map(accepts, members)) and not any(map(accepts, nonmembers))
+
+
 def verify_separator(k: Dfa, l1: Dfa, l2: Dfa) -> bool:
     """Exact check that k contains l1 and avoids l2."""
     return included(l1, k) and disjoint(k, l2)
+
+
+# Words of l2 a candidate separator is tried on before it is compiled.
+PROBE_EXTRA = 2
+PROBE_WORDS = 64
 
 
 def pol_mod_separator_search(
@@ -104,14 +132,23 @@ def pol_mod_separator_search(
     then length-lexicographic marker combination) whose denotation
     verifies, or None when the space is exhausted. A hit certifies
     separability at level 1/2; exhaustion certifies nothing.
+
+    Before a candidate is compiled, it is tried on words: it must
+    contain the marker pool (words of l1) and avoid the first
+    PROBE_WORDS words of l2 of length at most nmax + PROBE_EXTRA. A
+    candidate failing that cannot verify, so the search returns what
+    it would return without the test.
     """
     if l1.alphabet != l2.alphabet:
         raise ValueError("separation inputs use different alphabets")
     pool = short_words(l1, nmax)
+    probes = list(islice(iter_short_words(l2, nmax + PROBE_EXTRA), PROBE_WORDS))
     for d in range(1, dmax + 1):
         for size in range(0, union_bound + 1):
             for markers in combinations(pool, size):
                 candidate = SeparatorCandidate(d, markers)
+                if not _agrees_on(candidate, pool, probes):
+                    continue
                 denoted = candidate_language(candidate, l1.alphabet, budget)
                 if verify_separator(denoted, l1, l2):
                     return candidate

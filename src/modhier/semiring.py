@@ -102,7 +102,9 @@ class TableSemiring(Semiring):
 # ---------------------------------------------------------------------------
 # Multiplicative spaces: the shared duck type is unit / mult / leq (order
 # optional for plain monoids), used both to build power semirings and to
-# order the pairs the pointed imprints live on.
+# order the pairs the pointed imprints live on. A monoid may also offer
+# mult_sets(xs, ys), the set of all products, when it can form that set
+# with fewer element products than one per pair.
 
 
 class MultMonoid:
@@ -135,6 +137,19 @@ class ProductMonoid:
 
     def mult(self, x, y):
         return (self.first.mult(x[0], y[0]), self.second.mult(x[1], y[1]))
+
+    def mult_sets(self, xs, ys) -> frozenset:
+        """All products x * y, forming each distinct second-coordinate product once."""
+        first, second = self.first.mult, self.second.mult
+        seconds: dict = {}
+        out: set = set()
+        for a, s in xs:
+            for b, t in ys:
+                st = seconds.get((s, t))
+                if st is None:
+                    st = seconds[s, t] = second(s, t)
+                out.add((first(a, b), st))
+        return frozenset(out)
 
     def elements(self) -> Iterator:
         return ((a, b) for a in self.first.elements() for b in self.second.elements())
@@ -175,11 +190,14 @@ class PowerSemiring(Semiring):
         self.max_carrier_bits = max_carrier_bits
         self.zero = frozenset()
         self.one = frozenset({monoid.unit})
+        self._mult_sets = getattr(monoid, "mult_sets", None)
 
     def add(self, x, y):
         return x | y
 
     def mul(self, x, y):
+        if self._mult_sets is not None:
+            return self._mult_sets(x, y)
         mult = self.monoid.mult
         return frozenset(mult(a, b) for a in x for b in y)
 

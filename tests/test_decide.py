@@ -23,6 +23,7 @@ from modhier.lang import (
 )
 from modhier.refcheck import candidate_language, pol_mod_separator_search
 from modhier.refcheck import SeparatorCandidate
+from modhier.semiring import AntichainSemiring
 from modhier.lang import included
 
 from gen import random_dfa
@@ -237,6 +238,27 @@ def test_witnesses_are_independently_checkable(seed):
         )
         assert included(l1, denoted)
         assert disjoint(denoted, l2)
+
+
+# ---------------------------------------------------------------------------
+# Work guards
+
+
+def test_level_three_halves_forms_few_antichain_products(monkeypatch):
+    """The grouped set products bound the inner products of the auxiliary map."""
+    calls = []
+    original = AntichainSemiring.mul
+
+    def counting(self, x, y):
+        calls.append(1)
+        return original(self, x, y)
+
+    monkeypatch.setattr(AntichainSemiring, "mul", counting)
+    kth4 = "(a|b)*{}(a|b)(a|b)(a|b)"
+    verdict = separable("3/2", lang(kth4.format("a")), lang(kth4.format("b")), ORACLE)
+    assert verdict.answer
+    # 960 when every pair of auxiliary values formed its own inner product.
+    assert len(calls) <= 364
 
 
 # ---------------------------------------------------------------------------

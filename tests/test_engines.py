@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from modhier.basis import mod_cover_oracle, mod_iopti
 from modhier.engines import (
+    _close_products,
     bpol_iopti,
     bpol_opti,
     admissible_totals,
@@ -21,9 +22,24 @@ from modhier.errors import Budget, BudgetExceededError
 from modhier.lang import Alphabet, compile_regex, parse_regex, transition_monoid
 from modhier.rating import RatingMap, canonical_covering_map
 from modhier.refcheck import bpol_iopti_enumerated
-from modhier.semiring import PowerSemiring, TableSemiring, power_semiring
+from modhier.semiring import (
+    Antichain,
+    MultMonoid,
+    PairSpace,
+    PowerSemiring,
+    TableSemiring,
+    power_semiring,
+)
 
-from gen import CyclicMonoid, materialize, random_dfa, random_monoid, random_rating_map, random_subset
+from gen import (
+    CyclicMonoid,
+    materialize,
+    random_dfa,
+    random_monoid,
+    random_power_semiring,
+    random_rating_map,
+    random_subset,
+)
 
 A = Alphabet.of("a")
 AB = Alphabet.of("ab")
@@ -53,6 +69,70 @@ def imprint_covers(big, small) -> bool:
     """Does big's downset contain small's (comparing value antichains)?"""
     semiring = big.space
     return all(any(semiring.leq(s, b) for b in big.maximal) for s in small.maximal)
+
+
+# ---------------------------------------------------------------------------
+# Product closure
+
+
+def naive_close_products(space, acc):
+    """The reference closure: every pass multiplies every pair of its snapshot."""
+    changed_any = False
+    passes = 0
+    while True:
+        passes += 1
+        changed = False
+        snapshot = list(acc)
+        for x in snapshot:
+            for y in snapshot:
+                if acc.add(space.mult(x, y)):
+                    changed = True
+        if not changed:
+            return changed_any, passes
+        changed_any = True
+
+
+def random_closure_instance(rng):
+    """A pair space over a transition monoid, or a power semiring as a monoid, with small seeds."""
+    elements = []
+    while len(elements) < 3:
+        if rng.random() < 0.5:
+            morphism = transition_monoid([random_dfa(rng, AB, max_states=5)])
+            space = PairSpace(morphism, PowerSemiring(morphism))
+            elements = list(morphism.elements())
+        else:
+            space = MultMonoid(random_power_semiring(rng, max_size=6))
+            elements = list(space.semiring.monoid.elements())
+
+    def small_set():
+        return frozenset(rng.sample(elements, rng.randint(1, 2)))
+
+    if isinstance(space, PairSpace):
+        return space, [(rng.choice(elements), small_set()) for _ in range(rng.randint(1, 4))]
+    return space, [small_set() for _ in range(rng.randint(1, 4))]
+
+
+def close_outcome(close, space, seeds, budget):
+    acc = Antichain(space.leq, budget=budget)
+    try:
+        for x in seeds:
+            acc.add(x)
+        outcome = close(space, acc)
+    except BudgetExceededError as error:
+        outcome = str(error)
+    return outcome, acc.freeze()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.one_of(st.none(), st.integers(1, 8)))
+def test_semi_naive_closure_matches_naive(seed, limit):
+    space, seeds = random_closure_instance(random.Random(seed))
+    budget = Budget() if limit is None else Budget(antichain=limit)
+    outcome, closed = close_outcome(_close_products, space, seeds, budget)
+    assert (outcome, closed) == close_outcome(naive_close_products, space, seeds, budget)
+    if limit is None:
+        acc = Antichain(space.leq, closed)
+        assert all(acc.dominates(space.mult(x, y)) for x in closed for y in closed)
 
 
 # ---------------------------------------------------------------------------

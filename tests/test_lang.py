@@ -207,6 +207,25 @@ def test_monoid_two_languages():
     m.validate()
 
 
+@pytest.mark.parametrize(
+    "texts, size",
+    [
+        (["(ab)*"], 6),
+        (["a(ab)*", "(a|b)*b"], None),
+        (["(a|b)*aa(a|b)*"], None),
+        (["(a|b)*a(a|b)(a|b)(a|b)(a|b)", "(a|b)*b(a|b)(a|b)(a|b)(a|b)"], 63),
+    ],
+)
+def test_mult_composes_transformations(texts, size):
+    m = transition_monoid([lang(t) for t in texts])
+    assert size is None or m.size == size
+    t = m._transformations
+    for i in m.elements():
+        for j in m.elements():
+            assert t[m.mult(i, j)] == tuple(t[j][p] for p in t[i])
+    m.validate(assoc_limit=63)
+
+
 def test_monoid_budget():
     with pytest.raises(BudgetExceededError):
         transition_monoid([lang("(ab)*")], Budget(monoid=3))

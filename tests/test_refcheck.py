@@ -2,20 +2,25 @@
 and the enumerated level-1 filter."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modhier.basis import mod_cover_oracle, mod_iopti
+from modhier import refcheck
+from modhier.decide import SEARCH_DMAX, SEARCH_NMAX, SEARCH_UNION_BOUND
 from modhier.lang import (
     Alphabet,
     compile_regex,
+    complement,
     disjoint,
     equivalent,
     included,
     is_empty,
     parse_regex,
+    short_words,
 )
 from modhier.rating import RatingMap
 from modhier.refcheck import (
@@ -24,6 +29,7 @@ from modhier.refcheck import (
     bpol_iopti_enumerated,
     brute_iopti_mod,
     candidate_language,
+    marked_product_accepts,
     mod_iopti_bound,
     pol_mod_separator_search,
     verify_separator,
@@ -145,6 +151,82 @@ def test_search_results_always_verify(seed):
         denoted = candidate_language(found, AB)
         assert included(l1, denoted)
         assert disjoint(denoted, l2)
+
+
+# ---------------------------------------------------------------------------
+# The word test that runs before a candidate is compiled
+
+
+def unfiltered_search(l1, l2, dmax, nmax, union_bound):
+    """The reference search: every candidate is compiled and verified."""
+    pool = short_words(l1, nmax)
+    for d in range(1, dmax + 1):
+        for size in range(0, union_bound + 1):
+            for markers in combinations(pool, size):
+                candidate = SeparatorCandidate(d, markers)
+                if verify_separator(candidate_language(candidate, l1.alphabet), l1, l2):
+                    return candidate
+    return None
+
+
+MOD3_AB = "((a|b)(a|b)(a|b))*|(a|b)(a|b)((a|b)(a|b)(a|b))*"
+MOD3_ABC = "((a|b|c)(a|b|c)(a|b|c))*|(a|b|c)(a|b|c)((a|b|c)(a|b|c)(a|b|c))*"
+WITNESS_PAIRS = [
+    (MOD3_AB, None),  # member: against the complement
+    ("(a|b)*a(a|b)*", "b*"),
+    ("a*", "(a|b)*b(a|b)*"),
+    ("(a|b)*b(a|b)*", "a*"),
+    ("(aa)*", "a(aa)*"),
+    ("(a|b)*ab(a|b)*", "~((a|b)*ab(a|b)*)"),
+    ("(a|b)*a(a|b)", "(a|b)*b(a|b)"),
+]
+
+
+@pytest.mark.parametrize("first, second", WITNESS_PAIRS)
+def test_filtered_search_matches_unfiltered_on_fixed_pairs(first, second):
+    l1 = lang(first)
+    l2 = complement(l1) if second is None else lang(second)
+    bounds = (SEARCH_DMAX, SEARCH_NMAX, SEARCH_UNION_BOUND)
+    assert pol_mod_separator_search(l1, l2, *bounds) == unfiltered_search(l1, l2, *bounds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_filtered_search_matches_unfiltered_on_random_pairs(seed):
+    rng = random.Random(seed)
+    l1, l2 = random_dfa(rng, AB), random_dfa(rng, AB)
+    bounds = (3, 2, 2)
+    assert pol_mod_separator_search(l1, l2, *bounds) == unfiltered_search(l1, l2, *bounds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.text(alphabet="ab", max_size=3),
+    st.lists(st.text(alphabet="ab", max_size=9), max_size=12),
+)
+def test_marked_product_accepts_matches_compiled_product(modulus, marker, words):
+    denoted = candidate_language(SeparatorCandidate(modulus, (marker,)), AB)
+    for word in words:
+        assert marked_product_accepts(word, modulus, marker) == denoted.accepts(word)
+
+
+def test_search_compiles_few_candidates_on_three_letters(monkeypatch):
+    compiled = []
+    original = refcheck.candidate_language
+
+    def counting(candidate, alphabet, budget):
+        compiled.append(candidate)
+        return original(candidate, alphabet, budget)
+
+    monkeypatch.setattr(refcheck, "candidate_language", counting)
+    abc = Alphabet.of("abc")
+    l1 = lang(MOD3_ABC, abc)
+    found = pol_mod_separator_search(
+        l1, complement(l1), SEARCH_DMAX, SEARCH_NMAX, SEARCH_UNION_BOUND
+    )
+    assert found is None
+    assert len(compiled) < 5
 
 
 # ---------------------------------------------------------------------------

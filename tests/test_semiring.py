@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modhier.errors import Budget, BudgetExceededError
+from modhier.lang import Alphabet, transition_monoid
 from modhier.semiring import (
     Antichain,
     AntichainSemiring,
+    MultMonoid,
     PairSpace,
     PowerSemiring,
+    ProductMonoid,
     TableSemiring,
     add_closure,
     antichain_of,
@@ -21,7 +24,7 @@ from modhier.semiring import (
     power_semiring,
 )
 
-from gen import CyclicMonoid, materialize, random_monoid, random_subset
+from gen import CyclicMonoid, materialize, random_dfa, random_monoid, random_subset
 
 
 def fs(*xs):
@@ -145,6 +148,61 @@ def test_pair_semiring_lifts_componentwise(parity_power):
     assert ps.one == fs((0, fs(0)))
     assert ps.mul(fs((0, fs(0))), fs((1, fs(1)))) == fs((1, fs(1)))
     assert ps.add(fs((0, fs(0))), fs((1, fs(1)))) == fs((0, fs(0)), (1, fs(1)))
+
+
+# ---------------------------------------------------------------------------
+# Set-lifted products against the elementwise reference
+
+
+def elementwise(monoid, xs, ys) -> frozenset:
+    return frozenset(monoid.mult(a, b) for a in xs for b in ys)
+
+
+class CountingMonoid:
+    """A monoid that records every product it is asked for."""
+
+    def __init__(self, monoid):
+        self.monoid = monoid
+        self.unit = monoid.unit
+        self.asked = []
+
+    def mult(self, x, y):
+        self.asked.append((x, y))
+        return self.monoid.mult(x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_power_products_match_elementwise(seed):
+    """Over a morphism (Cayley rows) and over the auxiliary maps' pair monoid (grouped)."""
+    rng = random.Random(seed)
+    morphism = transition_monoid([random_dfa(rng, Alphabet.of("ab"), max_states=5)])
+    elements = list(morphism.elements())
+    power = PowerSemiring(morphism)
+    x, y = random_subset(rng, elements), random_subset(rng, elements)
+    assert power.mul(x, y) == elementwise(morphism, x, y)
+
+    inner = AntichainSemiring(PairSpace(morphism, power))
+    pairs = ProductMonoid(MultMonoid(power), MultMonoid(inner))
+    values = [random_subset(rng, elements) for _ in range(3)]
+    seconds = [inner.normal((rng.choice(elements), v) for v in values[:k]) for k in (1, 2, 3)]
+    xs = frozenset((rng.choice(values), rng.choice(seconds)) for _ in range(4))
+    ys = frozenset((rng.choice(values), rng.choice(seconds)) for _ in range(4))
+    assert PowerSemiring(pairs).mul(xs, ys) == elementwise(pairs, xs, ys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_product_monoid_forms_each_second_product_once(seed):
+    rng = random.Random(seed)
+    first, second = random_monoid(rng, max_size=5), CountingMonoid(random_monoid(rng, max_size=5))
+    pairs = ProductMonoid(first, second)
+    elements = [(a, b) for a in first.elements() for b in second.monoid.elements()]
+    xs, ys = random_subset(rng, elements), random_subset(rng, elements)
+    product = PowerSemiring(pairs).mul(xs, ys)
+    asked = list(second.asked)
+    assert product == elementwise(pairs, xs, ys)
+    assert sorted(asked) == sorted({(s, t) for _, s in xs for _, t in ys})
 
 
 # ---------------------------------------------------------------------------
