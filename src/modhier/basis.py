@@ -12,7 +12,7 @@ periodic length sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .errors import Budget, UnsupportedError
 from .lang import Alphabet, Dfa
@@ -39,14 +39,18 @@ class LengthProfile:
         return n % self.period in self.residues
 
 
-def length_profile(dfa: Dfa) -> LengthProfile:
+def length_profile(dfa: Dfa, budget: Budget = Budget()) -> LengthProfile:
     """Profile the set {|w| : w accepted} via the subset sequence.
 
     S_n is the set of states reachable by some length-n word; the
     sequence of subsets repeats, and a length is accepted exactly when
-    its subset meets the accepting states.
+    its subset meets the accepting states. The subsets are the states
+    of the subset automaton over one letter, so the `states` field
+    bounds how many are kept: the period can be the lcm of the DFA's
+    cycle lengths, far more than its states.
     """
     width = len(dfa.alphabet)
+    limit = budget.states
     current = frozenset({dfa.initial})
     seen = {current: 0}
     sets = [current]
@@ -56,6 +60,8 @@ def length_profile(dfa: Dfa) -> LengthProfile:
             threshold = seen[nxt]
             period = len(sets) - threshold
             break
+        if len(sets) >= limit:
+            raise budget.exceeded("states", "length profile state")
         seen[nxt] = len(sets)
         sets.append(nxt)
         current = nxt
@@ -76,7 +82,7 @@ class SeparationAnswer:
         return self.separable
 
 
-def mod_separable(l1: Dfa, l2: Dfa) -> SeparationAnswer:
+def mod_separable(l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> SeparationAnswer:
     """Can a union of length-residue classes contain l1 and avoid l2?
 
     Such a separator sees only lengths, so the answer depends on the
@@ -86,22 +92,27 @@ def mod_separable(l1: Dfa, l2: Dfa) -> SeparationAnswer:
     in one set is congruent mod p to a tail residue of the other; the
     classes of l1's lengths mod the smallest positive multiple of p
     that is >= t then form a separator, and of no smaller structure.
+
+    No loop runs over p, the lcm of the two periods: by the Chinese
+    remainder theorem the tails share a length exactly when a residue
+    of each agrees mod the gcd of the periods, and a length n below t
+    meets the other set's tail exactly when n itself passes that set's
+    residue test.
     """
     if l1.alphabet != l2.alphabet:
         raise ValueError("separation inputs use different alphabets")
-    first, second = length_profile(l1), length_profile(l2)
+    first, second = length_profile(l1, budget), length_profile(l2, budget)
+    g = gcd(first.period, second.period)
+    if {r % g for r in first.residues} & {r % g for r in second.residues}:
+        return SeparationAnswer(False)
     t = max(first.threshold, second.threshold)
+    for n in range(t):
+        in1, in2 = first.accepts_length(n), second.accepts_length(n)
+        if in1 and (in2 or n % second.period in second.residues):
+            return SeparationAnswer(False)
+        if in2 and n % first.period in first.residues:
+            return SeparationAnswer(False)
     p = lcm(first.period, second.period)
-    init1 = frozenset(n for n in range(t) if first.accepts_length(n))
-    init2 = frozenset(n for n in range(t) if second.accepts_length(n))
-    res1 = frozenset(n % p for n in range(t, t + p) if first.accepts_length(n))
-    res2 = frozenset(n % p for n in range(t, t + p) if second.accepts_length(n))
-    if res1 & res2:
-        return SeparationAnswer(False)
-    if init1 & init2:
-        return SeparationAnswer(False)
-    if any(n % p in res2 for n in init1) or any(n % p in res1 for n in init2):
-        return SeparationAnswer(False)
     return SeparationAnswer(True, p * max(1, -(-t // p)))
 
 
@@ -136,7 +147,7 @@ def generic_iopti(rho: RatingMap, separates, budget: Budget = Budget()):
     total = semiring.zero
     for i, value in enumerate(values):
         preimage = Dfa(rho.alphabet, transitions, 0, frozenset({i}))
-        if not separates(eps, preimage):
+        if not separates(eps, preimage, budget):
             total = semiring.add(total, value)
     return total
 
@@ -149,7 +160,7 @@ class BasisOracle:
     def iopti(self, rho: RatingMap):
         raise NotImplementedError
 
-    def separates(self, l1: Dfa, l2: Dfa) -> SeparationAnswer:
+    def separates(self, l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> SeparationAnswer:
         raise NotImplementedError
 
 
@@ -161,8 +172,8 @@ class ModOracle(BasisOracle):
     def iopti(self, rho: RatingMap):
         return mod_iopti(rho)
 
-    def separates(self, l1: Dfa, l2: Dfa) -> SeparationAnswer:
-        return mod_separable(l1, l2)
+    def separates(self, l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> SeparationAnswer:
+        return mod_separable(l1, l2, budget)
 
 
 RESERVED_BASES = ("gr", "amod")

@@ -13,6 +13,7 @@ import json
 import shlex
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from .basis import oracle_for
@@ -85,6 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built by the first `run` that needs it."""
+    return build_parser()
 
 
 def _compile(text: str, alphabet: Alphabet, budget: Budget):
@@ -242,9 +249,8 @@ def run(argv=None, out=None, err=None) -> int:
     """Parse and execute one command line; returns the exit status."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -191,7 +191,7 @@ def separable(
         raise InputError("separation inputs use different alphabets")
     if level == "0":
         started = time.perf_counter()
-        answer = oracle.separates(l1, l2)
+        answer = oracle.separates(l1, l2, budget)
         witness = None
         if want_witness and answer.separable and answer.modulus is not None:
             witness = {"modulus": answer.modulus}

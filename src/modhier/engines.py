@@ -41,16 +41,18 @@ def unpointed(imprint: DownSet) -> DownSet:
     return DownSet(semiring, values, imprint.passes)
 
 
-def _close_products(space, acc: Antichain):
+def _close_products(space, acc: Antichain, old: frozenset = frozenset()):
     """Saturate an antichain under the space's product; pass-based.
 
     Semi-naive: a pass skips the pairs whose two factors were both in
     the previous pass's snapshot. That pass added their product, and
     the downset only grows, so adding it again would change nothing.
+    `old` names elements already closed under the product before the
+    call (the antichain an earlier call returned), which the first
+    pass skips the same way.
     """
     changed_any = False
     passes = 0
-    old: frozenset = frozenset()
     while True:
         passes += 1
         changed = False
@@ -197,6 +199,7 @@ def pbpol_iopti(
     space = PairSpace(morphism, semiring)
     inner = antichain_inner_for_pbpol(morphism, semiring)
     acc = Antichain(space.leq, budget=budget)
+    closed: frozenset = frozenset()
     iterations = 0
     while True:
         iterations += 1
@@ -215,9 +218,10 @@ def pbpol_iopti(
                 image = semiring.mul(semiring.mul(f, semiring.add(semiring.one, r)), f)
                 if acc.add((e, image)):
                     changed = True
-        closed_changed, _ = _close_products(space, acc)
+        closed_changed, _ = _close_products(space, acc, closed)
         if not (changed or closed_changed):
             return DownSet(space, acc.freeze(), iterations)
+        closed = acc.freeze()
 
 
 def pbpol_pointed_imprint(

@@ -238,12 +238,13 @@ class Dfa:
         n = len(self.transitions)
         if not 0 <= self.initial < n:
             raise ValueError("initial state out of range")
+        width = len(self.alphabet)
         for row in self.transitions:
-            if len(row) != len(self.alphabet):
+            if len(row) != width:
                 raise ValueError("transition row does not match alphabet")
-            if any(not 0 <= t < n for t in row):
+            if row and (min(row) < 0 or max(row) >= n):
                 raise ValueError("transition target out of range")
-        if any(not 0 <= q < n for q in self.accepting):
+        if self.accepting and (min(self.accepting) < 0 or max(self.accepting) >= n):
             raise ValueError("accepting state out of range")
 
     @property
@@ -445,8 +446,15 @@ def short_words(dfa: Dfa, max_len: int) -> list[str]:
 
 
 def compile_regex(regex: Regex, alphabet: Alphabet, budget: Budget = Budget()) -> Dfa:
-    """Minimal complete DFA for `regex`; raises on state-budget overrun."""
-    return _build(regex, alphabet, budget)
+    """Minimal complete DFA for `regex`; raises on state-budget overrun.
+
+    Equal subexpressions are built once: a dict local to the call holds
+    each distinct subexpression built so far. Every node is still built
+    and minimized as on its own, so the DFA and the point where the
+    budget runs out do not depend on the sharing, and nothing is kept
+    after the call returns.
+    """
+    return _build(regex, alphabet, budget, {})[1]
 
 
 def _dfa_empty(alphabet: Alphabet) -> Dfa:
@@ -512,7 +520,39 @@ def _star(x: Dfa, budget: Budget, plus: bool) -> Dfa:
     return minimize(_determinize(x.alphabet, frozenset({s0}), move, is_accept, budget))
 
 
-def _build(r: Regex, alp: Alphabet, budget: Budget) -> Dfa:
+def _children(r: Regex) -> tuple[Regex, ...]:
+    if isinstance(r, (Alt, And, Seq)):
+        return (r.left, r.right)
+    if isinstance(r, (Star, Plus, Not)):
+        return (r.inner,)
+    return ()
+
+
+def _build(r: Regex, alp: Alphabet, budget: Budget, built: dict) -> tuple[int, Dfa]:
+    """Number and DFA of the subexpression `r`, building it unless `built` holds it.
+
+    `built` maps a key to the number and DFA of a subexpression. A
+    node's key is its type with its letter or its children's numbers,
+    so equal subexpressions share a key without a whole subtree ever
+    being hashed or compared.
+    """
+    if isinstance(r, Sym):
+        key, dfas = (Sym, r.letter), []
+    else:
+        numbers, dfas = [], []
+        for child in _children(r):  # a loop, not a comprehension: one frame a level
+            number, dfa = _build(child, alp, budget, built)
+            numbers.append(number)
+            dfas.append(dfa)
+        key = (type(r), *numbers)
+    entry = built.get(key)
+    if entry is None:
+        entry = built[key] = (len(built), _node_dfa(r, dfas, alp, budget))
+    return entry
+
+
+def _node_dfa(r: Regex, dfas: list[Dfa], alp: Alphabet, budget: Budget) -> Dfa:
+    """The DFA of the node `r`, given `dfas`, those of its children."""
     if isinstance(r, Empty):
         return _dfa_empty(alp)
     if isinstance(r, Eps):
@@ -520,17 +560,17 @@ def _build(r: Regex, alp: Alphabet, budget: Budget) -> Dfa:
     if isinstance(r, Sym):
         return minimize(_dfa_letter(alp, r.letter))
     if isinstance(r, Alt):
-        return union(_build(r.left, alp, budget), _build(r.right, alp, budget), budget)
+        return union(*dfas, budget)
     if isinstance(r, And):
-        return intersect(_build(r.left, alp, budget), _build(r.right, alp, budget), budget)
+        return intersect(*dfas, budget)
     if isinstance(r, Seq):
-        return _concat(_build(r.left, alp, budget), _build(r.right, alp, budget), budget)
+        return _concat(*dfas, budget)
     if isinstance(r, Star):
-        return _star(_build(r.inner, alp, budget), budget, plus=False)
+        return _star(*dfas, budget, plus=False)
     if isinstance(r, Plus):
-        return _star(_build(r.inner, alp, budget), budget, plus=True)
+        return _star(*dfas, budget, plus=True)
     if isinstance(r, Not):
-        return complement(_build(r.inner, alp, budget))
+        return complement(*dfas)
     raise TypeError(f"not a regex node: {r!r}")
 
 

@@ -1,6 +1,7 @@
 """Length-profile, separation, and iopti tests for the basis oracles."""
 
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from modhier.basis import (
     LengthProfile,
+    SeparationAnswer,
     generic_iopti,
     length_profile,
     mod_cover_oracle,
@@ -15,8 +17,8 @@ from modhier.basis import (
     mod_separable,
     oracle_for,
 )
-from modhier.errors import UnsupportedError
-from modhier.lang import Alphabet, compile_regex, disjoint, parse_regex
+from modhier.errors import Budget, BudgetExceededError, UnsupportedError
+from modhier.lang import Alphabet, Dfa, compile_regex, disjoint, parse_regex
 from modhier.rating import RatingMap
 from modhier.semiring import TableSemiring, power_semiring
 
@@ -126,6 +128,57 @@ def test_mod_separable_is_symmetric_and_sound(seed):
         d = answer.modulus
         horizon = d + max(length_profile(l1).threshold, length_profile(l2).threshold)
         assert not (accepted_residues(l1, d, horizon) & accepted_residues(l2, d, horizon))
+
+
+def lcm_separable(l1, l2):
+    """The reference test: every residue mod the lcm of the two periods, one by one."""
+    first, second = length_profile(l1), length_profile(l2)
+    t = max(first.threshold, second.threshold)
+    p = lcm(first.period, second.period)
+    init1 = {n for n in range(t) if first.accepts_length(n)}
+    init2 = {n for n in range(t) if second.accepts_length(n)}
+    res1 = {n % p for n in range(t, t + p) if first.accepts_length(n)}
+    res2 = {n % p for n in range(t, t + p) if second.accepts_length(n)}
+    if res1 & res2 or init1 & init2:
+        return SeparationAnswer(False)
+    if any(n % p in res2 for n in init1) or any(n % p in res1 for n in init2):
+        return SeparationAnswer(False)
+    return SeparationAnswer(True, p * max(1, -(-t // p)))
+
+
+def raw_dfa(rng, alphabet, states):
+    """A random complete DFA, not necessarily minimal, so periods and thresholds vary."""
+    transitions = tuple(
+        tuple(rng.randrange(states) for _ in alphabet) for _ in range(states)
+    )
+    accepting = frozenset(q for q in range(states) if rng.random() < 0.3)
+    return Dfa(alphabet, transitions, rng.randrange(states), accepting)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_mod_separable_matches_the_lcm_enumeration(seed):
+    rng = random.Random(seed)
+    alphabet = rng.choice([A, AB])
+    l1 = raw_dfa(rng, alphabet, rng.randint(1, 12))
+    l2 = raw_dfa(rng, alphabet, rng.randint(1, 12))
+    assert mod_separable(l1, l2) == lcm_separable(l1, l2)
+
+
+def test_length_profile_draws_on_the_state_budget():
+    cycle = Dfa(A, tuple(((q + 1) % 5,) for q in range(5)), 0, fs(0))
+    assert length_profile(cycle, Budget(states=5)).period == 5
+    with pytest.raises(BudgetExceededError, match="length profile state budget exceeded"):
+        length_profile(cycle, Budget(states=4))
+    # b^i a (A^c)* for the i-th cycle length c: 68 states, and a length
+    # period of 3 * 4 * 5 * 7 * 11 * 13 * 17 = 1,021,020.
+    cycles = [3, 4, 5, 7, 11, 13, 17]
+    language = lang("|".join("b" * i + "a(" + "(a|b)" * c + ")*" for i, c in enumerate(cycles)))
+    assert language.num_states == 68
+    with pytest.raises(BudgetExceededError, match="length profile state budget exceeded"):
+        mod_separable(language, lang("b*"))
+    with pytest.raises(BudgetExceededError, match="length profile state budget exceeded"):
+        mod_separable(lang("b*"), language, Budget(states=100))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 import json
 import sys
+import time
 from collections import Counter
 from io import StringIO
 
 import pytest
 
-from modhier import engines
+from modhier import cli, engines
 from modhier.cli import build_parser, run
 
 
@@ -277,6 +278,17 @@ def test_budget_overflow_exits_three():
     assert "budget" in err
 
 
+def test_level_zero_length_profile_exits_three_in_bounded_time():
+    # 68 states whose length period is 3 * 4 * 5 * 7 * 11 * 13 * 17 = 1,021,020.
+    cycles = [3, 4, 5, 7, 11, 13, 17]
+    regex = "|".join("b" * i + "a(" + "(a|b)" * c + ")*" for i, c in enumerate(cycles))
+    started = time.process_time()
+    code, out, err = invoke("separate", "--level", "0", "--alphabet", "ab", regex, "b*")
+    assert time.process_time() - started < 5
+    assert (code, out) == (3, "")
+    assert "length profile state budget exceeded (limit 4096)" in err
+
+
 def test_max_states_bounds_automata_not_the_monoid():
     # The 10-state DFA has a 20-element monoid, which the monoid budget allows.
     code, out, err = invoke(
@@ -314,6 +326,45 @@ def test_imprint_level_zero_exits_four():
 
 # ---------------------------------------------------------------------------
 # Batch driver
+
+
+@pytest.fixture
+def counted_parsers(monkeypatch):
+    """Count `build_parser` calls from a process that has built no parser yet."""
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    yield built
+    cli._parser.cache_clear()
+
+
+def test_one_parser_serves_every_run_and_batch_line(counted_parsers, tmp_path):
+    script = tmp_path / "queries.txt"
+    script.write_text(
+        'member --level 1 --alphabet ab "a*" --no-stats\n'
+        'separate --level 0 --alphabet a "(aa)*" "a(aa)*" --no-stats\n'
+        'member --level 1/2 --alphabet ab "a*" --no-stats\n'
+    )
+    assert counted_parsers == []
+    assert invoke("member", "--level", "1", "--alphabet", "ab", "a*", "--no-stats")[0] == 0
+    assert invoke("separate", "--level", "1/2", "--alphabet", "ab", "a*", "b*")[0] == 0
+    code, out, _ = invoke("batch", str(script))
+    assert (code, out.count("RESULT: ")) == (0, 3)
+    assert counted_parsers == [1]
+
+
+def test_shared_parser_still_rejects_bad_arguments(counted_parsers):
+    assert invoke("member", "--level", "1", "--alphabet", "ab", "a*", "--no-stats")[0] == 0
+    assert invoke("member", "--level", "5/2", "--alphabet", "ab", "a*")[0] == 2
+    assert invoke("member", "--alphabet", "ab", "a*")[0] == 2
+    code, out, _ = invoke("member", "--level", "1", "--alphabet", "ab", "a*", "--no-stats")
+    assert (code, lines(out)) == (0, ["RESULT: member"])
+    assert counted_parsers == [1]
 
 
 def test_batch_runs_each_line(tmp_path):

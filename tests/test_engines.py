@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from modhier import engines
 from modhier.basis import mod_cover_oracle, mod_iopti
 from modhier.engines import (
     _close_products,
@@ -345,6 +346,59 @@ def test_pbpol_rules_reapplication_adds_nothing(seed):
     rho = canonical_covering_map(morphism)
     result = pbpol_iopti(morphism, rho, ORACLE)
     assert_pbpol_rules_stable(morphism, rho, ORACLE, result)
+
+
+def pbpol_fresh_and_carried(monkeypatch, morphism, rho):
+    """pbpol_iopti with each closure started from scratch, then as the engine runs it.
+
+    Each result comes with the number of pair products its run formed.
+    """
+    products = []
+    original_mult = PairSpace.mult
+
+    def counting(self, x, y):
+        products.append(1)
+        return original_mult(self, x, y)
+
+    monkeypatch.setattr(PairSpace, "mult", counting)
+    outcomes = []
+    for fresh in (True, False):
+        if fresh:
+            monkeypatch.setattr(engines, "_close_products",
+                                lambda space, acc, old=frozenset(): _close_products(space, acc))
+        else:
+            monkeypatch.setattr(engines, "_close_products", _close_products)
+        products.clear()
+        result = pbpol_iopti(morphism, rho, ORACLE)
+        outcomes.append((result.maximal, result.passes, len(products)))
+    return outcomes
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**9))
+def test_pbpol_carried_closure_matches_fresh(seed):
+    """Passing the closed antichain on changes neither the imprint nor `iterations`."""
+    rng = random.Random(seed)
+    dfas = [random_dfa(rng, AB, max_states=4) for _ in range(rng.randint(1, 2))]
+    morphism = transition_monoid(dfas)
+    assume(morphism.size <= 8)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fresh, carried = pbpol_fresh_and_carried(
+            monkeypatch, morphism, canonical_covering_map(morphism)
+        )
+    assert carried[:2] == fresh[:2]
+    assert carried[2] <= fresh[2]
+
+
+def test_pbpol_skips_products_of_the_closed_antichain(monkeypatch):
+    kth4 = "(a|b)*{}(a|b)(a|b)(a|b)"
+    morphism = transition_monoid([lang(kth4.format("a")), lang(kth4.format("b"))])
+    fresh, carried = pbpol_fresh_and_carried(
+        monkeypatch, morphism, canonical_covering_map(morphism)
+    )
+    assert carried[:2] == fresh[:2]
+    assert fresh[1] > 2
+    assert carried[2] < fresh[2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Regex parsing, DFA compilation, regular ops, transition monoids."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modhier import lang as lang_module
 from modhier.errors import Budget, BudgetExceededError, InputError, RegexSyntaxError
 from modhier.lang import (
     Alphabet,
     Alt,
+    And,
+    Dfa,
     Empty,
     Eps,
     Not,
@@ -137,6 +142,103 @@ def test_compile_boolean_ops():
 def test_compile_budget():
     with pytest.raises(BudgetExceededError):
         compile_regex(parse_regex("(a|b)(a|b)(a|b)(a|b)(a|b)", A2), A2, Budget(states=4))
+
+
+@pytest.mark.parametrize(
+    "transitions, initial, accepting, message",
+    [
+        (((0, 1), (1, 1)), 2, (), "initial state out of range"),
+        (((0, 1), (1,)), 0, (), "transition row does not match alphabet"),
+        (((0, 1), (1, 1, 0)), 0, (), "transition row does not match alphabet"),
+        (((0, 2), (1, 1)), 0, (), "transition target out of range"),
+        (((0, 1), (-1, 1)), 0, (), "transition target out of range"),
+        (((0, 1), (1, 1)), 0, (0, 2), "accepting state out of range"),
+        (((0, 1), (1, 1)), 0, (-1,), "accepting state out of range"),
+        # The first fault in reading order is the one reported.
+        (((0, 5), (1,)), 0, (9,), "transition target out of range"),
+    ],
+)
+def test_malformed_dfas_are_rejected(transitions, initial, accepting, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dfa(A2, transitions, initial, frozenset(accepting))
+
+
+def compile_outcome(build, regex, budget):
+    try:
+        dfa = build(regex, A2, budget)
+    except BudgetExceededError as error:
+        return str(error)
+    return dfa
+
+
+def build_every_node(regex, alphabet, budget):
+    """The reference compilation: each node built again wherever it occurs."""
+    dfas = [build_every_node(c, alphabet, budget) for c in lang_module._children(regex)]
+    return lang_module._node_dfa(regex, dfas, alphabet, budget)
+
+
+def _wrap(children):
+    return st.one_of(
+        st.builds(Alt, children, children),
+        st.builds(And, children, children),
+        st.builds(Seq, children, children),
+        st.builds(Star, children),
+        st.builds(Plus, children),
+        st.builds(Not, children),
+    )
+
+
+_subtrees = st.recursive(st.sampled_from([Sym("a"), Sym("b"), Eps(), Empty()]), _wrap, max_leaves=5)
+# Regexes whose leaves are copies of one drawn subtree or a letter: equal
+# subexpressions recur, as separate objects, as the parser makes them.
+_shared_regexes = _subtrees.flatmap(
+    lambda t: st.recursive(st.sampled_from([t, Sym("a")]).map(copy.deepcopy), _wrap, max_leaves=6)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shared_regexes, st.one_of(st.none(), st.integers(1, 24)))
+def test_shared_subexpressions_compile_as_when_built_each_time(regex, limit):
+    budget = Budget() if limit is None else Budget(states=limit)
+    assert compile_outcome(compile_regex, regex, budget) == compile_outcome(
+        build_every_node, regex, budget
+    )
+
+
+def test_long_alternations_compile():
+    # 700 nested unions: sharing must not deepen the recursion per level.
+    regex = parse_regex("|".join(["a", "b", "ab"] * 233 + ["ba"]), A2)
+    assert compile_regex(regex, A2) == lang("a|b|ab|ba")
+
+
+@pytest.fixture
+def minimize_calls(monkeypatch):
+    calls = []
+    original = lang_module.minimize
+
+    def counting(dfa):
+        calls.append(1)
+        return original(dfa)
+
+    monkeypatch.setattr(lang_module, "minimize", counting)
+    return calls
+
+
+def test_equal_subexpressions_are_minimized_once(minimize_calls):
+    regex = parse_regex("(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)", A2)
+    compile_regex(regex, A2)
+    # a, b, (a|b) and the five concatenations; 23 when each occurrence is built.
+    assert len(minimize_calls) == 8
+
+
+def test_no_compiled_subexpression_outlives_its_call(minimize_calls):
+    regex = parse_regex("((a|b)(a|b))*a(a|b)|((a|b)(a|b))*", A2)
+    counts = []
+    for _ in range(2):
+        minimize_calls.clear()
+        compile_regex(regex, A2)
+        counts.append(len(minimize_calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_minimize_idempotent_and_canonical():
