@@ -162,6 +162,7 @@ def coverable(
             dmax=SEARCH_DMAX,
             nmax=SEARCH_NMAX,
             union_bound=SEARCH_UNION_BOUND,
+            budget=budget,
         )
         if found is not None:
             witness = {

@@ -37,42 +37,50 @@ from .semiring import (
 def unpointed(imprint: DownSet) -> DownSet:
     """Forget the monoid coordinate of a pointed imprint, keeping the value downset."""
     semiring = imprint.space.semiring
-    values = antichain_of(semiring.leq, {r for _, r in imprint.maximal})
+    values = antichain_of(semiring, {r for _, r in imprint.maximal})
     return DownSet(semiring, values, imprint.passes)
 
 
 def _close_products(space, acc: Antichain, old: frozenset = frozenset()):
-    """Saturate an antichain under the space's product; pass-based.
+    """Saturate an antichain under the space's product, one generation at a time.
 
-    Semi-naive: a pass skips the pairs whose two factors were both in
-    the previous pass's snapshot. That pass added their product, and
-    the downset only grows, so adding it again would change nothing.
-    `old` names elements already closed under the product before the
-    call (the antichain an earlier call returned), which the first
-    pass skips the same way.
+    The antichain at the call holds the generators G. The closure of G
+    under a monotone product is the downset of the words over G, and
+    every word is a shorter word times one letter of G (right Cayley
+    graph enumeration). So each element that enters the antichain is
+    multiplied on the right by each generator, once: generation k
+    multiplies what generation k - 1 added. An element dominated since
+    it entered is skipped, as what dominates it entered after it and
+    is multiplied in its stead. `old` names elements already closed
+    under the product before the call (the antichain an earlier call
+    returned); a product of two of them is skipped too, since the
+    downset already holds it. Returns whether anything was added and
+    the number of generations.
     """
-    changed_any = False
+    generators = list(acc)
+    fresh = [g for g in generators if g not in old]
+    frontier = generators
+    changed = False
     passes = 0
     while True:
         passes += 1
-        changed = False
-        snapshot = list(acc)
-        for x in snapshot:
-            x_old = x in old
-            for y in snapshot:
-                if x_old and y in old:
-                    continue
-                if acc.add(space.mult(x, y)):
-                    changed = True
-        if not changed:
-            return changed_any, passes
-        changed_any = True
-        old = frozenset(snapshot)
+        entered = []
+        for x in frontier:
+            if x not in acc:
+                continue
+            for g in fresh if x in old else generators:
+                y = space.mult(x, g)
+                if acc.add(y):
+                    entered.append(y)
+        if not entered:
+            return changed, passes
+        changed = True
+        frontier = entered
 
 
 def _saturate(space, seeds, budget: Budget) -> DownSet:
     """Least downset of the space holding the seeds and closed under its product."""
-    acc = Antichain(space.leq, seeds, budget)
+    acc = Antichain(space, seeds, budget)
     _, passes = _close_products(space, acc)
     return DownSet(space, acc.freeze(), passes)
 
@@ -155,7 +163,7 @@ def bpol_iopti(rho: RatingMap, oracle: BasisOracle, budget: Budget = Budget()) -
         eta = aux_bpol_map(rho, maxima, inner)
         valid = admissible_totals(semiring, oracle.iopti(eta))
         meets = {semiring.meet(m, t) for m in maxima for t in valid}
-        new_maxima = antichain_of(semiring.leq, meets)
+        new_maxima = antichain_of(semiring, meets)
         if len(new_maxima) > budget.antichain:
             raise budget.exceeded("antichain")
         if new_maxima == maxima:
@@ -198,7 +206,7 @@ def pbpol_iopti(
     semiring = rho.semiring
     space = PairSpace(morphism, semiring)
     inner = antichain_inner_for_pbpol(morphism, semiring)
-    acc = Antichain(space.leq, budget=budget)
+    acc = Antichain(space, budget=budget)
     closed: frozenset = frozenset()
     iterations = 0
     while True:

@@ -218,7 +218,14 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
     """Parse `text` into an AST; letters must belong to `alphabet`."""
     if not text.strip():
         raise RegexSyntaxError("empty expression", 0)
-    return _Parser(text, alphabet).parse()
+    try:
+        return _Parser(text, alphabet).parse()
+    except RecursionError:
+        raise _too_deep() from None
+
+
+def _too_deep() -> InputError:
+    return InputError("regular expression nests too deeply")
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +459,13 @@ def compile_regex(regex: Regex, alphabet: Alphabet, budget: Budget = Budget()) -
     each distinct subexpression built so far. Every node is still built
     and minimized as on its own, so the DFA and the point where the
     budget runs out do not depend on the sharing, and nothing is kept
-    after the call returns.
+    after the call returns. An expression too deep for the recursion
+    is an `InputError`.
     """
-    return _build(regex, alphabet, budget, {})[1]
+    try:
+        return _build(regex, alphabet, budget, {})[1]
+    except RecursionError:
+        raise _too_deep() from None
 
 
 def _dfa_empty(alphabet: Alphabet) -> Dfa:

@@ -220,5 +220,5 @@ def bpol_iopti_enumerated(rho: RatingMap, oracle, budget: Budget = Budget()):
         valid = admissible_totals(semiring, oracle.iopti(eta))
         survivors = {s for s in current if any(semiring.leq(s, t) for t in valid)}
         if survivors == current:
-            return DownSet(semiring, antichain_of(semiring.leq, current), iterations)
+            return DownSet(semiring, antichain_of(semiring, current), iterations)
         current = survivors

@@ -10,7 +10,7 @@ enumerated carrier).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator
 
 from .errors import Budget, BudgetExceededError
@@ -159,7 +159,9 @@ class PairSpace:
     """M x R with componentwise product, ordered within equal monoid parts.
 
     (s, r) <= (s', r') iff s = s' and r <= r' in the semiring: downward
-    closure only ever moves the semiring coordinate.
+    closure only ever moves the semiring coordinate. `part` names that
+    monoid coordinate: pairs with different parts are incomparable, so
+    antichains over the space keep one bucket per part.
     """
 
     def __init__(self, monoid, semiring: Semiring):
@@ -172,6 +174,9 @@ class PairSpace:
 
     def leq(self, x, y) -> bool:
         return x[0] == y[0] and self.semiring.leq(x[1], y[1])
+
+    def part(self, x):
+        return x[0]
 
     def iter_below(self, x) -> Iterator:
         s, r = x
@@ -242,7 +247,7 @@ class AntichainSemiring(Semiring):
         self.one = frozenset({space.unit})
 
     def normal(self, items: Iterable) -> frozenset:
-        return antichain_of(self.space.leq, items)
+        return antichain_of(self.space, items)
 
     def add(self, x, y):
         return self.normal(set(x) | set(y))
@@ -288,15 +293,28 @@ def omega_power(semiring: Semiring, s):
         powers.append(current)
 
 
-def antichain_of(space_leq: Callable, items: Iterable) -> frozenset:
-    """Maxima of `items` under the given order."""
+def _maxima(leq: Callable, items: Iterable) -> list:
     maxima: list = []
     for x in items:
-        if any(space_leq(x, m) for m in maxima):
-            continue
-        maxima = [m for m in maxima if not space_leq(m, x)]
-        maxima.append(x)
-    return frozenset(maxima)
+        for m in maxima:
+            if leq(x, m):
+                break
+        else:
+            maxima = [m for m in maxima if not leq(m, x)]
+            maxima.append(x)
+    return maxima
+
+
+def antichain_of(space, items: Iterable) -> frozenset:
+    """Maxima of `items` under the space's order, compared within each part
+    (see `PairSpace.part`); a space without parts has one."""
+    part = getattr(space, "part", None)
+    if part is None:
+        return frozenset(_maxima(space.leq, items))
+    groups: dict = {}
+    for x in items:
+        groups.setdefault(part(x), []).append(x)
+    return frozenset(chain.from_iterable(_maxima(space.leq, g) for g in groups.values()))
 
 
 @dataclass(frozen=True)
@@ -332,41 +350,56 @@ class DownSet:
 
 
 def downclose(space, xs: Iterable) -> DownSet:
-    return DownSet(space, antichain_of(space.leq, xs))
+    return DownSet(space, antichain_of(space, xs))
 
 
 class Antichain:
-    """Mutable antichain accumulator used by the saturation loops."""
+    """Mutable antichain accumulator used by the saturation loops.
 
-    def __init__(self, space_leq: Callable, items: Iterable = (), budget: Budget = Budget()):
-        self.leq = space_leq
+    Elements are kept in one bucket per part of the space (see
+    `PairSpace.part`), so a dominance check scans one bucket. The
+    antichain budget bounds the total size.
+    """
+
+    def __init__(self, space, items: Iterable = (), budget: Budget = Budget()):
+        self.leq = space.leq
+        self.part = getattr(space, "part", None) or (lambda x: None)
         self.budget = budget
-        self.limit = budget.antichain
-        self._items: list = []
+        self._buckets: dict = {}
+        self._size = 0
         for x in items:
             self.add(x)
 
     def add(self, x) -> bool:
         """Insert x; returns True if it was not already dominated."""
-        if any(self.leq(x, m) for m in self._items):
-            return False
-        self._items = [m for m in self._items if not self.leq(m, x)]
-        self._items.append(x)
-        if len(self._items) > self.limit:
+        leq = self.leq
+        key = self.part(x)
+        bucket = self._buckets.get(key, ())
+        for m in bucket:
+            if leq(x, m):
+                return False
+        kept = [m for m in bucket if not leq(m, x)]
+        kept.append(x)
+        self._buckets[key] = kept
+        self._size += len(kept) - len(bucket)
+        if self._size > self.budget.antichain:
             raise self.budget.exceeded("antichain")
         return True
 
     def dominates(self, x) -> bool:
-        return any(self.leq(x, m) for m in self._items)
+        return any(self.leq(x, m) for m in self._buckets.get(self.part(x), ()))
+
+    def __contains__(self, x) -> bool:
+        return x in self._buckets.get(self.part(x), ())
 
     def __iter__(self):
-        return iter(self._items)
+        return chain.from_iterable(self._buckets.values())
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
     def freeze(self) -> frozenset:
-        return frozenset(self._items)
+        return frozenset(self)
 
 
 def add_closure(semiring: Semiring, xs: Iterable) -> frozenset:

@@ -259,6 +259,17 @@ def test_regex_syntax_error_exits_two():
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "regex",
+    ["|".join(["a", "b", "ab", "ba"] * 300), "(" * 200 + "a" + ")" * 200],
+    ids=["1200-way alternation", "200 nested parentheses"],
+)
+def test_too_deep_regex_exits_two(regex):
+    code, out, err = invoke("member", "--level", "0", "--alphabet", "ab", regex)
+    assert (code, out) == (2, "")
+    assert "regular expression nests too deeply" in err
+
+
 def test_letter_outside_alphabet_exits_two():
     code, _, err = invoke("member", "--level", "1", "--alphabet", "a", "b*")
     assert code == 2

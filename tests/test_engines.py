@@ -76,8 +76,8 @@ def imprint_covers(big, small) -> bool:
 # Product closure
 
 
-def naive_close_products(space, acc):
-    """The reference closure: every pass multiplies every pair of its snapshot."""
+def all_pairs_close_products(space, acc, old=frozenset()):
+    """The all-pairs reference: every pass multiplies every pair of its snapshot."""
     changed_any = False
     passes = 0
     while True:
@@ -93,8 +93,33 @@ def naive_close_products(space, acc):
         changed_any = True
 
 
+def generation_close_products(space, acc, old=frozenset()):
+    """The generation reference: each generation multiplies every live element
+    the previous one added (the antichain at the call, first) by every
+    generator, with no `old` skip."""
+    generators = list(acc)
+    frontier = generators
+    changed = False
+    passes = 0
+    while True:
+        passes += 1
+        entered = []
+        for x in frontier:
+            if x not in acc.freeze():
+                continue
+            for g in generators:
+                y = space.mult(x, g)
+                if acc.add(y):
+                    entered.append(y)
+        if not entered:
+            return changed, passes
+        changed = True
+        frontier = entered
+
+
 def random_closure_instance(rng):
-    """A pair space over a transition monoid, or a power semiring as a monoid, with small seeds."""
+    """A pair space over a transition monoid, or a power semiring as a monoid,
+    with small seeds and a few more elements added after the first closure."""
     elements = []
     while len(elements) < 3:
         if rng.random() < 0.5:
@@ -105,35 +130,75 @@ def random_closure_instance(rng):
             space = MultMonoid(random_power_semiring(rng, max_size=6))
             elements = list(space.semiring.monoid.elements())
 
-    def small_set():
-        return frozenset(rng.sample(elements, rng.randint(1, 2)))
+    def draw():
+        value = frozenset(rng.sample(elements, rng.randint(1, 2)))
+        return (rng.choice(elements), value) if isinstance(space, PairSpace) else value
 
-    if isinstance(space, PairSpace):
-        return space, [(rng.choice(elements), small_set()) for _ in range(rng.randint(1, 4))]
-    return space, [small_set() for _ in range(rng.randint(1, 4))]
+    seeds = [draw() for _ in range(rng.randint(1, 4))]
+    return space, seeds, [draw() for _ in range(rng.randint(0, 3))]
 
 
-def close_outcome(close, space, seeds, budget):
-    acc = Antichain(space.leq, budget=budget)
+def close_outcome(close, space, seeds, more, budget):
+    """Close the seeds, then add `more` and close again carrying the first
+    result as `old`, as `pbpol_iopti` does. Each call's (changed, passes)
+    and antichain, or the budget error, and the final antichain."""
+    acc = Antichain(space, budget=budget)
+    calls = []
+    old = frozenset()
     try:
-        for x in seeds:
-            acc.add(x)
-        outcome = close(space, acc)
+        for batch in (seeds, more):
+            for x in batch:
+                acc.add(x)
+            calls.append((close(space, acc, old), acc.freeze()))
+            old = acc.freeze()
     except BudgetExceededError as error:
-        outcome = str(error)
-    return outcome, acc.freeze()
+        calls.append(str(error))
+    return calls, acc.freeze()
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9), st.one_of(st.none(), st.integers(1, 8)))
 def test_semi_naive_closure_matches_naive(seed, limit):
-    space, seeds = random_closure_instance(random.Random(seed))
+    """Fixpoints and `changed` as the all-pairs closure; passes and budget
+    trips as the generation reference, which has no `old` skip."""
+    space, seeds, more = random_closure_instance(random.Random(seed))
     budget = Budget() if limit is None else Budget(antichain=limit)
-    outcome, closed = close_outcome(_close_products, space, seeds, budget)
-    assert (outcome, closed) == close_outcome(naive_close_products, space, seeds, budget)
-    if limit is None:
-        acc = Antichain(space.leq, closed)
-        assert all(acc.dominates(space.mult(x, y)) for x in closed for y in closed)
+    outcome = close_outcome(_close_products, space, seeds, more, budget)
+    assert outcome == close_outcome(generation_close_products, space, seeds, more, budget)
+    calls, closed = close_outcome(_close_products, space, seeds, more, Budget())
+    reference, _ = close_outcome(all_pairs_close_products, space, seeds, more, Budget())
+    assert [(changed, fixpoint) for (changed, _), fixpoint in calls] == [
+        (changed, fixpoint) for (changed, _), fixpoint in reference
+    ]
+    acc = Antichain(space, closed)
+    assert all(acc.dominates(space.mult(x, y)) for x in closed for y in closed)
+
+
+def count_pair_products(monkeypatch):
+    """Count `PairSpace.mult` calls from here on."""
+    products = []
+    original_mult = PairSpace.mult
+
+    def counting(self, x, y):
+        products.append(1)
+        return original_mult(self, x, y)
+
+    monkeypatch.setattr(PairSpace, "mult", counting)
+    return products
+
+
+def test_level_half_closure_forms_few_products(monkeypatch):
+    # The 5th letter from the end is a, against the same for b: a
+    # 63-element monoid. Multiplying each entering element by each
+    # generator forms 375 pair products; a semi-naive pass-based
+    # closure forms 4,753.
+    kth5 = "(a|b)*{}(a|b)(a|b)(a|b)(a|b)"
+    morphism = transition_monoid([lang(kth5.format("a")), lang(kth5.format("b"))])
+    assert morphism.size == 63
+    rho = canonical_covering_map(morphism)
+    products = count_pair_products(monkeypatch)
+    pol_imprint(morphism, rho, ORACLE)
+    assert len(products) <= 400
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +418,7 @@ def pbpol_fresh_and_carried(monkeypatch, morphism, rho):
 
     Each result comes with the number of pair products its run formed.
     """
-    products = []
-    original_mult = PairSpace.mult
-
-    def counting(self, x, y):
-        products.append(1)
-        return original_mult(self, x, y)
-
-    monkeypatch.setattr(PairSpace, "mult", counting)
+    products = count_pair_products(monkeypatch)
     outcomes = []
     for fresh in (True, False):
         if fresh:

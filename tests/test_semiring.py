@@ -1,6 +1,7 @@
 """Order, closure, and construction tests for the semiring layer."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -238,12 +239,12 @@ def test_table_semiring_rejects_broken_distributivity():
 
 
 def test_antichain_of_keeps_maxima(parity_power):
-    assert antichain_of(parity_power.leq, [fs(), fs(0), fs(0, 1)]) == {fs(0, 1)}
-    assert antichain_of(parity_power.leq, [fs(0), fs(1)]) == {fs(0), fs(1)}
+    assert antichain_of(parity_power, [fs(), fs(0), fs(0, 1)]) == {fs(0, 1)}
+    assert antichain_of(parity_power, [fs(0), fs(1)]) == {fs(0), fs(1)}
 
 
 def test_antichain_accumulator(parity_power):
-    acc = Antichain(parity_power.leq)
+    acc = Antichain(parity_power)
     assert acc.add(fs(0))
     assert not acc.add(fs())
     assert acc.add(fs(0, 1))
@@ -253,12 +254,64 @@ def test_antichain_accumulator(parity_power):
 
 
 def test_antichain_budget():
-    incomparable = lambda x, y: x == y
+    incomparable = SimpleNamespace(leq=lambda x, y: x == y)
     acc = Antichain(incomparable, budget=Budget(antichain=2))
     acc.add(1)
     acc.add(2)
     with pytest.raises(BudgetExceededError):
         acc.add(3)
+
+
+class FlatAntichain:
+    """The unbucketed accumulator: one list, every element compared with every other."""
+
+    def __init__(self, leq, budget):
+        self.leq = leq
+        self.budget = budget
+        self.items = []
+
+    def add(self, x) -> bool:
+        if any(self.leq(x, m) for m in self.items):
+            return False
+        self.items = [m for m in self.items if not self.leq(m, x)]
+        self.items.append(x)
+        if len(self.items) > self.budget.antichain:
+            raise self.budget.exceeded("antichain")
+        return True
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+
+def flat_maxima(leq, items) -> frozenset:
+    return frozenset(x for x in items if not any(leq(x, y) and x != y for y in items))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.one_of(st.none(), st.integers(1, 8)))
+def test_bucketed_antichains_match_flat(seed, limit):
+    rng = random.Random(seed)
+    morphism = transition_monoid([random_dfa(rng, Alphabet.of("ab"), max_states=4)])
+    space = PairSpace(morphism, PowerSemiring(morphism))
+    elements = list(morphism.elements())
+    parts = rng.sample(elements, min(len(elements), 3))
+    stream = [(rng.choice(parts), random_subset(rng, elements)) for _ in range(rng.randint(0, 30))]
+    budget = Budget() if limit is None else Budget(antichain=limit)
+
+    def steps(acc):
+        out = []
+        try:
+            for x in stream:
+                out.append((acc.add(x), len(acc), frozenset(acc)))
+        except BudgetExceededError as error:
+            out.append(str(error))
+        return out
+
+    assert steps(Antichain(space, budget=budget)) == steps(FlatAntichain(space.leq, budget))
+    assert antichain_of(space, stream) == flat_maxima(space.leq, stream)
 
 
 def test_antichain_semiring_normalizes(parity_power):
