@@ -71,8 +71,10 @@ def level_imprint(level: str, dfas: list[Dfa], oracle: BasisOracle, budget: Budg
     Returns (morphism, imprint, pointed, iterations): the transition
     monoid of the languages, the imprint of their canonical covering
     map, whether its elements pair a monoid element with a value, and
-    the fixpoint passes of every engine run. Imprints start at level
-    1/2.
+    the iterations `STATS` reports: the generations of the level-1/2
+    closure, or at levels 1 and 3/2 the fixpoint's rounds plus the
+    generations of the closure that completes the imprint. Imprints
+    start at level 1/2.
     """
     _check_level(level)
     if level not in COVER_LEVELS:

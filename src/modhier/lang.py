@@ -140,92 +140,100 @@ class _Parser:
             self.pos += 1
         return self.text[self.pos] if self.pos < len(self.text) else None
 
-    def take(self) -> str:
-        c = self.peek()
-        assert c is not None
-        self.pos += 1
-        return c
-
     def parse(self) -> Regex:
-        node = self.union()
-        if self.peek() is not None:
-            self.error(f"unexpected {self.peek()!r}")
-        return node
-
-    def union(self) -> Regex:
-        node = self.inter()
-        while self.peek() == "|":
-            self.take()
-            node = Alt(node, self.inter())
-        return node
-
-    def inter(self) -> Regex:
-        node = self.concat()
-        while self.peek() == "&":
-            self.take()
-            node = And(node, self.concat())
-        return node
-
-    _STOP = frozenset(")|&")
-
-    def concat(self) -> Regex:
-        parts = [self.item()]
+        """The AST of the whole text, parsed without recursion: `groups`
+        holds the whole text's group and one per open parenthesis, and
+        `pending` the number of `~` before each open parenthesis."""
+        groups: list[_Group] = [_Group()]
+        pending: list[int] = []
         while True:
+            nots = 0
             c = self.peek()
-            if c is None or c in self._STOP:
-                break
-            parts.append(self.item())
-        node = parts[0]
-        for p in parts[1:]:
-            node = Seq(node, p)
-        return node
+            while c == "~":
+                self.pos += 1
+                nots += 1
+                c = self.peek()
+            if c == "(":
+                self.pos += 1
+                groups.append(_Group())
+                pending.append(nots)
+                continue
+            node = self.atom(c)
+            while True:
+                c = self.peek()
+                while c == "*" or c == "+":
+                    node = Star(node) if c == "*" else Plus(node)
+                    self.pos += 1
+                    c = self.peek()
+                for _ in range(nots):
+                    node = Not(node)
+                groups[-1].items.append(node)
+                if c != ")" or not pending:
+                    break
+                self.pos += 1
+                node = groups.pop().close()
+                nots = pending.pop()
+            if c is None:
+                if pending:
+                    self.error("unbalanced parenthesis")
+                return groups[0].close()
+            if c == ")":
+                self.error(f"unexpected {c!r}")
+            if c in "|&":
+                self.pos += 1
+                groups[-1].end_factor(c == "|")
 
-    def item(self) -> Regex:
-        if self.peek() == "~":
-            self.take()
-            return Not(self.item())
-        node = self.atom()
-        while self.peek() in ("*", "+"):
-            node = Star(node) if self.take() == "*" else Plus(node)
-        return node
-
-    def atom(self) -> Regex:
-        c = self.peek()
+    def atom(self, c: str | None) -> Regex:
+        """The letter, `0` or `e` that `c`, the next character, starts."""
         if c is None:
             self.error("unexpected end of input")
-        if c == "(":
-            self.take()
-            node = self.union()
-            if self.peek() != ")":
-                self.error("unbalanced parenthesis")
-            self.take()
-            return node
         if c == "0":
-            self.take()
-            return Empty()
-        if c == "e":
-            self.take()
-            return Eps()
-        if "a" <= c <= "z":
+            node = Empty()
+        elif c == "e":
+            node = Eps()
+        elif "a" <= c <= "z":
             if c not in self.alphabet:
                 self.error(f"letter {c!r} outside alphabet")
-            self.take()
-            return Sym(c)
-        self.error(f"unexpected {c!r}")
+            node = Sym(c)
+        else:
+            self.error(f"unexpected {c!r}")
+        self.pos += 1
+        return node
+
+
+class _Group:
+    """A group being parsed: its terms, the current term's factors, the current factor's items."""
+
+    def __init__(self):
+        self.terms: list[Regex] = []
+        self.factors: list[Regex] = []
+        self.items: list[Regex] = []
+
+    def end_factor(self, end_term: bool) -> None:
+        self.factors.append(_fold(Seq, self.items))
+        self.items = []
+        if end_term:
+            self.terms.append(_fold(And, self.factors))
+            self.factors = []
+
+    def close(self) -> Regex:
+        self.end_factor(True)
+        return _fold(Alt, self.terms)
+
+
+def _fold(node: type, parts: list[Regex]) -> Regex:
+    """`parts` joined by the binary `node`, grouped to the left."""
+    out = parts[0]
+    for p in parts[1:]:
+        out = node(out, p)
+    return out
 
 
 def parse_regex(text: str, alphabet: Alphabet) -> Regex:
     """Parse `text` into an AST; letters must belong to `alphabet`."""
     if not text.strip():
         raise RegexSyntaxError("empty expression", 0)
-    try:
-        return _Parser(text, alphabet).parse()
-    except RecursionError:
-        raise _too_deep() from None
-
-
-def _too_deep() -> InputError:
-    return InputError("regular expression nests too deeply")
+    return _Parser(text, alphabet).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +463,33 @@ def short_words(dfa: Dfa, max_len: int) -> list[str]:
 def compile_regex(regex: Regex, alphabet: Alphabet, budget: Budget = Budget()) -> Dfa:
     """Minimal complete DFA for `regex`; raises on state-budget overrun.
 
-    Equal subexpressions are built once: a dict local to the call holds
-    each distinct subexpression built so far. Every node is still built
-    and minimized as on its own, so the DFA and the point where the
-    budget runs out do not depend on the sharing, and nothing is kept
-    after the call returns. An expression too deep for the recursion
-    is an `InputError`.
+    Nodes are built children first, left to right, without recursion,
+    so any depth of nesting compiles. `built`, local to the call, maps
+    a node's key (its type with its letter or its children's numbers)
+    to its number and DFA, so equal subexpressions are built once and
+    no subtree is ever hashed. Every node is still minimized as on its
+    own, so the DFA and the point where the budget runs out do not
+    depend on the sharing.
     """
-    try:
-        return _build(regex, alphabet, budget, {})[1]
-    except RecursionError:
-        raise _too_deep() from None
+    order = []  # each node with its number of children, parents first
+    todo = [regex]
+    while todo:
+        r = todo.pop()
+        children = _children(r)
+        order.append((r, len(children)))
+        todo.extend(children)
+    built: dict = {}
+    numbers, dfas = [], []  # of the nodes built whose parents are not
+    for r, arity in reversed(order):  # children before parents, left before right
+        first = len(numbers) - arity
+        key = (Sym, r.letter) if isinstance(r, Sym) else (type(r), *numbers[first:])
+        entry = built.get(key)
+        if entry is None:
+            entry = built[key] = (len(built), _node_dfa(r, dfas[first:], alphabet, budget))
+        del numbers[first:], dfas[first:]
+        numbers.append(entry[0])
+        dfas.append(entry[1])
+    return dfas[0]
 
 
 def _dfa_empty(alphabet: Alphabet) -> Dfa:
@@ -537,29 +561,6 @@ def _children(r: Regex) -> tuple[Regex, ...]:
     if isinstance(r, (Star, Plus, Not)):
         return (r.inner,)
     return ()
-
-
-def _build(r: Regex, alp: Alphabet, budget: Budget, built: dict) -> tuple[int, Dfa]:
-    """Number and DFA of the subexpression `r`, building it unless `built` holds it.
-
-    `built` maps a key to the number and DFA of a subexpression. A
-    node's key is its type with its letter or its children's numbers,
-    so equal subexpressions share a key without a whole subtree ever
-    being hashed or compared.
-    """
-    if isinstance(r, Sym):
-        key, dfas = (Sym, r.letter), []
-    else:
-        numbers, dfas = [], []
-        for child in _children(r):  # a loop, not a comprehension: one frame a level
-            number, dfa = _build(child, alp, budget, built)
-            numbers.append(number)
-            dfas.append(dfa)
-        key = (type(r), *numbers)
-    entry = built.get(key)
-    if entry is None:
-        entry = built[key] = (len(built), _node_dfa(r, dfas, alp, budget))
-    return entry
 
 
 def _node_dfa(r: Regex, dfas: list[Dfa], alp: Alphabet, budget: Budget) -> Dfa:

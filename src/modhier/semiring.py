@@ -293,28 +293,36 @@ def omega_power(semiring: Semiring, s):
         powers.append(current)
 
 
-def _maxima(leq: Callable, items: Iterable) -> list:
-    maxima: list = []
-    for x in items:
-        for m in maxima:
-            if leq(x, m):
-                break
-        else:
-            maxima = [m for m in maxima if not leq(m, x)]
-            maxima.append(x)
-    return maxima
+def _one_part(x) -> None:
+    return None
+
+
+def _part_of(space) -> Callable:
+    """The space's `part` (see `PairSpace.part`); a space without parts has one."""
+    return getattr(space, "part", _one_part)
 
 
 def antichain_of(space, items: Iterable) -> frozenset:
-    """Maxima of `items` under the space's order, compared within each part
-    (see `PairSpace.part`); a space without parts has one."""
-    part = getattr(space, "part", None)
-    if part is None:
-        return frozenset(_maxima(space.leq, items))
-    groups: dict = {}
+    """Maxima of `items` under the space's order, compared within each part.
+
+    The same insertion as `Antichain.add`, without a budget: a one-shot
+    call keeps its buckets in a local dict.
+    """
+    leq, part = space.leq, _part_of(space)
+    buckets: dict = {}
     for x in items:
-        groups.setdefault(part(x), []).append(x)
-    return frozenset(chain.from_iterable(_maxima(space.leq, g) for g in groups.values()))
+        key = part(x)
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [x]
+            continue
+        for m in bucket:
+            if leq(x, m):
+                break
+        else:
+            bucket = buckets[key] = [m for m in bucket if not leq(m, x)]
+            bucket.append(x)
+    return frozenset(chain.from_iterable(buckets.values()))
 
 
 @dataclass(frozen=True)
@@ -323,8 +331,9 @@ class DownSet:
 
     Also the type of every imprint the engines compute: over the
     semiring itself at level 1, over a `PairSpace` (pointed) at levels
-    1/2 and 3/2. `passes` counts the fixpoint rounds that produced it
-    and takes no part in equality.
+    1/2 and 3/2. `passes` counts what produced it: the generations of
+    a product closure (see `engines._close_products`), or a fixpoint's
+    rounds. It takes no part in equality.
     """
 
     space: object = field(compare=False)
@@ -363,7 +372,7 @@ class Antichain:
 
     def __init__(self, space, items: Iterable = (), budget: Budget = Budget()):
         self.leq = space.leq
-        self.part = getattr(space, "part", None) or (lambda x: None)
+        self.part = _part_of(space)
         self.budget = budget
         self._buckets: dict = {}
         self._size = 0

@@ -206,9 +206,37 @@ def test_shared_subexpressions_compile_as_when_built_each_time(regex, limit):
 
 
 def test_long_alternations_compile():
-    # 700 nested unions: sharing must not deepen the recursion per level.
+    # 700 nested unions.
     regex = parse_regex("|".join(["a", "b", "ab"] * 233 + ["ba"]), A2)
     assert compile_regex(regex, A2) == lang("a|b|ab|ba")
+
+
+# How tightly each node binds as printed: union, intersection,
+# concatenation, complement, postfix; letters, 0 and e bind tightest.
+_BINDING = {Alt: 0, And: 1, Seq: 2, Not: 3, Star: 4, Plus: 4}
+
+
+def printed(r, least=0):
+    """`r` as text with the fewest parentheses that parse back to `r`."""
+    binding = _BINDING.get(type(r), 5)
+    if isinstance(r, (Alt, And, Seq)):
+        op = {Alt: "|", And: "&", Seq: " "}[type(r)]
+        text = printed(r.left, binding) + op + printed(r.right, binding + 1)
+    elif isinstance(r, Not):
+        text = "~" + printed(r.inner, 3)
+    elif isinstance(r, (Star, Plus)):
+        text = printed(r.inner, 4) + ("*" if isinstance(r, Star) else "+")
+    else:
+        text = {Empty: "0", Eps: "e"}.get(type(r)) or r.letter
+    return f"({text})" if binding < least else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(st.sampled_from([Sym("a"), Sym("b"), Eps(), Empty()]), _wrap, max_leaves=12))
+def test_printed_regexes_parse_back(regex):
+    # Precedence, left grouping and postfix/complement binding, on the
+    # parser's explicit stack of open groups.
+    assert parse_regex(printed(regex), A2) == regex
 
 
 @pytest.fixture
