@@ -116,16 +116,17 @@ def mod_separable(l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> SeparationAnsw
     return SeparationAnswer(True, p * max(1, -(-t // p)))
 
 
-def mod_iopti(rho: RatingMap):
+def mod_iopti(rho: RatingMap, budget: Budget = Budget()):
     """Best value of a length-residue language containing the empty word.
 
     Closed formula: omega-power of the summed letter images, plus the
     unit. The omega-power term is the image of (A^d)* for a suitable d,
     and adding the unit keeps the empty word's contribution explicit.
+    The powers the omega-power steps through draw on the `values` field.
     """
     semiring = rho.semiring
     total = semiring.sum(rho.letter_image[a] for a in rho.alphabet)
-    return semiring.add(omega_power(semiring, total), semiring.one)
+    return semiring.add(omega_power(semiring, total, budget), semiring.one)
 
 
 def _epsilon_language(alphabet: Alphabet) -> Dfa:
@@ -157,7 +158,7 @@ class BasisOracle:
 
     name = "abstract"
 
-    def iopti(self, rho: RatingMap):
+    def iopti(self, rho: RatingMap, budget: Budget = Budget()):
         raise NotImplementedError
 
     def separates(self, l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> SeparationAnswer:
@@ -169,8 +170,8 @@ class ModOracle(BasisOracle):
 
     name = "mod"
 
-    def iopti(self, rho: RatingMap):
-        return mod_iopti(rho)
+    def iopti(self, rho: RatingMap, budget: Budget = Budget()):
+        return mod_iopti(rho, budget)
 
     def separates(self, l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> SeparationAnswer:
         return mod_separable(l1, l2, budget)

@@ -107,7 +107,7 @@ def pol_imprint(
         raise ValueError("morphism and rating map use different alphabets")
     seeds = [(morphism.unit, rho.semiring.one)]
     seeds += [(morphism.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
-    seeds.append((morphism.unit, oracle.iopti(rho)))
+    seeds.append((morphism.unit, oracle.iopti(rho, budget)))
     return _saturate(PairSpace(morphism, rho.semiring), seeds, budget)
 
 
@@ -150,18 +150,18 @@ def bpol_iopti(rho: RatingMap, oracle: BasisOracle, budget: Budget = Budget()) -
     the antichain of its maxima. That needs meets, which the power
     semirings of covering maps have: the filtered set is an
     intersection of downsets, whose maxima are the pairwise meets of
-    the operands' maxima.
+    the operands' maxima. Each round builds its auxiliary map over a
+    fresh inner semiring, so the products it keeps last one round.
     """
     semiring = rho.semiring
-    inner = antichain_inner_for_bpol(semiring)
     maxima = frozenset({semiring.top()})
     iterations = 0
     while True:
         iterations += 1
         if iterations > budget.iterations:
             raise budget.exceeded("iterations")
-        eta = aux_bpol_map(rho, maxima, inner)
-        valid = admissible_totals(semiring, oracle.iopti(eta))
+        eta = aux_bpol_map(rho, maxima, antichain_inner_for_bpol(semiring))
+        valid = admissible_totals(semiring, oracle.iopti(eta, budget))
         meets = {semiring.meet(m, t) for m in maxima for t in valid}
         new_maxima = antichain_of(semiring, meets)
         if len(new_maxima) > budget.antichain:
@@ -199,13 +199,13 @@ def pbpol_iopti(
     pairs (r, T) by absorbing T and, for every multiplicatively
     idempotent pair (e, f) below T, adding (e, f * (1 + r) * f); close
     under product. Every rule is monotone in the set, so this chaotic
-    iteration reaches the least fixpoint regardless of order.
+    iteration reaches the least fixpoint regardless of order. As at
+    level 1, each round's auxiliary map gets a fresh inner semiring.
     """
     if morphism.alphabet != rho.alphabet:
         raise ValueError("morphism and rating map use different alphabets")
     semiring = rho.semiring
     space = PairSpace(morphism, semiring)
-    inner = antichain_inner_for_pbpol(morphism, semiring)
     acc = Antichain(space, budget=budget)
     closed: frozenset = frozenset()
     iterations = 0
@@ -213,9 +213,10 @@ def pbpol_iopti(
         iterations += 1
         if iterations > budget.iterations:
             raise budget.exceeded("iterations")
+        inner = antichain_inner_for_pbpol(morphism, semiring)
         eta = aux_pbpol_map(morphism, rho, acc.freeze(), inner)
         changed = False
-        for r, t_value in oracle.iopti(eta):
+        for r, t_value in oracle.iopti(eta, budget):
             for pair in t_value:
                 if acc.add(pair):
                     changed = True

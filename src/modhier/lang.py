@@ -502,10 +502,12 @@ def _dfa_eps(alphabet: Alphabet) -> Dfa:
 
 
 def _dfa_letter(alphabet: Alphabet, letter: str) -> Dfa:
+    """The minimal DFA of one letter, numbered in BFS order as `minimize` would."""
     l = alphabet.index(letter)
-    sink = (2,) * len(alphabet)
-    first = tuple(1 if i == l else 2 for i in range(len(alphabet)))
-    return Dfa(alphabet, (first, sink, sink), 0, frozenset({1}))
+    hit, miss = (1, 2) if l == 0 else (2, 1)
+    sink = (miss,) * len(alphabet)
+    first = tuple(hit if i == l else miss for i in range(len(alphabet)))
+    return Dfa(alphabet, (first, sink, sink), 0, frozenset({hit}))
 
 
 def _concat(x: Dfa, y: Dfa, budget: Budget) -> Dfa:
@@ -570,7 +572,7 @@ def _node_dfa(r: Regex, dfas: list[Dfa], alp: Alphabet, budget: Budget) -> Dfa:
     if isinstance(r, Eps):
         return _dfa_eps(alp)
     if isinstance(r, Sym):
-        return minimize(_dfa_letter(alp, r.letter))
+        return _dfa_letter(alp, r.letter)
     if isinstance(r, Alt):
         return union(*dfas, budget)
     if isinstance(r, And):

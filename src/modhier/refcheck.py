@@ -217,7 +217,7 @@ def bpol_iopti_enumerated(rho: RatingMap, oracle, budget: Budget = Budget()):
         if iterations > budget.iterations:
             raise budget.exceeded("iterations")
         eta = aux_bpol_map(rho, frozenset(current), inner)
-        valid = admissible_totals(semiring, oracle.iopti(eta))
+        valid = admissible_totals(semiring, oracle.iopti(eta, budget))
         survivors = {s for s in current if any(semiring.leq(s, t) for t in valid)}
         if survivors == current:
             return DownSet(semiring, antichain_of(semiring, current), iterations)

@@ -239,12 +239,17 @@ class AntichainSemiring(Semiring):
     the same value here. Sound wherever consumers only read values
     through downward closure, because the space's product is monotone:
     maxima of a product of downsets are products of maxima.
+
+    Each product of two space elements is formed once per instance and
+    kept for its lifetime: the engines build one instance per auxiliary
+    map, so what it keeps is dropped with the fixpoint round.
     """
 
     def __init__(self, space):
         self.space = space
         self.zero = frozenset()
         self.one = frozenset({space.unit})
+        self._products: dict = {}
 
     def normal(self, items: Iterable) -> frozenset:
         return antichain_of(self.space, items)
@@ -253,8 +258,15 @@ class AntichainSemiring(Semiring):
         return self.normal(set(x) | set(y))
 
     def mul(self, x, y):
-        mult = self.space.mult
-        return self.normal({mult(a, b) for a in x for b in y})
+        mult, products = self.space.mult, self._products
+        out = set()
+        for a in x:
+            for b in y:
+                p = products.get((a, b))
+                if p is None:
+                    p = products[a, b] = mult(a, b)
+                out.add(p)
+        return self.normal(out)
 
     def leq(self, x, y) -> bool:
         space_leq = self.space.leq
@@ -269,12 +281,13 @@ class AntichainSemiring(Semiring):
 # Order utilities
 
 
-def omega_power(semiring: Semiring, s):
+def omega_power(semiring: Semiring, s, budget: Budget = Budget()):
     """The unique idempotent among the positive powers of s.
 
     Successive powers with cycle detection: once s^j = s^i (i < j), the
     cycle has period c = j - i and its idempotent sits at the least
-    multiple of c that is >= max(i, 1).
+    multiple of c that is >= max(i, 1). The powers kept until then
+    draw on the `values` budget.
     """
     powers = [None, s]
     seen = {s: 1}
@@ -289,6 +302,8 @@ def omega_power(semiring: Semiring, s):
             result = powers[k]
             assert semiring.mul(result, result) == result
             return result
+        if exponent > budget.values:
+            raise budget.exceeded("values", "omega power")
         seen[current] = exponent
         powers.append(current)
 

@@ -190,6 +190,14 @@ def test_mod_iopti_parity():
     assert mod_iopti(rho) == fs(0)
 
 
+def test_mod_iopti_omega_power_draws_on_the_values_budget():
+    rho = RatingMap(A, power_semiring(CyclicMonoid(2)), {"a": fs(1)})
+    with pytest.raises(BudgetExceededError) as caught:
+        mod_cover_oracle().iopti(rho, Budget(values=1))
+    assert (caught.value.what, caught.value.limit) == ("omega power", 1)
+    assert mod_cover_oracle().iopti(rho, Budget()) == mod_iopti(rho, Budget(values=2)) == fs(0)
+
+
 def test_mod_iopti_mod_three():
     rho = RatingMap(A, power_semiring(CyclicMonoid(3)), {"a": fs(1)})
     assert mod_iopti(rho) == fs(0)

@@ -23,7 +23,7 @@ from modhier.lang import (
 )
 from modhier.refcheck import candidate_language, pol_mod_separator_search
 from modhier.refcheck import SeparatorCandidate
-from modhier.semiring import AntichainSemiring
+from modhier.semiring import AntichainSemiring, PairSpace
 from modhier.lang import included
 
 from gen import random_dfa
@@ -268,6 +268,23 @@ def test_level_three_halves_forms_few_antichain_products(monkeypatch):
     assert verdict.answer
     # 960 when every pair of auxiliary values formed its own inner product.
     assert len(calls) <= 364
+
+
+def test_level_three_halves_forms_each_pair_product_once_per_round(monkeypatch):
+    """One inner semiring per auxiliary map: its omega-power reuses the products."""
+    calls = []
+    original = PairSpace.mult
+
+    def counting(self, x, y):
+        calls.append(1)
+        return original(self, x, y)
+
+    monkeypatch.setattr(PairSpace, "mult", counting)
+    kth5 = "(a|b)*{}(a|b)(a|b)(a|b)(a|b)"
+    verdict = separable("3/2", lang(kth5.format("a")), lang(kth5.format("b")), ORACLE)
+    assert verdict.answer
+    # 76,228 when each inner product formed its pair products anew.
+    assert len(calls) <= 9000
 
 
 # ---------------------------------------------------------------------------

@@ -255,8 +255,9 @@ def minimize_calls(monkeypatch):
 def test_equal_subexpressions_are_minimized_once(minimize_calls):
     regex = parse_regex("(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)", A2)
     compile_regex(regex, A2)
-    # a, b, (a|b) and the five concatenations; 23 when each occurrence is built.
-    assert len(minimize_calls) == 8
+    # (a|b) and the five concatenations (letters are built minimal); 11
+    # when each occurrence is built.
+    assert len(minimize_calls) == 6
 
 
 def test_no_compiled_subexpression_outlives_its_call(minimize_calls):
@@ -276,6 +277,14 @@ def test_minimize_idempotent_and_canonical():
     # equal languages compile to structurally equal DFAs
     assert lang("a+") == lang("aa*")
     assert lang("~0") == lang("(a|b)*")
+
+
+@pytest.mark.parametrize("letters", ["a", "ab", "abc", "abcd"])
+def test_letter_automata_are_built_minimal(letters):
+    alphabet = Alphabet.of(letters)
+    for x in letters:
+        letter = lang_module._dfa_letter(alphabet, x)
+        assert minimize(letter) == letter
 
 
 # -- regular ops ------------------------------------------------------------

@@ -206,6 +206,28 @@ def test_product_monoid_forms_each_second_product_once(seed):
     assert sorted(asked) == sorted({(s, t) for _, s in xs for _, t in ys})
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_reused_antichain_semiring_forms_what_a_fresh_one_forms(seed):
+    """The products one instance keeps never change a later product."""
+    rng = random.Random(seed)
+    monoid = random_monoid(rng, max_size=5)
+    elements = list(monoid.elements())
+    power = PowerSemiring(monoid)
+    spaces = [
+        (PairSpace(monoid, power), lambda: (rng.choice(elements), random_subset(rng, elements))),
+        (MultMonoid(power), lambda: random_subset(rng, elements)),
+    ]
+    for space, draw in spaces:
+        reused = AntichainSemiring(space)
+        values = [reused.normal(draw() for _ in range(rng.randint(0, 4))) for _ in range(4)]
+        for _ in range(8):
+            x, y = rng.choice(values), rng.choice(values)
+            product = reused.mul(x, y)
+            assert product == AntichainSemiring(space).mul(x, y)
+            values.append(product)
+
+
 # ---------------------------------------------------------------------------
 # Explicit tables and axiom checking
 
