@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import Budget, UnsupportedError
-from .lang import Alphabet, Dfa
-from .rating import RatingMap, value_automaton
+from .lang import Dfa
+from .rating import RatingMap
 from .semiring import omega_power
 
 
@@ -127,30 +127,6 @@ def mod_iopti(rho: RatingMap, budget: Budget = Budget()):
     semiring = rho.semiring
     total = semiring.sum(rho.letter_image[a] for a in rho.alphabet)
     return semiring.add(omega_power(semiring, total, budget), semiring.one)
-
-
-def _epsilon_language(alphabet: Alphabet) -> Dfa:
-    width = len(alphabet)
-    return Dfa(alphabet, ((1,) * width, (1,) * width), 0, frozenset({0}))
-
-
-def generic_iopti(rho: RatingMap, separates, budget: Budget = Budget()):
-    """Oracle-backed iopti: sum the values inseparable from the empty word.
-
-    Sums every reachable word image r whose preimage language is not
-    separable from {empty word} by the basis; unreachable values have
-    empty preimages and never contribute. Agrees with any closed
-    formula for the same basis.
-    """
-    values, transitions = value_automaton(rho, budget)
-    eps = _epsilon_language(rho.alphabet)
-    semiring = rho.semiring
-    total = semiring.zero
-    for i, value in enumerate(values):
-        preimage = Dfa(rho.alphabet, transitions, 0, frozenset({i}))
-        if not separates(eps, preimage, budget):
-            total = semiring.add(total, value)
-    return total
 
 
 class BasisOracle:

@@ -12,7 +12,6 @@ import argparse
 import json
 import shlex
 import sys
-import time
 from functools import cache
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .decide import (
     LEVELS,
     Verdict,
     coverable,
-    level_imprint,
+    imprinted,
     maximal_in_order,
     member,
     separable,
@@ -148,12 +147,9 @@ def _stats_line(stats: dict) -> str:
 
 def _emit(args, verdict: Verdict, imprint_parts, out) -> None:
     if args.json:
-        payload = {
-            "command": args.command,
-            "level": args.level,
-            "basis": args.basis,
-            "answer": verdict.answer,
-        }
+        payload = {"command": args.command, "level": args.level, "basis": args.basis}
+        if verdict.answer is not None:
+            payload["answer"] = verdict.answer
         if verdict.witness is not None:
             payload["witness"] = verdict.witness
         if imprint_parts is not None:
@@ -162,7 +158,8 @@ def _emit(args, verdict: Verdict, imprint_parts, out) -> None:
             payload["stats"] = verdict.stats
         out.write(json.dumps(payload, sort_keys=True) + "\n")
         return
-    out.write(f"RESULT: {RESULT_WORDS[(verdict.kind, verdict.answer)]}\n")
+    if verdict.answer is not None:
+        out.write(f"RESULT: {RESULT_WORDS[(verdict.kind, verdict.answer)]}\n")
     if verdict.witness is not None:
         out.write(_witness_text(verdict.witness) + "\n")
     if imprint_parts is not None:
@@ -177,32 +174,9 @@ def _run_query(args, out) -> int:
     budget = Budget(states=args.max_states, antichain=args.max_antichain)
 
     if args.command == "imprint":
-        started = time.perf_counter()
         dfas = [_compile(r, alphabet, budget) for r in args.regexes]
-        morphism, imprint, pointed, iterations = level_imprint(args.level, dfas, oracle, budget)
-        stats = {
-            "monoid": morphism.size,
-            "iterations": iterations,
-            "antichain": len(imprint.maximal),
-            "ms": round((time.perf_counter() - started) * 1000, 3),
-        }
-        if args.json:
-            payload = {
-                "command": "imprint",
-                "level": args.level,
-                "basis": args.basis,
-                "imprint": _imprint_json(morphism, imprint, pointed),
-            }
-            if not args.no_stats:
-                payload["stats"] = stats
-            out.write(json.dumps(payload, sort_keys=True) + "\n")
-        else:
-            _imprint_text(morphism, imprint, pointed, out)
-            if not args.no_stats:
-                out.write(_stats_line(stats))
-        return 0
-
-    if args.command == "member":
+        verdict = imprinted(args.level, dfas, oracle, budget)
+    elif args.command == "member":
         language = _compile(args.regex, alphabet, budget)
         verdict = member(args.level, language, oracle, budget, args.witness)
     elif args.command == "separate":
@@ -214,9 +188,10 @@ def _run_query(args, out) -> int:
         constraints = [_compile(r, alphabet, budget) for r in args.constraints]
         verdict = coverable(args.level, target, constraints, oracle, budget, args.witness)
 
-    if args.emit_imprint and verdict.imprint is None:
+    show = args.emit_imprint or args.command == "imprint"
+    if show and verdict.imprint is None:
         raise UnsupportedError(f"imprints are not defined at level {args.level}")
-    _emit(args, verdict, verdict.imprint if args.emit_imprint else None, out)
+    _emit(args, verdict, verdict.imprint if show else None, out)
     return 0
 
 

@@ -49,12 +49,13 @@ class Verdict:
     covering answers, or an explicit separator candidate for positive
     level-1/2 answers when the bounded search finds one. `imprint` is
     the (morphism, imprint, pointed) triple the answer was read from,
-    absent at level zero.
+    absent at level zero. An `imprint` query (see `imprinted`) has no
+    answer.
     """
 
     kind: str
     level: str
-    answer: bool
+    answer: Optional[bool]
     witness: Optional[dict] = None
     stats: Optional[dict] = None
     imprint: Optional[tuple] = field(default=None, compare=False, repr=False)
@@ -91,6 +92,26 @@ def level_imprint(level: str, dfas: list[Dfa], oracle: BasisOracle, budget: Budg
     iopti = pbpol_iopti(morphism, rho, oracle, budget)
     imprint = pbpol_pointed_imprint(morphism, rho, iopti, budget)
     return morphism, imprint, True, iopti.passes + imprint.passes
+
+
+def _imprint_stats(started: float, morphism, imprint: DownSet, iterations: int) -> dict:
+    """What `STATS` reports for a query read off an imprint, timed from `started`."""
+    return {
+        "monoid": morphism.size,
+        "iterations": iterations,
+        "antichain": len(imprint.maximal),
+        "ms": round((time.perf_counter() - started) * 1000, 3),
+    }
+
+
+def imprinted(
+    level: str, dfas: list[Dfa], oracle: BasisOracle, budget: Budget = Budget()
+) -> Verdict:
+    """The imprint of the languages at a level, as a verdict with no answer."""
+    started = time.perf_counter()
+    morphism, imprint, pointed, iterations = level_imprint(level, dfas, oracle, budget)
+    stats = _imprint_stats(started, morphism, imprint, iterations)
+    return Verdict("imprint", level, None, None, stats, (morphism, imprint, pointed))
 
 
 def maximal_in_order(imprint: DownSet, pointed: bool) -> list:
@@ -171,12 +192,7 @@ def coverable(
                 "separator": {"modulus": found.modulus, "markers": list(found.markers)}
             }
 
-    stats = {
-        "monoid": morphism.size,
-        "iterations": iterations,
-        "antichain": len(imprint.maximal),
-        "ms": round((time.perf_counter() - started) * 1000, 3),
-    }
+    stats = _imprint_stats(started, morphism, imprint, iterations)
     return Verdict("cover", level, answer, witness, stats, (morphism, imprint, pointed))
 
 

@@ -15,16 +15,10 @@ from __future__ import annotations
 from .basis import BasisOracle
 from .errors import Budget
 from .lang import MonoidMorphism
-from .rating import (
-    RatingMap,
-    antichain_inner_for_bpol,
-    antichain_inner_for_pbpol,
-    aux_bpol_map,
-    aux_pbpol_map,
-    image_values,
-)
+from .rating import RatingMap, aux_bpol_map, aux_pbpol_map, image_values
 from .semiring import (
     Antichain,
+    AntichainSemiring,
     DownSet,
     MultMonoid,
     PairSpace,
@@ -32,13 +26,6 @@ from .semiring import (
     add_closure,
     antichain_of,
 )
-
-
-def unpointed(imprint: DownSet) -> DownSet:
-    """Forget the monoid coordinate of a pointed imprint, keeping the value downset."""
-    semiring = imprint.space.semiring
-    values = antichain_of(semiring, {r for _, r in imprint.maximal})
-    return DownSet(semiring, values, imprint.passes)
 
 
 def _close_products(space, acc: Antichain, old: frozenset = frozenset()):
@@ -160,7 +147,7 @@ def bpol_iopti(rho: RatingMap, oracle: BasisOracle, budget: Budget = Budget()) -
         iterations += 1
         if iterations > budget.iterations:
             raise budget.exceeded("iterations")
-        eta = aux_bpol_map(rho, maxima, antichain_inner_for_bpol(semiring))
+        eta = aux_bpol_map(rho, maxima, AntichainSemiring(MultMonoid(semiring)))
         valid = admissible_totals(semiring, oracle.iopti(eta, budget))
         meets = {semiring.meet(m, t) for m in maxima for t in valid}
         new_maxima = antichain_of(semiring, meets)
@@ -213,8 +200,7 @@ def pbpol_iopti(
         iterations += 1
         if iterations > budget.iterations:
             raise budget.exceeded("iterations")
-        inner = antichain_inner_for_pbpol(morphism, semiring)
-        eta = aux_pbpol_map(morphism, rho, acc.freeze(), inner)
+        eta = aux_pbpol_map(morphism, rho, acc.freeze(), AntichainSemiring(space))
         changed = False
         for r, t_value in oracle.iopti(eta, budget):
             for pair in t_value:

@@ -14,14 +14,7 @@ from typing import Iterable
 
 from .errors import Budget
 from .lang import Alphabet, Dfa, MonoidMorphism
-from .semiring import (
-    AntichainSemiring,
-    MultMonoid,
-    PairSpace,
-    PowerSemiring,
-    ProductMonoid,
-    Semiring,
-)
+from .semiring import MultMonoid, PowerSemiring, ProductMonoid, Semiring
 
 
 class RatingMap:
@@ -37,14 +30,6 @@ class RatingMap:
 
     def __repr__(self) -> str:
         return f"RatingMap({self.alphabet.letters}, {self.letter_image})"
-
-
-def eval_word(rho: RatingMap, word: str):
-    """Image of a single word: the product of its letter images."""
-    value = rho.semiring.one
-    for a in word:
-        value = rho.semiring.mul(value, rho.letter_image[a])
-    return value
 
 
 def eval_regular(rho: RatingMap, dfa: Dfa, budget: Budget = Budget()):
@@ -133,15 +118,7 @@ def aux_bpol_map(rho: RatingMap, s_values: Iterable, inner: Semiring) -> RatingM
     multiplicative order prunes them to maxima, which is sound for
     consumers that only read the result through downward closure.
     """
-    semiring = rho.semiring
-    s_value = inner.normal(s_values)
-    outer = PowerSemiring(ProductMonoid(MultMonoid(semiring), MultMonoid(inner)))
-    images = {}
-    for letter in rho.alphabet:
-        r = rho.letter_image[letter]
-        wrapped = inner.mul(inner.mul(s_value, inner.normal([r])), s_value)
-        images[letter] = frozenset({(r, wrapped)})
-    return RatingMap(rho.alphabet, outer, images)
+    return _aux_map(rho, s_values, inner, rho.letter_image)
 
 
 def aux_pbpol_map(
@@ -154,23 +131,16 @@ def aux_pbpol_map(
     MultMonoid(R)))` or antichain-pruned (same soundness condition as
     aux_bpol_map).
     """
-    semiring = rho.semiring
-    s_value = inner.normal(s_pairs)
-    outer = PowerSemiring(ProductMonoid(MultMonoid(semiring), MultMonoid(inner)))
+    marks = {a: (morphism.letter_image[a], r) for a, r in rho.letter_image.items()}
+    return _aux_map(rho, s_pairs, inner, marks)
+
+
+def _aux_map(rho: RatingMap, s_items: Iterable, inner: Semiring, marks: dict) -> RatingMap:
+    """The auxiliary map a -> {(rho(a), S.{marks[a]}.S)}, S the inner value of `s_items`."""
+    s_value = inner.normal(s_items)
+    outer = PowerSemiring(ProductMonoid(MultMonoid(rho.semiring), MultMonoid(inner)))
     images = {}
-    for letter in rho.alphabet:
-        r = rho.letter_image[letter]
-        marked = inner.normal([(morphism.letter_image[letter], r)])
-        wrapped = inner.mul(inner.mul(s_value, marked), s_value)
+    for letter, r in rho.letter_image.items():
+        wrapped = inner.mul(inner.mul(s_value, inner.normal([marks[letter]])), s_value)
         images[letter] = frozenset({(r, wrapped)})
     return RatingMap(rho.alphabet, outer, images)
-
-
-def antichain_inner_for_bpol(semiring: Semiring) -> AntichainSemiring:
-    """Pruned inner semiring for aux_bpol_map values."""
-    return AntichainSemiring(MultMonoid(semiring))
-
-
-def antichain_inner_for_pbpol(morphism: MonoidMorphism, semiring: Semiring) -> AntichainSemiring:
-    """Pruned inner semiring for aux_pbpol_map values."""
-    return AntichainSemiring(PairSpace(morphism, semiring))

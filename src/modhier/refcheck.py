@@ -3,11 +3,11 @@
 Everything here answers questions the engines also answer, but by a
 different route: explicit separator verification with exact language
 operations, a bounded search for separators shaped like unions of
-marked products of length-residue languages, and a direct minimum
-over the block languages (A^d)* for the basis approximation, and the
-level-1 filter over an enumerated carrier. Tests cross-check the
-engines against these; verdict assembly uses the search for
-best-effort witnesses.
+marked products of length-residue languages, a direct minimum over
+the block languages (A^d)* for the basis approximation, the basis
+approximation from basis separation alone, and the level-1 filter
+over an enumerated carrier. Tests cross-check the engines against
+these; verdict assembly uses the search for best-effort witnesses.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .lang import (
     Regex,
     Alt,
     Empty,
+    Eps,
     Seq,
     Star,
     Sym,
@@ -32,7 +33,7 @@ from .lang import (
     iter_short_words,
     short_words,
 )
-from .rating import RatingMap, aux_bpol_map, eval_regular
+from .rating import RatingMap, aux_bpol_map, eval_regular, value_automaton
 from .semiring import DownSet, MultMonoid, PowerSemiring, antichain_of
 
 
@@ -201,16 +202,36 @@ def brute_iopti_mod(rho: RatingMap, dmax: int):
     raise ValueError("no order-minimal block value below the given bound")
 
 
+def generic_iopti(rho: RatingMap, separates, budget: Budget = Budget()):
+    """The basis approximation from basis separation alone.
+
+    Sums every reachable word image r whose preimage language is not
+    separable from {empty word} by the basis; unreachable values have
+    empty preimages and never contribute. Agrees with any closed
+    formula for the same basis.
+    """
+    values, transitions = value_automaton(rho, budget)
+    eps = compile_regex(Eps(), rho.alphabet, budget)
+    semiring = rho.semiring
+    total = semiring.zero
+    for i, value in enumerate(values):
+        preimage = Dfa(rho.alphabet, transitions, 0, frozenset({i}))
+        if not separates(eps, preimage, budget):
+            total = semiring.add(total, value)
+    return total
+
+
 def bpol_iopti_enumerated(rho: RatingMap, oracle, budget: Budget = Budget()):
     """Level-1 basis value by the greatest-fixpoint filter over an enumerated carrier.
 
     The same filter as `engines.bpol_iopti`, but on explicit value sets
     with exact inner sets in the auxiliary map, so it needs no meets
     and no antichain pruning: the differential oracle for that engine.
+    The carrier is materialized as a downset, within the antichain budget.
     """
     semiring = rho.semiring
     inner = PowerSemiring(MultMonoid(semiring))
-    current = set(semiring.elements())
+    current = set(DownSet(semiring, frozenset({semiring.top()})).to_set(budget))
     iterations = 0
     while True:
         iterations += 1

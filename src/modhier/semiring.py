@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator
 
-from .errors import Budget, BudgetExceededError
+from .errors import Budget
 
 
 class Semiring:
-    """Interface: add/mul/zero/one plus the canonical order."""
+    """Interface: add/mul/zero/one; each kind computes the canonical order as `leq`."""
 
     zero: object
     one: object
@@ -27,16 +27,6 @@ class Semiring:
 
     def mul(self, x, y):
         raise NotImplementedError
-
-    def leq(self, x, y) -> bool:
-        return self.add(x, y) == y
-
-    def elements(self) -> Iterable:
-        raise NotImplementedError("carrier is virtual")
-
-    def iter_below(self, x) -> Iterator:
-        """All elements <= x (materializes a principal downset)."""
-        return (r for r in self.elements() if self.leq(r, x))
 
     def sum(self, items) -> object:
         total = self.zero
@@ -98,6 +88,13 @@ class TableSemiring(Semiring):
     def elements(self) -> range:
         return range(len(self._add))
 
+    def top(self) -> int:
+        return self.sum(self.elements())
+
+    def iter_below(self, x) -> Iterator:
+        """All elements <= x (materializes a principal downset)."""
+        return (r for r in self.elements() if self._leq[r][x])
+
 
 # ---------------------------------------------------------------------------
 # Multiplicative spaces: the shared duck type is unit / mult / leq (order
@@ -119,12 +116,6 @@ class MultMonoid:
 
     def leq(self, x, y) -> bool:
         return self.semiring.leq(x, y)
-
-    def elements(self) -> Iterable:
-        return self.semiring.elements()
-
-    def iter_below(self, x) -> Iterator:
-        return self.semiring.iter_below(x)
 
 
 class ProductMonoid:
@@ -150,9 +141,6 @@ class ProductMonoid:
                     st = seconds[s, t] = second(s, t)
                 out.add((first(a, b), st))
         return frozenset(out)
-
-    def elements(self) -> Iterator:
-        return ((a, b) for a in self.first.elements() for b in self.second.elements())
 
 
 class PairSpace:
@@ -186,13 +174,13 @@ class PairSpace:
 class PowerSemiring(Semiring):
     """2^M for a finite monoid M: union as addition, elementwise product.
 
-    Elements are frozensets of monoid elements. The carrier is virtual;
-    `elements()` materializes it only for small monoids.
+    Elements are frozensets of monoid elements. The carrier is virtual:
+    `iter_below(top())` walks it, and `DownSet.to_set` does so within
+    the antichain budget.
     """
 
-    def __init__(self, monoid, max_carrier_bits: int = 16):
+    def __init__(self, monoid):
         self.monoid = monoid
-        self.max_carrier_bits = max_carrier_bits
         self.zero = frozenset()
         self.one = frozenset({monoid.unit})
         self._mult_sets = getattr(monoid, "mult_sets", None)
@@ -214,12 +202,6 @@ class PowerSemiring(Semiring):
 
     def normal(self, items: Iterable) -> frozenset:
         return frozenset(items)
-
-    def elements(self) -> Iterator[frozenset]:
-        base = list(self.monoid.elements())
-        if len(base) > self.max_carrier_bits:
-            raise BudgetExceededError("power-semiring carrier", 2**self.max_carrier_bits)
-        return self.iter_below(frozenset(base))
 
     def top(self) -> frozenset:
         return frozenset(self.monoid.elements())
@@ -272,10 +254,6 @@ class AntichainSemiring(Semiring):
         space_leq = self.space.leq
         return all(any(space_leq(a, b) for b in y) for a in x)
 
-    def contains_below(self, x, value) -> bool:
-        """Is `value` in the downward closure `x` denotes?"""
-        return any(self.space.leq(value, m) for m in x)
-
 
 # ---------------------------------------------------------------------------
 # Order utilities
@@ -299,9 +277,7 @@ def omega_power(semiring: Semiring, s, budget: Budget = Budget()):
             start = seen[current]
             period = exponent - start
             k = ((max(start, 1) + period - 1) // period) * period
-            result = powers[k]
-            assert semiring.mul(result, result) == result
-            return result
+            return powers[k]
         if exponent > budget.values:
             raise budget.exceeded("values", "omega power")
         seen[current] = exponent
@@ -373,10 +349,6 @@ class DownSet:
         return frozenset(out)
 
 
-def downclose(space, xs: Iterable) -> DownSet:
-    return DownSet(space, antichain_of(space, xs))
-
-
 class Antichain:
     """Mutable antichain accumulator used by the saturation loops.
 
@@ -410,9 +382,6 @@ class Antichain:
             raise self.budget.exceeded("antichain")
         return True
 
-    def dominates(self, x) -> bool:
-        return any(self.leq(x, m) for m in self._buckets.get(self.part(x), ()))
-
     def __contains__(self, x) -> bool:
         return x in self._buckets.get(self.part(x), ())
 
@@ -444,13 +413,3 @@ def add_closure(semiring: Semiring, xs: Iterable) -> frozenset:
                 closed.add(s)
                 todo.append(s)
     return frozenset(closed)
-
-
-def power_semiring(monoid) -> PowerSemiring:
-    """2^M; accepts any finite monoid (e.g. a morphism or MultMonoid)."""
-    return PowerSemiring(monoid)
-
-
-def pair_semiring(monoid, semiring: Semiring) -> PowerSemiring:
-    """2^{M x R} with union and elementwise componentwise product."""
-    return PowerSemiring(ProductMonoid(monoid, MultMonoid(semiring)))

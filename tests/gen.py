@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from modhier.lang import Alphabet, compile_regex, parse_regex
-from modhier.semiring import PowerSemiring, TableSemiring
+from modhier.semiring import DownSet, PowerSemiring, TableSemiring, antichain_of
 
 
 class CyclicMonoid:
@@ -65,9 +65,9 @@ def random_monoid(rng: random.Random, max_size: int = 4, points: int = 3) -> Tra
             return TransformationMonoid(elems)
 
 
-def materialize(semiring, elements=None) -> TableSemiring:
-    """Tabulate a semiring with an enumerable carrier (axioms re-checked)."""
-    elems = list(elements if elements is not None else semiring.elements())
+def materialize(semiring) -> TableSemiring:
+    """Tabulate a semiring whose carrier is the downset of its top (axioms re-checked)."""
+    elems = list(semiring.iter_below(semiring.top()))
     index = {e: i for i, e in enumerate(elems)}
     add = [[index[semiring.add(x, y)] for y in elems] for x in elems]
     mul = [[index[semiring.mul(x, y)] for y in elems] for x in elems]
@@ -91,6 +91,21 @@ def random_rating_map(rng: random.Random, alphabet: Alphabet, max_monoid: int = 
     carrier = list(semiring.monoid.elements())
     images = {a: random_subset(rng, carrier) for a in alphabet}
     return RatingMap(alphabet, semiring, images)
+
+
+def eval_word(rho, word: str):
+    """Image of a single word under a rating map: the product of its letter images."""
+    value = rho.semiring.one
+    for a in word:
+        value = rho.semiring.mul(value, rho.letter_image[a])
+    return value
+
+
+def unpointed(imprint: DownSet) -> DownSet:
+    """Forget the monoid coordinate of a pointed imprint, keeping the value downset."""
+    semiring = imprint.space.semiring
+    values = antichain_of(semiring, {r for _, r in imprint.maximal})
+    return DownSet(semiring, values, imprint.passes)
 
 
 def random_regex(rng: random.Random, alphabet: Alphabet, depth: int = 3) -> str:

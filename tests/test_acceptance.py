@@ -10,7 +10,7 @@ import random
 import time
 from itertools import product
 
-from modhier.basis import generic_iopti, mod_cover_oracle, mod_iopti, mod_separable
+from modhier.basis import mod_cover_oracle, mod_iopti, mod_separable
 from modhier.cli import run
 from modhier.decide import LEVELS, member, separable
 from modhier.engines import (
@@ -20,7 +20,6 @@ from modhier.engines import (
     pbpol_iopti,
     pbpol_pointed_imprint,
     pol_imprint,
-    unpointed,
 )
 from modhier.lang import (
     Alphabet,
@@ -30,21 +29,19 @@ from modhier.lang import (
     parse_regex,
     transition_monoid,
 )
-from modhier.rating import (
-    antichain_inner_for_bpol,
-    aux_bpol_map,
-    canonical_covering_map,
-)
+from modhier.rating import aux_bpol_map, canonical_covering_map
 from modhier.refcheck import (
     brute_iopti_mod,
     candidate_language,
+    generic_iopti,
     mod_iopti_bound,
     pol_mod_separator_search,
 )
+from modhier.semiring import AntichainSemiring, MultMonoid
 
 from io import StringIO
 
-from gen import random_dfa, random_rating_map
+from gen import random_dfa, random_rating_map, unpointed
 from test_engines import assert_pbpol_rules_stable, assert_pol_rules_stable, imprint_covers
 
 A = Alphabet.of("a")
@@ -183,7 +180,7 @@ def test_criterion_08_short_words_are_members_at_level_one():
 def assert_bpol_filter_stable(rho, oracle, result):
     """One more filtering round keeps every surviving value."""
     semiring = rho.semiring
-    inner = antichain_inner_for_bpol(semiring)
+    inner = AntichainSemiring(MultMonoid(semiring))
     eta = aux_bpol_map(rho, result.maximal, inner=inner)
     valid = admissible_totals(semiring, list(oracle.iopti(eta)))
     for m in result.maximal:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from modhier.basis import (
     LengthProfile,
     SeparationAnswer,
-    generic_iopti,
     length_profile,
     mod_cover_oracle,
     mod_iopti,
@@ -20,7 +19,8 @@ from modhier.basis import (
 from modhier.errors import Budget, BudgetExceededError, UnsupportedError
 from modhier.lang import Alphabet, Dfa, compile_regex, disjoint, parse_regex
 from modhier.rating import RatingMap
-from modhier.semiring import TableSemiring, power_semiring
+from modhier.refcheck import generic_iopti
+from modhier.semiring import PowerSemiring, TableSemiring
 
 from gen import CyclicMonoid, random_dfa, random_rating_map
 
@@ -186,12 +186,12 @@ def test_length_profile_draws_on_the_state_budget():
 
 
 def test_mod_iopti_parity():
-    rho = RatingMap(A, power_semiring(CyclicMonoid(2)), {"a": fs(1)})
+    rho = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
     assert mod_iopti(rho) == fs(0)
 
 
 def test_mod_iopti_omega_power_draws_on_the_values_budget():
-    rho = RatingMap(A, power_semiring(CyclicMonoid(2)), {"a": fs(1)})
+    rho = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
     with pytest.raises(BudgetExceededError) as caught:
         mod_cover_oracle().iopti(rho, Budget(values=1))
     assert (caught.value.what, caught.value.limit) == ("omega power", 1)
@@ -199,7 +199,7 @@ def test_mod_iopti_omega_power_draws_on_the_values_budget():
 
 
 def test_mod_iopti_mod_three():
-    rho = RatingMap(A, power_semiring(CyclicMonoid(3)), {"a": fs(1)})
+    rho = RatingMap(A, PowerSemiring(CyclicMonoid(3)), {"a": fs(1)})
     assert mod_iopti(rho) == fs(0)
 
 
@@ -210,12 +210,12 @@ def test_mod_iopti_trivial_semiring():
 
 
 def test_generic_iopti_parity():
-    rho = RatingMap(A, power_semiring(CyclicMonoid(2)), {"a": fs(1)})
+    rho = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
     assert generic_iopti(rho, mod_separable) == fs(0)
 
 
 def test_generic_iopti_unit_images():
-    semiring = power_semiring(CyclicMonoid(2))
+    semiring = PowerSemiring(CyclicMonoid(2))
     rho = RatingMap(AB, semiring, {"a": semiring.one, "b": semiring.one})
     assert generic_iopti(rho, mod_separable) == semiring.one
 
@@ -233,7 +233,7 @@ def test_mod_iopti_equals_generic_iopti(seed):
 
 def test_mod_cover_oracle_roundtrip():
     oracle = mod_cover_oracle()
-    rho = RatingMap(A, power_semiring(CyclicMonoid(2)), {"a": fs(1)})
+    rho = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
     assert oracle.iopti(rho) == fs(0)
     assert oracle.separates(lang("(aa)*", A), lang("a(aa)*", A)).separable
     assert oracle.name == "mod"

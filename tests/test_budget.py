@@ -13,6 +13,7 @@ from modhier import Alphabet, Budget, BudgetExceededError, compile_regex, member
 from modhier.basis import mod_cover_oracle
 from modhier.rating import canonical_covering_map, eval_regular
 from modhier.lang import transition_monoid
+from modhier.refcheck import bpol_iopti_enumerated
 
 AB = Alphabet.of("ab")
 ORACLE = mod_cover_oracle()
@@ -56,6 +57,7 @@ BUDGET_KEYWORDS = {"max_states", "max_monoid", "max_antichain", "max_iterations"
 
 
 def test_no_module_but_errors_keeps_its_own_budget():
+    """No budget constants or keywords, and no budget error built but by `Budget.exceeded`."""
     package = Path(modhier.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
@@ -67,7 +69,20 @@ def test_no_module_but_errors_keeps_its_own_budget():
                     found.append((path.name, node.id))
             elif isinstance(node, ast.arg) and node.arg in BUDGET_KEYWORDS:
                 found.append((path.name, node.arg))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "BudgetExceededError":
+                    found.append((path.name, node.lineno))
     assert found == []
+
+
+def test_enumerated_level_one_filter_materializes_its_carrier_within_the_antichain_budget():
+    rho = canonical_covering_map(transition_monoid([lang("(ab)*")]))
+    with pytest.raises(BudgetExceededError) as caught:
+        bpol_iopti_enumerated(rho, ORACLE, Budget(antichain=3))
+    assert str(caught.value) == "downset materialization budget exceeded (limit 3)"
+    bpol_iopti_enumerated(rho, ORACLE, Budget())
 
 
 def test_readme_budget_snippet_prints_what_it_says():

@@ -17,7 +17,6 @@ from modhier.engines import (
     pbpol_iopti,
     pbpol_pointed_imprint,
     pol_imprint,
-    unpointed,
 )
 from modhier.errors import Budget, BudgetExceededError
 from modhier.lang import Alphabet, compile_regex, parse_regex, transition_monoid
@@ -25,11 +24,12 @@ from modhier.rating import RatingMap, canonical_covering_map
 from modhier.refcheck import bpol_iopti_enumerated
 from modhier.semiring import (
     Antichain,
+    AntichainSemiring,
+    DownSet,
     MultMonoid,
     PairSpace,
     PowerSemiring,
     TableSemiring,
-    power_semiring,
 )
 
 from gen import (
@@ -40,6 +40,7 @@ from gen import (
     random_power_semiring,
     random_rating_map,
     random_subset,
+    unpointed,
 )
 
 A = Alphabet.of("a")
@@ -170,8 +171,8 @@ def test_semi_naive_closure_matches_naive(seed, limit):
     assert [(changed, fixpoint) for (changed, _), fixpoint in calls] == [
         (changed, fixpoint) for (changed, _), fixpoint in reference
     ]
-    acc = Antichain(space, closed)
-    assert all(acc.dominates(space.mult(x, y)) for x in closed for y in closed)
+    downset = DownSet(space, closed)
+    assert all(space.mult(x, y) in downset for x in closed for y in closed)
 
 
 def count_pair_products(monkeypatch):
@@ -221,7 +222,7 @@ def test_pol_imprint_trivial_algebra():
 
 def test_pol_imprint_trivial_monoid_parity_values():
     morphism = transition_monoid([lang("~0")])
-    rho = RatingMap(AB, power_semiring(CyclicMonoid(2)), {"a": fs(1), "b": fs(1)})
+    rho = RatingMap(AB, PowerSemiring(CyclicMonoid(2)), {"a": fs(1), "b": fs(1)})
     result = pol_imprint(morphism, rho, ORACLE)
     assert result.maximal == {(0, fs(0)), (0, fs(1))}
     assert result.to_set() == {(0, fs(0)), (0, fs(1)), (0, fs())}
@@ -304,7 +305,7 @@ def test_bpol_iopti_parity(parity_instance):
 
 
 def test_bpol_iopti_unit_letters():
-    semiring = power_semiring(CyclicMonoid(2))
+    semiring = PowerSemiring(CyclicMonoid(2))
     rho = RatingMap(AB, semiring, {"a": semiring.one, "b": semiring.one})
     result = bpol_iopti(rho, ORACLE)
     assert result.to_set() == {fs(), fs(0)}
@@ -331,7 +332,7 @@ def test_bpol_opti_parity(parity_instance):
 
 
 def test_bpol_opti_unit_letter():
-    semiring = power_semiring(CyclicMonoid(2))
+    semiring = PowerSemiring(CyclicMonoid(2))
     rho = RatingMap(A, semiring, {"a": semiring.one})
     result = bpol_opti(rho, bpol_iopti(rho, ORACLE))
     assert result.maximal == {fs(0)}
@@ -382,12 +383,11 @@ def test_pbpol_downset_and_product_closure(parity_instance):
 
 
 def assert_pbpol_rules_stable(morphism, rho, oracle, result):
-    from modhier.rating import antichain_inner_for_pbpol, aux_pbpol_map
+    from modhier.rating import aux_pbpol_map
 
     space = result.space
     semiring = rho.semiring
-    inner = antichain_inner_for_pbpol(morphism, semiring)
-    eta = aux_pbpol_map(morphism, rho, result.maximal, inner=inner)
+    eta = aux_pbpol_map(morphism, rho, result.maximal, inner=AntichainSemiring(space))
     for r, t_value in oracle.iopti(eta):
         for pair in t_value:
             assert pair in result

@@ -11,18 +11,16 @@ from modhier.errors import Budget, BudgetExceededError
 from modhier.lang import Alphabet, compile_regex, disjoint, parse_regex, transition_monoid
 from modhier.rating import (
     RatingMap,
-    antichain_inner_for_bpol,
     aux_bpol_map,
     aux_pbpol_map,
     canonical_covering_map,
     eval_regular,
-    eval_word,
     image_values,
     value_automaton,
 )
-from modhier.semiring import MultMonoid, PowerSemiring, ProductMonoid, power_semiring
+from modhier.semiring import AntichainSemiring, MultMonoid, PowerSemiring, ProductMonoid
 
-from gen import CyclicMonoid, random_rating_map
+from gen import CyclicMonoid, eval_word, random_rating_map
 
 A = Alphabet.of("a")
 AB = Alphabet.of("ab")
@@ -39,7 +37,7 @@ def lang(text, alphabet=AB):
 @pytest.fixture
 def parity():
     """Rating map counting length parity: a maps to {1} in 2^(Z/2Z)."""
-    return RatingMap(A, power_semiring(CyclicMonoid(2)), {"a": fs(1)})
+    return RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +75,7 @@ def test_value_automaton_parity(parity):
 
 def test_rating_map_requires_all_letters():
     with pytest.raises(ValueError):
-        RatingMap(AB, power_semiring(CyclicMonoid(2)), {"a": fs(1)})
+        RatingMap(AB, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +129,7 @@ def test_aux_bpol_map_empty_s(parity):
 
 def test_aux_bpol_map_antichain_inner(parity):
     full = [fs(), fs(0), fs(1), fs(0, 1)]
-    inner = antichain_inner_for_bpol(parity.semiring)
+    inner = AntichainSemiring(MultMonoid(parity.semiring))
     eta = aux_bpol_map(parity, full, inner=inner)
     # maxima of the four products: the top subset alone
     assert eta.letter_image["a"] == {(fs(1), frozenset({fs(0, 1)}))}

@@ -34,7 +34,7 @@ from modhier.refcheck import (
     pol_mod_separator_search,
     verify_separator,
 )
-from modhier.semiring import TableSemiring, power_semiring
+from modhier.semiring import PowerSemiring, TableSemiring
 
 from gen import CyclicMonoid, random_dfa, random_rating_map
 
@@ -234,7 +234,7 @@ def test_search_compiles_few_candidates_on_three_letters(monkeypatch):
 
 
 def test_block_values_for_parity():
-    rho = RatingMap(A, power_semiring(CyclicMonoid(2)), {"a": fs(1)})
+    rho = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
     from modhier.rating import eval_regular
 
     assert eval_regular(rho, block_language(A, 1)) == fs(0, 1)
@@ -249,13 +249,13 @@ def test_brute_iopti_trivial_semiring():
 
 
 def test_brute_iopti_mod_three():
-    rho = RatingMap(A, power_semiring(CyclicMonoid(3)), {"a": fs(1)})
+    rho = RatingMap(A, PowerSemiring(CyclicMonoid(3)), {"a": fs(1)})
     assert brute_iopti_mod(rho, 3) == fs(0)
 
 
 def test_mod_iopti_bound_fixtures():
-    parity = RatingMap(A, power_semiring(CyclicMonoid(2)), {"a": fs(1)})
-    three = RatingMap(A, power_semiring(CyclicMonoid(3)), {"a": fs(1)})
+    parity = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
+    three = RatingMap(A, PowerSemiring(CyclicMonoid(3)), {"a": fs(1)})
     trivial = TableSemiring([[0]], [[0]], zero=0, one=0)
     flat = RatingMap(A, trivial, {"a": 0})
     assert mod_iopti_bound(parity) == 2

@@ -12,6 +12,7 @@ from modhier.lang import Alphabet, transition_monoid
 from modhier.semiring import (
     Antichain,
     AntichainSemiring,
+    DownSet,
     MultMonoid,
     PairSpace,
     PowerSemiring,
@@ -19,13 +20,17 @@ from modhier.semiring import (
     TableSemiring,
     add_closure,
     antichain_of,
-    downclose,
     omega_power,
-    pair_semiring,
-    power_semiring,
 )
 
-from gen import CyclicMonoid, materialize, random_dfa, random_monoid, random_subset
+from gen import (
+    CyclicMonoid,
+    materialize,
+    random_dfa,
+    random_monoid,
+    random_power_semiring,
+    random_subset,
+)
 
 
 def fs(*xs):
@@ -34,7 +39,7 @@ def fs(*xs):
 
 @pytest.fixture
 def parity_power():
-    return power_semiring(CyclicMonoid(2))
+    return PowerSemiring(CyclicMonoid(2))
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +57,7 @@ def test_power_semiring_operations(parity_power):
     assert parity_power.mul(fs(0, 1), fs(1)) == fs(0, 1)
     assert parity_power.one == fs(0)
     assert parity_power.zero == fs()
-    assert set(parity_power.elements()) == {fs(), fs(0), fs(1), fs(0, 1)}
+    assert set(parity_power.iter_below(parity_power.top())) == {fs(), fs(0), fs(1), fs(0, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +75,13 @@ def test_omega_power_fixes_idempotents(parity_power):
 
 
 def test_omega_power_mod_three():
-    r3 = power_semiring(CyclicMonoid(3))
+    r3 = PowerSemiring(CyclicMonoid(3))
     assert omega_power(r3, fs(1)) == fs(0)
     assert omega_power(r3, fs(1, 2)) == fs(0, 1, 2)
 
 
 def test_omega_power_longer_cycle():
-    r4 = power_semiring(CyclicMonoid(4))
+    r4 = PowerSemiring(CyclicMonoid(4))
     assert omega_power(r4, fs(1)) == fs(0)
     assert omega_power(r4, fs(2)) == fs(0)
 
@@ -86,7 +91,7 @@ def test_omega_power_longer_cycle():
 
 
 def test_downclose_keeps_incomparable_maxima(parity_power):
-    d = downclose(parity_power, [fs(0), fs(1)])
+    d = DownSet(parity_power, antichain_of(parity_power, [fs(0), fs(1)]))
     assert d.maximal == {fs(0), fs(1)}
     assert d.to_set() == {fs(), fs(0), fs(1)}
     assert fs(0) in d
@@ -94,20 +99,21 @@ def test_downclose_keeps_incomparable_maxima(parity_power):
 
 
 def test_downclose_empty_and_top(parity_power):
-    assert downclose(parity_power, []).maximal == frozenset()
-    assert downclose(parity_power, []).to_set() == frozenset()
-    top = downclose(parity_power, [fs(0, 1)])
+    empty = DownSet(parity_power, antichain_of(parity_power, []))
+    assert empty.maximal == frozenset()
+    assert empty.to_set() == frozenset()
+    top = DownSet(parity_power, antichain_of(parity_power, [fs(0, 1)]))
     assert top.to_set() == {fs(), fs(0), fs(1), fs(0, 1)}
 
 
 def test_downclose_prunes_dominated(parity_power):
-    d = downclose(parity_power, [fs(0), fs(0, 1), fs()])
+    d = DownSet(parity_power, antichain_of(parity_power, [fs(0), fs(0, 1), fs()]))
     assert d.maximal == {fs(0, 1)}
 
 
 def test_downclose_idempotent_on_fixture(parity_power):
-    d = downclose(parity_power, [fs(0), fs(1), fs()])
-    again = downclose(parity_power, d.maximal)
+    d = DownSet(parity_power, antichain_of(parity_power, [fs(0), fs(1), fs()]))
+    again = DownSet(parity_power, antichain_of(parity_power, d.maximal))
     assert again.maximal == d.maximal
 
 
@@ -140,12 +146,12 @@ def test_pair_space_product_and_order(parity_power):
 
 def test_pair_space_downclose_moves_second_coordinate(parity_power):
     space = PairSpace(CyclicMonoid(2), parity_power)
-    d = downclose(space, [(1, fs(0, 1))])
+    d = DownSet(space, antichain_of(space, [(1, fs(0, 1))]))
     assert d.to_set() == {(1, fs()), (1, fs(0)), (1, fs(1)), (1, fs(0, 1))}
 
 
 def test_pair_semiring_lifts_componentwise(parity_power):
-    ps = pair_semiring(CyclicMonoid(2), parity_power)
+    ps = PowerSemiring(ProductMonoid(CyclicMonoid(2), MultMonoid(parity_power)))
     assert ps.one == fs((0, fs(0)))
     assert ps.mul(fs((0, fs(0))), fs((1, fs(1)))) == fs((1, fs(1)))
     assert ps.add(fs((0, fs(0))), fs((1, fs(1)))) == fs((0, fs(0)), (1, fs(1)))
@@ -235,7 +241,7 @@ def test_reused_antichain_semiring_forms_what_a_fresh_one_forms(seed):
 def test_materialized_power_semiring_passes_axioms(parity_power):
     table = materialize(parity_power)
     assert len(list(table.elements())) == 4
-    elems = list(parity_power.elements())
+    elems = list(parity_power.iter_below(parity_power.top()))
     for x in table.elements():
         for y in table.elements():
             assert elems[table.add(x, y)] == parity_power.add(elems[x], elems[y])
@@ -271,7 +277,7 @@ def test_antichain_accumulator(parity_power):
     assert not acc.add(fs())
     assert acc.add(fs(0, 1))
     assert set(acc) == {fs(0, 1)}
-    assert acc.dominates(fs(1))
+    assert fs(1) in DownSet(parity_power, acc.freeze())
     assert acc.freeze() == fs(fs(0, 1))
 
 
@@ -344,8 +350,8 @@ def test_antichain_semiring_normalizes(parity_power):
     assert ac.mul(ac.one, x) == x
     assert ac.leq(x, y)
     assert not ac.leq(y, x)
-    assert ac.contains_below(y, (1, fs(1)))
-    assert not ac.contains_below(x, (1, fs(1)))
+    assert (1, fs(1)) in DownSet(ac.space, y)
+    assert (1, fs(1)) not in DownSet(ac.space, x)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +388,17 @@ def test_leq_is_a_partial_order(seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_omega_power_is_idempotent_everywhere(seed):
+    """In random table and power semirings, omega_power(s) is an idempotent s^k with k >= 1."""
     table = table_from_seed(seed)
-    for s in table.elements():
-        e = omega_power(table, s)
-        assert table.mul(e, e) == e
+    power = random_power_semiring(random.Random(seed))
+    for semiring, carrier in [(table, table.elements()), (power, power.iter_below(power.top()))]:
+        for s in carrier:
+            e = omega_power(semiring, s)
+            assert semiring.mul(e, e) == e
+            powers = [s]
+            while powers[-1] != e and powers[-1] not in powers[:-1]:
+                powers.append(semiring.mul(powers[-1], s))
+            assert powers[-1] == e
 
 
 @settings(max_examples=40, deadline=None)
@@ -408,7 +421,7 @@ def test_downclose_matches_brute_force(seed):
     table = table_from_seed(seed, max_size=3)
     elems = list(table.elements())
     xs = random_subset(rng, elems)
-    d = downclose(table, xs)
+    d = DownSet(table, antichain_of(table, xs))
     brute = {r for r in elems if any(table.leq(r, x) for x in xs)}
     assert d.to_set() == brute
     for r in elems:
