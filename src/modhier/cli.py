@@ -38,6 +38,17 @@ RESULT_WORDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """A budget flag's value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--level", required=True, choices=LEVELS, help="hierarchy level")
@@ -50,13 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--max-states",
-        type=int,
+        type=_positive_int,
         default=Budget().states,
         help="budget for automaton states",
     )
     common.add_argument(
         "--max-antichain",
-        type=int,
+        type=_positive_int,
         default=Budget().antichain,
         help="antichain size budget for the engines",
     )

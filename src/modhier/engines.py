@@ -20,7 +20,6 @@ from .semiring import (
     Antichain,
     AntichainSemiring,
     DownSet,
-    MultMonoid,
     PairSpace,
     Semiring,
     add_closure,
@@ -147,7 +146,7 @@ def bpol_iopti(rho: RatingMap, oracle: BasisOracle, budget: Budget = Budget()) -
         iterations += 1
         if iterations > budget.iterations:
             raise budget.exceeded("iterations")
-        eta = aux_bpol_map(rho, maxima, AntichainSemiring(MultMonoid(semiring)))
+        eta = aux_bpol_map(rho, maxima, AntichainSemiring(semiring))
         valid = admissible_totals(semiring, oracle.iopti(eta, budget))
         meets = {semiring.meet(m, t) for m in maxima for t in valid}
         new_maxima = antichain_of(semiring, meets)
@@ -165,8 +164,7 @@ def bpol_opti(rho: RatingMap, iopti: DownSet, budget: Budget = Budget()) -> Down
     reachable word image, closed under downward closure and product.
     """
     seeds = list(iopti.maximal) + list(image_values(rho, budget))
-    closed = _saturate(MultMonoid(rho.semiring), seeds, budget)
-    return DownSet(rho.semiring, closed.maximal, closed.passes)
+    return _saturate(rho.semiring, seeds, budget)
 
 
 # ---------------------------------------------------------------------------

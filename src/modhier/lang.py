@@ -650,25 +650,6 @@ class MonoidMorphism:
         """All products x * y with x in xs and y in ys."""
         return frozenset([row[y] for row in map(self.row, xs) for y in ys])
 
-    def image_of_word(self, word: str) -> int:
-        m = self.unit
-        for a in word:
-            m = self.mult(m, self.letter_image[a])
-        return m
-
-    def validate(self, assoc_limit: int = 200) -> None:
-        """Check unit laws (always) and associativity (exhaustively, when small)."""
-        for i in self.elements():
-            if self.mult(self.unit, i) != i or self.mult(i, self.unit) != i:
-                raise ValueError(f"unit law fails at element {i}")
-        if self.size <= assoc_limit:
-            for i in self.elements():
-                for j in self.elements():
-                    ij = self.mult(i, j)
-                    for k in self.elements():
-                        if self.mult(ij, k) != self.mult(i, self.mult(j, k)):
-                            raise ValueError(f"associativity fails at ({i},{j},{k})")
-
 
 def transition_monoid(dfas: list[Dfa], budget: Budget = Budget()) -> MonoidMorphism:
     """Close the letter transformations of the product DFA under composition.

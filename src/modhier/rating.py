@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .errors import Budget
 from .lang import Alphabet, Dfa, MonoidMorphism
-from .semiring import MultMonoid, PowerSemiring, ProductMonoid, Semiring
+from .semiring import PairSpace, PowerSemiring, Semiring
 
 
 class RatingMap:
@@ -113,10 +113,10 @@ def aux_bpol_map(rho: RatingMap, s_values: Iterable, inner: Semiring) -> RatingM
     """The auxiliary map a -> {(rho(a), S.{rho(a)}.S)} into 2^(R x 2^R).
 
     S is a set of semiring values and `inner` the semiring of the
-    second coordinates. The exact `PowerSemiring(MultMonoid(R))` keeps
-    them as literal subsets of R; an AntichainSemiring over R's
-    multiplicative order prunes them to maxima, which is sound for
-    consumers that only read the result through downward closure.
+    second coordinates. The exact `PowerSemiring(R)` keeps them as
+    literal subsets of R; `AntichainSemiring(R)` prunes them to maxima,
+    which is sound for consumers that only read the result through
+    downward closure.
     """
     return _aux_map(rho, s_values, inner, rho.letter_image)
 
@@ -127,9 +127,9 @@ def aux_pbpol_map(
     """The auxiliary map a -> {(rho(a), S.{(alpha(a), rho(a))}.S)}.
 
     S is a set of monoid-value pairs; values land in 2^(R x 2^(M x R)).
-    The inner semiring is exact as `PowerSemiring(ProductMonoid(M,
-    MultMonoid(R)))` or antichain-pruned (same soundness condition as
-    aux_bpol_map).
+    The inner semiring is exact as `PowerSemiring(PairSpace(M, R))` or
+    antichain-pruned as `AntichainSemiring(PairSpace(M, R))` (same
+    soundness condition as aux_bpol_map).
     """
     marks = {a: (morphism.letter_image[a], r) for a, r in rho.letter_image.items()}
     return _aux_map(rho, s_pairs, inner, marks)
@@ -138,7 +138,7 @@ def aux_pbpol_map(
 def _aux_map(rho: RatingMap, s_items: Iterable, inner: Semiring, marks: dict) -> RatingMap:
     """The auxiliary map a -> {(rho(a), S.{marks[a]}.S)}, S the inner value of `s_items`."""
     s_value = inner.normal(s_items)
-    outer = PowerSemiring(ProductMonoid(MultMonoid(rho.semiring), MultMonoid(inner)))
+    outer = PowerSemiring(PairSpace(rho.semiring, inner))
     images = {}
     for letter, r in rho.letter_image.items():
         wrapped = inner.mul(inner.mul(s_value, inner.normal([marks[letter]])), s_value)

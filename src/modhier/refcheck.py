@@ -34,7 +34,7 @@ from .lang import (
     short_words,
 )
 from .rating import RatingMap, aux_bpol_map, eval_regular, value_automaton
-from .semiring import DownSet, MultMonoid, PowerSemiring, antichain_of
+from .semiring import DownSet, PowerSemiring, antichain_of
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def bpol_iopti_enumerated(rho: RatingMap, oracle, budget: Budget = Budget()):
     The carrier is materialized as a downset, within the antichain budget.
     """
     semiring = rho.semiring
-    inner = PowerSemiring(MultMonoid(semiring))
+    inner = PowerSemiring(semiring)
     current = set(DownSet(semiring, frozenset({semiring.top()})).to_set(budget))
     iterations = 0
     while True:

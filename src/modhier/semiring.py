@@ -28,6 +28,13 @@ class Semiring:
     def mul(self, x, y):
         raise NotImplementedError
 
+    @property
+    def unit(self):
+        return self.one
+
+    def mult(self, x, y):
+        return self.mul(x, y)
+
     def sum(self, items) -> object:
         total = self.zero
         for x in items:
@@ -38,14 +45,13 @@ class Semiring:
 class TableSemiring(Semiring):
     """Explicit small semiring given by operation tables; axioms checked."""
 
-    def __init__(self, add_table, mul_table, zero: int, one: int, check: bool = True):
+    def __init__(self, add_table, mul_table, zero: int, one: int):
         self._add = tuple(tuple(row) for row in add_table)
         self._mul = tuple(tuple(row) for row in mul_table)
         self.zero = zero
         self.one = one
         n = len(self._add)
-        if check:
-            self._check_axioms(n)
+        self._check_axioms(n)
         # order as a bit of precomputation; carriers here are small
         self._leq = tuple(
             tuple(self._add[r][s] == s for s in range(n)) for r in range(n)
@@ -97,58 +103,24 @@ class TableSemiring(Semiring):
 
 
 # ---------------------------------------------------------------------------
-# Multiplicative spaces: the shared duck type is unit / mult / leq (order
-# optional for plain monoids), used both to build power semirings and to
-# order the pairs the pointed imprints live on. A monoid may also offer
-# mult_sets(xs, ys), the set of all products, when it can form that set
-# with fewer element products than one per pair.
-
-
-class MultMonoid:
-    """A semiring viewed through its multiplication (and canonical order)."""
-
-    def __init__(self, semiring: Semiring):
-        self.semiring = semiring
-        self.unit = semiring.one
-
-    def mult(self, x, y):
-        return self.semiring.mul(x, y)
-
-    def leq(self, x, y) -> bool:
-        return self.semiring.leq(x, y)
-
-
-class ProductMonoid:
-    """Componentwise product of two monoids; elements are pairs."""
-
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
-        self.unit = (first.unit, second.unit)
-
-    def mult(self, x, y):
-        return (self.first.mult(x[0], y[0]), self.second.mult(x[1], y[1]))
-
-    def mult_sets(self, xs, ys) -> frozenset:
-        """All products x * y, forming each distinct second-coordinate product once."""
-        first, second = self.first.mult, self.second.mult
-        seconds: dict = {}
-        out: set = set()
-        for a, s in xs:
-            for b, t in ys:
-                st = seconds.get((s, t))
-                if st is None:
-                    st = seconds[s, t] = second(s, t)
-                out.add((first(a, b), st))
-        return frozenset(out)
+# Multiplicative spaces: `unit` and an associative `mult`, optionally an
+# order `leq` under which `mult` is monotone, a `part` (see
+# `PairSpace.part`), and `mult_sets(xs, ys)`, the set of all products when
+# the space forms it with fewer element products than one per pair.
+# Power semirings are built over them, and antichains ordered by them.
+# Every semiring is one: `unit` is its one, `mult` its `mul`, and `leq`
+# its canonical order.
 
 
 class PairSpace:
-    """M x R with componentwise product, ordered within equal monoid parts.
+    """M x R with componentwise product, ordered within equal first parts.
 
-    (s, r) <= (s', r') iff s = s' and r <= r' in the semiring: downward
-    closure only ever moves the semiring coordinate. `part` names that
-    monoid coordinate: pairs with different parts are incomparable, so
+    The first factor is any multiplicative space: a transition monoid
+    for the pointed imprints, a semiring for the auxiliary maps' pairs
+    of a value and an inner set. The second is a semiring R.
+    (s, r) <= (s', r') iff s = s' and r <= r' in R: downward closure
+    only ever moves the second coordinate. `part` names the first
+    coordinate: pairs with different parts are incomparable, so
     antichains over the space keep one bucket per part.
     """
 
@@ -159,6 +131,19 @@ class PairSpace:
 
     def mult(self, x, y):
         return (self.monoid.mult(x[0], y[0]), self.semiring.mul(x[1], y[1]))
+
+    def mult_sets(self, xs, ys) -> frozenset:
+        """All products x * y, forming each distinct second-coordinate product once."""
+        first, second = self.monoid.mult, self.semiring.mul
+        seconds: dict = {}
+        out: set = set()
+        for a, s in xs:
+            for b, t in ys:
+                st = seconds.get((s, t))
+                if st is None:
+                    st = seconds[s, t] = second(s, t)
+                out.add((first(a, b), st))
+        return frozenset(out)
 
     def leq(self, x, y) -> bool:
         return x[0] == y[0] and self.semiring.leq(x[1], y[1])
@@ -174,7 +159,7 @@ class PairSpace:
 class PowerSemiring(Semiring):
     """2^M for a finite monoid M: union as addition, elementwise product.
 
-    Elements are frozensets of monoid elements. The carrier is virtual:
+    M is any multiplicative space; elements are frozensets of its elements. The carrier is virtual:
     `iter_below(top())` walks it, and `DownSet.to_set` does so within
     the antichain budget.
     """

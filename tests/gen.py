@@ -101,6 +101,29 @@ def eval_word(rho, word: str):
     return value
 
 
+def image_of_word(morphism, word: str) -> int:
+    """The monoid element a word maps to: the product of its letter images."""
+    m = morphism.unit
+    for a in word:
+        m = morphism.mult(m, morphism.letter_image[a])
+    return m
+
+
+def validate_morphism(morphism, assoc_limit: int = 200) -> None:
+    """Check unit laws (always) and associativity (exhaustively, when small)."""
+    elements = morphism.elements()
+    for i in elements:
+        if morphism.mult(morphism.unit, i) != i or morphism.mult(i, morphism.unit) != i:
+            raise ValueError(f"unit law fails at element {i}")
+    if morphism.size <= assoc_limit:
+        for i in elements:
+            for j in elements:
+                ij = morphism.mult(i, j)
+                for k in elements:
+                    if morphism.mult(ij, k) != morphism.mult(i, morphism.mult(j, k)):
+                        raise ValueError(f"associativity fails at ({i},{j},{k})")
+
+
 def unpointed(imprint: DownSet) -> DownSet:
     """Forget the monoid coordinate of a pointed imprint, keeping the value downset."""
     semiring = imprint.space.semiring

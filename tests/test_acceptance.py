@@ -37,7 +37,7 @@ from modhier.refcheck import (
     mod_iopti_bound,
     pol_mod_separator_search,
 )
-from modhier.semiring import AntichainSemiring, MultMonoid
+from modhier.semiring import AntichainSemiring
 
 from io import StringIO
 
@@ -180,7 +180,7 @@ def test_criterion_08_short_words_are_members_at_level_one():
 def assert_bpol_filter_stable(rho, oracle, result):
     """One more filtering round keeps every surviving value."""
     semiring = rho.semiring
-    inner = AntichainSemiring(MultMonoid(semiring))
+    inner = AntichainSemiring(semiring)
     eta = aux_bpol_map(rho, result.maximal, inner=inner)
     valid = admissible_totals(semiring, list(oracle.iopti(eta)))
     for m in result.maximal:

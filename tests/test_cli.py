@@ -295,6 +295,14 @@ def test_budget_overflow_exits_three():
     assert "budget" in err
 
 
+@pytest.mark.parametrize("flag", ["--max-states", "--max-antichain"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_budget_flags_below_one_are_usage_errors(flag, value, capsys):
+    code, out, _ = invoke("member", "--level", "1", "--alphabet", "ab", "a*", flag, value)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+
+
 def test_level_zero_length_profile_exits_three_in_bounded_time():
     # 68 states whose length period is 3 * 4 * 5 * 7 * 11 * 13 * 17 = 1,021,020.
     cycles = [3, 4, 5, 7, 11, 13, 17]

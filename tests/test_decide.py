@@ -26,7 +26,7 @@ from modhier.refcheck import SeparatorCandidate
 from modhier.semiring import AntichainSemiring, PairSpace
 from modhier.lang import included
 
-from gen import random_dfa
+from gen import image_of_word, random_dfa
 
 A = Alphabet.of("a")
 AB = Alphabet.of("ab")
@@ -237,7 +237,7 @@ def test_witnesses_are_independently_checkable(seed):
     verdict = separable("1/2", l1, l2, ORACLE, want_witness=True)
     if not verdict.answer:
         blocking = verdict.witness["blocking"]
-        assert morphism.image_of_word(blocking["word"]) == blocking["element"]
+        assert image_of_word(morphism, blocking["word"]) == blocking["element"]
         assert blocking["element"] in morphism.accept_sets[0]
         assert set(blocking["image"]) & set(morphism.accept_sets[1])
     elif verdict.witness is not None:

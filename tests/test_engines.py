@@ -26,7 +26,6 @@ from modhier.semiring import (
     Antichain,
     AntichainSemiring,
     DownSet,
-    MultMonoid,
     PairSpace,
     PowerSemiring,
     TableSemiring,
@@ -119,7 +118,7 @@ def generation_close_products(space, acc, old=frozenset()):
 
 
 def random_closure_instance(rng):
-    """A pair space over a transition monoid, or a power semiring as a monoid,
+    """A pair space over a transition monoid, or a power semiring as its own space,
     with small seeds and a few more elements added after the first closure."""
     elements = []
     while len(elements) < 3:
@@ -128,8 +127,8 @@ def random_closure_instance(rng):
             space = PairSpace(morphism, PowerSemiring(morphism))
             elements = list(morphism.elements())
         else:
-            space = MultMonoid(random_power_semiring(rng, max_size=6))
-            elements = list(space.semiring.monoid.elements())
+            space = random_power_semiring(rng, max_size=6)
+            elements = list(space.monoid.elements())
 
     def draw():
         value = frozenset(rng.sample(elements, rng.randint(1, 2)))

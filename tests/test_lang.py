@@ -34,6 +34,8 @@ from modhier.lang import (
     union,
 )
 
+from gen import image_of_word, validate_morphism
+
 A1 = Alphabet.of("a")
 A2 = Alphabet.of("ab")
 
@@ -340,10 +342,10 @@ def test_monoid_of_ab_star():
 def test_monoid_two_languages():
     m = transition_monoid([lang("a*"), lang("(a|b)*b(a|b)*")])
     assert len(m.accept_sets) == 2
-    assert m.image_of_word("aa") in m.accept_sets[0]
-    assert m.image_of_word("aba") in m.accept_sets[1]
-    assert m.image_of_word("aba") not in m.accept_sets[0]
-    m.validate()
+    assert image_of_word(m, "aa") in m.accept_sets[0]
+    assert image_of_word(m, "aba") in m.accept_sets[1]
+    assert image_of_word(m, "aba") not in m.accept_sets[0]
+    validate_morphism(m)
 
 
 @pytest.mark.parametrize(
@@ -362,7 +364,7 @@ def test_mult_composes_transformations(texts, size):
     for i in m.elements():
         for j in m.elements():
             assert t[m.mult(i, j)] == tuple(t[j][p] for p in t[i])
-    m.validate(assoc_limit=63)
+    validate_morphism(m, assoc_limit=63)
 
 
 def test_monoid_budget():
@@ -375,7 +377,7 @@ def test_monoid_budget():
 def test_morphism_agrees_with_dfas(word):
     dfas = [lang("a(ab)*"), lang("(a|b)*b"), lang("~((a|b)*aa(a|b)*)")]
     m = transition_monoid(dfas)
-    image = m.image_of_word(word)
+    image = image_of_word(m, word)
     for dfa, accept in zip(dfas, m.accept_sets):
         assert dfa.accepts(word) == (image in accept)
 
@@ -384,7 +386,7 @@ def test_monoid_laws_exhaustive():
     for texts in [["(ab)*"], ["a(ab)*", "(a|b)*b"], ["(a|b)*aa(a|b)*"]]:
         m = transition_monoid([lang(t) for t in texts])
         assert m.size <= 200
-        m.validate(assoc_limit=200)
+        validate_morphism(m, assoc_limit=200)
 
 
 def test_monoid_size_sanity_bound():

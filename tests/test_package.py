@@ -19,13 +19,16 @@ ORACLE_MODULES = {"refcheck"}
 
 
 def referenced_names(node: ast.AST) -> set:
-    """Names a statement reads, as bare names or as attributes."""
+    """Names a statement reads, as bare names, as attributes, or as the
+    string a `getattr` looks up."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
     return out
 
 
@@ -48,6 +51,31 @@ def unreferenced_definitions() -> list:
     ]
 
 
+def unreferenced_methods() -> list:
+    """(module, class, method) of every method, dunders aside, whose name
+    no statement other than its own definition refers to."""
+    definitions, uses = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for stmt in ast.parse(path.read_text()).body:
+            if not isinstance(stmt, ast.ClassDef):
+                uses.append((None, referenced_names(stmt)))
+                continue
+            uses += [(None, referenced_names(node)) for node in stmt.decorator_list + stmt.bases]
+            for node in stmt.body:
+                own = None
+                if isinstance(node, ast.FunctionDef):
+                    own = (module, stmt.name, node.name)
+                    if not (node.name.startswith("__") and node.name.endswith("__")):
+                        definitions.append(own)
+                uses.append((own, referenced_names(node)))
+    return [
+        method
+        for method in definitions
+        if not any(method[2] in names and own != method for own, names in uses)
+    ]
+
+
 def test_every_definition_is_used_or_exported():
     dead = [
         (module, name)
@@ -61,3 +89,8 @@ def test_every_definition_is_used_or_exported():
 
 def test_kept_exceptions_are_still_unreferenced():
     assert set(KEPT_UNREFERENCED) <= set(unreferenced_definitions())
+
+
+def test_every_method_is_used():
+    dead = [method for method in unreferenced_methods() if method[0] not in ORACLE_MODULES]
+    assert dead == []
