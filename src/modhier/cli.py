@@ -12,6 +12,7 @@ import argparse
 import json
 import shlex
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from pathlib import Path
 
@@ -236,7 +237,9 @@ def run(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        args = _parser().parse_args(argv)
+        # argparse prints help to sys.stdout, usage errors to sys.stderr.
+        with redirect_stdout(out), redirect_stderr(err):
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

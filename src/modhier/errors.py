@@ -33,8 +33,8 @@ _BOUNDS = {
 class Budget:
     """Every resource limit of a query, one field per kind of growth.
 
-    `states` bounds each automaton built from a regex and the subset
-    sequence of a length profile, `monoid` the transition monoid,
+    `states` bounds the derivatives of a regex being compiled and the
+    subset sequence of a length profile, `monoid` the transition monoid,
     `antichain` every antichain and materialized downset the engines
     keep, `iterations` the rounds of a fixpoint, `values` the word
     images of a rating map, and `pairs` the (state, value) pairs of

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import Budget, InputError, RegexSyntaxError
 
@@ -282,39 +282,48 @@ class Dfa:
 def minimize(dfa: Dfa) -> Dfa:
     """Minimal complete DFA, states renumbered in BFS order from the initial.
 
-    The canonical numbering makes minimal DFAs of equal languages
-    structurally equal, so `==` doubles as a language-equality check on
-    minimized values.
+    Hopcroft's partition refinement (1971) on the reachable part, in
+    O(n k log n) for n states and k letters: a block splits each block
+    whose states differ on whether a letter leads into it, and after a
+    split only the smaller half need split others. The canonical
+    numbering makes minimal DFAs of equal languages structurally equal,
+    so `==` doubles as a language-equality check on minimized values.
     """
     nletters = len(dfa.alphabet)
     reach = _bfs_order_map(dfa.transitions, dfa.initial, nletters)
-    # Moore partition refinement on the reachable part.
-    block = {q: (1 if q in dfa.accepting else 0) for q in reach}
-    nblocks = 2 if len(set(block.values())) == 2 else 1
-    while True:
-        sigs = {}
-        newblock = {}
-        for q in reach:
-            sig = (block[q], tuple(block[dfa.transitions[q][l]] for l in range(nletters)))
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            newblock[q] = sigs[sig]
-        if len(sigs) == nblocks:
-            block = newblock
-            break
-        block, nblocks = newblock, len(sigs)
+    # Reachable states as their BFS numbers, with each letter's predecessors.
+    rows = [[reach[t] for t in dfa.transitions[q]] for q in reach]
+    preimages = [[[] for _ in rows] for _ in range(nletters)]
+    for q, row in enumerate(rows):
+        for l, t in enumerate(row):
+            preimages[l][t].append(q)
+    final = [q in dfa.accepting for q in reach]
+    block_of = [int(f) for f in final]
+    blocks = [{q for q, f in enumerate(final) if f == accepts} for accepts in (False, True)]
+    waiting = {int(len(blocks[1]) < len(blocks[0]))}  # the smaller block
+    while waiting:
+        splitter = list(blocks[waiting.pop()])
+        for preimage in preimages:
+            hit: dict[int, list[int]] = {}
+            for q in splitter:
+                for p in preimage[q]:
+                    hit.setdefault(block_of[p], []).append(p)
+            for b, inside in hit.items():
+                rest = blocks[b]
+                if len(inside) == len(rest):
+                    continue
+                new = len(blocks)
+                blocks.append(set(inside))
+                rest.difference_update(inside)
+                for p in inside:
+                    block_of[p] = new
+                waiting.add(new if b in waiting or len(inside) <= len(rest) else b)
     # Quotient transitions, then canonical renumbering by BFS.
-    rep = {}
-    for q in reach:
-        rep.setdefault(block[q], q)
-    qtrans = {
-        b: tuple(block[dfa.transitions[q][l]] for l in range(nletters)) for b, q in rep.items()
-    }
-    order = _bfs_order_map(qtrans, block[dfa.initial], nletters)
-    transitions = tuple(
-        tuple(order[t] for t in qtrans[b]) for b in sorted(qtrans, key=order.__getitem__)
-    )
-    accepting = frozenset(order[b] for b in qtrans if rep[b] in dfa.accepting)
+    rep = {b: q for q, b in enumerate(block_of)}
+    qtrans = {b: tuple(block_of[t] for t in rows[q]) for b, q in rep.items()}
+    order = _bfs_order_map(qtrans, block_of[0], nletters)
+    transitions = tuple(tuple(order[t] for t in qtrans[b]) for b in order)
+    accepting = frozenset(order[b] for b in order if final[rep[b]])
     return Dfa(dfa.alphabet, transitions, 0, accepting)
 
 
@@ -330,70 +339,6 @@ def _bfs_order_map(trans_map, initial, nletters: int) -> dict:
                 order[t] = len(order)
                 queue.append(t)
     return order
-
-
-def _determinize(
-    alphabet: Alphabet,
-    start: frozenset[int],
-    move: Callable[[int, int], Iterable[int]],
-    is_accept: Callable[[frozenset[int]], bool],
-    budget: Budget,
-) -> Dfa:
-    """Subset construction over an implicit NFA given by `move`."""
-    limit = budget.states
-    index = {start: 0}
-    rows = []
-    accepting = set()
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        if is_accept(subset):
-            accepting.add(index[subset])
-        row = []
-        for l in range(len(alphabet)):
-            nxt = frozenset(t for s in subset for t in move(s, l))
-            if nxt not in index:
-                if len(index) >= limit:
-                    raise budget.exceeded("states")
-                index[nxt] = len(index)
-                queue.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
-    return Dfa(alphabet, tuple(rows), 0, frozenset(accepting))
-
-
-def _product(x: Dfa, y: Dfa, keep: Callable[[bool, bool], bool], budget: Budget) -> Dfa:
-    if x.alphabet != y.alphabet:
-        raise ValueError("alphabet mismatch")
-    limit = budget.states
-    nletters = len(x.alphabet)
-    index = {(x.initial, y.initial): 0}
-    rows = []
-    accepting = set()
-    queue = deque([(x.initial, y.initial)])
-    while queue:
-        p, q = queue.popleft()
-        if keep(p in x.accepting, q in y.accepting):
-            accepting.add(index[(p, q)])
-        row = []
-        for l in range(nletters):
-            nxt = (x.transitions[p][l], y.transitions[q][l])
-            if nxt not in index:
-                if len(index) >= limit:
-                    raise budget.exceeded("states")
-                index[nxt] = len(index)
-                queue.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
-    return Dfa(x.alphabet, tuple(rows), 0, frozenset(accepting))
-
-
-def union(x: Dfa, y: Dfa, budget: Budget = Budget()) -> Dfa:
-    return minimize(_product(x, y, lambda a, b: a or b, budget))
-
-
-def intersect(x: Dfa, y: Dfa, budget: Budget = Budget()) -> Dfa:
-    return minimize(_product(x, y, lambda a, b: a and b, budget))
 
 
 def complement(x: Dfa) -> Dfa:
@@ -463,129 +408,175 @@ def short_words(dfa: Dfa, max_len: int) -> list[str]:
 def compile_regex(regex: Regex, alphabet: Alphabet, budget: Budget = Budget()) -> Dfa:
     """Minimal complete DFA for `regex`; raises on state-budget overrun.
 
-    Nodes are built children first, left to right, without recursion,
-    so any depth of nesting compiles. `built`, local to the call, maps
-    a node's key (its type with its letter or its children's numbers)
-    to its number and DFA, so equal subexpressions are built once and
-    no subtree is ever hashed. Every node is still minimized as on its
-    own, so the DFA and the point where the budget runs out do not
-    depend on the sharing.
+    The states are the regex's derivatives (Brzozowski 1964): the
+    derivative of a language by a letter a is the set of words w with
+    aw in it, and a word is accepted from a state when the state's term
+    is nullable. Derivatives are found breadth first from the regex, at
+    most `budget.states` of them, and the automaton is minimized once.
+    Terms are numbered afresh in each call, so nothing is kept between
+    calls.
     """
-    order = []  # each node with its number of children, parents first
-    todo = [regex]
-    while todo:
-        r = todo.pop()
-        children = _children(r)
-        order.append((r, len(children)))
-        todo.extend(children)
-    built: dict = {}
-    numbers, dfas = [], []  # of the nodes built whose parents are not
-    for r, arity in reversed(order):  # children before parents, left before right
-        first = len(numbers) - arity
-        key = (Sym, r.letter) if isinstance(r, Sym) else (type(r), *numbers[first:])
-        entry = built.get(key)
-        if entry is None:
-            entry = built[key] = (len(built), _node_dfa(r, dfas[first:], alphabet, budget))
-        del numbers[first:], dfas[first:]
-        numbers.append(entry[0])
-        dfas.append(entry[1])
-    return dfas[0]
+    terms = _Terms(len(alphabet))
+    root = terms.of_regex(regex, alphabet)
+    limit = budget.states
+    number = {root: 0}
+    found = [root]
+    rows = []
+    for term in found:  # grows as new derivatives are found
+        row = []
+        for l in range(len(alphabet)):
+            d = terms.derive(term, l)
+            q = number.get(d)
+            if q is None:
+                if len(found) >= limit:
+                    raise budget.exceeded("states")
+                q = number[d] = len(found)
+                found.append(d)
+            row.append(q)
+        rows.append(tuple(row))
+    accepting = frozenset(q for q, term in enumerate(found) if terms.nullable[term])
+    return minimize(Dfa(alphabet, tuple(rows), 0, accepting))
 
 
-def _dfa_empty(alphabet: Alphabet) -> Dfa:
-    return Dfa(alphabet, ((0,) * len(alphabet),), 0, frozenset())
+# The kinds of term: `0`, `e`, a letter, `|`, `&`, concatenation, `*`, `~`.
+_EMPTY, _EPS, _SYM, _ALT, _AND, _SEQ, _STAR, _NOT = range(8)
 
 
-def _dfa_eps(alphabet: Alphabet) -> Dfa:
-    sink = (1,) * len(alphabet)
-    return Dfa(alphabet, (sink, sink), 0, frozenset({0}))
+class _Terms:
+    """The regex terms of one compilation, interned as integers.
 
+    Term t is `nodes[t]`, a kind with its operands: a frozenset of terms
+    for `|` and `&`, a tuple of terms for the rest (a letter's index for
+    a letter). The constructors normalize, so terms equal modulo
+    associativity, commutativity and idempotence of `|` and `&` get one
+    number, which makes a regex's derivatives finitely many. `0` and
+    `~0` are the unit and zero of `|` (the zero and unit of `&`), `0`
+    and `e` are absorbed in concatenation, `~~r` is r and `(r*)*` is r*.
+    Integers, because Python does not cache the hash of a nested tuple.
+    """
 
-def _dfa_letter(alphabet: Alphabet, letter: str) -> Dfa:
-    """The minimal DFA of one letter, numbered in BFS order as `minimize` would."""
-    l = alphabet.index(letter)
-    hit, miss = (1, 2) if l == 0 else (2, 1)
-    sink = (miss,) * len(alphabet)
-    first = tuple(hit if i == l else miss for i in range(len(alphabet)))
-    return Dfa(alphabet, (first, sink, sink), 0, frozenset({hit}))
+    def __init__(self, nletters: int):
+        self.index: dict = {}
+        self.nodes: list = []
+        self.nullable: list[bool] = []
+        self.derivatives: list[dict[int, int]] = [{} for _ in range(nletters)]
+        self.empty = self.intern((_EMPTY, ()), False)
+        self.eps = self.intern((_EPS, ()), True)
+        self.full = self.intern((_NOT, (self.empty,)), True)
 
+    def intern(self, node: tuple, nullable: bool) -> int:
+        """The number of `node`, whose operands are numbered already."""
+        t = self.index.get(node)
+        if t is None:
+            t = self.index[node] = len(self.nodes)
+            self.nodes.append(node)
+            self.nullable.append(nullable)
+        return t
 
-def _concat(x: Dfa, y: Dfa, budget: Budget) -> Dfa:
-    off = x.num_states
+    def boolean(self, kind: int, operands: Iterable[int]) -> int:
+        """The `|` (kind `_ALT`) or `&` (kind `_AND`) of `operands`, flattened."""
+        unit, zero = (self.empty, self.full) if kind == _ALT else (self.full, self.empty)
+        members = set()
+        for t in operands:
+            node = self.nodes[t]
+            if node[0] == kind:
+                members.update(node[1])
+            else:
+                members.add(t)
+        if zero in members:
+            return zero
+        members.discard(unit)
+        if len(members) <= 1:
+            return members.pop() if members else unit
+        nullable = map(self.nullable.__getitem__, members)
+        return self.intern((kind, frozenset(members)), (any if kind == _ALT else all)(nullable))
 
-    def move(s: int, l: int) -> list[int]:
-        if s < off:
-            targets = [x.transitions[s][l]]
-            if s in x.accepting:
-                targets.append(off + y.transitions[y.initial][l])
-            return targets
-        return [off + y.transitions[s - off][l]]
+    def seq(self, x: int, y: int) -> int:
+        if self.empty in (x, y):
+            return self.empty
+        if self.eps in (x, y):
+            return y if x == self.eps else x
+        return self.intern((_SEQ, (x, y)), self.nullable[x] and self.nullable[y])
 
-    eps_in_y = y.initial in y.accepting
-    start = frozenset({x.initial} | ({off + y.initial} if x.initial in x.accepting else set()))
+    def star(self, x: int) -> int:
+        if x in (self.empty, self.eps):
+            return self.eps
+        return x if self.nodes[x][0] == _STAR else self.intern((_STAR, (x,)), True)
 
-    def is_accept(subset: frozenset[int]) -> bool:
-        for s in subset:
-            if s >= off and (s - off) in y.accepting:
-                return True
-            if eps_in_y and s < off and s in x.accepting:
-                return True
-        return False
+    def negate(self, x: int) -> int:
+        kind, operands = self.nodes[x]
+        return operands[0] if kind == _NOT else self.intern((_NOT, (x,)), not self.nullable[x])
 
-    return minimize(_determinize(x.alphabet, start, move, is_accept, budget))
+    def of_regex(self, regex: Regex, alphabet: Alphabet) -> int:
+        """The term of `regex`, built children first, left to right,
+        from an explicit stack, so any depth of nesting compiles."""
+        build = {
+            Empty: lambda: self.empty,
+            Eps: lambda: self.eps,
+            Alt: lambda x, y: self.boolean(_ALT, (x, y)),
+            And: lambda x, y: self.boolean(_AND, (x, y)),
+            Seq: self.seq,
+            Star: self.star,
+            Plus: lambda x: self.seq(x, self.star(x)),
+            Not: self.negate,
+        }
+        order = []  # each node with its number of children, parents first
+        todo = [regex]
+        while todo:
+            r = todo.pop()
+            if type(r) not in build and not isinstance(r, Sym):
+                raise TypeError(f"not a regex node: {r!r}")
+            children = (r.left, r.right) if isinstance(r, (Alt, And, Seq)) else ()
+            children = (r.inner,) if isinstance(r, (Star, Plus, Not)) else children
+            order.append((r, len(children)))
+            todo.extend(children)
+        built: list[int] = []  # the terms of the nodes whose parents are not built
+        for r, arity in reversed(order):
+            args = built[len(built) - arity :]
+            del built[len(built) - arity :]
+            if isinstance(r, Sym):
+                built.append(self.intern((_SYM, (alphabet.index(r.letter),)), False))
+            else:
+                built.append(build[type(r)](*args))
+        return built[0]
 
-
-def _star(x: Dfa, budget: Budget, plus: bool) -> Dfa:
-    # Fresh start state avoids false accepts from loops through the old
-    # initial state; for plus it accepts only when x itself accepts eps.
-    s0 = x.num_states
-    start_accepts = (not plus) or (x.initial in x.accepting)
-
-    def move(s: int, l: int) -> list[int]:
-        if s == s0:
-            return [x.transitions[x.initial][l]]
-        targets = [x.transitions[s][l]]
-        if s in x.accepting:
-            targets.append(x.transitions[x.initial][l])
-        return targets
-
-    def is_accept(subset: frozenset[int]) -> bool:
-        if s0 in subset:
-            return start_accepts
-        return any(s in x.accepting for s in subset)
-
-    return minimize(_determinize(x.alphabet, frozenset({s0}), move, is_accept, budget))
-
-
-def _children(r: Regex) -> tuple[Regex, ...]:
-    if isinstance(r, (Alt, And, Seq)):
-        return (r.left, r.right)
-    if isinstance(r, (Star, Plus, Not)):
-        return (r.inner,)
-    return ()
-
-
-def _node_dfa(r: Regex, dfas: list[Dfa], alp: Alphabet, budget: Budget) -> Dfa:
-    """The DFA of the node `r`, given `dfas`, those of its children."""
-    if isinstance(r, Empty):
-        return _dfa_empty(alp)
-    if isinstance(r, Eps):
-        return _dfa_eps(alp)
-    if isinstance(r, Sym):
-        return _dfa_letter(alp, r.letter)
-    if isinstance(r, Alt):
-        return union(*dfas, budget)
-    if isinstance(r, And):
-        return intersect(*dfas, budget)
-    if isinstance(r, Seq):
-        return _concat(*dfas, budget)
-    if isinstance(r, Star):
-        return _star(*dfas, budget, plus=False)
-    if isinstance(r, Plus):
-        return _star(*dfas, budget, plus=True)
-    if isinstance(r, Not):
-        return complement(*dfas)
-    raise TypeError(f"not a regex node: {r!r}")
+    def derive(self, term: int, l: int) -> int:
+        """The derivative of `term` by letter `l`, memoized. Those of its
+        operands come first, from an explicit stack, so deep terms derive."""
+        memo = self.derivatives[l]
+        todo = [term]
+        while todo:
+            t = todo[-1]
+            if t in memo:
+                todo.pop()
+                continue
+            kind, operands = self.nodes[t]
+            needs = () if kind == _SYM else operands
+            if kind == _SEQ and not self.nullable[operands[0]]:
+                needs = operands[:1]
+            missing = [u for u in needs if u not in memo]
+            if missing:
+                todo.extend(missing)
+                continue
+            todo.pop()
+            if kind == _SYM:
+                d = self.eps if operands[0] == l else self.empty
+            elif kind == _ALT or kind == _AND:
+                d = self.boolean(kind, [memo[u] for u in operands])
+            elif kind == _SEQ:
+                # d(xy) = d(x)y, or d(x)y | d(y) when x accepts the empty word
+                x, y = operands
+                d = self.seq(memo[x], y)
+                if self.nullable[x]:
+                    d = self.boolean(_ALT, (d, memo[y]))
+            elif kind == _STAR:
+                d = self.seq(memo[operands[0]], t)
+            elif kind == _NOT:
+                d = self.negate(memo[operands[0]])
+            else:
+                d = self.empty
+            memo[t] = d
+        return memo[term]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,20 @@ from __future__ import annotations
 
 import random
 
-from modhier.lang import Alphabet, compile_regex, parse_regex
+from modhier.lang import (
+    Alphabet,
+    Alt,
+    And,
+    Empty,
+    Eps,
+    Not,
+    Plus,
+    Seq,
+    Star,
+    Sym,
+    compile_regex,
+    parse_regex,
+)
 from modhier.semiring import DownSet, PowerSemiring, TableSemiring, antichain_of
 
 
@@ -151,3 +164,40 @@ def random_dfa(rng: random.Random, alphabet: Alphabet, max_states: int = 6, dept
         dfa = compile_regex(parse_regex(text, alphabet), alphabet)
         if dfa.num_states <= max_states:
             return dfa
+
+
+def matches(regex, word: str) -> bool:
+    """Does `regex` match `word`? Read off the AST node by node, with no
+    automaton, so it checks `compile_regex` independently."""
+    return (0, len(word)) in _spans(regex, word)
+
+
+def _spans(regex, word: str) -> set:
+    """The pairs (i, j) such that `regex` matches word[i:j]."""
+    n = len(word)
+    if isinstance(regex, Empty):
+        return set()
+    if isinstance(regex, Eps):
+        return {(i, i) for i in range(n + 1)}
+    if isinstance(regex, Sym):
+        return {(i, i + 1) for i, a in enumerate(word) if a == regex.letter}
+    if isinstance(regex, (Alt, And, Seq)):
+        left, right = _spans(regex.left, word), _spans(regex.right, word)
+        if isinstance(regex, Alt):
+            return left | right
+        if isinstance(regex, And):
+            return left & right
+        return {(i, k) for i, j in left for j2, k in right if j == j2}
+    if not isinstance(regex, (Not, Star, Plus)):
+        raise TypeError(f"not a regex node: {regex!r}")
+    inner = _spans(regex.inner, word)
+    if isinstance(regex, Not):
+        return {(i, j) for i in range(n + 1) for j in range(i, n + 1)} - inner
+    # Concatenations of one or more inner spans, and for Star also the
+    # empty span at every position.
+    closure = set(inner) | ({(i, i) for i in range(n + 1)} if isinstance(regex, Star) else set())
+    while True:
+        longer = {(i, k) for i, j in closure for j2, k in inner if j == j2} - closure
+        if not longer:
+            return closure
+        closure |= longer

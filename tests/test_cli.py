@@ -298,9 +298,26 @@ def test_budget_overflow_exits_three():
 @pytest.mark.parametrize("flag", ["--max-states", "--max-antichain"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_budget_flags_below_one_are_usage_errors(flag, value, capsys):
-    code, out, _ = invoke("member", "--level", "1", "--alphabet", "ab", "a*", flag, value)
+    code, out, err = invoke("member", "--level", "1", "--alphabet", "ab", "a*", flag, value)
     assert (code, out) == (2, "")
-    assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+    assert f"argument {flag}: must be at least 1, got {value}" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_batch_usage_errors_reach_the_err_stream(tmp_path, capsys):
+    script = tmp_path / "queries.txt"
+    script.write_text('member --level 1 --alphabet ab "a*" --max-states 0\n')
+    out, err = StringIO(), StringIO()
+    assert run(["batch", str(script)], out=out, err=err) == 2
+    assert "must be at least 1, got 0" in err.getvalue()
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_the_out_stream(capsys):
+    code, out, err = invoke("member", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: modhier member")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_level_zero_length_profile_exits_three_in_bounded_time():

@@ -1,6 +1,8 @@
 """Regex parsing, DFA compilation, regular ops, transition monoids."""
 
 import copy
+import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -25,16 +27,14 @@ from modhier.lang import (
     disjoint,
     equivalent,
     included,
-    intersect,
     is_empty,
     minimize,
     parse_regex,
     short_words,
     transition_monoid,
-    union,
 )
 
-from gen import image_of_word, validate_morphism
+from gen import image_of_word, matches, validate_morphism
 
 A1 = Alphabet.of("a")
 A2 = Alphabet.of("ab")
@@ -144,6 +144,11 @@ def test_compile_boolean_ops():
 def test_compile_budget():
     with pytest.raises(BudgetExceededError):
         compile_regex(parse_regex("(a|b)(a|b)(a|b)(a|b)(a|b)", A2), A2, Budget(states=4))
+    # The budget bounds the derivatives: a^10, a^9, ..., a, e and 0.
+    path = parse_regex("a" * 10, A2)
+    assert compile_regex(path, A2, Budget(states=12)).num_states == 12
+    with pytest.raises(BudgetExceededError, match=r"^state budget exceeded \(limit 11\)$"):
+        compile_regex(path, A2, Budget(states=11))
 
 
 @pytest.mark.parametrize(
@@ -165,18 +170,12 @@ def test_malformed_dfas_are_rejected(transitions, initial, accepting, message):
         Dfa(A2, transitions, initial, frozenset(accepting))
 
 
-def compile_outcome(build, regex, budget):
+def compile_outcome(regex, budget):
     try:
-        dfa = build(regex, A2, budget)
+        dfa = compile_regex(regex, A2, budget)
     except BudgetExceededError as error:
         return str(error)
     return dfa
-
-
-def build_every_node(regex, alphabet, budget):
-    """The reference compilation: each node built again wherever it occurs."""
-    dfas = [build_every_node(c, alphabet, budget) for c in lang_module._children(regex)]
-    return lang_module._node_dfa(regex, dfas, alphabet, budget)
 
 
 def _wrap(children):
@@ -198,13 +197,44 @@ _shared_regexes = _subtrees.flatmap(
 )
 
 
+_SHORT_WORDS = ["".join(w) for n in range(7) for w in itertools.product("ab", repeat=n)]
+
+
 @settings(max_examples=150, deadline=None)
-@given(_shared_regexes, st.one_of(st.none(), st.integers(1, 24)))
+@given(_shared_regexes, st.integers(1, 24))
 def test_shared_subexpressions_compile_as_when_built_each_time(regex, limit):
-    budget = Budget() if limit is None else Budget(states=limit)
-    assert compile_outcome(compile_regex, regex, budget) == compile_outcome(
-        build_every_node, regex, budget
-    )
+    # Against `matches`, which reads the AST with no automaton.
+    dfa = compile_regex(regex, A2)
+    accepted = [w for w in _SHORT_WORDS if dfa.accepts(w)]
+    assert accepted == [w for w in _SHORT_WORDS if matches(regex, w)]
+    assert minimize(dfa) == dfa
+    # A bounded compilation trips the state budget or gives the same DFA,
+    # and one that fits fits any larger budget.
+    outcome = compile_outcome(regex, Budget(states=limit))
+    assert outcome in (dfa, f"state budget exceeded (limit {limit})")
+    if outcome == dfa:
+        assert compile_outcome(regex, Budget(states=limit + 1)) == dfa
+
+
+@pytest.mark.parametrize(
+    "text, states",
+    [
+        ("a" * 4000, 4002),
+        ("(" + "a" * 4000 + ")*", 4001),
+        ("a" * 5000, None),
+        ("(a|b)*a" + "(a|b)" * 12, None),
+    ],
+    ids=["a x 4000", "(a x 4000)*", "a x 5000", "(a|b)*a(a|b) x 12"],
+)
+def test_path_regexes_compile_in_bounded_time(text, states):
+    # Long paths: their cost is bounded by the states budget, not cubic in their length.
+    started = time.process_time()
+    outcome = compile_outcome(parse_regex(text, A2), Budget())
+    assert time.process_time() - started < 5
+    if states is None:
+        assert outcome == "state budget exceeded (limit 4096)"
+    else:
+        assert outcome.num_states == states
 
 
 def test_long_alternations_compile():
@@ -255,11 +285,11 @@ def minimize_calls(monkeypatch):
 
 
 def test_equal_subexpressions_are_minimized_once(minimize_calls):
-    regex = parse_regex("(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)", A2)
-    compile_regex(regex, A2)
-    # (a|b) and the five concatenations (letters are built minimal); 11
-    # when each occurrence is built.
-    assert len(minimize_calls) == 6
+    # Every compilation minimizes once, at the root, whatever its operators.
+    for text in ["(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)", "~(a*b)&(ab)+|e", "(" * 50 + "a" + ")*" * 50]:
+        minimize_calls.clear()
+        compile_regex(parse_regex(text, A2), A2)
+        assert len(minimize_calls) == 1, text
 
 
 def test_no_compiled_subexpression_outlives_its_call(minimize_calls):
@@ -283,10 +313,12 @@ def test_minimize_idempotent_and_canonical():
 
 @pytest.mark.parametrize("letters", ["a", "ab", "abc", "abcd"])
 def test_letter_automata_are_built_minimal(letters):
+    # a letter: initial, accepting and sink states
     alphabet = Alphabet.of(letters)
     for x in letters:
-        letter = lang_module._dfa_letter(alphabet, x)
+        letter = lang(x, alphabet)
         assert minimize(letter) == letter
+        assert (letter.num_states, short_words(letter, 2)) == (3, [x])
 
 
 # -- regular ops ------------------------------------------------------------
@@ -296,10 +328,11 @@ def test_regular_ops_examples():
     even, odd = lang("(aa)*", A1), lang("a(aa)*", A1)
     assert disjoint(even, odd)
     assert included(lang("a*"), lang("~((a|b)*b(a|b)*)"))
-    assert is_empty(intersect(lang("a*"), lang("(a|b)*b(a|b)*")))
+    assert is_empty(lang("a* & (a|b)*b(a|b)*"))
     assert not disjoint(lang("a*"), lang("a|b"))
-    assert equivalent(union(even, odd), lang("a*", A1))
-    assert is_empty(intersect(even, complement(even), Budget(states=64)))
+    assert equivalent(lang("(aa)* | a(aa)*", A1), lang("a*", A1))
+    assert is_empty(lang("(aa)* & ~((aa)*)", A1))
+    assert complement(even) == odd
 
 
 def test_short_words():

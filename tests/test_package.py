@@ -76,6 +76,48 @@ def unreferenced_methods() -> list:
     ]
 
 
+def self_calls(source: str) -> list:
+    """Names of the functions in `source` that call themselves by bare
+    name, and of the methods that call `self.<their own name>`."""
+    tree = ast.parse(source)
+    methods = {
+        node
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = call.func
+            if fn in methods:
+                hit = (
+                    isinstance(callee, ast.Attribute)
+                    and callee.attr == fn.name
+                    and isinstance(callee.value, ast.Name)
+                    and callee.value.id == "self"
+                )
+            else:
+                hit = isinstance(callee, ast.Name) and callee.id == fn.name
+            if hit:
+                found.append(fn.name)
+    return found
+
+
+def test_regex_front_end_does_not_recurse():
+    # Regexes nest past Python's recursion limit, so `lang` keeps its
+    # pending work on explicit stacks.
+    assert self_calls((PACKAGE / "lang.py").read_text()) == []
+    assert self_calls("def f(r):\n    return [f(c) for c in r]\n") == ["f"]
+    method = "class T:\n    def d(self, t):\n        return self.d(t - 1)\n"
+    assert self_calls(method) == ["d"]
+
+
 def test_every_definition_is_used_or_exported():
     dead = [
         (module, name)
