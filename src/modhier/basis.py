@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import Budget, UnsupportedError
-from .lang import Dfa
+from .lang import Dfa, explore
 from .rating import RatingMap
 from .semiring import omega_power
 
@@ -49,22 +49,15 @@ def length_profile(dfa: Dfa, budget: Budget = Budget()) -> LengthProfile:
     bounds how many are kept: the period can be the lcm of the DFA's
     cycle lengths, far more than its states.
     """
-    width = len(dfa.alphabet)
-    limit = budget.states
-    current = frozenset({dfa.initial})
-    seen = {current: 0}
-    sets = [current]
-    while True:
-        nxt = frozenset(dfa.transitions[q][j] for q in current for j in range(width))
-        if nxt in seen:
-            threshold = seen[nxt]
-            period = len(sets) - threshold
-            break
-        if len(sets) >= limit:
-            raise budget.exceeded("states", "length profile state")
-        seen[nxt] = len(sets)
-        sets.append(nxt)
-        current = nxt
+    letter_indices = range(len(dfa.alphabet))
+
+    def step(states, _):
+        return frozenset(dfa.transitions[q][j] for q in states for j in letter_indices)
+
+    start = frozenset({dfa.initial})
+    sets, moves, _ = explore(start, (None,), step, budget, "states", "length profile state")
+    threshold = moves[-1][0]
+    period = len(sets) - threshold
     accepted = [bool(s & dfa.accepting) for s in sets]
     initial = frozenset(n for n in range(threshold) if accepted[n])
     residues = frozenset(n % period for n in range(threshold, threshold + period) if accepted[n])

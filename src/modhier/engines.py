@@ -15,7 +15,7 @@ from __future__ import annotations
 from .basis import BasisOracle
 from .errors import Budget
 from .lang import MonoidMorphism
-from .rating import RatingMap, aux_bpol_map, aux_pbpol_map, image_values
+from .rating import RatingMap, aux_bpol_map, aux_pbpol_map
 from .semiring import (
     Antichain,
     AntichainSemiring,
@@ -158,12 +158,15 @@ def bpol_iopti(rho: RatingMap, oracle: BasisOracle, budget: Budget = Budget()) -
 
 
 def bpol_opti(rho: RatingMap, iopti: DownSet, budget: Budget = Budget()) -> DownSet:
-    """Full level-1 imprint over all words: close iopti with the word images.
+    """Full level-1 imprint over all words: close iopti with unit and letter images.
 
-    Least superset of the level-1 approximation containing every
-    reachable word image, closed under downward closure and product.
+    Least superset of the level-1 approximation containing every word
+    image, closed under downward closure and product. Seeding the unit
+    and letters generates every word image because the result is
+    product-closed.
     """
-    seeds = list(iopti.maximal) + list(image_values(rho, budget))
+    seeds = list(iopti.maximal) + [rho.semiring.one]
+    seeds += [rho.letter_image[a] for a in rho.alphabet]
     return _saturate(rho.semiring, seeds, budget)
 
 

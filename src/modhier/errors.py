@@ -34,12 +34,14 @@ class Budget:
     """Every resource limit of a query, one field per kind of growth.
 
     `states` bounds the derivatives of a regex being compiled and the
-    subset sequence of a length profile, `monoid` the transition monoid,
-    `antichain` every antichain and materialized downset the engines
-    keep, `iterations` the rounds of a fixpoint, `values` the word
-    images of a rating map, and `pairs` the (state, value) pairs of
+    subset sequence of a length profile, `monoid` the transition monoid
+    and the product states it acts on, `antichain` every antichain and
+    materialized downset the engines keep, `iterations` the rounds of a
+    fixpoint, `values` the word images of a rating map and the powers
+    of an omega power, and `pairs` the (state, value) pairs of
     evaluating a rating map on a language. Loops compare their size
-    with a field and raise `exceeded(field)` past it.
+    with a field and raise `exceeded(field)` past it; every reachability
+    walk does so through `lang.explore`.
     """
 
     states: int = 4096

@@ -237,6 +237,43 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
 
 
 # ---------------------------------------------------------------------------
+# Reachability
+
+
+def explore(start, letters, step, budget: Budget, field: str, what: str | None = None):
+    """Number the states reachable from `start` under `step`, breadth first.
+
+    Returns (states, transitions, tree): `states[0]` is `start`,
+    `transitions[i][l]` is the number of `step(states[i], letters[l])`,
+    and `tree[j - 1]` is the pair (i, l) whose step first found state
+    j, so i < j. This is the right Cayley graph enumeration of Froidure
+    and Pin (1997) when the states are products and `step` multiplies
+    by a generator. The states draw on `budget`'s `field`:
+    `exceeded(field, what)` is raised when one more than it allows
+    turns up.
+    """
+    limit = getattr(budget, field)
+    number = {start: 0}
+    states = [start]
+    transitions = []
+    tree = []
+    for i, state in enumerate(states):  # grows as new states are found
+        row = []
+        for l, letter in enumerate(letters):
+            nxt = step(state, letter)
+            j = number.get(nxt)
+            if j is None:
+                if len(states) >= limit:
+                    raise budget.exceeded(field, what)
+                j = number[nxt] = len(states)
+                states.append(nxt)
+                tree.append((i, l))
+            row.append(j)
+        transitions.append(tuple(row))
+    return states, transitions, tree
+
+
+# ---------------------------------------------------------------------------
 # DFAs
 
 
@@ -418,22 +455,7 @@ def compile_regex(regex: Regex, alphabet: Alphabet, budget: Budget = Budget()) -
     """
     terms = _Terms(len(alphabet))
     root = terms.of_regex(regex, alphabet)
-    limit = budget.states
-    number = {root: 0}
-    found = [root]
-    rows = []
-    for term in found:  # grows as new derivatives are found
-        row = []
-        for l in range(len(alphabet)):
-            d = terms.derive(term, l)
-            q = number.get(d)
-            if q is None:
-                if len(found) >= limit:
-                    raise budget.exceeded("states")
-                q = number[d] = len(found)
-                found.append(d)
-            row.append(q)
-        rows.append(tuple(row))
+    found, rows, _ = explore(root, range(len(alphabet)), terms.derive, budget, "states")
     accepting = frozenset(q for q, term in enumerate(found) if terms.nullable[term])
     return minimize(Dfa(alphabet, tuple(rows), 0, accepting))
 
@@ -586,34 +608,39 @@ class _Terms:
 class MonoidMorphism:
     """Transition monoid of a product automaton, as a morphism.
 
-    Elements are integer indices; index 0 is the unit (the identity
-    transformation). `accept_sets[i]` holds the elements sending the
-    initial product state into a configuration accepting for the i-th
-    input DFA, so a word w lies in L_i iff its image lies there.
+    Elements are integer indices; index 0 is the unit. The monoid is
+    kept as its right Cayley graph: `right[m][l]` is m followed by the
+    l-th letter, and `tree` the spanning tree of the enumeration (see
+    `explore`), which spells out `word_for[m]`, the
+    length-lexicographically least word mapping to m. `accept_sets[i]`
+    holds the elements sending the initial product state into a
+    configuration accepting for the i-th input DFA, so a word w lies in
+    L_i iff its image lies there.
 
     Multiplication reads Cayley rows: `row(i)` holds the product of i
-    with every element, formed in full the first time it is needed and
-    kept for the morphism's lifetime. Rows are filled only for the left
-    factors in use, so a large monoid whose products are never asked
-    costs nothing, but the worst case is |M|^2 integers.
+    with every element, read off the graph the first time it is needed
+    (i * m is i * m' followed by a letter, for the tree's parent m' of
+    m) and kept for the morphism's lifetime. Rows are filled only for
+    the left factors in use, so a large monoid whose products are never
+    asked costs nothing, but the worst case is |M|^2 integers.
     """
 
-    def __init__(self, alphabet, transformations, letter_image, accept_sets, word_for):
+    def __init__(self, alphabet, right, tree, accept_sets):
         self.alphabet = alphabet
-        self._transformations = tuple(transformations)
-        self._index = {t: i for i, t in enumerate(self._transformations)}
-        self.letter_image = dict(letter_image)
+        self._right = right
+        self._tree = tree
+        self.letter_image = dict(zip(alphabet, right[0]))
         self.accept_sets = tuple(frozenset(f) for f in accept_sets)
+        word_for = [""]
+        for parent, l in tree:
+            word_for.append(word_for[parent] + alphabet.letters[l])
         self.word_for = tuple(word_for)
         self.unit = 0
-        self._rows: list[tuple[int, ...] | None] = [None] * len(self._transformations)
-        npoints = len(self._transformations[0])
-        if self._transformations[0] != tuple(range(npoints)):
-            raise ValueError("element 0 must be the identity transformation")
+        self._rows: list[tuple[int, ...] | None] = [None] * len(right)
 
     @property
     def size(self) -> int:
-        return len(self._transformations)
+        return len(self._right)
 
     def __len__(self) -> int:
         return self.size
@@ -625,9 +652,10 @@ class MonoidMorphism:
         """The products of element i followed by each element, by index."""
         row = self._rows[i]
         if row is None:
-            ti, index = self._transformations[i], self._index
-            row = tuple(index[tuple(map(tj.__getitem__, ti))] for tj in self._transformations)
-            self._rows[i] = row
+            right, row = self._right, [i]
+            for parent, l in self._tree:
+                row.append(right[row[parent]][l])
+            row = self._rows[i] = tuple(row)
         return row
 
     def mult(self, i: int, j: int) -> int:
@@ -646,10 +674,13 @@ def transition_monoid(dfas: list[Dfa], budget: Budget = Budget()) -> MonoidMorph
     """Close the letter transformations of the product DFA under composition.
 
     The product-state space is restricted to states reachable from the
-    tuple of initials; transformations act on that set. Closure is a
-    worklist walk from the identity, appending generators on the right,
-    so `word_for[m]` is the length-lexicographically least word mapping
-    to m (letters compared in alphabet order).
+    tuple of initials; transformations act on that set. Both are found
+    by `explore`, and both draw on the `monoid` budget: each reachable
+    state is the image of the initial one under an element, so there
+    are never more states than elements. The closure starts from the
+    identity and appends generators on the right, so `word_for[m]` is
+    the length-lexicographically least word mapping to m (letters
+    compared in alphabet order).
     """
     if not dfas:
         raise ValueError("need at least one DFA")
@@ -657,53 +688,19 @@ def transition_monoid(dfas: list[Dfa], budget: Budget = Budget()) -> MonoidMorph
     if any(d.alphabet != alphabet for d in dfas):
         raise ValueError("alphabet mismatch")
 
+    def step(state, l):
+        return tuple(d.transitions[q][l] for d, q in zip(dfas, state))
+
     init = tuple(d.initial for d in dfas)
-    states = {init: 0}
-    state_list = [init]
-    queue = deque([init])
-    while queue:
-        s = queue.popleft()
-        for l in range(len(alphabet)):
-            nxt = tuple(d.transitions[q][l] for d, q in zip(dfas, s))
-            if nxt not in states:
-                states[nxt] = len(states)
-                state_list.append(nxt)
-                queue.append(nxt)
-
-    npoints = len(state_list)
-    letter_maps = []
-    for l in range(len(alphabet)):
-        letter_maps.append(
-            tuple(
-                states[tuple(d.transitions[q][l] for d, q in zip(dfas, s))] for s in state_list
-            )
-        )
-
-    limit = budget.monoid
-    identity = tuple(range(npoints))
-    index = {identity: 0}
-    transformations = [identity]
-    word_for = [""]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        t = transformations[i]
-        for l, a in enumerate(alphabet):
-            composed = tuple(map(letter_maps[l].__getitem__, t))
-            if composed not in index:
-                if len(transformations) >= limit:
-                    raise budget.exceeded("monoid")
-                index[composed] = len(transformations)
-                transformations.append(composed)
-                word_for.append(word_for[i] + a)
-                queue.append(index[composed])
-
-    letter_image = {a: index[letter_maps[l]] for l, a in enumerate(alphabet)}
+    states, moves, _ = explore(init, range(len(alphabet)), step, budget, "monoid")
+    letter_maps = list(zip(*moves))
+    identity = tuple(range(len(states)))
+    transformations, right, tree = explore(
+        identity, letter_maps, lambda t, m: tuple(map(m.__getitem__, t)), budget, "monoid"
+    )
     accept_sets = []
     for i, d in enumerate(dfas):
         accept_sets.append(
-            frozenset(
-                m for m, t in enumerate(transformations) if state_list[t[0]][i] in d.accepting
-            )
+            frozenset(m for m, t in enumerate(transformations) if states[t[0]][i] in d.accepting)
         )
-    return MonoidMorphism(alphabet, transformations, letter_image, accept_sets, word_for)
+    return MonoidMorphism(alphabet, right, tree, accept_sets)

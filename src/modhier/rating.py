@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import Budget
-from .lang import Alphabet, Dfa, MonoidMorphism
+from .lang import Alphabet, Dfa, MonoidMorphism, explore
 from .semiring import PairSpace, PowerSemiring, Semiring
 
 
@@ -43,21 +43,14 @@ def eval_regular(rho: RatingMap, dfa: Dfa, budget: Budget = Budget()):
     if dfa.alphabet != rho.alphabet:
         raise ValueError("language and rating map use different alphabets")
     semiring = rho.semiring
-    limit = budget.pairs
-    start = (dfa.initial, semiring.one)
-    seen = {start}
-    todo = [start]
-    while todo:
-        state, value = todo.pop()
-        row = dfa.transitions[state]
-        for j, letter in enumerate(dfa.alphabet):
-            nxt = (row[j], semiring.mul(value, rho.letter_image[letter]))
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > limit:
-                    raise budget.exceeded("pairs")
-                todo.append(nxt)
-    return semiring.sum(value for state, value in seen if state in dfa.accepting)
+    letters = [(j, rho.letter_image[a]) for j, a in enumerate(dfa.alphabet)]
+
+    def step(pair, letter):
+        (state, value), (j, image) = pair, letter
+        return dfa.transitions[state][j], semiring.mul(value, image)
+
+    pairs, _, _ = explore((dfa.initial, semiring.one), letters, step, budget, "pairs")
+    return semiring.sum(value for state, value in pairs if state in dfa.accepting)
 
 
 def value_automaton(rho: RatingMap, budget: Budget = Budget()):
@@ -69,33 +62,9 @@ def value_automaton(rho: RatingMap, budget: Budget = Budget()):
     values[i] under the word-level map.
     """
     semiring = rho.semiring
-    limit = budget.values
-    values = [semiring.one]
-    index = {semiring.one: 0}
-    transitions: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(values):
-        value = values[i]
-        row = []
-        for letter in rho.alphabet:
-            nxt = semiring.mul(value, rho.letter_image[letter])
-            at = index.get(nxt)
-            if at is None:
-                at = len(values)
-                index[nxt] = at
-                values.append(nxt)
-                if len(values) > limit:
-                    raise budget.exceeded("values")
-            row.append(at)
-        transitions.append(tuple(row))
-        i += 1
+    letters = [rho.letter_image[a] for a in rho.alphabet]
+    values, transitions, _ = explore(semiring.one, letters, semiring.mul, budget, "values")
     return values, tuple(transitions)
-
-
-def image_values(rho: RatingMap, budget: Budget = Budget()) -> frozenset:
-    """The set of word images rho(w), w ranging over all words."""
-    values, _ = value_automaton(rho, budget)
-    return frozenset(values)
 
 
 def canonical_covering_map(morphism: MonoidMorphism) -> RatingMap:

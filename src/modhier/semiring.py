@@ -14,6 +14,7 @@ from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator
 
 from .errors import Budget
+from .lang import explore
 
 
 class Semiring:
@@ -247,26 +248,17 @@ class AntichainSemiring(Semiring):
 def omega_power(semiring: Semiring, s, budget: Budget = Budget()):
     """The unique idempotent among the positive powers of s.
 
-    Successive powers with cycle detection: once s^j = s^i (i < j), the
-    cycle has period c = j - i and its idempotent sits at the least
-    multiple of c that is >= max(i, 1). The powers kept until then
-    draw on the `values` budget.
+    Successive powers with cycle detection (`explore` with the one
+    generator s): once the n powers found give s^(n + 1) = s^i, the
+    cycle has period c = n + 1 - i and its idempotent sits at the least
+    multiple of c that is >= i. The powers kept until then draw on the
+    `values` budget.
     """
-    powers = [None, s]
-    seen = {s: 1}
-    current = s
-    while True:
-        current = semiring.mul(current, s)
-        exponent = len(powers)
-        if current in seen:
-            start = seen[current]
-            period = exponent - start
-            k = ((max(start, 1) + period - 1) // period) * period
-            return powers[k]
-        if exponent > budget.values:
-            raise budget.exceeded("values", "omega power")
-        seen[current] = exponent
-        powers.append(current)
+    powers, moves, _ = explore(s, (s,), semiring.mul, budget, "values", "omega power")
+    start = moves[-1][0] + 1  # powers[i] is s^(i + 1)
+    period = len(powers) + 1 - start
+    k = ((start + period - 1) // period) * period
+    return powers[k - 1]
 
 
 def _one_part(x) -> None:

@@ -11,7 +11,7 @@ import pytest
 import modhier
 from modhier import Alphabet, Budget, BudgetExceededError, compile_regex, member, parse_regex
 from modhier.basis import mod_cover_oracle
-from modhier.rating import canonical_covering_map, eval_regular
+from modhier.rating import canonical_covering_map, eval_regular, value_automaton
 from modhier.lang import transition_monoid
 from modhier.refcheck import bpol_iopti_enumerated
 
@@ -34,7 +34,8 @@ TRIPS = [
     ("monoid", 1, "monoid", lambda b: member("1/2", lang("a*"), ORACLE, b)),
     ("antichain", 1, "antichain", lambda b: member("1/2", lang("a*"), ORACLE, b)),
     ("iterations", 1, "iteration", lambda b: member("1", lang("a*"), ORACLE, b)),
-    ("values", 1, "rating value", lambda b: member("1", lang("a*"), ORACLE, b)),
+    ("values", 1, "rating value",
+     lambda b: value_automaton(canonical_covering_map(transition_monoid([lang("a*")])), b)),
     ("pairs", 1, "evaluation pair", evaluate),
 ]
 

@@ -331,6 +331,16 @@ def test_level_zero_length_profile_exits_three_in_bounded_time():
     assert "length profile state budget exceeded (limit 4096)" in err
 
 
+def test_product_of_prime_cycles_exits_three_in_bounded_time():
+    # The product automaton of the nine cycles has 223,092,870 states.
+    regexes = ["(%s)*" % ("a" * p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)]
+    started = time.process_time()
+    code, out, err = invoke("cover", "--level", "1/2", "--alphabet", "a", *regexes)
+    assert time.process_time() - started < 2
+    assert (code, out) == (3, "")
+    assert "monoid budget exceeded (limit 20000)" in err
+
+
 def test_max_states_bounds_automata_not_the_monoid():
     # The 10-state DFA has a 20-element monoid, which the monoid budget allows.
     code, out, err = invoke(

@@ -1,8 +1,10 @@
 """Regex parsing, DFA compilation, regular ops, transition monoids."""
 
 import copy
+import gc
 import itertools
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -292,14 +294,22 @@ def test_equal_subexpressions_are_minimized_once(minimize_calls):
         assert len(minimize_calls) == 1, text
 
 
-def test_no_compiled_subexpression_outlives_its_call(minimize_calls):
+def test_no_compiled_subexpression_outlives_its_call(monkeypatch):
+    # Each call builds its own term table, starting with no derivatives,
+    # and drops it on return.
+    tables = []
+
+    class Recorded(lang_module._Terms):
+        def __init__(self, nletters):
+            super().__init__(nletters)
+            tables.append((weakref.ref(self), len(self.nodes), [len(m) for m in self.derivatives]))
+
+    monkeypatch.setattr(lang_module, "_Terms", Recorded)
     regex = parse_regex("((a|b)(a|b))*a(a|b)|((a|b)(a|b))*", A2)
-    counts = []
     for _ in range(2):
-        minimize_calls.clear()
         compile_regex(regex, A2)
-        counts.append(len(minimize_calls))
-    assert counts[0] == counts[1] > 0
+    gc.collect()
+    assert [(ref(), nodes, memos) for ref, nodes, memos in tables] == [(None, 3, [0, 0])] * 2
 
 
 def test_minimize_idempotent_and_canonical():
@@ -391,18 +401,48 @@ def test_monoid_two_languages():
     ],
 )
 def test_mult_composes_transformations(texts, size):
-    m = transition_monoid([lang(t) for t in texts])
+    dfas = [lang(t) for t in texts]
+    m = transition_monoid(dfas)
     assert size is None or m.size == size
-    t = m._transformations
+
+    def run(state, word):
+        for a in word:
+            state = tuple(d.step(q, a) for d, q in zip(dfas, state))
+        return state
+
+    # The product states reachable from the initials, and each element's
+    # action on them, read off the DFAs by running its word.
+    states = {tuple(d.initial for d in dfas)}
+    todo = list(states)
+    while todo:
+        state = todo.pop()
+        for a in A2:
+            nxt = run(state, a)
+            if nxt not in states:
+                states.add(nxt)
+                todo.append(nxt)
+    action = [{s: run(s, m.word_for[i]) for s in states} for i in m.elements()]
+    assert len({tuple(sorted(f.items())) for f in action}) == m.size
     for i in m.elements():
         for j in m.elements():
-            assert t[m.mult(i, j)] == tuple(t[j][p] for p in t[i])
+            # word_for[i] + word_for[j] acts as word_for[i], then word_for[j]
+            assert action[m.mult(i, j)] == {s: action[j][action[i][s]] for s in states}
     validate_morphism(m, assoc_limit=63)
 
 
 def test_monoid_budget():
     with pytest.raises(BudgetExceededError):
         transition_monoid([lang("(ab)*")], Budget(monoid=3))
+
+
+def test_product_states_draw_on_the_monoid_budget():
+    # 2 * 3 * 5 * 7 * 11 * 13 * 17 = 510,510 reachable product states.
+    dfas = [lang("(%s)*" % ("a" * p), A1) for p in (2, 3, 5, 7, 11, 13, 17)]
+    started = time.process_time()
+    with pytest.raises(BudgetExceededError) as caught:
+        transition_monoid(dfas, Budget(monoid=100))
+    assert time.process_time() - started < 0.5
+    assert str(caught.value) == "monoid budget exceeded (limit 100)"
 
 
 @settings(max_examples=1000, deadline=None)

@@ -109,6 +109,49 @@ def self_calls(source: str) -> list:
     return found
 
 
+# The functions that may raise a budget error. Every reachability walk
+# numbers its states through `lang.explore`; the rest bound fixpoint
+# rounds, antichains and materialized downsets.
+BUDGET_CALLERS = {
+    "lang.explore",
+    "engines.bpol_iopti",
+    "engines.pbpol_iopti",
+    "semiring.Antichain.add",
+    "semiring.DownSet.to_set",
+    "refcheck.bpol_iopti_enumerated",
+}
+
+
+def budget_callers(source: str, module: str) -> set:
+    """Qualified names of the functions in `source` that call `.exceeded(`."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if isinstance(child, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "exceeded"
+                    for call in ast.walk(child)
+                ):
+                    found.add(name)
+                visit(child, name)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_only_the_allowed_functions_raise_budget_errors():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= budget_callers(path.read_text(), path.stem)
+    assert found == BUDGET_CALLERS
+    loop = "def walk(b):\n    while True:\n        raise b.exceeded('states')\n"
+    assert budget_callers(loop, "lang") == {"lang.walk"}
+
+
 def test_regex_front_end_does_not_recurse():
     # Regexes nest past Python's recursion limit, so `lang` keeps its
     # pending work on explicit stacks.
