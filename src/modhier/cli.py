@@ -221,12 +221,14 @@ def _run_batch(args, out, err) -> int:
         try:
             tokens = shlex.split(line)
         except ValueError as exc:
-            raise InputError(str(exc)) from None
-        if tokens and tokens[0] == "batch":
-            err.write("batch files cannot nest batch commands\n")
+            err.write(f"error: {exc}\n")
             code = 2
         else:
-            code = run(tokens, out=out, err=err)
+            if tokens and tokens[0] == "batch":
+                err.write("batch files cannot nest batch commands\n")
+                code = 2
+            else:
+                code = run(tokens, out=out, err=err)
         if code != 0 and status == 0:
             status = code
     return status

@@ -23,7 +23,7 @@ from .engines import (
     pbpol_pointed_imprint,
     pol_imprint,
 )
-from .errors import Budget, InputError, UnsupportedError
+from .errors import Budget, BudgetExceededError, InputError, UnsupportedError
 from .lang import Dfa, complement, transition_monoid
 from .rating import canonical_covering_map
 from .refcheck import pol_mod_separator_search
@@ -33,8 +33,10 @@ LEVELS = ("0", "1/2", "1", "3/2")
 COVER_LEVELS = ("1/2", "1", "3/2")
 
 # Bounds for the best-effort separator search attached to positive
-# level-1/2 verdicts. Deliberately small: the witness is optional and
-# exhaustion is not reported.
+# level-1/2 verdicts. Deliberately small: the witness is optional, and
+# neither exhaustion nor a candidate outgrowing the query's budget is
+# reported: either ends the search with no witness, so a witness shown
+# is always the first one the unbounded search finds.
 SEARCH_DMAX = 4
 SEARCH_NMAX = 2
 SEARCH_UNION_BOUND = 2
@@ -179,14 +181,17 @@ def coverable(
             witness = {"blocking": {"image": sorted(blocking)}}
 
     if want_witness and answer and level == "1/2" and len(constraints) == 1:
-        found = pol_mod_separator_search(
-            target,
-            constraints[0],
-            dmax=SEARCH_DMAX,
-            nmax=SEARCH_NMAX,
-            union_bound=SEARCH_UNION_BOUND,
-            budget=budget,
-        )
+        try:
+            found = pol_mod_separator_search(
+                target,
+                constraints[0],
+                dmax=SEARCH_DMAX,
+                nmax=SEARCH_NMAX,
+                union_bound=SEARCH_UNION_BOUND,
+                budget=budget,
+            )
+        except BudgetExceededError:
+            found = None
         if found is not None:
             witness = {
                 "separator": {"modulus": found.modulus, "markers": list(found.markers)}

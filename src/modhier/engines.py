@@ -23,7 +23,6 @@ from .semiring import (
     PairSpace,
     Semiring,
     add_closure,
-    antichain_of,
 )
 
 
@@ -136,22 +135,17 @@ def bpol_iopti(rho: RatingMap, oracle: BasisOracle, budget: Budget = Budget()) -
     the antichain of its maxima. That needs meets, which the power
     semirings of covering maps have: the filtered set is an
     intersection of downsets, whose maxima are the pairwise meets of
-    the operands' maxima. Each round builds its auxiliary map over a
-    fresh inner semiring, so the products it keeps last one round.
+    the operands' maxima, gathered in an `Antichain` within the
+    antichain budget. Each round builds its auxiliary map over a fresh
+    inner semiring, so the products it keeps last one round.
     """
     semiring = rho.semiring
     maxima = frozenset({semiring.top()})
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > budget.iterations:
-            raise budget.exceeded("iterations")
+    for iterations in budget.rounds():
         eta = aux_bpol_map(rho, maxima, AntichainSemiring(semiring))
         valid = admissible_totals(semiring, oracle.iopti(eta, budget))
         meets = {semiring.meet(m, t) for m in maxima for t in valid}
-        new_maxima = antichain_of(semiring, meets)
-        if len(new_maxima) > budget.antichain:
-            raise budget.exceeded("antichain")
+        new_maxima = Antichain(semiring, meets, budget).freeze()
         if new_maxima == maxima:
             return DownSet(semiring, maxima, iterations)
         maxima = new_maxima
@@ -196,11 +190,7 @@ def pbpol_iopti(
     space = PairSpace(morphism, semiring)
     acc = Antichain(space, budget=budget)
     closed: frozenset = frozenset()
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > budget.iterations:
-            raise budget.exceeded("iterations")
+    for iterations in budget.rounds():
         eta = aux_pbpol_map(morphism, rho, acc.freeze(), AntichainSemiring(space))
         changed = False
         for r, t_value in oracle.iopti(eta, budget):

@@ -7,6 +7,7 @@ them to a dedicated exit code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 
 class BudgetExceededError(RuntimeError):
@@ -39,9 +40,11 @@ class Budget:
     materialized downset the engines keep, `iterations` the rounds of a
     fixpoint, `values` the word images of a rating map and the powers
     of an omega power, and `pairs` the (state, value) pairs of
-    evaluating a rating map on a language. Loops compare their size
-    with a field and raise `exceeded(field)` past it; every reachability
-    walk does so through `lang.explore`.
+    evaluating a rating map on a language. Every loop that grows draws
+    through one of four functions, the only ones that raise
+    `exceeded(field)`: `lang.explore` for reachability walks,
+    `semiring.Antichain.add` for antichains, `semiring.DownSet.to_set`
+    for materialized downsets, and `rounds` for fixpoint rounds.
     """
 
     states: int = 4096
@@ -50,6 +53,14 @@ class Budget:
     iterations: int = 10000
     values: int = 20000
     pairs: int = 100000
+
+    def rounds(self) -> Iterator[int]:
+        """The round numbers 1, 2, ... of a fixpoint, up to `iterations`.
+
+        Asking for one round more raises `exceeded("iterations")`.
+        """
+        yield from range(1, self.iterations + 1)
+        raise self.exceeded("iterations")
 
     def exceeded(self, field: str, what: str | None = None) -> BudgetExceededError:
         """The error for growing past `field`; `what` renames the bounded thing."""

@@ -317,26 +317,27 @@ class Dfa:
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """Minimal complete DFA, states renumbered in BFS order from the initial.
+    """Minimal complete DFA of an `explore`-numbered one, numbered the same way.
 
-    Hopcroft's partition refinement (1971) on the reachable part, in
-    O(n k log n) for n states and k letters: a block splits each block
-    whose states differ on whether a letter leads into it, and after a
-    split only the smaller half need split others. The canonical
-    numbering makes minimal DFAs of equal languages structurally equal,
-    so `==` doubles as a language-equality check on minimized values.
+    The input's states must be numbered as `explore` numbers them:
+    breadth first from state 0, letters in alphabet order, every state
+    reachable. Hopcroft's partition refinement (1971), in O(n k log n)
+    for n states and k letters: a block splits each block whose states
+    differ on whether a letter leads into it, and after a split only
+    the smaller half need split others. Blocks are numbered by their
+    least state, which is the breadth-first order of the quotient: a
+    block's least state is first reached from the least state of
+    another block. The canonical numbering makes minimal DFAs of equal
+    languages structurally equal, so `==` doubles as a language-equality
+    check on minimized values.
     """
-    nletters = len(dfa.alphabet)
-    reach = _bfs_order_map(dfa.transitions, dfa.initial, nletters)
-    # Reachable states as their BFS numbers, with each letter's predecessors.
-    rows = [[reach[t] for t in dfa.transitions[q]] for q in reach]
-    preimages = [[[] for _ in rows] for _ in range(nletters)]
+    rows = dfa.transitions
+    preimages = [[[] for _ in rows] for _ in dfa.alphabet]
     for q, row in enumerate(rows):
         for l, t in enumerate(row):
             preimages[l][t].append(q)
-    final = [q in dfa.accepting for q in reach]
-    block_of = [int(f) for f in final]
-    blocks = [{q for q, f in enumerate(final) if f == accepts} for accepts in (False, True)]
+    block_of = [int(q in dfa.accepting) for q in range(len(rows))]
+    blocks = [{q for q, f in enumerate(block_of) if f == accepts} for accepts in (0, 1)]
     waiting = {int(len(blocks[1]) < len(blocks[0]))}  # the smaller block
     while waiting:
         splitter = list(blocks[waiting.pop()])
@@ -355,27 +356,15 @@ def minimize(dfa: Dfa) -> Dfa:
                 for p in inside:
                     block_of[p] = new
                 waiting.add(new if b in waiting or len(inside) <= len(rest) else b)
-    # Quotient transitions, then canonical renumbering by BFS.
-    rep = {b: q for q, b in enumerate(block_of)}
-    qtrans = {b: tuple(block_of[t] for t in rows[q]) for b, q in rep.items()}
-    order = _bfs_order_map(qtrans, block_of[0], nletters)
-    transitions = tuple(tuple(order[t] for t in qtrans[b]) for b in order)
-    accepting = frozenset(order[b] for b in order if final[rep[b]])
+    number: dict[int, int] = {}
+    least = []  # each block's least state, in the order of the blocks' numbers
+    for q, b in enumerate(block_of):
+        if b not in number:
+            number[b] = len(least)
+            least.append(q)
+    transitions = tuple(tuple(number[block_of[t]] for t in rows[q]) for q in least)
+    accepting = frozenset(i for i, q in enumerate(least) if q in dfa.accepting)
     return Dfa(dfa.alphabet, transitions, 0, accepting)
-
-
-def _bfs_order_map(trans_map, initial, nletters: int) -> dict:
-    """BFS number of every state reachable from the initial one, in BFS order."""
-    order = {initial: 0}
-    queue = deque([initial])
-    while queue:
-        q = queue.popleft()
-        for l in range(nletters):
-            t = trans_map[q][l]
-            if t not in order:
-                order[t] = len(order)
-                queue.append(t)
-    return order
 
 
 def complement(x: Dfa) -> Dfa:
@@ -407,17 +396,7 @@ def disjoint(x: Dfa, y: Dfa) -> bool:
 
 
 def is_empty(x: Dfa) -> bool:
-    seen = {x.initial}
-    queue = deque(seen)
-    while queue:
-        q = queue.popleft()
-        if q in x.accepting:
-            return False
-        for t in x.transitions[q]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return True
+    return disjoint(x, x)
 
 
 def equivalent(x: Dfa, y: Dfa) -> bool:

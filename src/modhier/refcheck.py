@@ -232,11 +232,7 @@ def bpol_iopti_enumerated(rho: RatingMap, oracle, budget: Budget = Budget()):
     semiring = rho.semiring
     inner = PowerSemiring(semiring)
     current = set(DownSet(semiring, frozenset({semiring.top()})).to_set(budget))
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > budget.iterations:
-            raise budget.exceeded("iterations")
+    for iterations in budget.rounds():
         eta = aux_bpol_map(rho, frozenset(current), inner)
         valid = admissible_totals(semiring, oracle.iopti(eta, budget))
         survivors = {s for s in current if any(semiring.leq(s, t) for t in valid)}

@@ -12,7 +12,8 @@ import modhier
 from modhier import Alphabet, Budget, BudgetExceededError, compile_regex, member, parse_regex
 from modhier.basis import mod_cover_oracle
 from modhier.rating import canonical_covering_map, eval_regular, value_automaton
-from modhier.lang import transition_monoid
+from modhier.engines import bpol_iopti, pbpol_iopti
+from modhier.lang import complement, transition_monoid
 from modhier.refcheck import bpol_iopti_enumerated
 
 AB = Alphabet.of("ab")
@@ -76,6 +77,30 @@ def test_no_module_but_errors_keeps_its_own_budget():
                 if name == "BudgetExceededError":
                     found.append((path.name, node.lineno))
     assert found == []
+
+
+def rounds_and_query(level):
+    """Rounds the fixpoint of (ab)* takes at a level, and a query that runs it."""
+    language = lang("(ab)*")
+    morphism = transition_monoid([language, complement(language)])
+    rho = canonical_covering_map(morphism)
+    if level == "1":
+        return bpol_iopti(rho, ORACLE).passes, lambda b: member("1", language, ORACLE, b)
+    if level == "3/2":
+        return pbpol_iopti(morphism, rho, ORACLE).passes, lambda b: member("3/2", language, ORACLE, b)
+    return bpol_iopti_enumerated(rho, ORACLE).passes, lambda b: bpol_iopti_enumerated(rho, ORACLE, b)
+
+
+@pytest.mark.parametrize("level", ["1", "3/2", "enumerated"])
+def test_fixpoints_trip_one_round_short(level):
+    # Every fixpoint draws its rounds from `Budget.rounds`: a limit of
+    # one round fewer than it takes trips it, and its own count fits.
+    rounds, query = rounds_and_query(level)
+    assert rounds >= 2
+    limit = rounds - 1
+    with pytest.raises(BudgetExceededError, match=rf"^iteration budget exceeded \(limit {limit}\)$"):
+        query(Budget(iterations=limit))
+    query(Budget(iterations=rounds))
 
 
 def test_enumerated_level_one_filter_materializes_its_carrier_within_the_antichain_budget():

@@ -77,6 +77,21 @@ def test_separator_witness_text():
     assert lines(out) == ["RESULT: separable", 'WITNESS: separator d=2 markers [""]']
 
 
+@pytest.mark.parametrize(
+    "states, witness",
+    [(10, []), (13, ['WITNESS: separator d=1 markers ["ab", "bb"]'])],
+)
+def test_separator_search_past_the_state_budget_gives_no_witness(states, witness):
+    # The query fits 10 states, but a candidate separator the search
+    # compiles before its first hit does not: the search then ends with
+    # no witness, and the answer stands.
+    code, out, err = invoke(
+        "separate", "--level", "1/2", "--alphabet", "ab", "(a)*(a|b)b(a|b)*",
+        "((a|b)*(a|b)(a|b)*&b)", "--witness", "--max-states", str(states), "--no-stats",
+    )
+    assert (code, lines(out), err) == (0, ["RESULT: separable"] + witness, "")
+
+
 def test_cover_accepts_several_constraints():
     code, out, _ = invoke(
         "cover", "--level", "1/2", "--alphabet", "a", "(aa)*", "a(aa)*", "a(aaaa)*",
@@ -440,15 +455,18 @@ def test_batch_runs_each_line(tmp_path):
 
 
 def test_batch_continues_after_errors(tmp_path):
+    # A bad regex, and a line shlex cannot split, are each reported on
+    # their own; the next line still runs.
     script = tmp_path / "queries.txt"
-    script.write_text(
-        'member --level 1 --alphabet ab "a*(" --no-stats\n'
-        'member --level 1 --alphabet ab "a*" --no-stats\n'
-    )
-    code, out, err = invoke("batch", str(script))
-    assert code == 2
-    assert "RESULT: member" in out
-    assert "error:" in err
+    for bad, message in [
+        ('member --level 1 --alphabet ab "a*(" --no-stats', "error: "),
+        ('member --level 1 --alphabet ab "a*', "error: No closing quotation\n"),
+    ]:
+        script.write_text(bad + '\nmember --level 1 --alphabet ab "a*" --no-stats\n')
+        code, out, err = invoke("batch", str(script))
+        assert code == 2
+        assert "RESULT: member" in out
+        assert err.startswith(message)
 
 
 def test_batch_rejects_nesting(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from modhier.basis import mod_cover_oracle
 from modhier.decide import LEVELS, Verdict, coverable, member, separable
-from modhier.errors import Budget, BudgetExceededError, InputError, UnsupportedError
+from modhier.errors import Budget, InputError, UnsupportedError
 from modhier.lang import (
     Alphabet,
     compile_regex,
@@ -154,11 +154,14 @@ def test_separator_witness_fixture():
 
 def test_separator_search_draws_on_the_callers_budget():
     # The inputs compile under the default budget; the separator A*aA*
-    # has a 2-state DFA, more than the caller's one state allows.
+    # has a 2-state DFA, more than the caller's one state allows, so
+    # the search ends there with no witness and the answer stands.
     l1, l2 = lang("(a|b)*a(a|b)*"), lang("b*")
     assert separable("1/2", l1, l2, ORACLE, Budget(states=1)).answer
-    with pytest.raises(BudgetExceededError, match="state budget"):
-        separable("1/2", l1, l2, ORACLE, Budget(states=1), want_witness=True)
+    bounded = separable("1/2", l1, l2, ORACLE, Budget(states=1), want_witness=True)
+    assert (bounded.answer, bounded.witness) == (True, None)
+    found = separable("1/2", l1, l2, ORACLE, Budget(), want_witness=True)
+    assert found.witness == {"separator": {"modulus": 1, "markers": ["a"]}}
 
 
 def test_witness_absent_by_default():

@@ -28,6 +28,7 @@ from modhier.lang import (
     complement,
     disjoint,
     equivalent,
+    explore,
     included,
     is_empty,
     minimize,
@@ -319,6 +320,45 @@ def test_minimize_idempotent_and_canonical():
     # equal languages compile to structurally equal DFAs
     assert lang("a+") == lang("aa*")
     assert lang("~0") == lang("(a|b)*")
+
+
+@st.composite
+def _tables(draw, letters: int, max_states: int):
+    """Transition rows, initial state and accepting set of a random DFA."""
+    n = draw(st.integers(1, max_states))
+    state = st.integers(0, n - 1)
+    rows = draw(st.lists(st.tuples(*[state] * letters), min_size=n, max_size=n))
+    return rows, draw(state), draw(st.frozensets(state))
+
+
+def explored(alphabet, start, step, accepts):
+    """The DFA reachable from `start`, numbered as `explore` numbers it."""
+    states, rows, _ = explore(start, range(len(alphabet)), step, Budget(), "states")
+    return Dfa(alphabet, tuple(rows), 0, frozenset(i for i, q in enumerate(states) if accepts(q)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["a", "ab", "abc"]).flatmap(
+    lambda letters: st.tuples(st.just(Alphabet.of(letters)),
+                              _tables(len(letters), 14), _tables(len(letters), 4))
+))
+def test_minimize_is_canonical_on_explored_input(drawn):
+    # D, and D times a random E accepting by D's component: the same
+    # language on as many states or more, both minimized to one DFA.
+    alphabet, (rows, initial, accepting), (extra, extra_initial, _) = drawn
+    d = explored(alphabet, initial, lambda q, l: rows[q][l], accepting.__contains__)
+    product = explored(
+        alphabet,
+        (initial, extra_initial),
+        lambda q, l: (rows[q[0]][l], extra[q[1]][l]),
+        lambda q: q[0] in accepting,
+    )
+    assert product.num_states >= d.num_states
+    assert short_words(product, 6) == short_words(d, 6)
+    minimal = minimize(d)
+    assert short_words(minimal, 6) == short_words(d, 6)
+    assert minimize(product) == minimal
+    assert minimize(minimal) == minimal
 
 
 @pytest.mark.parametrize("letters", ["a", "ab", "abc", "abcd"])

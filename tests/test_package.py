@@ -109,16 +109,14 @@ def self_calls(source: str) -> list:
     return found
 
 
-# The functions that may raise a budget error. Every reachability walk
-# numbers its states through `lang.explore`; the rest bound fixpoint
-# rounds, antichains and materialized downsets.
+# The functions that may raise a budget error, one per kind of growth:
+# reachability walks, fixpoint rounds, antichains and materialized
+# downsets. Every engine and oracle draws through them.
 BUDGET_CALLERS = {
     "lang.explore",
-    "engines.bpol_iopti",
-    "engines.pbpol_iopti",
+    "errors.Budget.rounds",
     "semiring.Antichain.add",
     "semiring.DownSet.to_set",
-    "refcheck.bpol_iopti_enumerated",
 }
 
 
