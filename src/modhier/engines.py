@@ -63,10 +63,13 @@ def _close_products(space, acc: Antichain, old: frozenset = frozenset()):
         frontier = entered
 
 
-def _saturate(space, seeds, budget: Budget) -> DownSet:
-    """Least downset of the space holding the seeds and closed under its product."""
+def _saturate(space, seeds, budget: Budget, old: frozenset = frozenset()) -> DownSet:
+    """Least downset of the space holding the seeds and closed under its product.
+
+    `old` names seeds already closed under the product (see `_close_products`).
+    """
     acc = Antichain(space, seeds, budget)
-    _, passes = _close_products(space, acc)
+    _, passes = _close_products(space, acc, old)
     return DownSet(space, acc.freeze(), passes)
 
 
@@ -216,7 +219,13 @@ def pbpol_pointed_imprint(
     iopti: DownSet,
     budget: Budget = Budget(),
 ) -> DownSet:
-    """Full level-3/2 pointed imprint: close iopti with unit and letter pairs."""
+    """Full level-3/2 pointed imprint: close iopti with unit and letter pairs.
+
+    `iopti` is what `pbpol_iopti` returned, and that fixpoint ends only
+    after a product closure that added nothing, so its maxima are
+    already closed under the product. The closure therefore skips the
+    products of two of them: the downset holds each one already.
+    """
     seeds = list(iopti.maximal) + [(morphism.unit, rho.semiring.one)]
     seeds += [(morphism.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
-    return _saturate(iopti.space, seeds, budget)
+    return _saturate(iopti.space, seeds, budget, iopti.maximal)

@@ -20,7 +20,6 @@ cannot be used as an alphabet letter.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -372,27 +371,30 @@ def complement(x: Dfa) -> Dfa:
     return Dfa(x.alphabet, x.transitions, x.initial, frozenset(range(x.num_states)) - x.accepting)
 
 
-def _reachable_pairs(x: Dfa, y: Dfa) -> Iterator[tuple[int, int]]:
+def _reachable_pairs(x: Dfa, y: Dfa, budget: Budget) -> list[tuple[int, int]]:
+    """State pairs of the product automaton reachable from the initial pair.
+
+    Found by `explore`, drawing on the `monoid` budget as product states.
+    """
     if x.alphabet != y.alphabet:
         raise ValueError("alphabet mismatch")
-    seen = {(x.initial, y.initial)}
-    queue = deque(seen)
-    while queue:
-        p, q = queue.popleft()
-        yield p, q
-        for l in range(len(x.alphabet)):
-            nxt = (x.transitions[p][l], y.transitions[q][l])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    xs, ys = x.transitions, y.transitions
+
+    def step(pair, l):
+        return xs[pair[0]][l], ys[pair[1]][l]
+
+    start = (x.initial, y.initial)
+    pairs, _, _ = explore(start, range(len(x.alphabet)), step, budget, "monoid", "product state")
+    return pairs
 
 
-def included(x: Dfa, y: Dfa) -> bool:
-    return all(q in y.accepting for p, q in _reachable_pairs(x, y) if p in x.accepting)
+def included(x: Dfa, y: Dfa, budget: Budget = Budget()) -> bool:
+    return all(q in y.accepting for p, q in _reachable_pairs(x, y, budget) if p in x.accepting)
 
 
-def disjoint(x: Dfa, y: Dfa) -> bool:
-    return not any(p in x.accepting and q in y.accepting for p, q in _reachable_pairs(x, y))
+def disjoint(x: Dfa, y: Dfa, budget: Budget = Budget()) -> bool:
+    pairs = _reachable_pairs(x, y, budget)
+    return not any(p in x.accepting and q in y.accepting for p, q in pairs)
 
 
 def is_empty(x: Dfa) -> bool:

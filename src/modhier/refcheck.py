@@ -34,7 +34,7 @@ from .lang import (
     short_words,
 )
 from .rating import RatingMap, aux_bpol_map, eval_regular, value_automaton
-from .semiring import DownSet, PowerSemiring, antichain_of
+from .semiring import DownSet, PowerSemiring, antichain_of, power_cycle
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,9 @@ def _agrees_on(candidate: SeparatorCandidate, members, nonmembers) -> bool:
     return all(map(accepts, members)) and not any(map(accepts, nonmembers))
 
 
-def verify_separator(k: Dfa, l1: Dfa, l2: Dfa) -> bool:
-    """Exact check that k contains l1 and avoids l2."""
-    return included(l1, k) and disjoint(k, l2)
+def verify_separator(k: Dfa, l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> bool:
+    """Exact check that k contains l1 and avoids l2, walking product states within `budget`."""
+    return included(l1, k, budget) and disjoint(k, l2, budget)
 
 
 # Words of l2 a candidate separator is tried on before it is compiled.
@@ -151,7 +151,7 @@ def pol_mod_separator_search(
                 if not _agrees_on(candidate, pool, probes):
                     continue
                 denoted = candidate_language(candidate, l1.alphabet, budget)
-                if verify_separator(denoted, l1, l2):
+                if verify_separator(denoted, l1, l2, budget):
                     return candidate
     return None
 
@@ -161,26 +161,14 @@ def block_language(alphabet: Alphabet, modulus: int, budget: Budget = Budget()) 
     return compile_regex(_block(alphabet, modulus), alphabet, budget)
 
 
-def mod_iopti_bound(rho: RatingMap) -> int:
+def mod_iopti_bound(rho: RatingMap, budget: Budget = Budget()) -> int:
     """Modulus whose block language realizes the basis approximation.
 
     The exponent at which the powers of the summed letter image become
-    idempotent: the least multiple of the power cycle's period that
-    falls inside the cycle.
+    idempotent (`semiring.power_cycle`, within the `values` budget).
     """
-    semiring = rho.semiring
-    s = semiring.sum(rho.letter_image[a] for a in rho.alphabet)
-    powers = [None, s]
-    seen = {s: 1}
-    current = s
-    while True:
-        current = semiring.mul(current, s)
-        if current in seen:
-            start = seen[current]
-            period = len(powers) - start
-            return ((max(start, 1) + period - 1) // period) * period
-        seen[current] = len(powers)
-        powers.append(current)
+    s = rho.semiring.sum(rho.letter_image[a] for a in rho.alphabet)
+    return power_cycle(rho.semiring, s, budget)[1]
 
 
 def brute_iopti_mod(rho: RatingMap, dmax: int):

@@ -208,9 +208,15 @@ class AntichainSemiring(Semiring):
     through downward closure, because the space's product is monotone:
     maxima of a product of downsets are products of maxima.
 
-    Each product of two space elements is formed once per instance and
-    kept for its lifetime: the engines build one instance per auxiliary
-    map, so what it keeps is dropped with the fixpoint round.
+    A product works row by row. The row of a space element a and a
+    right operand y is the set of products a * b for b in y; it is
+    formed once per instance, so `mul(x, y)` reads one row per element
+    of x and unions them. Each product of two space elements is formed
+    once per instance too, whichever row first needs it. Both are kept
+    for the instance's lifetime: the engines build one instance per
+    auxiliary map, so what it keeps is dropped with the fixpoint round.
+    The omega-power of a basis value multiplies each power by the same
+    few letter values, and reads their rows back.
     """
 
     def __init__(self, space):
@@ -218,6 +224,7 @@ class AntichainSemiring(Semiring):
         self.zero = frozenset()
         self.one = frozenset({space.unit})
         self._products: dict = {}
+        self._rows: dict = {}
 
     def normal(self, items: Iterable) -> frozenset:
         return antichain_of(self.space, items)
@@ -226,14 +233,19 @@ class AntichainSemiring(Semiring):
         return self.normal(set(x) | set(y))
 
     def mul(self, x, y):
-        mult, products = self.space.mult, self._products
-        out = set()
+        mult, products, rows = self.space.mult, self._products, self._rows
+        out: set = set()
         for a in x:
-            for b in y:
-                p = products.get((a, b))
-                if p is None:
-                    p = products[a, b] = mult(a, b)
-                out.add(p)
+            row = rows.get((a, y))
+            if row is None:
+                built = []
+                for b in y:
+                    p = products.get((a, b))
+                    if p is None:
+                        p = products[a, b] = mult(a, b)
+                    built.append(p)
+                row = rows[a, y] = frozenset(built)
+            out.update(row)
         return self.normal(out)
 
     def leq(self, x, y) -> bool:
@@ -246,7 +258,13 @@ class AntichainSemiring(Semiring):
 
 
 def omega_power(semiring: Semiring, s, budget: Budget = Budget()):
-    """The unique idempotent among the positive powers of s.
+    """The unique idempotent among the positive powers of s."""
+    powers, k = power_cycle(semiring, s, budget)
+    return powers[k - 1]
+
+
+def power_cycle(semiring: Semiring, s, budget: Budget = Budget()) -> tuple[list, int]:
+    """The powers s, s^2, ... up to the first repeat, and the exponent of their idempotent.
 
     Successive powers with cycle detection (`explore` with the one
     generator s): once the n powers found give s^(n + 1) = s^i, the
@@ -257,8 +275,7 @@ def omega_power(semiring: Semiring, s, budget: Budget = Budget()):
     powers, moves, _ = explore(s, (s,), semiring.mul, budget, "values", "omega power")
     start = moves[-1][0] + 1  # powers[i] is s^(i + 1)
     period = len(powers) + 1 - start
-    k = ((start + period - 1) // period) * period
-    return powers[k - 1]
+    return powers, ((start + period - 1) // period) * period
 
 
 def _one_part(x) -> None:

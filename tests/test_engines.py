@@ -458,6 +458,24 @@ def test_pbpol_skips_products_of_the_closed_antichain(monkeypatch):
     assert carried[2] < fresh[2]
 
 
+def test_pointed_closure_skips_products_of_iopti_maxima(monkeypatch):
+    """pbpol_iopti ends on an antichain closed under the product, so the
+    pointed closure forms fewer products than one that is not told so."""
+    kth4 = "(a|b)*{}(a|b)(a|b)(a|b)"
+    morphism = transition_monoid([lang(kth4.format("a")), lang(kth4.format("b"))])
+    rho = canonical_covering_map(morphism)
+    iopti = pbpol_iopti(morphism, rho, ORACLE)
+    seeds = list(iopti.maximal) + [(morphism.unit, rho.semiring.one)]
+    seeds += [(morphism.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
+    products = count_pair_products(monkeypatch)
+    pointed = pbpol_pointed_imprint(morphism, rho, iopti)
+    skipping = len(products)
+    products.clear()
+    unskipped = engines._saturate(iopti.space, seeds, Budget())
+    assert (pointed.maximal, pointed.passes) == (unskipped.maximal, unskipped.passes)
+    assert skipping < len(products)
+
+
 # ---------------------------------------------------------------------------
 # Cross-level inclusion
 

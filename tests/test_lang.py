@@ -485,6 +485,23 @@ def test_product_states_draw_on_the_monoid_budget():
     assert str(caught.value) == "monoid budget exceeded (limit 100)"
 
 
+def test_product_walks_draw_on_the_monoid_budget():
+    # (a^997)* and (a^1009)* reach 997 * 1009 = 1,005,973 product states.
+    x, y = lang("(%s)*" % ("a" * 997), A1), lang("(%s)*" % ("a" * 1009), A1)
+    started = time.process_time()
+    for check in (included, disjoint):
+        with pytest.raises(BudgetExceededError) as caught:
+            check(x, y, Budget(monoid=100))
+        assert str(caught.value) == "product state budget exceeded (limit 100)"
+    with pytest.raises(BudgetExceededError):
+        included(x, y)
+    assert time.process_time() - started < 0.5
+    even, triple = lang("(aa)*", A1), lang("(aaa)*", A1)  # 6 product states
+    assert not included(even, triple, Budget(monoid=6))
+    with pytest.raises(BudgetExceededError):
+        included(even, triple, Budget(monoid=5))
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.text(alphabet="ab", max_size=12))
 def test_morphism_agrees_with_dfas(word):

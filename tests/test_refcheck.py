@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from modhier.basis import mod_cover_oracle, mod_iopti
 from modhier import refcheck
 from modhier.decide import SEARCH_DMAX, SEARCH_NMAX, SEARCH_UNION_BOUND
+from modhier.errors import Budget, BudgetExceededError
 from modhier.lang import (
     Alphabet,
     compile_regex,
@@ -107,6 +108,20 @@ def test_verify_separator_rejects_non_disjoint():
 
 def test_verify_separator_rejects_non_covering():
     assert not verify_separator(lang("aa", A), lang("(aa)*", A), lang("a(aa)*", A))
+
+
+def test_verification_walks_within_the_search_budget():
+    # (aa)* verifies against (aaaa)* and a(aa)*, walking at most 4 product states.
+    k, l1, l2 = lang("(aa)*", A), lang("(aaaa)*", A), lang("a(aa)*", A)
+    assert verify_separator(k, l1, l2, Budget(monoid=4))
+    with pytest.raises(BudgetExceededError) as caught:
+        verify_separator(k, l1, l2, Budget(monoid=3))
+    assert str(caught.value) == "product state budget exceeded (limit 3)"
+    bounds = dict(dmax=2, nmax=2, union_bound=1)
+    found = pol_mod_separator_search(l1, l2, **bounds, budget=Budget(monoid=4))
+    assert found == SeparatorCandidate(2, ("",))
+    with pytest.raises(BudgetExceededError):
+        pol_mod_separator_search(l1, l2, **bounds, budget=Budget(monoid=3))
 
 
 def test_search_finds_parity_block():
@@ -261,6 +276,15 @@ def test_mod_iopti_bound_fixtures():
     assert mod_iopti_bound(parity) == 2
     assert mod_iopti_bound(three) == 3
     assert mod_iopti_bound(flat) == 1
+
+
+def test_mod_iopti_bound_draws_on_the_values_budget():
+    # The powers of {1} in 2^(Z/7Z) are the seven singletons.
+    seven = RatingMap(A, PowerSemiring(CyclicMonoid(7)), {"a": fs(1)})
+    assert mod_iopti_bound(seven, Budget(values=7)) == 7
+    with pytest.raises(BudgetExceededError) as caught:
+        mod_iopti_bound(seven, Budget(values=6))
+    assert str(caught.value) == "omega power budget exceeded (limit 6)"
 
 
 @settings(max_examples=60, deadline=None)

@@ -234,6 +234,31 @@ def test_reused_antichain_semiring_forms_what_a_fresh_one_forms(seed):
             values.append(product)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_antichain_products_by_rows_match_pairwise_products(seed):
+    """One instance multiplies every value by shared right operands twice,
+    so the second time every row is read back rather than formed."""
+    rng = random.Random(seed)
+    monoid = random_monoid(rng, max_size=5)
+    elements = list(monoid.elements())
+    power = PowerSemiring(monoid)
+    assert not hasattr(power, "part")
+    spaces = [
+        (PairSpace(monoid, power), lambda: (rng.choice(elements), random_subset(rng, elements))),
+        (power, lambda: random_subset(rng, elements)),
+    ]
+    for space, draw in spaces:
+        semiring = AntichainSemiring(space)
+        values = [frozenset(draw() for _ in range(rng.randint(0, 4))) for _ in range(4)]
+        rights = values[:2] + [semiring.normal(draw() for _ in range(3))]
+        for _ in range(2):
+            for x in values:
+                for y in rights:
+                    pairwise = [space.mult(a, b) for a in x for b in y]
+                    assert semiring.mul(x, y) == antichain_of(space, pairwise)
+
+
 # ---------------------------------------------------------------------------
 # Explicit tables and axiom checking
 
