@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .basis import oracle_for
 from .decide import (
+    COVER_LEVELS,
     LEVELS,
     Verdict,
     coverable,
@@ -180,29 +181,36 @@ def _emit(args, verdict: Verdict, imprint_parts, out) -> None:
         out.write(_stats_line(verdict.stats))
 
 
+def _query_regexes(args) -> list:
+    """The query's regexes in the order they are compiled."""
+    if args.command == "imprint":
+        return args.regexes
+    if args.command == "member":
+        return [args.regex]
+    if args.command == "separate":
+        return [args.regex1, args.regex2]
+    return [args.target, *args.constraints]
+
+
 def _run_query(args, out) -> int:
     oracle = oracle_for(args.basis)
     alphabet = Alphabet.of(args.alphabet)
     budget = Budget(states=args.max_states, antichain=args.max_antichain)
-
-    if args.command == "imprint":
-        dfas = [_compile(r, alphabet, budget) for r in args.regexes]
-        verdict = imprinted(args.level, dfas, oracle, budget)
-    elif args.command == "member":
-        language = _compile(args.regex, alphabet, budget)
-        verdict = member(args.level, language, oracle, budget, args.witness)
-    elif args.command == "separate":
-        l1 = _compile(args.regex1, alphabet, budget)
-        l2 = _compile(args.regex2, alphabet, budget)
-        verdict = separable(args.level, l1, l2, oracle, budget, args.witness)
-    else:
-        target = _compile(args.target, alphabet, budget)
-        constraints = [_compile(r, alphabet, budget) for r in args.constraints]
-        verdict = coverable(args.level, target, constraints, oracle, budget, args.witness)
+    dfas = [_compile(r, alphabet, budget) for r in _query_regexes(args)]
 
     show = args.emit_imprint or args.command == "imprint"
-    if show and verdict.imprint is None:
+    # Covering refuses level 0 on its own terms; the other commands
+    # would decide it in full before finding no imprint to show.
+    if show and args.level not in COVER_LEVELS and args.command != "cover":
         raise UnsupportedError(f"imprints are not defined at level {args.level}")
+    if args.command == "imprint":
+        verdict = imprinted(args.level, dfas, oracle, budget)
+    elif args.command == "member":
+        verdict = member(args.level, dfas[0], oracle, budget, args.witness)
+    elif args.command == "separate":
+        verdict = separable(args.level, dfas[0], dfas[1], oracle, budget, args.witness)
+    else:
+        verdict = coverable(args.level, dfas[0], dfas[1:], oracle, budget, args.witness)
     _emit(args, verdict, verdict.imprint if show else None, out)
     return 0
 

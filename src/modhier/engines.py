@@ -23,6 +23,7 @@ from .semiring import (
     PairSpace,
     Semiring,
     add_closure,
+    antichain_of,
 )
 
 
@@ -171,6 +172,15 @@ def bpol_opti(rho: RatingMap, iopti: DownSet, budget: Budget = Budget()) -> Down
 # Level 3/2
 
 
+def _maximal_idempotents(semiring: Semiring, value, budget: Budget) -> frozenset:
+    """Maxima of the multiplicatively idempotent elements below `value`.
+
+    Walks the downset of `value` within the antichain budget.
+    """
+    below = DownSet(semiring, frozenset([value])).to_set(budget)
+    return antichain_of(semiring, [f for f in below if semiring.mul(f, f) == f])
+
+
 def pbpol_iopti(
     morphism: MonoidMorphism,
     rho: RatingMap,
@@ -186,27 +196,37 @@ def pbpol_iopti(
     under product. Every rule is monotone in the set, so this chaotic
     iteration reaches the least fixpoint regardless of order. As at
     level 1, each round's auxiliary map gets a fresh inner semiring.
+
+    The idempotent rule walks the maxima (e, F) of T, not all of the
+    downset: a pair below (e, F) has part e, so none is idempotent
+    unless e is. Its image is monotone in f, so only the maximal
+    idempotents f below F need applying; the others' images are
+    dominated. Those depend on F alone, so they are found once per
+    call (see `_maximal_idempotents`) and reused in every round.
     """
     if morphism.alphabet != rho.alphabet:
         raise ValueError("morphism and rating map use different alphabets")
     semiring = rho.semiring
     space = PairSpace(morphism, semiring)
     acc = Antichain(space, budget=budget)
+    idempotents: dict = {}
     closed: frozenset = frozenset()
     for iterations in budget.rounds():
         eta = aux_pbpol_map(morphism, rho, acc.freeze(), AntichainSemiring(space))
         changed = False
         for r, t_value in oracle.iopti(eta, budget):
-            for pair in t_value:
-                if acc.add(pair):
+            one_r = semiring.add(semiring.one, r)
+            for e, upper in t_value:
+                if acc.add((e, upper)):
                     changed = True
-            for candidate in DownSet(space, t_value).to_set(budget):
-                if space.mult(candidate, candidate) != candidate:
+                if morphism.mult(e, e) != e:
                     continue
-                e, f = candidate
-                image = semiring.mul(semiring.mul(f, semiring.add(semiring.one, r)), f)
-                if acc.add((e, image)):
-                    changed = True
+                maximal = idempotents.get(upper)
+                if maximal is None:
+                    maximal = idempotents[upper] = _maximal_idempotents(semiring, upper, budget)
+                for f in maximal:
+                    if acc.add((e, semiring.mul(semiring.mul(f, one_r), f))):
+                        changed = True
         closed_changed, _ = _close_products(space, acc, closed)
         if not (changed or closed_changed):
             return DownSet(space, acc.freeze(), iterations)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from modhier.engines import _close_products
+from modhier.errors import Budget
 from modhier.lang import (
     Alphabet,
     Alt,
@@ -18,7 +20,16 @@ from modhier.lang import (
     compile_regex,
     parse_regex,
 )
-from modhier.semiring import DownSet, PowerSemiring, TableSemiring, antichain_of
+from modhier.rating import aux_pbpol_map
+from modhier.semiring import (
+    Antichain,
+    AntichainSemiring,
+    DownSet,
+    PairSpace,
+    PowerSemiring,
+    TableSemiring,
+    antichain_of,
+)
 
 
 class CyclicMonoid:
@@ -142,6 +153,38 @@ def unpointed(imprint: DownSet) -> DownSet:
     semiring = imprint.space.semiring
     values = antichain_of(semiring, {r for _, r in imprint.maximal})
     return DownSet(semiring, values, imprint.passes)
+
+
+def pbpol_iopti_all_candidates(morphism, rho, oracle, budget: Budget = Budget()) -> DownSet:
+    """`engines.pbpol_iopti` with the idempotent rule applied to every candidate.
+
+    Each round materializes the whole downset of every basis value T
+    and adds (e, f * (1 + r) * f) for each idempotent pair (e, f) in
+    it, maximal or not. A reference for the engine, which applies the
+    rule to the maximal idempotents below each maximum of T only.
+    """
+    semiring = rho.semiring
+    space = PairSpace(morphism, semiring)
+    acc = Antichain(space, budget=budget)
+    closed: frozenset = frozenset()
+    for iterations in budget.rounds():
+        eta = aux_pbpol_map(morphism, rho, acc.freeze(), AntichainSemiring(space))
+        changed = False
+        for r, t_value in oracle.iopti(eta, budget):
+            for pair in t_value:
+                if acc.add(pair):
+                    changed = True
+            for candidate in DownSet(space, t_value).to_set(budget):
+                if space.mult(candidate, candidate) != candidate:
+                    continue
+                e, f = candidate
+                image = semiring.mul(semiring.mul(f, semiring.add(semiring.one, r)), f)
+                if acc.add((e, image)):
+                    changed = True
+        closed_changed, _ = _close_products(space, acc, closed)
+        if not (changed or closed_changed):
+            return DownSet(space, acc.freeze(), iterations)
+        closed = acc.freeze()
 
 
 def random_regex(rng: random.Random, alphabet: Alphabet, depth: int = 3) -> str:

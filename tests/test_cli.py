@@ -193,6 +193,47 @@ def test_emit_imprint_at_level_zero_exits_four():
     assert "imprints are not defined at level 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["separate", "--level", "0", "--alphabet", "a", "(aa)*", "a(aa)*"],
+    ["separate", "--level", "0", "--alphabet", "a", "--witness", "(aa)*", "a(aa)*"],
+    ["member", "--level", "0", "--alphabet", "a", "--witness", "(aa)*"],
+])
+def test_emit_imprint_at_level_zero_is_refused_before_deciding(monkeypatch, argv):
+    calls = []
+
+    def deciding(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("decided a query whose imprint cannot be shown")
+
+    monkeypatch.setattr(cli, "separable", deciding)
+    monkeypatch.setattr(cli, "member", deciding)
+    code, out, err = invoke(*argv, "--emit-imprint")
+    assert (code, out, err) == (4, "", "error: imprints are not defined at level 0\n")
+    assert calls == []
+
+
+def test_emit_imprint_at_level_zero_reports_input_errors_first():
+    code, _, err = invoke(
+        "separate", "--level", "0", "--alphabet", "a", "--emit-imprint", "(aa", "a(aa)*"
+    )
+    assert code == 2
+    assert "imprints" not in err
+    code, _, err = invoke(
+        "separate", "--level", "0", "--alphabet", "a", "--emit-imprint", "--max-states", "1",
+        "(aaa)*", "a(aa)*",
+    )
+    assert code == 3
+    assert "state budget exceeded (limit 1)" in err
+
+
+def test_cover_at_level_zero_keeps_its_own_refusal():
+    code, out, err = invoke(
+        "cover", "--level", "0", "--alphabet", "a", "--emit-imprint", "(aa)*", "a(aa)*"
+    )
+    assert (code, out) == (4, "")
+    assert err == "error: covering is not supported at level 0\n"
+
+
 def iterations_stat(out: str) -> str:
     (stats,) = [line for line in lines(out) if line.startswith("STATS: ")]
     (field,) = [word for word in stats.split() if word.startswith("iterations=")]

@@ -4,13 +4,14 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modhier import engines
 from modhier.basis import mod_cover_oracle, mod_iopti
 from modhier.engines import (
     _close_products,
+    _maximal_idempotents,
     bpol_iopti,
     bpol_opti,
     admissible_totals,
@@ -34,6 +35,7 @@ from modhier.semiring import (
 from gen import (
     CyclicMonoid,
     materialize,
+    pbpol_iopti_all_candidates,
     random_dfa,
     random_monoid,
     random_power_semiring,
@@ -45,6 +47,10 @@ from gen import (
 A = Alphabet.of("a")
 AB = Alphabet.of("ab")
 ORACLE = mod_cover_oracle()
+# The k-th letter from the end is a, against the same for b.
+KTH3 = "(a|b)*{}(a|b)(a|b)"
+KTH4 = KTH3 + "(a|b)"
+FACTOR_ABA = "(a|b)*aba(a|b)*"
 
 
 def fs(*xs):
@@ -53,6 +59,10 @@ def fs(*xs):
 
 def lang(text, alphabet=AB):
     return compile_regex(parse_regex(text, alphabet), alphabet)
+
+
+def pair_morphism(first, second):
+    return transition_monoid([lang(first), lang(second)])
 
 
 @pytest.fixture
@@ -174,17 +184,22 @@ def test_semi_naive_closure_matches_naive(seed, limit):
     assert all(space.mult(x, y) in downset for x in closed for y in closed)
 
 
-def count_pair_products(monkeypatch):
-    """Count `PairSpace.mult` calls from here on."""
-    products = []
-    original_mult = PairSpace.mult
+def count_calls(monkeypatch, owner, name):
+    """Count calls of the method `owner.name` from here on."""
+    calls = []
+    original = getattr(owner, name)
 
     def counting(self, x, y):
-        products.append(1)
-        return original_mult(self, x, y)
+        calls.append(1)
+        return original(self, x, y)
 
-    monkeypatch.setattr(PairSpace, "mult", counting)
-    return products
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def count_pair_products(monkeypatch):
+    """Count `PairSpace.mult` calls from here on."""
+    return count_calls(monkeypatch, PairSpace, "mult")
 
 
 def test_level_half_closure_forms_few_products(monkeypatch):
@@ -448,8 +463,7 @@ def test_pbpol_carried_closure_matches_fresh(seed):
 
 
 def test_pbpol_skips_products_of_the_closed_antichain(monkeypatch):
-    kth4 = "(a|b)*{}(a|b)(a|b)(a|b)"
-    morphism = transition_monoid([lang(kth4.format("a")), lang(kth4.format("b"))])
+    morphism = pair_morphism(KTH4.format("a"), KTH4.format("b"))
     fresh, carried = pbpol_fresh_and_carried(
         monkeypatch, morphism, canonical_covering_map(morphism)
     )
@@ -461,8 +475,7 @@ def test_pbpol_skips_products_of_the_closed_antichain(monkeypatch):
 def test_pointed_closure_skips_products_of_iopti_maxima(monkeypatch):
     """pbpol_iopti ends on an antichain closed under the product, so the
     pointed closure forms fewer products than one that is not told so."""
-    kth4 = "(a|b)*{}(a|b)(a|b)(a|b)"
-    morphism = transition_monoid([lang(kth4.format("a")), lang(kth4.format("b"))])
+    morphism = pair_morphism(KTH4.format("a"), KTH4.format("b"))
     rho = canonical_covering_map(morphism)
     iopti = pbpol_iopti(morphism, rho, ORACLE)
     seeds = list(iopti.maximal) + [(morphism.unit, rho.semiring.one)]
@@ -474,6 +487,72 @@ def test_pointed_closure_skips_products_of_iopti_maxima(monkeypatch):
     unskipped = engines._saturate(iopti.space, seeds, Budget())
     assert (pointed.maximal, pointed.passes) == (unskipped.maximal, unskipped.passes)
     assert skipping < len(products)
+
+
+def assert_matches_all_candidates(morphism, rho):
+    engine = pbpol_iopti(morphism, rho, ORACLE)
+    reference = pbpol_iopti_all_candidates(morphism, rho, ORACLE)
+    assert (engine.maximal, engine.passes) == (reference.maximal, reference.passes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+# A rating map on which the rule, applied at a part that is not
+# idempotent, would change the fixpoint.
+@example(211, True)
+def test_pbpol_matches_all_candidates_route(seed, random_map):
+    """Applying the rule to maximal idempotents only keeps the fixpoint and its rounds."""
+    rng = random.Random(seed)
+    dfas = [random_dfa(rng, AB, max_states=6, depth=4) for _ in range(rng.randint(1, 2))]
+    morphism = transition_monoid(dfas)
+    assume(morphism.size <= 12)
+    rho = random_rating_map(rng, AB) if random_map else canonical_covering_map(morphism)
+    assert_matches_all_candidates(morphism, rho)
+
+
+@pytest.mark.parametrize("first, second", [
+    (KTH3.format("a"), KTH3.format("b")),
+    (FACTOR_ABA, f"~({FACTOR_ABA})"),
+])
+def test_pbpol_matches_all_candidates_on_families(first, second):
+    morphism = pair_morphism(first, second)
+    assert morphism.size in (12, 15)
+    assert_matches_all_candidates(morphism, canonical_covering_map(morphism))
+
+
+def test_pbpol_applies_the_rule_to_maximal_idempotents_only(monkeypatch):
+    morphism = pair_morphism(KTH4.format("a"), KTH4.format("b"))
+    rho = canonical_covering_map(morphism)
+    # Every set product of a run counts; the rule's are where the routes differ.
+    products = count_calls(monkeypatch, PowerSemiring, "mul")
+    engine = pbpol_iopti(morphism, rho, ORACLE)
+    pruned = len(products)
+    products.clear()
+    reference = pbpol_iopti_all_candidates(morphism, rho, ORACLE)
+    assert (engine.maximal, engine.passes) == (reference.maximal, reference.passes)
+    assert engine.passes > 2
+    assert pruned < len(products)
+
+
+def test_maximal_idempotents_walk_draws_on_the_antichain_budget():
+    # The 8 subsets of Z/3 hold three idempotents: {}, {0} and Z/3.
+    semiring = PowerSemiring(CyclicMonoid(3))
+    whole = fs(0, 1, 2)
+    assert _maximal_idempotents(semiring, whole, Budget(antichain=8)) == {whole}
+    assert _maximal_idempotents(semiring, fs(1, 2), Budget(antichain=4)) == {fs()}
+    with pytest.raises(BudgetExceededError,
+                       match=r"^downset materialization budget exceeded \(limit 7\)$"):
+        _maximal_idempotents(semiring, whole, Budget(antichain=7))
+
+
+def test_pbpol_walk_trips_the_antichain_budget():
+    # Under a limit of 1 the walk below any nonempty set trips: it has two subsets or more.
+    morphism = pair_morphism(KTH3.format("a"), KTH3.format("b"))
+    rho = canonical_covering_map(morphism)
+    with pytest.raises(BudgetExceededError) as raised:
+        pbpol_iopti(morphism, rho, ORACLE, Budget(antichain=1))
+    assert str(raised.value) == "downset materialization budget exceeded (limit 1)"
+    assert "_maximal_idempotents" in {frame.name for frame in raised.traceback}
 
 
 # ---------------------------------------------------------------------------
