@@ -67,17 +67,31 @@ def test_parse_precedence():
     assert parse_regex("e|a", A1) == Alt(Eps(), Sym("a"))
 
 
+# Each malformed text with its full message; the position ends the message.
+SYNTAX_ERRORS = [
+    ("", "empty expression (at position 0)"),
+    ("   ", "empty expression (at position 0)"),
+    ("a(", "unexpected end of input (at position 2)"),
+    ("(a", "unbalanced parenthesis (at position 2)"),
+    ("a)", "unexpected ')' (at position 1)"),
+    ("()", "unexpected ')' (at position 1)"),
+    ("a|", "unexpected end of input (at position 2)"),
+    ("a||b", "unexpected '|' (at position 2)"),
+    ("(a|)", "unexpected ')' (at position 3)"),
+    ("**", "unexpected '*' (at position 0)"),
+    ("a~", "unexpected end of input (at position 2)"),
+    ("c", "letter 'c' outside alphabet (at position 0)"),
+    ("A", "unexpected 'A' (at position 0)"),
+    ("(" * 2000, "unexpected end of input (at position 2000)"),
+]
+
+
 def test_parse_errors():
-    with pytest.raises(RegexSyntaxError):
-        parse_regex("a(", A2)
-    with pytest.raises(RegexSyntaxError):
-        parse_regex("a)", A2)
-    with pytest.raises(RegexSyntaxError):
-        parse_regex("", A2)
-    with pytest.raises(RegexSyntaxError):
-        parse_regex("a|", A2)
-    with pytest.raises(RegexSyntaxError):
-        parse_regex("c", A2)  # letter outside alphabet
+    for text, message in SYNTAX_ERRORS:
+        with pytest.raises(RegexSyntaxError) as caught:
+            parse_regex(text, A2)
+        assert str(caught.value) == message
+        assert caught.value.position == int(message.rsplit(" ", 1)[1][:-1])
 
 
 def test_alphabet_validation():
@@ -152,6 +166,36 @@ def test_compile_budget():
     assert compile_regex(path, A2, Budget(states=12)).num_states == 12
     with pytest.raises(BudgetExceededError, match=r"^state budget exceeded \(limit 11\)$"):
         compile_regex(path, A2, Budget(states=11))
+
+
+# Regexes that together use every operator, with the number of derivatives
+# each compiles through: it fits a budget of exactly that many states and
+# trips one fewer. A change to how the parser groups or the terms
+# normalize moves these counts.
+TRIP_POINTS = [
+    ("(a|b)*a(a|b)(a|b)", 8),
+    ("abab(a|b)*ba", 8),
+    ("((ab)*)*b", 4),
+    ("a* & ~(b*)", 3),
+    ("(ab)+ | e", 4),
+    ("~((a|b)*abba(a|b)*)", 10),
+    ("0 | a0b | b", 3),
+    ("(a|e)(b|e)(a|e)b", 6),
+    ("  ( a b ) *  ( b a ) +  ", 5),
+    ("~~a~~b", 4),
+    ("(a&b)|~e", 2),
+    ("a+b+&(ab)*", 4),
+    ("(((((a|b)b)|a)b)|ba)*a", 12),
+    ("(" * 200 + "ab" + ")+" * 200, 4),
+]
+
+
+@pytest.mark.parametrize("text, n", TRIP_POINTS, ids=[t[:24] for t, _ in TRIP_POINTS])
+def test_state_budget_trips_at_the_derivative_count(text, n):
+    regex = parse_regex(text, A2)
+    assert compile_regex(regex, A2, Budget(states=n)) == lang(text)
+    with pytest.raises(BudgetExceededError, match=rf"^state budget exceeded \(limit {n - 1}\)$"):
+        compile_regex(regex, A2, Budget(states=n - 1))
 
 
 @pytest.mark.parametrize(
