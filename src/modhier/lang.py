@@ -16,6 +16,15 @@ Regex grammar (whitespace ignored):
 `0` is the empty language, `e` the empty word, `~` complement (so `~a*`
 reads as `~(a*)` and `~ab` as `(~a)b`). Since `e` is grammar syntax it
 cannot be used as an alphabet letter.
+
+`parse_regex` reads a regex into a postfix program: a tuple of
+(kind, operand) opcodes, children first. A letter is `("letter", c)`;
+the other opcodes have operand None and are named by their grammar
+character, `"0"`, `"e"`, `"|"`, `"&"`, `"*"`, `"+"` and `"~"`, with
+`"."` for concatenation. `|`, `&` and concatenation are binary and
+group to the left, so `a|b|c` is `a b | c |`. `compile_regex` replays
+a program into interned terms in one loop over its opcodes, then walks
+the terms' derivatives to a minimal DFA.
 """
 
 from __future__ import annotations
@@ -68,171 +77,92 @@ class Alphabet:
 
 
 # ---------------------------------------------------------------------------
-# Regex AST
+# Regex programs
 
 
-class Regex:
-    """Base class for regex AST nodes."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Empty(Regex):
-    pass
+# The opcodes without an operand, each named by its grammar character;
+# "." is concatenation.
+_OPS = {c: (c, None) for c in "0e|&.*+~"}
+# The opcode of each character that can stand alone as an item.
+_ATOMS = {c: _OPS[c] if c in "0e" else ("letter", c) for c in "0abcdefghijklmnopqrstuvwxyz"}
 
 
-@dataclass(frozen=True)
-class Eps(Regex):
-    pass
+def parse_regex(text: str, alphabet: Alphabet) -> tuple:
+    """The postfix program of `text`; letters must belong to `alphabet`.
 
-
-@dataclass(frozen=True)
-class Sym(Regex):
-    letter: str
-
-
-@dataclass(frozen=True)
-class Alt(Regex):
-    left: Regex
-    right: Regex
-
-
-@dataclass(frozen=True)
-class And(Regex):
-    left: Regex
-    right: Regex
-
-
-@dataclass(frozen=True)
-class Seq(Regex):
-    left: Regex
-    right: Regex
-
-
-@dataclass(frozen=True)
-class Star(Regex):
-    inner: Regex
-
-
-@dataclass(frozen=True)
-class Plus(Regex):
-    inner: Regex
-
-
-@dataclass(frozen=True)
-class Not(Regex):
-    inner: Regex
-
-
-class _Parser:
-    def __init__(self, text: str, alphabet: Alphabet):
-        self.text = text
-        self.alphabet = alphabet
-        self.pos = 0
-
-    def error(self, message: str):
-        raise RegexSyntaxError(message, self.pos)
-
-    def peek(self) -> str | None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def parse(self) -> Regex:
-        """The AST of the whole text, parsed without recursion: `groups`
-        holds the whole text's group and one per open parenthesis, and
-        `pending` the number of `~` before each open parenthesis."""
-        groups: list[_Group] = [_Group()]
-        pending: list[int] = []
-        while True:
-            nots = 0
-            c = self.peek()
-            while c == "~":
-                self.pos += 1
-                nots += 1
-                c = self.peek()
-            if c == "(":
-                self.pos += 1
-                groups.append(_Group())
-                pending.append(nots)
-                continue
-            node = self.atom(c)
-            while True:
-                c = self.peek()
-                while c == "*" or c == "+":
-                    node = Star(node) if c == "*" else Plus(node)
-                    self.pos += 1
-                    c = self.peek()
-                for _ in range(nots):
-                    node = Not(node)
-                groups[-1].items.append(node)
-                if c != ")" or not pending:
-                    break
-                self.pos += 1
-                node = groups.pop().close()
-                nots = pending.pop()
-            if c is None:
-                if pending:
-                    self.error("unbalanced parenthesis")
-                return groups[0].close()
-            if c == ")":
-                self.error(f"unexpected {c!r}")
-            if c in "|&":
-                self.pos += 1
-                groups[-1].end_factor(c == "|")
-
-    def atom(self, c: str | None) -> Regex:
-        """The letter, `0` or `e` that `c`, the next character, starts."""
-        if c is None:
-            self.error("unexpected end of input")
-        if c == "0":
-            node = Empty()
-        elif c == "e":
-            node = Eps()
-        elif "a" <= c <= "z":
-            if c not in self.alphabet:
-                self.error(f"letter {c!r} outside alphabet")
-            node = Sym(c)
-        else:
-            self.error(f"unexpected {c!r}")
-        self.pos += 1
-        return node
-
-
-class _Group:
-    """A group being parsed: its terms, the current term's factors, the current factor's items."""
-
-    def __init__(self):
-        self.terms: list[Regex] = []
-        self.factors: list[Regex] = []
-        self.items: list[Regex] = []
-
-    def end_factor(self, end_term: bool) -> None:
-        self.factors.append(_fold(Seq, self.items))
-        self.items = []
-        if end_term:
-            self.terms.append(_fold(And, self.factors))
-            self.factors = []
-
-    def close(self) -> Regex:
-        self.end_factor(True)
-        return _fold(Alt, self.terms)
-
-
-def _fold(node: type, parts: list[Regex]) -> Regex:
-    """`parts` joined by the binary `node`, grouped to the left."""
-    out = parts[0]
-    for p in parts[1:]:
-        out = node(out, p)
-    return out
-
-
-def parse_regex(text: str, alphabet: Alphabet) -> Regex:
-    """Parse `text` into an AST; letters must belong to `alphabet`."""
+    The program is emitted as the text is read, without recursion:
+    `groups` holds, for the whole text and for each open parenthesis,
+    whether its current factor has an item, its current term a factor
+    and it a term; `pending` holds the number of `~` before each open
+    parenthesis. Whitespace is skipped: `chars[k]` is the k-th other
+    character, at `where[k]` in the text, and None ends them.
+    """
     if not text.strip():
         raise RegexSyntaxError("empty expression", 0)
-    return _Parser(text, alphabet).parse()
+    where = [i for i, c in enumerate(text) if not c.isspace()] + [len(text)]
+    chars = [text[i] for i in where[:-1]] + [None]
+    letters = alphabet.letters
+    out: list[tuple] = []
+    groups = [[False, False, False]]
+    pending: list[int] = []
+    k = 0
+    while True:
+        nots = 0
+        while chars[k] == "~":
+            k += 1
+            nots += 1
+        c = chars[k]
+        if c == "(":
+            k += 1
+            groups.append([False, False, False])
+            pending.append(nots)
+            continue
+        op = _ATOMS.get(c)
+        if op is None:
+            raise RegexSyntaxError("unexpected end of input" if c is None else f"unexpected {c!r}", where[k])
+        if op[0] == "letter" and c not in letters:
+            raise RegexSyntaxError(f"letter {c!r} outside alphabet", where[k])
+        out.append(op)
+        k += 1
+        while True:
+            c = chars[k]
+            while c == "*" or c == "+":
+                out.append(_OPS[c])
+                k += 1
+                c = chars[k]
+            out.extend([_OPS["~"]] * nots)
+            group = groups[-1]
+            if group[0]:
+                out.append(_OPS["."])
+            group[0] = True
+            if c != ")" or not pending:
+                break
+            k += 1
+            _end_factor(out, groups.pop(), True)
+            nots = pending.pop()
+        if c is None:
+            if pending:
+                raise RegexSyntaxError("unbalanced parenthesis", where[k])
+            _end_factor(out, groups[0], True)
+            return tuple(out)
+        if c == ")":
+            raise RegexSyntaxError(f"unexpected {c!r}", where[k])
+        if c in "|&":
+            k += 1
+            _end_factor(out, groups[-1], c == "|")
+
+
+def _end_factor(out: list, group: list, end_term: bool) -> None:
+    """End the current factor of `group`, and its term if `end_term`: each
+    joins the one before it, so `&` and `|` group to the left."""
+    group[0] = False
+    if group[1]:
+        out.append(_OPS["&"])
+    group[1] = not end_term
+    if end_term:
+        if group[2]:
+            out.append(_OPS["|"])
+        group[2] = True
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +353,20 @@ def short_words(dfa: Dfa, max_len: int) -> list[str]:
 # Regex compilation
 
 
-def compile_regex(regex: Regex, alphabet: Alphabet, budget: Budget = Budget()) -> Dfa:
-    """Minimal complete DFA for `regex`; raises on state-budget overrun.
+def compile_regex(program: tuple, alphabet: Alphabet, budget: Budget = Budget()) -> Dfa:
+    """Minimal complete DFA for a `parse_regex` program; raises on state-budget overrun.
 
-    The states are the regex's derivatives (Brzozowski 1964): the
-    derivative of a language by a letter a is the set of words w with
-    aw in it, and a word is accepted from a state when the state's term
-    is nullable. Derivatives are found breadth first from the regex, at
-    most `budget.states` of them, and the automaton is minimized once.
+    The program is replayed into terms, and the states are the term's
+    derivatives (Brzozowski 1964): the derivative of a language by a
+    letter a is the set of words w with aw in it, and a word is
+    accepted from a state when the state's term is nullable.
+    Derivatives are found breadth first from the regex, at most
+    `budget.states` of them, and the automaton is minimized once.
     Terms are numbered afresh in each call, so nothing is kept between
     calls.
     """
     terms = _Terms(len(alphabet))
-    root = terms.of_regex(regex, alphabet)
+    root = terms.replay(program, alphabet)
     found, rows, _ = explore(root, range(len(alphabet)), terms.derive, budget, "states")
     accepting = frozenset(q for q, term in enumerate(found) if terms.nullable[term])
     return minimize(Dfa(alphabet, tuple(rows), 0, accepting))
@@ -510,76 +441,96 @@ class _Terms:
         kind, operands = self.nodes[x]
         return operands[0] if kind == _NOT else self.intern((_NOT, (x,)), not self.nullable[x])
 
-    def of_regex(self, regex: Regex, alphabet: Alphabet) -> int:
-        """The term of `regex`, built children first, left to right,
-        from an explicit stack, so any depth of nesting compiles."""
-        build = {
-            Empty: lambda: self.empty,
-            Eps: lambda: self.eps,
-            Alt: lambda x, y: self.boolean(_ALT, (x, y)),
-            And: lambda x, y: self.boolean(_AND, (x, y)),
-            Seq: self.seq,
-            Star: self.star,
-            Plus: lambda x: self.seq(x, self.star(x)),
-            Not: self.negate,
-        }
-        order = []  # each node with its number of children, parents first
-        todo = [regex]
-        while todo:
-            r = todo.pop()
-            if type(r) not in build and not isinstance(r, Sym):
-                raise TypeError(f"not a regex node: {r!r}")
-            children = (r.left, r.right) if isinstance(r, (Alt, And, Seq)) else ()
-            children = (r.inner,) if isinstance(r, (Star, Plus, Not)) else children
-            order.append((r, len(children)))
-            todo.extend(children)
-        built: list[int] = []  # the terms of the nodes whose parents are not built
-        for r, arity in reversed(order):
-            args = built[len(built) - arity :]
-            del built[len(built) - arity :]
-            if isinstance(r, Sym):
-                built.append(self.intern((_SYM, (alphabet.index(r.letter),)), False))
-            else:
-                built.append(build[type(r)](*args))
-        return built[0]
+    def replay(self, program: tuple, alphabet: Alphabet) -> int:
+        """The term of `program`, built in one pass over its opcodes: each
+        takes its operands off the top of a stack of terms and leaves its
+        own term there. Raises TypeError on a malformed program.
+
+        The leaves' derivatives are known as the leaves are made, so they
+        go into the memos here: by any letter, `0` and `e` derive to `0`
+        and `~0` to itself, and a letter derives to `e` by itself and to
+        `0` by the others. Derivatives make no new leaves."""
+        for memo in self.derivatives:
+            memo.update({self.empty: self.empty, self.eps: self.empty, self.full: self.full})
+        stack: list[int] = []
+        letters: dict[str, int] = {}
+        try:
+            for kind, operand in program:
+                if kind == "letter":
+                    t = letters.get(operand)
+                    if t is None:
+                        i = alphabet.index(operand)
+                        t = letters[operand] = self.intern((_SYM, (i,)), False)
+                        for l, memo in enumerate(self.derivatives):
+                            memo[t] = self.eps if l == i else self.empty
+                    stack.append(t)
+                elif kind == ".":
+                    y = stack.pop()
+                    stack[-1] = self.seq(stack[-1], y)
+                elif kind == "|" or kind == "&":
+                    y = stack.pop()
+                    stack[-1] = self.boolean(_ALT if kind == "|" else _AND, (stack[-1], y))
+                elif kind == "*":
+                    stack[-1] = self.star(stack[-1])
+                elif kind == "+":
+                    x = stack[-1]
+                    stack[-1] = self.seq(x, self.star(x))
+                elif kind == "~":
+                    stack[-1] = self.negate(stack[-1])
+                elif kind == "0" or kind == "e":
+                    stack.append(self.empty if kind == "0" else self.eps)
+                else:
+                    raise TypeError(f"unknown opcode {(kind, operand)!r} in regex program {program!r}")
+        except IndexError:
+            raise TypeError(f"too few operands for {kind!r} in regex program {program!r}") from None
+        if len(stack) != 1:
+            raise TypeError(f"regex program {program!r} leaves {len(stack)} operands, not 1")
+        return stack[0]
 
     def derive(self, term: int, l: int) -> int:
-        """The derivative of `term` by letter `l`, memoized. Those of its
-        operands come first, from an explicit stack, so deep terms derive."""
+        """The derivative of `term` by letter `l`, memoized (the leaves'
+        from `replay`). The derivatives a term waits on come first, from
+        an explicit stack, so deep terms derive: a concatenation waits on
+        its head's, and on its tail's only when the head is nullable."""
         memo = self.derivatives[l]
+        d = memo.get(term)
+        if d is not None:
+            return d
+        nodes, nullable = self.nodes, self.nullable
         todo = [term]
         while todo:
             t = todo[-1]
-            if t in memo:
-                todo.pop()
-                continue
-            kind, operands = self.nodes[t]
-            needs = () if kind == _SYM else operands
-            if kind == _SEQ and not self.nullable[operands[0]]:
-                needs = operands[:1]
-            missing = [u for u in needs if u not in memo]
-            if missing:
-                todo.extend(missing)
-                continue
-            todo.pop()
-            if kind == _SYM:
-                d = self.eps if operands[0] == l else self.empty
-            elif kind == _ALT or kind == _AND:
-                d = self.boolean(kind, [memo[u] for u in operands])
-            elif kind == _SEQ:
+            kind, operands = nodes[t]
+            if kind == _SEQ:
                 # d(xy) = d(x)y, or d(x)y | d(y) when x accepts the empty word
                 x, y = operands
-                d = self.seq(memo[x], y)
-                if self.nullable[x]:
-                    d = self.boolean(_ALT, (d, memo[y]))
-            elif kind == _STAR:
-                d = self.seq(memo[operands[0]], t)
-            elif kind == _NOT:
-                d = self.negate(memo[operands[0]])
-            else:
-                d = self.empty
+                dx = memo.get(x)
+                if dx is None:
+                    todo.append(x)
+                    continue
+                if nullable[x]:
+                    dy = memo.get(y)
+                    if dy is None:
+                        todo.append(y)
+                        continue
+                    d = self.boolean(_ALT, (self.seq(dx, y), dy))
+                else:
+                    d = self.seq(dx, y)
+            elif kind == _ALT or kind == _AND:
+                ds = [memo.get(u) for u in operands]
+                if None in ds:
+                    todo.extend(u for u in operands if u not in memo)
+                    continue
+                d = self.boolean(kind, ds)
+            else:  # `*` or `~`
+                dx = memo.get(operands[0])
+                if dx is None:
+                    todo.append(operands[0])
+                    continue
+                d = self.seq(dx, t) if kind == _STAR else self.negate(dx)
             memo[t] = d
-        return memo[term]
+            todo.pop()
+        return d
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,6 @@ from .errors import Budget
 from .lang import (
     Alphabet,
     Dfa,
-    Regex,
-    Alt,
-    Empty,
-    Eps,
-    Seq,
-    Star,
-    Sym,
     compile_regex,
     disjoint,
     included,
@@ -55,20 +48,18 @@ class SeparatorCandidate:
             raise ValueError("modulus must be at least 1")
 
 
-def _any_letter(alphabet: Alphabet) -> Regex:
-    expr: Regex = Sym(alphabet.letters[0])
+def _any_letter(alphabet: Alphabet) -> tuple:
+    """The program of a1|a2|...|an, for the letters a1, ..., an of `alphabet`."""
+    program = [("letter", alphabet.letters[0])]
     for letter in alphabet.letters[1:]:
-        expr = Alt(expr, Sym(letter))
-    return expr
+        program += [("letter", letter), ("|", None)]
+    return tuple(program)
 
 
-def _block(alphabet: Alphabet, modulus: int) -> Regex:
-    """(A^d)*: words whose length is divisible by d."""
-    step: Regex = _any_letter(alphabet)
-    body = step
-    for _ in range(modulus - 1):
-        body = Seq(body, step)
-    return Star(body)
+def _block(alphabet: Alphabet, modulus: int) -> tuple:
+    """The program of (A^d)*: words whose length is divisible by d."""
+    step = _any_letter(alphabet)
+    return step + (step + ((".", None),)) * (modulus - 1) + (("*", None),)
 
 
 def candidate_language(
@@ -76,13 +67,13 @@ def candidate_language(
 ) -> Dfa:
     """Compile a candidate's denotation over the given alphabet."""
     block = _block(alphabet, candidate.modulus)
-    total: Regex = Empty()
+    total = [("0", None)]
     for word in candidate.markers:
-        product: Regex = block
+        total += block
         for letter in word:
-            product = Seq(Seq(product, Sym(letter)), block)
-        total = Alt(total, product)
-    return compile_regex(total, alphabet, budget)
+            total += [("letter", letter), (".", None), *block, (".", None)]
+        total.append(("|", None))
+    return compile_regex(tuple(total), alphabet, budget)
 
 
 def marked_product_accepts(word: str, modulus: int, marker: str) -> bool:
@@ -199,7 +190,7 @@ def generic_iopti(rho: RatingMap, separates, budget: Budget = Budget()):
     formula for the same basis.
     """
     values, transitions = value_automaton(rho, budget)
-    eps = compile_regex(Eps(), rho.alphabet, budget)
+    eps = compile_regex((("e", None),), rho.alphabet, budget)
     semiring = rho.semiring
     total = semiring.zero
     for i, value in enumerate(values):

@@ -6,20 +6,7 @@ import random
 
 from modhier.engines import _close_products
 from modhier.errors import Budget
-from modhier.lang import (
-    Alphabet,
-    Alt,
-    And,
-    Empty,
-    Eps,
-    Not,
-    Plus,
-    Seq,
-    Star,
-    Sym,
-    compile_regex,
-    parse_regex,
-)
+from modhier.lang import Alphabet, compile_regex, parse_regex
 from modhier.rating import aux_pbpol_map
 from modhier.semiring import (
     Antichain,
@@ -209,38 +196,44 @@ def random_dfa(rng: random.Random, alphabet: Alphabet, max_states: int = 6, dept
             return dfa
 
 
-def matches(regex, word: str) -> bool:
-    """Does `regex` match `word`? Read off the AST node by node, with no
-    automaton, so it checks `compile_regex` independently."""
-    return (0, len(word)) in _spans(regex, word)
-
-
-def _spans(regex, word: str) -> set:
-    """The pairs (i, j) such that `regex` matches word[i:j]."""
+def matches(program, word: str) -> bool:
+    """Does the regex `program` match `word`? Read off the program opcode
+    by opcode, with no automaton, so it checks `compile_regex`
+    independently. Each operand is the set of pairs (i, j) such that it
+    matches word[i:j]."""
     n = len(word)
-    if isinstance(regex, Empty):
-        return set()
-    if isinstance(regex, Eps):
-        return {(i, i) for i in range(n + 1)}
-    if isinstance(regex, Sym):
-        return {(i, i + 1) for i, a in enumerate(word) if a == regex.letter}
-    if isinstance(regex, (Alt, And, Seq)):
-        left, right = _spans(regex.left, word), _spans(regex.right, word)
-        if isinstance(regex, Alt):
-            return left | right
-        if isinstance(regex, And):
-            return left & right
-        return {(i, k) for i, j in left for j2, k in right if j == j2}
-    if not isinstance(regex, (Not, Star, Plus)):
-        raise TypeError(f"not a regex node: {regex!r}")
-    inner = _spans(regex.inner, word)
-    if isinstance(regex, Not):
-        return {(i, j) for i in range(n + 1) for j in range(i, n + 1)} - inner
-    # Concatenations of one or more inner spans, and for Star also the
-    # empty span at every position.
-    closure = set(inner) | ({(i, i) for i in range(n + 1)} if isinstance(regex, Star) else set())
-    while True:
-        longer = {(i, k) for i, j in closure for j2, k in inner if j == j2} - closure
-        if not longer:
-            return closure
-        closure |= longer
+    stack = []
+    for kind, operand in program:
+        if kind == "letter":
+            stack.append({(i, i + 1) for i, a in enumerate(word) if a == operand})
+        elif kind == "0":
+            stack.append(set())
+        elif kind == "e":
+            stack.append({(i, i) for i in range(n + 1)})
+        elif kind in ("|", "&", "."):
+            right, left = stack.pop(), stack.pop()
+            if kind == "|":
+                stack.append(left | right)
+            elif kind == "&":
+                stack.append(left & right)
+            else:
+                stack.append(_joined(left, right))
+        elif kind == "~":
+            stack.append({(i, j) for i in range(n + 1) for j in range(i, n + 1)} - stack.pop())
+        elif kind in ("*", "+"):
+            # Concatenations of one or more inner spans, and for `*` also
+            # the empty span at every position.
+            inner = stack.pop()
+            closure = set(inner) | ({(i, i) for i in range(n + 1)} if kind == "*" else set())
+            while longer := _joined(closure, inner) - closure:
+                closure |= longer
+            stack.append(closure)
+        else:
+            raise TypeError(f"not a regex opcode: {(kind, operand)!r}")
+    [spans] = stack
+    return (0, n) in spans
+
+
+def _joined(left: set, right: set) -> set:
+    """The spans (i, k) of a left span (i, j) followed by a right span (j, k)."""
+    return {(i, k) for i, j in left for j2, k in right if j == j2}

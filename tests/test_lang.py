@@ -1,6 +1,5 @@
 """Regex parsing, DFA compilation, regular ops, transition monoids."""
 
-import copy
 import gc
 import itertools
 import time
@@ -14,16 +13,7 @@ from modhier import lang as lang_module
 from modhier.errors import Budget, BudgetExceededError, InputError, RegexSyntaxError
 from modhier.lang import (
     Alphabet,
-    Alt,
-    And,
     Dfa,
-    Empty,
-    Eps,
-    Not,
-    Plus,
-    Seq,
-    Star,
-    Sym,
     compile_regex,
     complement,
     disjoint,
@@ -47,24 +37,38 @@ def lang(text, alphabet=A2):
     return compile_regex(parse_regex(text, alphabet), alphabet)
 
 
+def program(opcodes):
+    """The program written as space-separated opcodes, children first: a
+    letter other than `e` stands for its letter opcode, `.` for
+    concatenation, and `0`, `e`, `|`, `&`, `*`, `+`, `~` for themselves."""
+    return tuple(("letter", c) if c.isalpha() and c != "e" else (c, None) for c in opcodes.split())
+
+
 # -- parsing ----------------------------------------------------------------
 
 
 def test_parse_concat_star():
-    assert parse_regex("a(ab)*", A2) == Seq(Sym("a"), Star(Seq(Sym("a"), Sym("b"))))
+    assert parse_regex("a(ab)*", A2) == (
+        ("letter", "a"), ("letter", "a"), ("letter", "b"), (".", None), ("*", None), (".", None)
+    )
 
 
 def test_parse_complement_of_empty():
-    assert parse_regex("~0", A1) == Not(Empty())
+    assert parse_regex("~0", A1) == program("0 ~")
 
 
 def test_parse_precedence():
     # union lowest, complement binds the following item with its postfix
-    assert parse_regex("a|b a", A2) == Alt(Sym("a"), Seq(Sym("b"), Sym("a")))
-    assert parse_regex("~a*", A1) == Not(Star(Sym("a")))
-    assert parse_regex("~ab", A2) == Seq(Not(Sym("a")), Sym("b"))
-    assert parse_regex("a+", A1) == Plus(Sym("a"))
-    assert parse_regex("e|a", A1) == Alt(Eps(), Sym("a"))
+    assert parse_regex("a|b a", A2) == program("a b a . |")
+    assert parse_regex("~a*", A1) == program("a * ~")
+    assert parse_regex("~ab", A2) == program("a ~ b .")
+    assert parse_regex("a+", A1) == program("a +")
+    assert parse_regex("e|a", A1) == program("e a |")
+
+
+def test_parse_groups_binary_operators_to_the_left():
+    assert parse_regex("a|b|a&b&a", A2) == program("a b | a b & a & |")
+    assert parse_regex("a b (a b) a", A2) == program("a b . a b . . a .")
 
 
 # Each malformed text with its full message; the position ends the message.
@@ -168,6 +172,33 @@ def test_compile_budget():
         compile_regex(path, A2, Budget(states=11))
 
 
+@pytest.mark.parametrize(
+    "regex, message",
+    [
+        (program("a ?"), "unknown opcode ('?', None) in regex program {}"),
+        ((("letter", "a"), ("star", None)), "unknown opcode ('star', None) in regex program {}"),
+        (program("a |"), "too few operands for '|' in regex program {}"),
+        (program("*"), "too few operands for '*' in regex program {}"),
+        (program(". a"), "too few operands for '.' in regex program {}"),
+        ((), "regex program {} leaves 0 operands, not 1"),
+        (program("a b"), "regex program {} leaves 2 operands, not 1"),
+        (program("a b . b"), "regex program {} leaves 2 operands, not 1"),
+    ],
+)
+def test_malformed_programs_are_rejected(regex, message):
+    with pytest.raises(TypeError) as caught:
+        compile_regex(regex, A2)
+    assert str(caught.value) == message.format(repr(regex))
+
+
+def test_program_letters_are_checked_against_the_alphabet():
+    with pytest.raises(InputError, match=r"^letter 'c' not in alphabet 'ab'$"):
+        compile_regex(program("a c ."), A2)
+    # A program compiles under any alphabet that holds its letters.
+    abc = Alphabet.of("abc")
+    assert compile_regex(parse_regex("a*b", A2), abc) == lang("a*b", abc)
+
+
 # Regexes that together use every operator, with the number of derivatives
 # each compiles through: it fits a budget of exactly that many states and
 # trips one fewer. A change to how the parser groups or the terms
@@ -226,21 +257,21 @@ def compile_outcome(regex, budget):
 
 
 def _wrap(children):
-    return st.one_of(
-        st.builds(Alt, children, children),
-        st.builds(And, children, children),
-        st.builds(Seq, children, children),
-        st.builds(Star, children),
-        st.builds(Plus, children),
-        st.builds(Not, children),
-    )
+    def joined(kind):
+        return st.builds(lambda x, y: x + y + ((kind, None),), children, children)
+
+    def applied(kind):
+        return children.map(lambda x: x + ((kind, None),))
+
+    return st.one_of(*map(joined, "|&."), *map(applied, "*+~"))
 
 
-_subtrees = st.recursive(st.sampled_from([Sym("a"), Sym("b"), Eps(), Empty()]), _wrap, max_leaves=5)
-# Regexes whose leaves are copies of one drawn subtree or a letter: equal
-# subexpressions recur, as separate objects, as the parser makes them.
+_LEAVES = st.sampled_from([program("a"), program("b"), program("e"), program("0")])
+_subtrees = st.recursive(_LEAVES, _wrap, max_leaves=5)
+# Programs whose leaves are one drawn subprogram or a letter: equal
+# subexpressions recur, as the parser makes them.
 _shared_regexes = _subtrees.flatmap(
-    lambda t: st.recursive(st.sampled_from([t, Sym("a")]).map(copy.deepcopy), _wrap, max_leaves=6)
+    lambda t: st.recursive(st.sampled_from([t, program("a")]), _wrap, max_leaves=6)
 )
 
 
@@ -250,7 +281,7 @@ _SHORT_WORDS = ["".join(w) for n in range(7) for w in itertools.product("ab", re
 @settings(max_examples=150, deadline=None)
 @given(_shared_regexes, st.integers(1, 24))
 def test_shared_subexpressions_compile_as_when_built_each_time(regex, limit):
-    # Against `matches`, which reads the AST with no automaton.
+    # Against `matches`, which reads the program with no automaton.
     dfa = compile_regex(regex, A2)
     accepted = [w for w in _SHORT_WORDS if dfa.accepts(w)]
     assert accepted == [w for w in _SHORT_WORDS if matches(regex, w)]
@@ -290,28 +321,37 @@ def test_long_alternations_compile():
     assert compile_regex(regex, A2) == lang("a|b|ab|ba")
 
 
-# How tightly each node binds as printed: union, intersection,
+# How tightly each opcode binds as printed: union, intersection,
 # concatenation, complement, postfix; letters, 0 and e bind tightest.
-_BINDING = {Alt: 0, And: 1, Seq: 2, Not: 3, Star: 4, Plus: 4}
+_BINDING = {"|": 0, "&": 1, ".": 2, "~": 3, "*": 4, "+": 4}
 
 
-def printed(r, least=0):
-    """`r` as text with the fewest parentheses that parse back to `r`."""
-    binding = _BINDING.get(type(r), 5)
-    if isinstance(r, (Alt, And, Seq)):
-        op = {Alt: "|", And: "&", Seq: " "}[type(r)]
-        text = printed(r.left, binding) + op + printed(r.right, binding + 1)
-    elif isinstance(r, Not):
-        text = "~" + printed(r.inner, 3)
-    elif isinstance(r, (Star, Plus)):
-        text = printed(r.inner, 4) + ("*" if isinstance(r, Star) else "+")
-    else:
-        text = {Empty: "0", Eps: "e"}.get(type(r)) or r.letter
-    return f"({text})" if binding < least else text
+def printed(regex):
+    """The program `regex` as text with the fewest parentheses that parse back to it."""
+    stack = []  # the text of each operand, with how tightly it binds
+
+    def operand(least):
+        text, binding = stack.pop()
+        return f"({text})" if binding < least else text
+
+    for kind, letter in regex:
+        binding = _BINDING.get(kind, 5)
+        if kind in ("|", "&", "."):
+            right = operand(binding + 1)
+            text = operand(binding) + {"|": "|", "&": "&", ".": " "}[kind] + right
+        elif kind == "~":
+            text = "~" + operand(3)
+        elif kind in ("*", "+"):
+            text = operand(4) + kind
+        else:
+            text = letter if kind == "letter" else kind
+        stack.append((text, binding))
+    [(text, _)] = stack
+    return text
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.recursive(st.sampled_from([Sym("a"), Sym("b"), Eps(), Empty()]), _wrap, max_leaves=12))
+@given(st.recursive(_LEAVES, _wrap, max_leaves=12))
 def test_printed_regexes_parse_back(regex):
     # Precedence, left grouping and postfix/complement binding, on the
     # parser's explicit stack of open groups.

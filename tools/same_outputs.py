@@ -1,0 +1,103 @@
+"""Compare this tree's command-line outputs with those of an earlier revision.
+
+    python3 tools/same_outputs.py PARENT_REV SEED [SEED ...]
+
+Extracts PARENT_REV with `git archive` into a temporary directory and
+takes every distinct argument list of the three benchmark corpora at
+each seed, from this tree's bench/corpus.py: as drawn, with
+`--no-stats`, and with `--emit-imprint --no-stats`. The query with the
+short repro deadline is left out, as it never returns. Each list runs
+through `modhier.cli.run` of both trees, each tree in its own
+subprocess, and every difference in exit code, stdout or stderr is
+printed with the `ms` timings masked. Exits 1 if there is any
+difference, 0 if there is none.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import re
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MS = re.compile(r'(ms=|"ms": )[0-9.e+-]+')
+VARIANTS = ((), ("--no-stats",), ("--emit-imprint", "--no-stats"))
+
+
+def argument_lists(seeds) -> list:
+    """Every distinct argument list of the corpora at `seeds`, in a fixed order."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import corpus
+
+    lists = set()
+    for seed in seeds:
+        for make in corpus.WORKLOADS.values():
+            for q in make(seed):
+                if q.deadline < corpus.DEADLINE:
+                    continue
+                for extra in VARIANTS:
+                    flags = q.flags + tuple(f for f in extra if f not in q.flags)
+                    lists.add((q.command, "--level", q.level, "--alphabet", q.alphabet,
+                               *flags, *q.regexes))
+    return sorted(lists)
+
+
+def run_all(src: str, lists_file: str, results_file: str) -> None:
+    """Run every argument list through the `modhier.cli` under `src`."""
+    sys.path.insert(0, src)
+    import modhier.cli
+
+    if not Path(modhier.cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"modhier was imported from {modhier.cli.__file__}, not {src}")
+    results = []
+    for argv in json.loads(Path(lists_file).read_text()):
+        out, err = io.StringIO(), io.StringIO()
+        code = modhier.cli.run(argv, out, err)
+        results.append([code, MS.sub(r"\1#", out.getvalue()), MS.sub(r"\1#", err.getvalue())])
+    Path(results_file).write_text(json.dumps(results))
+
+
+def main(argv) -> int:
+    if argv[:1] == ["--child"]:
+        run_all(*argv[1:])
+        return 0
+    if len(argv) < 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent_rev, seeds = argv[0], [int(s) for s in argv[1:]]
+    lists = argument_lists(seeds)
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp) / "parent"
+        parent.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent_rev],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        lists_file = Path(tmp) / "lists.json"
+        lists_file.write_text(json.dumps(lists))
+        results = [Path(tmp) / "parent.json", Path(tmp) / "this.json"]
+        children = [
+            subprocess.Popen([sys.executable, __file__, "--child", str(src), str(lists_file), str(out)])
+            for src, out in zip((parent / "src", ROOT / "src"), results)
+        ]
+        if any([child.wait() for child in children]):
+            print("error: a tree's run failed", file=sys.stderr)
+            return 2
+        before, after = (json.loads(out.read_text()) for out in results)
+    differences = 0
+    for args, old, new in zip(lists, before, after):
+        for what, x, y in zip(("exit code", "stdout", "stderr"), old, new):
+            if x != y:
+                differences += 1
+                print(f"{shlex.join(args)}\n  {what}: parent {x!r}\n  {what}: this tree {y!r}")
+    print(f"{len(lists)} argument lists of seeds {' '.join(map(str, seeds))} "
+          f"against {parent_rev}: {differences} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
