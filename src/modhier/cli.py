@@ -18,9 +18,9 @@ from pathlib import Path
 
 from .basis import oracle_for
 from .decide import (
-    COVER_LEVELS,
     LEVELS,
     Verdict,
+    check_imprint_level,
     coverable,
     imprinted,
     maximal_in_order,
@@ -201,8 +201,8 @@ def _run_query(args, out) -> int:
     show = args.emit_imprint or args.command == "imprint"
     # Covering refuses level 0 on its own terms; the other commands
     # would decide it in full before finding no imprint to show.
-    if show and args.level not in COVER_LEVELS and args.command != "cover":
-        raise UnsupportedError(f"imprints are not defined at level {args.level}")
+    if show and args.command != "cover":
+        check_imprint_level(args.level)
     if args.command == "imprint":
         verdict = imprinted(args.level, dfas, oracle, budget)
     elif args.command == "member":

@@ -68,6 +68,13 @@ def _check_level(level: str) -> None:
         raise InputError(f"unknown level {level!r}; expected one of {', '.join(LEVELS)}")
 
 
+def check_imprint_level(level: str) -> None:
+    """Refuse a level below 1/2, where imprints are not defined."""
+    _check_level(level)
+    if level not in COVER_LEVELS:
+        raise UnsupportedError(f"imprints are not defined at level {level}")
+
+
 def level_imprint(level: str, dfas: list[Dfa], oracle: BasisOracle, budget: Budget = Budget()):
     """The optimal imprint of the languages at a level, by that level's engines.
 
@@ -79,9 +86,7 @@ def level_imprint(level: str, dfas: list[Dfa], oracle: BasisOracle, budget: Budg
     generations of the closure that completes the imprint. Imprints
     start at level 1/2.
     """
-    _check_level(level)
-    if level not in COVER_LEVELS:
-        raise UnsupportedError(f"imprints are not defined at level {level}")
+    check_imprint_level(level)
     morphism = transition_monoid(dfas, budget)
     rho = canonical_covering_map(morphism)
     if level == "1/2":

@@ -136,8 +136,8 @@ def bpol_iopti(rho: RatingMap, oracle: BasisOracle, budget: Budget = Budget()) -
     dominates s and lies in every chosen pair's set; the descending
     sequence stabilizes on the answer. The filter condition is
     downward closed in s, so the set is a downset throughout, kept as
-    the antichain of its maxima. That needs meets, which the power
-    semirings of covering maps have: the filtered set is an
+    the antichain of its maxima. That needs the semiring's `meet`
+    (power semirings meet by intersection): the filtered set is an
     intersection of downsets, whose maxima are the pairwise meets of
     the operands' maxima, gathered in an `Antichain` within the
     antichain budget. Each round builds its auxiliary map over a fresh

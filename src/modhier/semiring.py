@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import Budget
 from .lang import explore
@@ -41,66 +41,6 @@ class Semiring:
         for x in items:
             total = self.add(total, x)
         return total
-
-
-class TableSemiring(Semiring):
-    """Explicit small semiring given by operation tables; axioms checked."""
-
-    def __init__(self, add_table, mul_table, zero: int, one: int):
-        self._add = tuple(tuple(row) for row in add_table)
-        self._mul = tuple(tuple(row) for row in mul_table)
-        self.zero = zero
-        self.one = one
-        n = len(self._add)
-        self._check_axioms(n)
-        # order as a bit of precomputation; carriers here are small
-        self._leq = tuple(
-            tuple(self._add[r][s] == s for s in range(n)) for r in range(n)
-        )
-
-    def _check_axioms(self, n: int) -> None:
-        rng = range(n)
-        a, m = self._add, self._mul
-        for x in rng:
-            if a[x][x] != x:
-                raise ValueError(f"addition not idempotent at {x}")
-            if a[self.zero][x] != x or a[x][self.zero] != x:
-                raise ValueError(f"zero not neutral at {x}")
-            if m[self.one][x] != x or m[x][self.one] != x:
-                raise ValueError(f"one not neutral at {x}")
-            if m[self.zero][x] != self.zero or m[x][self.zero] != self.zero:
-                raise ValueError(f"zero not annihilating at {x}")
-            for y in rng:
-                if a[x][y] != a[y][x]:
-                    raise ValueError(f"addition not commutative at ({x},{y})")
-                for z in rng:
-                    if a[a[x][y]][z] != a[x][a[y][z]]:
-                        raise ValueError(f"addition not associative at ({x},{y},{z})")
-                    if m[m[x][y]][z] != m[x][m[y][z]]:
-                        raise ValueError(f"multiplication not associative at ({x},{y},{z})")
-                    if m[x][a[y][z]] != a[m[x][y]][m[x][z]]:
-                        raise ValueError(f"left distributivity fails at ({x},{y},{z})")
-                    if m[a[y][z]][x] != a[m[y][x]][m[z][x]]:
-                        raise ValueError(f"right distributivity fails at ({x},{y},{z})")
-
-    def add(self, x, y):
-        return self._add[x][y]
-
-    def mul(self, x, y):
-        return self._mul[x][y]
-
-    def leq(self, x, y) -> bool:
-        return self._leq[x][y]
-
-    def elements(self) -> range:
-        return range(len(self._add))
-
-    def top(self) -> int:
-        return self.sum(self.elements())
-
-    def iter_below(self, x) -> Iterator:
-        """All elements <= x (materializes a principal downset)."""
-        return (r for r in self.elements() if self._leq[r][x])
 
 
 # ---------------------------------------------------------------------------
@@ -279,34 +219,34 @@ def power_cycle(semiring: Semiring, s, budget: Budget = Budget()) -> tuple[list,
 
 
 def _one_part(x) -> None:
+    """The `part` of a space without parts (see `PairSpace.part`): it has one."""
     return None
 
 
-def _part_of(space) -> Callable:
-    """The space's `part` (see `PairSpace.part`); a space without parts has one."""
-    return getattr(space, "part", _one_part)
+def _insert(bucket, x, leq) -> list | None:
+    """The dominance rule of every antichain: `bucket` with x entered and the
+    elements x dominates dropped, or None if an element dominates x."""
+    for m in bucket:
+        if leq(x, m):
+            return None
+    kept = [m for m in bucket if not leq(m, x)]
+    kept.append(x)
+    return kept
 
 
 def antichain_of(space, items: Iterable) -> frozenset:
     """Maxima of `items` under the space's order, compared within each part.
 
-    The same insertion as `Antichain.add`, without a budget: a one-shot
-    call keeps its buckets in a local dict.
+    Inserts by `_insert`, as `Antichain.add` does, with no accumulator
+    and no budget: a one-shot call keeps its buckets in a local dict.
     """
-    leq, part = space.leq, _part_of(space)
+    leq, part = space.leq, getattr(space, "part", _one_part)
     buckets: dict = {}
     for x in items:
         key = part(x)
-        bucket = buckets.get(key)
-        if bucket is None:
-            buckets[key] = [x]
-            continue
-        for m in bucket:
-            if leq(x, m):
-                break
-        else:
-            bucket = buckets[key] = [m for m in bucket if not leq(m, x)]
-            bucket.append(x)
+        bucket = _insert(buckets.get(key, ()), x, leq)
+        if bucket is not None:
+            buckets[key] = bucket
     return frozenset(chain.from_iterable(buckets.values()))
 
 
@@ -347,13 +287,14 @@ class Antichain:
     """Mutable antichain accumulator used by the saturation loops.
 
     Elements are kept in one bucket per part of the space (see
-    `PairSpace.part`), so a dominance check scans one bucket. The
-    antichain budget bounds the total size.
+    `PairSpace.part`), so a dominance check scans one bucket; each
+    insertion is `_insert`'s, as in `antichain_of`. The antichain
+    budget bounds the total size.
     """
 
     def __init__(self, space, items: Iterable = (), budget: Budget = Budget()):
         self.leq = space.leq
-        self.part = _part_of(space)
+        self.part = getattr(space, "part", _one_part)
         self.budget = budget
         self._buckets: dict = {}
         self._size = 0
@@ -362,14 +303,11 @@ class Antichain:
 
     def add(self, x) -> bool:
         """Insert x; returns True if it was not already dominated."""
-        leq = self.leq
         key = self.part(x)
         bucket = self._buckets.get(key, ())
-        for m in bucket:
-            if leq(x, m):
-                return False
-        kept = [m for m in bucket if not leq(m, x)]
-        kept.append(x)
+        kept = _insert(bucket, x, self.leq)
+        if kept is None:
+            return False
         self._buckets[key] = kept
         self._size += len(kept) - len(bucket)
         if self._size > self.budget.antichain:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from modhier.engines import _close_products
 from modhier.errors import Budget
@@ -14,9 +15,78 @@ from modhier.semiring import (
     DownSet,
     PairSpace,
     PowerSemiring,
-    TableSemiring,
+    Semiring,
     antichain_of,
 )
+
+
+class TableSemiring(Semiring):
+    """Explicit small semiring given by operation tables; axioms checked.
+
+    The carrier is range(n). Its meet is enumerated, so the level-1
+    engine, which intersects downsets by meets, runs on it too.
+    """
+
+    def __init__(self, add_table, mul_table, zero: int, one: int):
+        self._add = tuple(tuple(row) for row in add_table)
+        self._mul = tuple(tuple(row) for row in mul_table)
+        self.zero = zero
+        self.one = one
+        n = len(self._add)
+        self._check_axioms(n)
+        # order as a bit of precomputation; carriers here are small
+        self._leq = tuple(
+            tuple(self._add[r][s] == s for s in range(n)) for r in range(n)
+        )
+
+    def _check_axioms(self, n: int) -> None:
+        rng = range(n)
+        a, m = self._add, self._mul
+        for x in rng:
+            if a[x][x] != x:
+                raise ValueError(f"addition not idempotent at {x}")
+            if a[self.zero][x] != x or a[x][self.zero] != x:
+                raise ValueError(f"zero not neutral at {x}")
+            if m[self.one][x] != x or m[x][self.one] != x:
+                raise ValueError(f"one not neutral at {x}")
+            if m[self.zero][x] != self.zero or m[x][self.zero] != self.zero:
+                raise ValueError(f"zero not annihilating at {x}")
+            for y in rng:
+                if a[x][y] != a[y][x]:
+                    raise ValueError(f"addition not commutative at ({x},{y})")
+                for z in rng:
+                    if a[a[x][y]][z] != a[x][a[y][z]]:
+                        raise ValueError(f"addition not associative at ({x},{y},{z})")
+                    if m[m[x][y]][z] != m[x][m[y][z]]:
+                        raise ValueError(f"multiplication not associative at ({x},{y},{z})")
+                    if m[x][a[y][z]] != a[m[x][y]][m[x][z]]:
+                        raise ValueError(f"left distributivity fails at ({x},{y},{z})")
+                    if m[a[y][z]][x] != a[m[y][x]][m[z][x]]:
+                        raise ValueError(f"right distributivity fails at ({x},{y},{z})")
+
+    def add(self, x, y):
+        return self._add[x][y]
+
+    def mul(self, x, y):
+        return self._mul[x][y]
+
+    def leq(self, x, y) -> bool:
+        return self._leq[x][y]
+
+    def elements(self) -> range:
+        return range(len(self._add))
+
+    def top(self) -> int:
+        return self.sum(self.elements())
+
+    def iter_below(self, x) -> Iterator:
+        """All elements <= x (materializes a principal downset)."""
+        return (r for r in self.elements() if self._leq[r][x])
+
+    def meet(self, x, y):
+        """The greatest common lower bound: the sum of all common lower
+        bounds, which exists because `zero` is one of them."""
+        return self.sum(r for r in self.elements() if self._leq[r][x] and self._leq[r][y])
 
 
 class CyclicMonoid:
@@ -83,6 +153,11 @@ def materialize(semiring) -> TableSemiring:
     add = [[index[semiring.add(x, y)] for y in elems] for x in elems]
     mul = [[index[semiring.mul(x, y)] for y in elems] for x in elems]
     return TableSemiring(add, mul, index[semiring.zero], index[semiring.one])
+
+
+def table_from_seed(seed: int, max_size: int = 4) -> TableSemiring:
+    """A materialized power semiring over a random monoid of at most max_size elements."""
+    return materialize(PowerSemiring(random_monoid(random.Random(seed), max_size=max_size)))
 
 
 def random_power_semiring(rng: random.Random, max_size: int = 4) -> PowerSemiring:

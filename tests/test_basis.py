@@ -20,9 +20,9 @@ from modhier.errors import Budget, BudgetExceededError, UnsupportedError
 from modhier.lang import Alphabet, Dfa, compile_regex, disjoint, parse_regex
 from modhier.rating import RatingMap
 from modhier.refcheck import generic_iopti
-from modhier.semiring import PowerSemiring, TableSemiring
+from modhier.semiring import PowerSemiring
 
-from gen import CyclicMonoid, random_dfa, random_rating_map
+from gen import CyclicMonoid, TableSemiring, random_dfa, random_rating_map
 
 A = Alphabet.of("a")
 AB = Alphabet.of("ab")

@@ -29,11 +29,11 @@ from modhier.semiring import (
     DownSet,
     PairSpace,
     PowerSemiring,
-    TableSemiring,
 )
 
 from gen import (
     CyclicMonoid,
+    TableSemiring,
     materialize,
     pbpol_iopti_all_candidates,
     random_dfa,
@@ -41,6 +41,7 @@ from gen import (
     random_power_semiring,
     random_rating_map,
     random_subset,
+    table_from_seed,
     unpointed,
 )
 
@@ -338,6 +339,19 @@ def test_bpol_routes_agree(seed):
     assert bpol_iopti(rho, ORACLE) == bpol_iopti_enumerated(rho, ORACLE)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_bpol_routes_agree_on_tables(seed):
+    """The engine meets by `TableSemiring.meet`; the oracle needs no meets."""
+    rng = random.Random(seed)
+    table = table_from_seed(seed)
+    elems = list(table.elements())
+    rho = RatingMap(AB, table, {a: rng.choice(elems) for a in AB.letters})
+    iopti = bpol_iopti(rho, ORACLE)
+    enumerated = bpol_iopti_enumerated(rho, ORACLE)
+    assert (iopti.maximal, iopti.passes) == (enumerated.maximal, enumerated.passes)
+
+
 def test_bpol_opti_parity(parity_instance):
     _, rho = parity_instance
     result = bpol_opti(rho, bpol_iopti(rho, ORACLE))
@@ -355,7 +369,10 @@ def test_bpol_opti_unit_letter():
 
 def test_bpol_opti_trivial_semiring_binary_alphabet():
     rho = RatingMap(AB, trivial_semiring(), {"a": 0, "b": 0})
-    result = bpol_opti(rho, bpol_iopti_enumerated(rho, ORACLE))
+    iopti = bpol_iopti(rho, ORACLE)
+    enumerated = bpol_iopti_enumerated(rho, ORACLE)
+    assert (iopti.maximal, iopti.passes) == (enumerated.maximal, enumerated.passes)
+    result = bpol_opti(rho, iopti)
     assert result.to_set() == {0}
 
 

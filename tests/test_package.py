@@ -11,7 +11,6 @@ PACKAGE = Path(modhier.__file__).parent
 KEPT_UNREFERENCED = {
     ("lang", "equivalent"): "language operation that tests compare against",
     ("lang", "is_empty"): "language operation that tests compare against",
-    ("semiring", "TableSemiring"): "the explicit semiring that tests and tests/gen.py build",
 }
 
 # `refcheck` is the oracle module: tests call its checkers, the package need not.

@@ -35,9 +35,9 @@ from modhier.refcheck import (
     pol_mod_separator_search,
     verify_separator,
 )
-from modhier.semiring import PowerSemiring, TableSemiring
+from modhier.semiring import PowerSemiring
 
-from gen import CyclicMonoid, random_dfa, random_rating_map
+from gen import CyclicMonoid, TableSemiring, random_dfa, random_rating_map
 
 A = Alphabet.of("a")
 AB = Alphabet.of("ab")

@@ -16,7 +16,6 @@ from modhier.semiring import (
     DownSet,
     PairSpace,
     PowerSemiring,
-    TableSemiring,
     add_closure,
     antichain_of,
     omega_power,
@@ -24,11 +23,13 @@ from modhier.semiring import (
 
 from gen import (
     CyclicMonoid,
+    TableSemiring,
     materialize,
     random_dfa,
     random_monoid,
     random_power_semiring,
     random_subset,
+    table_from_seed,
 )
 
 
@@ -271,6 +272,25 @@ def test_materialized_power_semiring_passes_axioms(parity_power):
         for y in table.elements():
             assert elems[table.add(x, y)] == parity_power.add(elems[x], elems[y])
             assert elems[table.mul(x, y)] == parity_power.mul(elems[x], elems[y])
+            assert elems[table.meet(x, y)] == parity_power.meet(elems[x], elems[y])
+
+
+def assert_meets_are_greatest_lower_bounds(table):
+    elems = list(table.elements())
+    top = table.top()
+    for x in elems:
+        assert table.meet(x, top) == x
+        for y in elems:
+            meet = table.meet(x, y)
+            assert table.leq(meet, x)
+            assert table.leq(meet, y)
+            for r in elems:
+                if table.leq(r, x) and table.leq(r, y):
+                    assert table.leq(r, meet)
+
+
+def test_trivial_table_meet():
+    assert_meets_are_greatest_lower_bounds(TableSemiring([[0]], [[0]], zero=0, one=0))
 
 
 def test_table_semiring_rejects_broken_idempotence():
@@ -348,13 +368,14 @@ def flat_maxima(leq, items) -> frozenset:
 def test_bucketed_antichains_match_flat(seed, limit):
     rng = random.Random(seed)
     morphism = transition_monoid([random_dfa(rng, Alphabet.of("ab"), max_states=4)])
-    space = PairSpace(morphism, PowerSemiring(morphism))
+    power = PowerSemiring(morphism)
     elements = list(morphism.elements())
     parts = rng.sample(elements, min(len(elements), 3))
-    stream = [(rng.choice(parts), random_subset(rng, elements)) for _ in range(rng.randint(0, 30))]
+    pairs = [(rng.choice(parts), random_subset(rng, elements)) for _ in range(rng.randint(0, 30))]
+    subsets = [random_subset(rng, elements) for _ in range(rng.randint(0, 30))]
     budget = Budget() if limit is None else Budget(antichain=limit)
 
-    def steps(acc):
+    def steps(acc, stream):
         out = []
         try:
             for x in stream:
@@ -363,8 +384,12 @@ def test_bucketed_antichains_match_flat(seed, limit):
             out.append(str(error))
         return out
 
-    assert steps(Antichain(space, budget=budget)) == steps(FlatAntichain(space.leq, budget))
-    assert antichain_of(space, stream) == flat_maxima(space.leq, stream)
+    # A bucket per part of the pair space; one bucket for the part-less power semiring.
+    for space, stream in [(PairSpace(morphism, power), pairs), (power, subsets)]:
+        assert steps(Antichain(space, budget=budget), stream) == steps(
+            FlatAntichain(space.leq, budget), stream
+        )
+        assert antichain_of(space, stream) == flat_maxima(space.leq, stream)
 
 
 def test_antichain_semiring_normalizes(parity_power):
@@ -383,16 +408,19 @@ def test_antichain_semiring_normalizes(parity_power):
 # Randomized properties over materialized power semirings
 
 
-def table_from_seed(seed: int, max_size: int = 4) -> TableSemiring:
-    rng = random.Random(seed)
-    return materialize(PowerSemiring(random_monoid(rng, max_size=max_size)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
 def test_random_power_semirings_satisfy_axioms(seed):
     table = table_from_seed(seed)
     assert 2 <= len(list(table.elements())) <= 16
+    # The table numbers the power semiring's carrier in `iter_below`
+    # order, so its enumerated meet must read back as the intersection.
+    power = PowerSemiring(random_monoid(random.Random(seed)))
+    elems = list(power.iter_below(power.top()))
+    for x in table.elements():
+        for y in table.elements():
+            assert elems[table.meet(x, y)] == power.meet(elems[x], elems[y])
+    assert_meets_are_greatest_lower_bounds(table)
 
 
 @settings(max_examples=40, deadline=None)

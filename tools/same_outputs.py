@@ -5,12 +5,13 @@
 Extracts PARENT_REV with `git archive` into a temporary directory and
 takes every distinct argument list of the three benchmark corpora at
 each seed, from this tree's bench/corpus.py: as drawn, with
-`--no-stats`, and with `--emit-imprint --no-stats`. The query with the
-short repro deadline is left out, as it never returns. Each list runs
-through `modhier.cli.run` of both trees, each tree in its own
-subprocess, and every difference in exit code, stdout or stderr is
-printed with the `ms` timings masked. Exits 1 if there is any
-difference, 0 if there is none.
+`--no-stats`, and with `--no-stats` plus each of `--emit-imprint`,
+`--witness` and `--json`. The query with the short repro deadline is
+left out, as it never returns. Each list runs through
+`modhier.cli.run` of both trees, each tree in its own subprocess, and
+every difference in exit code, stdout or stderr is printed with the
+`ms` timings masked. Exits 1 if there is any difference, 0 if there is
+none.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MS = re.compile(r'(ms=|"ms": )[0-9.e+-]+')
-VARIANTS = ((), ("--no-stats",), ("--emit-imprint", "--no-stats"))
+VARIANTS = (
+    (),
+    ("--no-stats",),
+    ("--emit-imprint", "--no-stats"),
+    ("--witness", "--no-stats"),
+    ("--json", "--no-stats"),
+)
 
 
 def argument_lists(seeds) -> list:
