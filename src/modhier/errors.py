@@ -36,8 +36,8 @@ class Budget:
 
     `states` bounds the derivatives of a regex being compiled and the
     subset sequence of a length profile, `monoid` the transition monoid
-    and the product states it acts on or that an inclusion or
-    disjointness check walks, `antichain` every antichain and
+    and the product states that an inclusion or disjointness check
+    walks, `antichain` every antichain and
     materialized downset the engines keep, `iterations` the rounds of a
     fixpoint, `values` the word images of a rating map and the powers
     of an omega power, and `pairs` the (state, value) pairs of

@@ -3,7 +3,7 @@
 Input languages arrive as regular expressions over a fixed alphabet,
 are compiled to minimal complete DFAs, and a family of DFAs sharing an
 alphabet is folded into a single monoid morphism (the transition monoid
-of their product automaton) recognizing every language in the family.
+of their states side by side) recognizing every language in the family.
 
 Regex grammar (whitespace ignored):
 
@@ -232,17 +232,11 @@ class Dfa:
     def num_states(self) -> int:
         return len(self.transitions)
 
-    def step(self, state: int, letter: str) -> int:
-        return self.transitions[state][self.alphabet.index(letter)]
-
-    def run(self, word: str) -> int:
+    def accepts(self, word: str) -> bool:
         q = self.initial
         for a in word:
-            q = self.step(q, a)
-        return q
-
-    def accepts(self, word: str) -> bool:
-        return self.run(word) in self.accepting
+            q = self.transitions[q][self.alphabet.index(a)]
+        return q in self.accepting
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -538,16 +532,18 @@ class _Terms:
 
 
 class MonoidMorphism:
-    """Transition monoid of a product automaton, as a morphism.
+    """Transition monoid of a family of DFAs, as a morphism: that of their
+    product automaton when their states are all reachable (see
+    `transition_monoid`).
 
     Elements are integer indices; index 0 is the unit. The monoid is
     kept as its right Cayley graph: `right[m][l]` is m followed by the
     l-th letter, and `tree` the spanning tree of the enumeration (see
     `explore`), which spells out `word_for[m]`, the
     length-lexicographically least word mapping to m. `accept_sets[i]`
-    holds the elements sending the initial product state into a
-    configuration accepting for the i-th input DFA, so a word w lies in
-    L_i iff its image lies there.
+    holds the elements sending the initial state of the i-th input DFA
+    to one of its accepting states, so a word w lies in L_i iff its
+    image lies there.
 
     Multiplication reads Cayley rows: `row(i)` holds the product of i
     with every element, read off the graph the first time it is needed
@@ -603,36 +599,40 @@ class MonoidMorphism:
 
 
 def transition_monoid(dfas: list[Dfa], budget: Budget = Budget()) -> MonoidMorphism:
-    """Close the letter transformations of the product DFA under composition.
+    """Close the letter transformations of the DFAs' states under composition.
 
-    The product-state space is restricted to states reachable from the
-    tuple of initials; transformations act on that set. Both are found
-    by `explore`, and both draw on the `monoid` budget: each reachable
-    state is the image of the initial one under an element, so there
-    are never more states than elements. The closure starts from the
-    identity and appends generators on the right, so `word_for[m]` is
-    the length-lexicographically least word mapping to m (letters
-    compared in alphabet order).
+    Precondition: every state of each DFA is reachable from its initial
+    state, as in the DFAs of `compile_regex`, `minimize` and
+    `complement`. The states of each distinct transition table lie end
+    to end, a language and its complement sharing one block, and the
+    letters act on them all at once. Each state is then a coordinate of
+    a reachable product state, so this is the transition monoid of the
+    product automaton, numbered alike. Without the precondition the
+    monoid may be larger, but it still recognizes every language.
+
+    `explore` closes them on the `monoid` budget, appending letters on
+    the right to the identity, so `word_for[m]` is the least word mapping
+    to m in length-lexicographic order (letters in alphabet order).
     """
     if not dfas:
         raise ValueError("need at least one DFA")
     alphabet = dfas[0].alphabet
     if any(d.alphabet != alphabet for d in dfas):
         raise ValueError("alphabet mismatch")
-
-    def step(state, l):
-        return tuple(d.transitions[q][l] for d, q in zip(dfas, state))
-
-    init = tuple(d.initial for d in dfas)
-    states, moves, _ = explore(init, range(len(alphabet)), step, budget, "monoid")
-    letter_maps = list(zip(*moves))
-    identity = tuple(range(len(states)))
+    offsets: dict[tuple, int] = {}  # the first state of each distinct transition table
+    for d in dfas:
+        offsets.setdefault(d.transitions, sum(map(len, offsets)))
+    letter_maps = [
+        tuple(offset + row[l] for rows, offset in offsets.items() for row in rows)
+        for l in range(len(alphabet))
+    ]
+    identity = tuple(range(len(letter_maps[0])))
     transformations, right, tree = explore(
         identity, letter_maps, lambda t, m: tuple(map(m.__getitem__, t)), budget, "monoid"
     )
     accept_sets = []
-    for i, d in enumerate(dfas):
-        accept_sets.append(
-            frozenset(m for m, t in enumerate(transformations) if states[t[0]][i] in d.accepting)
-        )
+    for d in dfas:
+        offset = offsets[d.transitions]
+        start, accepting = offset + d.initial, {offset + q for q in d.accepting}
+        accept_sets.append(frozenset(m for m, t in enumerate(transformations) if t[start] in accepting))
     return MonoidMorphism(alphabet, right, tree, accept_sets)

@@ -7,7 +7,7 @@ from typing import Iterator
 
 from modhier.engines import _close_products
 from modhier.errors import Budget
-from modhier.lang import Alphabet, compile_regex, parse_regex
+from modhier.lang import Alphabet, MonoidMorphism, compile_regex, explore, parse_regex
 from modhier.rating import aux_pbpol_map
 from modhier.semiring import (
     Antichain,
@@ -208,6 +208,31 @@ def validate_morphism(morphism, assoc_limit: int = 200) -> None:
                 for k in elements:
                     if morphism.mult(ij, k) != morphism.mult(i, morphism.mult(j, k)):
                         raise ValueError(f"associativity fails at ({i},{j},{k})")
+
+
+def product_transition_monoid(dfas, budget: Budget = Budget()) -> MonoidMorphism:
+    """The transition monoid of the DFAs' product automaton, by two walks:
+    `explore` numbers the product states reachable from the tuple of
+    initial states, then closes the letters' actions on them. The
+    reference for `lang.transition_monoid`, which acts on the DFAs' own
+    states instead."""
+    alphabet = dfas[0].alphabet
+
+    def step(state, l):
+        return tuple(d.transitions[q][l] for d, q in zip(dfas, state))
+
+    init = tuple(d.initial for d in dfas)
+    states, moves, _ = explore(init, range(len(alphabet)), step, budget, "monoid")
+    letter_maps = list(zip(*moves))
+    identity = tuple(range(len(states)))
+    transformations, right, tree = explore(
+        identity, letter_maps, lambda t, m: tuple(map(m.__getitem__, t)), budget, "monoid"
+    )
+    accept_sets = [
+        frozenset(m for m, t in enumerate(transformations) if states[t[0]][i] in d.accepting)
+        for i, d in enumerate(dfas)
+    ]
+    return MonoidMorphism(alphabet, right, tree, accept_sets)
 
 
 def unpointed(imprint: DownSet) -> DownSet:

@@ -15,6 +15,7 @@ from modhier.decide import LEVELS, Verdict, coverable, member, separable
 from modhier.errors import Budget, InputError, UnsupportedError
 from modhier.lang import (
     Alphabet,
+    Dfa,
     compile_regex,
     complement,
     disjoint,
@@ -54,6 +55,23 @@ def test_verdict_chain_level_half():
 def test_verdict_chain_level_one():
     verdict = separable("1", lang("a*"), lang("(a|b)*b(a|b)*"), ORACLE)
     assert verdict.answer
+
+
+def test_unreachable_states_enlarge_the_monoid_but_keep_the_answers():
+    # `transition_monoid` expects every state reachable. A hand-built a*
+    # with an unreachable third state gets a 5-element monoid instead of
+    # 2; it still recognizes a*, so every answer stays.
+    reachable = lang("a*")
+    raw = Dfa(AB, reachable.transitions + ((0, 2),), 0, reachable.accepting)
+    assert (transition_monoid([raw]).size, transition_monoid([reachable]).size) == (5, 2)
+    answers = []
+    for level in ("1/2", "1", "3/2"):
+        assert member(level, raw, ORACLE).answer == member(level, reachable, ORACLE).answer
+        for other in (lang("(a|b)*b(a|b)*"), lang("(ab)*"), lang("(aa)*b")):
+            for x, y, x0, y0 in ((raw, other, reachable, other), (other, raw, other, reachable)):
+                answers.append(separable(level, x, y, ORACLE).answer)
+                assert answers[-1] == separable(level, x0, y0, ORACLE).answer
+    assert True in answers and False in answers
 
 
 def test_verdict_chain_level_three_halves():

@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+import random
+import re
 import time
 import weakref
 
@@ -27,7 +29,7 @@ from modhier.lang import (
     transition_monoid,
 )
 
-from gen import image_of_word, matches, validate_morphism
+from gen import image_of_word, matches, product_transition_monoid, random_dfa, validate_morphism
 
 A1 = Alphabet.of("a")
 A2 = Alphabet.of("ab")
@@ -531,7 +533,7 @@ def test_mult_composes_transformations(texts, size):
 
     def run(state, word):
         for a in word:
-            state = tuple(d.step(q, a) for d, q in zip(dfas, state))
+            state = tuple(d.transitions[q][A2.index(a)] for d, q in zip(dfas, state))
         return state
 
     # The product states reachable from the initials, and each element's
@@ -559,8 +561,9 @@ def test_monoid_budget():
         transition_monoid([lang("(ab)*")], Budget(monoid=3))
 
 
-def test_product_states_draw_on_the_monoid_budget():
-    # 2 * 3 * 5 * 7 * 11 * 13 * 17 = 510,510 reachable product states.
+def test_monoid_elements_draw_on_the_monoid_budget():
+    # 58 states, on which a acts with order 2 * 3 * 5 * 7 * 11 * 13 * 17
+    # = 510,510: the walk stops at the 101st element.
     dfas = [lang("(%s)*" % ("a" * p), A1) for p in (2, 3, 5, 7, 11, 13, 17)]
     started = time.process_time()
     with pytest.raises(BudgetExceededError) as caught:
@@ -584,6 +587,32 @@ def test_product_walks_draw_on_the_monoid_budget():
     assert not included(even, triple, Budget(monoid=6))
     with pytest.raises(BudgetExceededError):
         included(even, triple, Budget(monoid=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 3), st.sampled_from(["as drawn", "complement", "repeat"]))
+def test_monoid_of_the_states_is_the_product_monoid(seed, count, extra):
+    # On DFAs whose states are all reachable, acting on the states side
+    # by side gives the product automaton's monoid, numbered alike.
+    rng = random.Random(seed)
+    dfas = [random_dfa(rng, A2, max_states=5) for _ in range(count)]
+    if extra == "complement":
+        dfas.append(complement(rng.choice(dfas)))
+    elif extra == "repeat":
+        dfas.insert(rng.randrange(len(dfas) + 1), rng.choice(dfas))
+    budget = Budget(monoid=200)
+    try:
+        expected = product_transition_monoid(dfas, budget)
+    except BudgetExceededError as error:
+        with pytest.raises(BudgetExceededError, match=re.escape(str(error))):
+            transition_monoid(dfas, budget)
+        return
+    m = transition_monoid(dfas, budget)
+    assert m.size == expected.size
+    assert m.word_for == expected.word_for
+    assert m.letter_image == expected.letter_image
+    assert m.accept_sets == expected.accept_sets
+    assert [m.row(i) for i in m.elements()] == [expected.row(i) for i in expected.elements()]
 
 
 @settings(max_examples=1000, deadline=None)
