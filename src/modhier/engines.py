@@ -86,17 +86,15 @@ def pol_imprint(
 ) -> DownSet:
     """Least pair set for level 1/2: the pointed imprint of marked products.
 
-    Seeded with the unit pair, the letter pairs, and the basis
-    approximation attached to the unit; closed under downward closure
-    (implicit in the antichain) and componentwise product. Seeding
-    the unit and letters generates every word pair because the result
-    is product-closed.
+    Seeded with the basis approximation attached to the unit and the
+    letter pairs, and closed under downward closure (implicit in the
+    antichain) and componentwise product. The empty word needs no seed:
+    rho(e) <= iopti(rho), as every basis language contains it.
     """
     if morphism.alphabet != rho.alphabet:
         raise ValueError("morphism and rating map use different alphabets")
-    seeds = [(morphism.unit, rho.semiring.one)]
+    seeds = [(morphism.unit, oracle.iopti(rho, budget))]
     seeds += [(morphism.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
-    seeds.append((morphism.unit, oracle.iopti(rho, budget)))
     return _saturate(PairSpace(morphism, rho.semiring), seeds, budget)
 
 
@@ -156,15 +154,14 @@ def bpol_iopti(rho: RatingMap, oracle: BasisOracle, budget: Budget = Budget()) -
 
 
 def bpol_opti(rho: RatingMap, iopti: DownSet, budget: Budget = Budget()) -> DownSet:
-    """Full level-1 imprint over all words: close iopti with unit and letter images.
+    """Full level-1 imprint over all words: close iopti with the letter images.
 
     Least superset of the level-1 approximation containing every word
-    image, closed under downward closure and product. Seeding the unit
-    and letters generates every word image because the result is
-    product-closed.
+    image, closed under downward closure and product. The letters
+    generate every nonempty word's image; `iopti` holds the empty
+    word's, as rho(e) <= iopti(rho).
     """
-    seeds = list(iopti.maximal) + [rho.semiring.one]
-    seeds += [rho.letter_image[a] for a in rho.alphabet]
+    seeds = list(iopti.maximal) + [rho.letter_image[a] for a in rho.alphabet]
     return _saturate(rho.semiring, seeds, budget)
 
 
@@ -239,13 +236,14 @@ def pbpol_pointed_imprint(
     iopti: DownSet,
     budget: Budget = Budget(),
 ) -> DownSet:
-    """Full level-3/2 pointed imprint: close iopti with unit and letter pairs.
+    """Full level-3/2 pointed imprint: close iopti with the letter pairs.
 
-    `iopti` is what `pbpol_iopti` returned, and that fixpoint ends only
-    after a product closure that added nothing, so its maxima are
-    already closed under the product. The closure therefore skips the
-    products of two of them: the downset holds each one already.
+    `iopti` is what `pbpol_iopti` returned. It holds the empty word's
+    pair, as rho(e) <= iopti(rho), and that fixpoint ends only after a
+    product closure that added nothing, so its maxima are already closed
+    under the product. The closure therefore skips the products of two
+    of them: the downset holds each one already.
     """
-    seeds = list(iopti.maximal) + [(morphism.unit, rho.semiring.one)]
+    seeds = list(iopti.maximal)
     seeds += [(morphism.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
     return _saturate(iopti.space, seeds, budget, iopti.maximal)

@@ -26,7 +26,6 @@ _BOUNDS = {
     "antichain": "antichain",
     "iterations": "iteration",
     "values": "rating value",
-    "pairs": "evaluation pair",
 }
 
 
@@ -39,9 +38,9 @@ class Budget:
     and the product states that an inclusion or disjointness check
     walks, `antichain` every antichain and
     materialized downset the engines keep, `iterations` the rounds of a
-    fixpoint, `values` the word images of a rating map and the powers
-    of an omega power, and `pairs` the (state, value) pairs of
-    evaluating a rating map on a language. Every loop that grows draws
+    fixpoint, and `values` the word images of a rating map, the powers
+    of an omega power and the (state, value) pairs of evaluating a
+    rating map on a language. Every loop that grows draws
     through one of four functions, the only ones that raise
     `exceeded(field)`: `lang.explore` for reachability walks,
     `semiring.Antichain.add` for antichains, `semiring.DownSet.to_set`
@@ -53,7 +52,6 @@ class Budget:
     antichain: int = 50000
     iterations: int = 10000
     values: int = 20000
-    pairs: int = 100000
 
     def rounds(self) -> Iterator[int]:
         """The round numbers 1, 2, ... of a fixpoint, up to `iterations`.

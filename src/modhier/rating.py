@@ -38,7 +38,8 @@ def eval_regular(rho: RatingMap, dfa: Dfa, budget: Budget = Budget()):
     Saturates the reachable (DFA state, semiring value) pairs and adds
     up the values seen at accepting states. Idempotent addition makes
     the sum over distinct pairs equal the sum over all words. No
-    antichain pruning here: the result must be the exact sum.
+    antichain pruning here: the result must be the exact sum. The pairs
+    draw on the `values` budget.
     """
     if dfa.alphabet != rho.alphabet:
         raise ValueError("language and rating map use different alphabets")
@@ -49,7 +50,8 @@ def eval_regular(rho: RatingMap, dfa: Dfa, budget: Budget = Budget()):
         (state, value), (j, image) = pair, letter
         return dfa.transitions[state][j], semiring.mul(value, image)
 
-    pairs, _, _ = explore((dfa.initial, semiring.one), letters, step, budget, "pairs")
+    start = (dfa.initial, semiring.one)
+    pairs, _, _ = explore(start, letters, step, budget, "values", "evaluation pair")
     return semiring.sum(value for state, value in pairs if state in dfa.accepting)
 
 
@@ -81,11 +83,11 @@ def canonical_covering_map(morphism: MonoidMorphism) -> RatingMap:
 def aux_bpol_map(rho: RatingMap, s_values: Iterable, inner: Semiring) -> RatingMap:
     """The auxiliary map a -> {(rho(a), S.{rho(a)}.S)} into 2^(R x 2^R).
 
-    S is a set of semiring values and `inner` the semiring of the
-    second coordinates. The exact `PowerSemiring(R)` keeps them as
-    literal subsets of R; `AntichainSemiring(R)` prunes them to maxima,
-    which is sound for consumers that only read the result through
-    downward closure.
+    S is a set of semiring values, taken as given, and `inner` the
+    semiring of the second coordinates. The exact `PowerSemiring(R)`
+    keeps them as literal subsets of R; `AntichainSemiring(R)` prunes
+    the products to maxima, sound for consumers that only read the
+    result through downward closure, and then only the maxima of S count.
     """
     return _aux_map(rho, s_values, inner, rho.letter_image)
 
@@ -95,7 +97,7 @@ def aux_pbpol_map(
 ) -> RatingMap:
     """The auxiliary map a -> {(rho(a), S.{(alpha(a), rho(a))}.S)}.
 
-    S is a set of monoid-value pairs; values land in 2^(R x 2^(M x R)).
+    S is a set of monoid-value pairs, taken as given; values are in 2^(R x 2^(M x R)).
     The inner semiring is exact as `PowerSemiring(PairSpace(M, R))` or
     antichain-pruned as `AntichainSemiring(PairSpace(M, R))` (same
     soundness condition as aux_bpol_map).
@@ -105,11 +107,11 @@ def aux_pbpol_map(
 
 
 def _aux_map(rho: RatingMap, s_items: Iterable, inner: Semiring, marks: dict) -> RatingMap:
-    """The auxiliary map a -> {(rho(a), S.{marks[a]}.S)}, S the inner value of `s_items`."""
-    s_value = inner.normal(s_items)
+    """The auxiliary map a -> {(rho(a), S.{marks[a]}.S)}, S the set of `s_items` as given."""
+    s_value = frozenset(s_items)
     outer = PowerSemiring(PairSpace(rho.semiring, inner))
     images = {}
     for letter, r in rho.letter_image.items():
-        wrapped = inner.mul(inner.mul(s_value, inner.normal([marks[letter]])), s_value)
+        wrapped = inner.mul(inner.mul(s_value, frozenset([marks[letter]])), s_value)
         images[letter] = frozenset({(r, wrapped)})
     return RatingMap(rho.alphabet, outer, images)

@@ -126,9 +126,6 @@ class PowerSemiring(Semiring):
     def meet(self, x, y):
         return x & y
 
-    def normal(self, items: Iterable) -> frozenset:
-        return frozenset(items)
-
     def top(self) -> frozenset:
         return frozenset(self.monoid.elements())
 

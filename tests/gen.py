@@ -5,10 +5,11 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from modhier.engines import _close_products
+from modhier.basis import BasisOracle, mod_separable
 from modhier.errors import Budget
 from modhier.lang import Alphabet, MonoidMorphism, compile_regex, explore, parse_regex
 from modhier.rating import aux_pbpol_map
+from modhier.refcheck import generic_iopti
 from modhier.semiring import (
     Antichain,
     AntichainSemiring,
@@ -87,6 +88,18 @@ class TableSemiring(Semiring):
         """The greatest common lower bound: the sum of all common lower
         bounds, which exists because `zero` is one of them."""
         return self.sum(r for r in self.elements() if self._leq[r][x] and self._leq[r][y])
+
+
+class SeparationOnlyOracle(BasisOracle):
+    """The length-residue basis through its separation alone: iopti sums
+    the word images that `mod_separable` cannot separate from the empty
+    word (`refcheck.generic_iopti`), with no closed form."""
+
+    def iopti(self, rho, budget: Budget = Budget()):
+        return generic_iopti(rho, mod_separable, budget)
+
+    def separates(self, l1, l2, budget: Budget = Budget()):
+        return mod_separable(l1, l2, budget)
 
 
 class CyclicMonoid:
@@ -235,6 +248,35 @@ def product_transition_monoid(dfas, budget: Budget = Budget()) -> MonoidMorphism
     return MonoidMorphism(alphabet, right, tree, accept_sets)
 
 
+def ceiling_totals(semiring, pairs) -> frozenset:
+    """The maximal admissible totals of the pairs (r, U), by ceilings.
+
+    For each c in the meet-closure of the elements of every U, P(c) is
+    the set of values r of the pairs with r <= c and c below some
+    element of their U. Returns the maxima of the sums of the nonempty
+    P(c). If a family's total t lies below a chosen v_i in each member's
+    U_i, the meet c of those v_i is such a ceiling: each member is in
+    P(c), so t <= sum P(c) <= c, and sum P(c) is admissible itself.
+    """
+    pairs = list(pairs)
+    leq = semiring.leq
+    ceilings = {v for _, u in pairs for v in u}
+    todo = list(ceilings)
+    while todo:
+        x = todo.pop()
+        for y in list(ceilings):
+            m = semiring.meet(x, y)
+            if m not in ceilings:
+                ceilings.add(m)
+                todo.append(m)
+    totals = []
+    for c in ceilings:
+        below = [r for r, u in pairs if leq(r, c) and any(leq(c, v) for v in u)]
+        if below:
+            totals.append(semiring.sum(below))
+    return antichain_of(semiring, totals)
+
+
 def unpointed(imprint: DownSet) -> DownSet:
     """Forget the monoid coordinate of a pointed imprint, keeping the value downset."""
     semiring = imprint.space.semiring
@@ -242,18 +284,37 @@ def unpointed(imprint: DownSet) -> DownSet:
     return DownSet(semiring, values, imprint.passes)
 
 
+def all_pairs_close_products(space, acc, old=frozenset()):
+    """The all-pairs reference for `engines._close_products`: every pass
+    multiplies every pair of its snapshot, with no `old` skip."""
+    changed_any = False
+    passes = 0
+    while True:
+        passes += 1
+        changed = False
+        snapshot = list(acc)
+        for x in snapshot:
+            for y in snapshot:
+                if acc.add(space.mult(x, y)):
+                    changed = True
+        if not changed:
+            return changed_any, passes
+        changed_any = True
+
+
 def pbpol_iopti_all_candidates(morphism, rho, oracle, budget: Budget = Budget()) -> DownSet:
     """`engines.pbpol_iopti` with the idempotent rule applied to every candidate.
 
     Each round materializes the whole downset of every basis value T
     and adds (e, f * (1 + r) * f) for each idempotent pair (e, f) in
-    it, maximal or not. A reference for the engine, which applies the
-    rule to the maximal idempotents below each maximum of T only.
+    it, maximal or not, then closes under the product by all pairs. A
+    reference for the engine, which applies the rule to the maximal
+    idempotents below each maximum of T only, and closes by
+    generators, skipping the products of the antichain it closed last.
     """
     semiring = rho.semiring
     space = PairSpace(morphism, semiring)
     acc = Antichain(space, budget=budget)
-    closed: frozenset = frozenset()
     for iterations in budget.rounds():
         eta = aux_pbpol_map(morphism, rho, acc.freeze(), AntichainSemiring(space))
         changed = False
@@ -268,10 +329,9 @@ def pbpol_iopti_all_candidates(morphism, rho, oracle, budget: Budget = Budget())
                 image = semiring.mul(semiring.mul(f, semiring.add(semiring.one, r)), f)
                 if acc.add((e, image)):
                     changed = True
-        closed_changed, _ = _close_products(space, acc, closed)
+        closed_changed, _ = all_pairs_close_products(space, acc)
         if not (changed or closed_changed):
             return DownSet(space, acc.freeze(), iterations)
-        closed = acc.freeze()
 
 
 def random_regex(rng: random.Random, alphabet: Alphabet, depth: int = 3) -> str:

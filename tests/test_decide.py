@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modhier.basis import mod_cover_oracle
-from modhier.decide import LEVELS, Verdict, coverable, member, separable
+from modhier.decide import LEVELS, Verdict, coverable, level_imprint, member, separable
 from modhier.errors import Budget, InputError, UnsupportedError
 from modhier.lang import (
     Alphabet,
@@ -27,11 +27,12 @@ from modhier.refcheck import SeparatorCandidate
 from modhier.semiring import AntichainSemiring, PairSpace
 from modhier.lang import included
 
-from gen import image_of_word, random_dfa
+from gen import SeparationOnlyOracle, image_of_word, random_dfa, random_regex
 
 A = Alphabet.of("a")
 AB = Alphabet.of("ab")
 ORACLE = mod_cover_oracle()
+SEPARATION_ONLY = SeparationOnlyOracle()
 
 
 def lang(text, alphabet=AB):
@@ -268,6 +269,28 @@ def test_witnesses_are_independently_checkable(seed):
         )
         assert included(l1, denoted)
         assert disjoint(denoted, l2)
+
+
+# The empty word's value under each level's imprint: the unit, paired
+# with the unit at levels 1/2 and 3/2.
+UNIT_VALUES = {"1/2": (0, frozenset({0})), "1": frozenset({0}), "3/2": (0, frozenset({0}))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_imprints_under_a_separation_only_basis_oracle(seed):
+    """The engines give the closed form's imprints and iterations when
+    the basis value comes from basis separation alone, and every imprint
+    holds the empty word's value, though no completion seeds it."""
+    rng = random.Random(seed)
+    texts = [random_regex(rng, AB, depth=4) for _ in range(rng.randint(1, 3))]
+    dfas = [lang(text) for text in texts]
+    assume(transition_monoid(dfas).size <= 7)
+    for level, unit_value in UNIT_VALUES.items():
+        _, closed, _, closed_iterations = level_imprint(level, dfas, ORACLE)
+        _, generic, _, generic_iterations = level_imprint(level, dfas, SEPARATION_ONLY)
+        assert (generic.maximal, generic_iterations) == (closed.maximal, closed_iterations)
+        assert unit_value in generic
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from modhier.engines import (
 )
 from modhier.errors import Budget, BudgetExceededError
 from modhier.lang import Alphabet, compile_regex, parse_regex, transition_monoid
-from modhier.rating import RatingMap, canonical_covering_map
+from modhier.rating import RatingMap, aux_bpol_map, canonical_covering_map
 from modhier.refcheck import bpol_iopti_enumerated
 from modhier.semiring import (
     Antichain,
@@ -29,11 +29,14 @@ from modhier.semiring import (
     DownSet,
     PairSpace,
     PowerSemiring,
+    antichain_of,
 )
 
 from gen import (
     CyclicMonoid,
     TableSemiring,
+    all_pairs_close_products,
+    ceiling_totals,
     materialize,
     pbpol_iopti_all_candidates,
     random_dfa,
@@ -85,23 +88,6 @@ def imprint_covers(big, small) -> bool:
 
 # ---------------------------------------------------------------------------
 # Product closure
-
-
-def all_pairs_close_products(space, acc, old=frozenset()):
-    """The all-pairs reference: every pass multiplies every pair of its snapshot."""
-    changed_any = False
-    passes = 0
-    while True:
-        passes += 1
-        changed = False
-        snapshot = list(acc)
-        for x in snapshot:
-            for y in snapshot:
-                if acc.add(space.mult(x, y)):
-                    changed = True
-        if not changed:
-            return changed_any, passes
-        changed_any = True
 
 
 def generation_close_products(space, acc, old=frozenset()):
@@ -304,7 +290,25 @@ def test_admissible_totals_match_brute_force(seed, count):
         (rng.choice(elems), random_subset(rng, elems))
         for _ in range(count)
     ]
-    assert admissible_totals(table, pairs) == brute_valid_totals(table, pairs)
+    valid = admissible_totals(table, pairs)
+    assert valid == brute_valid_totals(table, pairs)
+    # The maximal totals by ceilings (ROADMAP direction 1), with no enumeration.
+    assert ceiling_totals(table, pairs) == antichain_of(table, valid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_ceilings_give_the_maximal_admissible_totals_of_auxiliary_pairs(seed):
+    """On the pairs the level-1 engine sums: the basis value of the
+    auxiliary map of the first round and of the fixpoint."""
+    rho = random_rating_map(random.Random(seed), AB, max_monoid=3)
+    semiring = rho.semiring
+    for maxima in ({semiring.top()}, bpol_iopti(rho, ORACLE).maximal):
+        eta = aux_bpol_map(rho, maxima, AntichainSemiring(semiring))
+        pairs = ORACLE.iopti(eta)
+        assert ceiling_totals(semiring, pairs) == antichain_of(
+            semiring, admissible_totals(semiring, pairs)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +499,7 @@ def test_pointed_closure_skips_products_of_iopti_maxima(monkeypatch):
     morphism = pair_morphism(KTH4.format("a"), KTH4.format("b"))
     rho = canonical_covering_map(morphism)
     iopti = pbpol_iopti(morphism, rho, ORACLE)
-    seeds = list(iopti.maximal) + [(morphism.unit, rho.semiring.one)]
+    seeds = list(iopti.maximal)
     seeds += [(morphism.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
     products = count_pair_products(monkeypatch)
     pointed = pbpol_pointed_imprint(morphism, rho, iopti)
@@ -517,6 +521,8 @@ def assert_matches_all_candidates(morphism, rho):
 # A rating map on which the rule, applied at a part that is not
 # idempotent, would change the fixpoint.
 @example(211, True)
+# A covering map whose fixpoint takes a round more with no product closure.
+@example(4, False)
 def test_pbpol_matches_all_candidates_route(seed, random_map):
     """Applying the rule to maximal idempotents only keeps the fixpoint and its rounds."""
     rng = random.Random(seed)

@@ -62,7 +62,7 @@ def test_eval_regular_checks_alphabet(parity):
 
 def test_eval_regular_budget(parity):
     with pytest.raises(BudgetExceededError):
-        eval_regular(parity, lang("(aa)*", A), Budget(pairs=1))
+        eval_regular(parity, lang("(aa)*", A), Budget(values=1))
 
 
 def test_value_automaton_parity(parity):
