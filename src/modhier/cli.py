@@ -4,6 +4,13 @@ Four query commands (member, separate, cover, imprint) plus a batch
 driver that replays one query per line from a file. Exit codes: 0 for
 an answered query of either polarity, 2 for input errors, 3 for an
 exceeded resource budget, 4 for an unsupported basis or level.
+
+Each piece of front-end work is done once per query. A command line
+that starts with a command name is parsed by that command's own
+parser; the top-level parser sees only help, usage errors and unknown
+commands. A query compiles each distinct language it names once, in
+argument order, and a regex that complements another (`~r` beside
+`r`) is `r`'s DFA with acceptance flipped.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .decide import (
     separable,
 )
 from .errors import Budget, BudgetExceededError, InputError, UnsupportedError
-from .lang import Alphabet, compile_regex, parse_regex
+from .lang import Alphabet, compile_regex, complement, parse_regex
 
 RESULT_WORDS = {
     ("member", True): "member",
@@ -97,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="run one query per line from a file")
     p.add_argument("file")
 
+    parser.commands = sub.choices  # each command's own parser, by name
     return parser
 
 
@@ -106,8 +114,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _compile(text: str, alphabet: Alphabet, budget: Budget):
-    return compile_regex(parse_regex(text, alphabet), alphabet, budget)
+def _parse(argv: list) -> argparse.Namespace:
+    """The arguments of `argv`, parsed once.
+
+    A command line that starts with a command name goes to that
+    command's parser alone, which is what the top-level parser would
+    hand it to; leftover arguments are reported by the top-level parser,
+    as `parse_args` reports them. Anything else (no arguments, help,
+    options before the command, an unknown command) goes to the
+    top-level parser.
+    """
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def _format_value(value) -> str:
@@ -196,7 +221,22 @@ def _run_query(args, out) -> int:
     oracle = oracle_for(args.basis)
     alphabet = Alphabet.of(args.alphabet)
     budget = Budget(states=args.max_states, antichain=args.max_antichain)
-    dfas = [_compile(r, alphabet, budget) for r in _query_regexes(args)]
+    # Each regex is parsed and compiled in argument order, so the first
+    # regex with an error reports it. A program's core drops its trailing
+    # complements: `~r` derives as `r` does with acceptance flipped, so
+    # each core is compiled once and complemented as often as needed.
+    cores = {}  # core program -> its DFA
+    dfas = []
+    for text in _query_regexes(args):
+        program = parse_regex(text, alphabet)
+        end = len(program)
+        while program[end - 1] == ("~", None):
+            end -= 1
+        core = program[:end]
+        dfa = cores.get(core)
+        if dfa is None:
+            dfa = cores[core] = compile_regex(core, alphabet, budget)
+        dfas.append(complement(dfa) if (len(program) - end) % 2 else dfa)
 
     show = args.emit_imprint or args.command == "imprint"
     # Covering refuses level 0 on its own terms; the other commands
@@ -249,7 +289,7 @@ def run(argv=None, out=None, err=None) -> int:
     try:
         # argparse prints help to sys.stdout, usage errors to sys.stderr.
         with redirect_stdout(out), redirect_stderr(err):
-            args = _parser().parse_args(argv)
+            args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

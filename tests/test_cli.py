@@ -1,6 +1,8 @@
 """End-to-end command-line tests driving run() with captured streams."""
 
 import json
+import re
+import shlex
 import sys
 import time
 from collections import Counter
@@ -10,6 +12,9 @@ import pytest
 
 from modhier import cli, engines
 from modhier.cli import build_parser, run
+from modhier.lang import compile_regex
+
+from command_lines import HELP_LINES, MALFORMED_LINES
 
 
 def invoke(*argv):
@@ -432,6 +437,49 @@ def test_imprint_level_zero_exits_four():
     assert invoke("imprint", "--level", "0", "--alphabet", "a", "(aa)*")[0] == 4
 
 
+def test_regexes_are_parsed_and_compiled_in_argument_order():
+    # The first regex trips the state budget before the second is parsed.
+    head = ("separate", "--level", "1/2", "--alphabet", "ab", "--max-states", "2")
+    assert invoke(*head, "(a|b)*abba", "a*(") == (3, "", "error: state budget exceeded (limit 2)\n")
+    assert invoke(*head, "a*(", "(a|b)*abba") == (
+        2, "", "error: unexpected end of input (at position 3)\n"
+    )
+
+
+@pytest.fixture
+def compilations(monkeypatch):
+    """The programs `cli` compiles, in order."""
+    programs = []
+
+    def counting(program, alphabet, budget):
+        programs.append(program)
+        return compile_regex(program, alphabet, budget)
+
+    monkeypatch.setattr(cli, "compile_regex", counting)
+    return programs
+
+
+@pytest.mark.parametrize("level", ["1/2", "3/2"])
+def test_a_language_and_its_complements_compile_once(compilations, level):
+    x = "(a|b)*ab"
+    head = ("imprint", "--level", level, "--alphabet", "ab", "--no-stats")
+    shared = invoke(*head, x, f"~({x})", f"~~({x})", x)
+    assert len(compilations) == 1
+    # The same languages, each written so that it compiles on its own.
+    apart = invoke(*head, x, f"~({x}) & ~0", f"({x}) | 0", f"{x} & ~0")
+    assert len(compilations) == 5
+    assert shared == apart
+    assert shared[0] == 0
+
+
+def test_separating_a_language_from_its_complement_compiles_it_once(compilations):
+    head = ("separate", "--level", "0", "--alphabet", "a", "--witness", "--no-stats")
+    assert invoke(*head, "(aa)*", "~((aa)*)") == (0, "RESULT: separable\nWITNESS: d=2\n", "")
+    assert invoke(*head, "~((aa)*)", "(aa)*") == (0, "RESULT: separable\nWITNESS: d=2\n", "")
+    assert invoke(*head, "aa", "~(aa)") == (0, "RESULT: not-separable\n", "")
+    assert len(compilations) == 3
+
+
 # ---------------------------------------------------------------------------
 # Batch driver
 
@@ -545,3 +593,37 @@ def test_parser_knows_all_commands():
     assert args.command == "separate"
     assert args.basis == "mod"
     assert not args.json
+
+
+# A valid query of each command, and a batch file of one good and one bad line.
+BATCH_FILE = "<batch file>"
+VALID_LINES = [
+    ("member", "--level", "1", "--alphabet", "ab", "a*"),
+    ("separate", "--level", "0", "--alphabet", "a", "(aa)*", "~((aa)*)", "--witness"),
+    ("cover", "--level", "1/2", "--alphabet", "a", "(aa)*", "a(aa)*", "--json"),
+    ("imprint", "--level", "3/2", "--alphabet", "a", "(aa)*", "--no-stats"),
+    ("member", "--level=1/2", "--alphabet=ab", "--no-stats", "--", "a*"),
+    ("batch", BATCH_FILE),
+]
+MS = re.compile(r'(ms=|"ms": )[0-9.e+-]+')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    VALID_LINES + HELP_LINES + MALFORMED_LINES,
+    ids=lambda argv: shlex.join(argv) or "no arguments",
+)
+def test_each_line_runs_as_when_parsed_whole_at_the_top(argv, monkeypatch, tmp_path):
+    # `run` hands a line to its command's parser; the reference parses the
+    # whole line with the top-level parser, as `parse_args` does.
+    script = tmp_path / "queries.txt"
+    script.write_text('member --level 1 --alphabet ab "a*"\nmember --level 1 --alphabet ab a* --bogus\n')
+    argv = [str(script) if arg == BATCH_FILE else arg for arg in argv]
+
+    def masked():
+        code, out, err = invoke(*argv)
+        return code, MS.sub(r"\1#", out), err
+
+    once = masked()
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+    assert masked() == once

@@ -296,6 +296,28 @@ def test_shared_subexpressions_compile_as_when_built_each_time(regex, limit):
         assert compile_outcome(regex, Budget(states=limit + 1)) == dfa
 
 
+def derivative_count(regex):
+    """The number of derivatives `compile_regex` walks for `regex`."""
+    terms = lang_module._Terms(len(A2))
+    found, _, _ = explore(terms.replay(regex, A2), range(len(A2)), terms.derive, Budget(), "states")
+    return len(found)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_shared_regexes, st.recursive(_LEAVES, _wrap, max_leaves=10)))
+def test_a_complement_compiles_to_the_flipped_dfa(regex):
+    # `~r` derives as r does with acceptance flipped: the same number of
+    # derivatives, so the same state-budget trip point.
+    negated = regex + (("~", None),)
+    n = derivative_count(regex)
+    dfa = compile_regex(regex, A2, Budget(states=n))
+    assert compile_regex(negated, A2, Budget(states=n)) == complement(dfa)
+    if n > 1:
+        tripped = compile_outcome(regex, Budget(states=n - 1))
+        assert tripped == f"state budget exceeded (limit {n - 1})"
+        assert compile_outcome(negated, Budget(states=n - 1)) == tripped
+
+
 @pytest.mark.parametrize(
     "text, states",
     [

@@ -7,7 +7,9 @@ takes every distinct argument list of the three benchmark corpora at
 each seed, from this tree's bench/corpus.py: as drawn, with
 `--no-stats`, and with `--no-stats` plus each of `--emit-imprint`,
 `--witness` and `--json`. The query with the short repro deadline is
-left out, as it never returns. Each list runs through
+left out, as it never returns. To these it adds the help and malformed
+command lines of tests/command_lines.py, so usage errors are compared
+too. Each list runs through
 `modhier.cli.run` of both trees, each tree in its own subprocess, and
 every difference in exit code, stdout or stderr is printed with the
 `ms` timings masked. Exits 1 if there is any difference, 0 if there is
@@ -37,11 +39,13 @@ VARIANTS = (
 
 
 def argument_lists(seeds) -> list:
-    """Every distinct argument list of the corpora at `seeds`, in a fixed order."""
-    sys.path.insert(0, str(ROOT / "bench"))
+    """Every distinct argument list of the corpora at `seeds`, and every
+    help and malformed command line, in a fixed order."""
+    sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
     import corpus
+    from command_lines import HELP_LINES, MALFORMED_LINES
 
-    lists = set()
+    lists = set(HELP_LINES + MALFORMED_LINES)
     for seed in seeds:
         for make in corpus.WORKLOADS.values():
             for q in make(seed):
