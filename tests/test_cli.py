@@ -459,25 +459,28 @@ def compilations(monkeypatch):
     return programs
 
 
-@pytest.mark.parametrize("level", ["1/2", "3/2"])
-def test_a_language_and_its_complements_compile_once(compilations, level):
-    x = "(a|b)*ab"
-    head = ("imprint", "--level", level, "--alphabet", "ab", "--no-stats")
-    shared = invoke(*head, x, f"~({x})", f"~~({x})", x)
+X = "(a|b)*ab"
+EVEN = "((a|b)(a|b))*"
+
+
+# Each query names one language and its complements, then the same
+# languages written so that each compiles on its own.
+@pytest.mark.parametrize(
+    "command, level, shared, apart",
+    [
+        ("imprint", "1/2", [X, f"~({X})", f"~~({X})", X], [X, f"~({X}) & ~0", f"({X}) | 0", f"{X} & ~0"]),
+        ("imprint", "3/2", [f"~({X})", X, X, f"~~({X})"], [f"~({X}) & ~0", X, f"{X} & ~0", f"({X}) | 0"]),
+        ("separate", "0", [f"~({EVEN})", EVEN], [f"~({EVEN}) & ~0", EVEN]),
+        ("separate", "0", ["aa", "~(aa)"], ["aa", "~(aa) & ~0"]),
+    ],
+)
+def test_a_language_and_its_complements_compile_once(compilations, command, level, shared, apart):
+    head = (command, "--level", level, "--alphabet", "ab", "--witness", "--no-stats")
+    answer = invoke(*head, *shared)
     assert len(compilations) == 1
-    # The same languages, each written so that it compiles on its own.
-    apart = invoke(*head, x, f"~({x}) & ~0", f"({x}) | 0", f"{x} & ~0")
-    assert len(compilations) == 5
-    assert shared == apart
-    assert shared[0] == 0
-
-
-def test_separating_a_language_from_its_complement_compiles_it_once(compilations):
-    head = ("separate", "--level", "0", "--alphabet", "a", "--witness", "--no-stats")
-    assert invoke(*head, "(aa)*", "~((aa)*)") == (0, "RESULT: separable\nWITNESS: d=2\n", "")
-    assert invoke(*head, "~((aa)*)", "(aa)*") == (0, "RESULT: separable\nWITNESS: d=2\n", "")
-    assert invoke(*head, "aa", "~(aa)") == (0, "RESULT: not-separable\n", "")
-    assert len(compilations) == 3
+    assert invoke(*head, *apart) == answer
+    assert len(compilations) == 1 + len(apart)
+    assert answer[0] == 0
 
 
 # ---------------------------------------------------------------------------
