@@ -232,12 +232,6 @@ class Dfa:
     def num_states(self) -> int:
         return len(self.transitions)
 
-    def accepts(self, word: str) -> bool:
-        q = self.initial
-        for a in word:
-            q = self.transitions[q][self.alphabet.index(a)]
-        return q in self.accepting
-
 
 def minimize(dfa: Dfa) -> Dfa:
     """Minimal complete DFA of an `explore`-numbered one, numbered the same way.
@@ -321,14 +315,6 @@ def disjoint(x: Dfa, y: Dfa, budget: Budget = Budget()) -> bool:
     return not any(p in x.accepting and q in y.accepting for p, q in pairs)
 
 
-def is_empty(x: Dfa) -> bool:
-    return disjoint(x, x)
-
-
-def equivalent(x: Dfa, y: Dfa) -> bool:
-    return included(x, y) and included(y, x)
-
-
 def iter_short_words(dfa: Dfa, max_len: int) -> Iterator[str]:
     """Accepted words of length <= max_len, ordered by length then letters."""
     layer = [("", dfa.initial)]
@@ -336,11 +322,6 @@ def iter_short_words(dfa: Dfa, max_len: int) -> Iterator[str]:
         yield from (w for w, q in layer if q in dfa.accepting)
         if length < max_len:
             layer = [(w + a, dfa.transitions[q][l]) for w, q in layer for l, a in enumerate(dfa.alphabet)]
-
-
-def short_words(dfa: Dfa, max_len: int) -> list[str]:
-    """Accepted words of length <= max_len, ordered by length then letters."""
-    return list(iter_short_words(dfa, max_len))
 
 
 # ---------------------------------------------------------------------------

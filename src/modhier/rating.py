@@ -1,9 +1,9 @@
-"""Rating maps given by letter images, and their evaluation.
+"""Rating maps given by letter images.
 
 A rating map assigns every regular language a value in a finite
 idempotent semiring; the nice multiplicative ones used here are
 determined by their letter images (empty word to the unit, words to
-products, languages to sums of word values). Also builds the canonical
+products, languages to sums of word values). Builds the canonical
 covering map of a transition monoid and the two auxiliary maps the
 level-1 and level-3/2 fixpoints filter against.
 """
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import Budget
-from .lang import Alphabet, Dfa, MonoidMorphism, explore
+from .lang import Alphabet, MonoidMorphism
 from .semiring import PairSpace, PowerSemiring, Semiring
 
 
@@ -30,43 +29,6 @@ class RatingMap:
 
     def __repr__(self) -> str:
         return f"RatingMap({self.alphabet.letters}, {self.letter_image})"
-
-
-def eval_regular(rho: RatingMap, dfa: Dfa, budget: Budget = Budget()):
-    """Sum of rho over a regular language.
-
-    Saturates the reachable (DFA state, semiring value) pairs and adds
-    up the values seen at accepting states. Idempotent addition makes
-    the sum over distinct pairs equal the sum over all words. No
-    antichain pruning here: the result must be the exact sum. The pairs
-    draw on the `values` budget.
-    """
-    if dfa.alphabet != rho.alphabet:
-        raise ValueError("language and rating map use different alphabets")
-    semiring = rho.semiring
-    letters = [(j, rho.letter_image[a]) for j, a in enumerate(dfa.alphabet)]
-
-    def step(pair, letter):
-        (state, value), (j, image) = pair, letter
-        return dfa.transitions[state][j], semiring.mul(value, image)
-
-    start = (dfa.initial, semiring.one)
-    pairs, _, _ = explore(start, letters, step, budget, "values", "evaluation pair")
-    return semiring.sum(value for state, value in pairs if state in dfa.accepting)
-
-
-def value_automaton(rho: RatingMap, budget: Budget = Budget()):
-    """Reachable word images of rho with their right-multiplication graph.
-
-    Returns (values, transitions): values[0] is the unit, and
-    transitions[i][j] is the index of values[i] * rho(letter j). A DFA
-    over this graph with accepting set {i} recognizes the preimage of
-    values[i] under the word-level map.
-    """
-    semiring = rho.semiring
-    letters = [rho.letter_image[a] for a in rho.alphabet]
-    values, transitions, _ = explore(semiring.one, letters, semiring.mul, budget, "values")
-    return values, tuple(transitions)
 
 
 def canonical_covering_map(morphism: MonoidMorphism) -> RatingMap:

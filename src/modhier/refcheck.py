@@ -1,13 +1,10 @@
-"""Independent brute-force checkers for the decision engines.
+"""The bounded search for level-1/2 separator witnesses.
 
-Everything here answers questions the engines also answer, but by a
-different route: explicit separator verification with exact language
-operations, a bounded search for separators shaped like unions of
-marked products of length-residue languages, a direct minimum over
-the block languages (A^d)* for the basis approximation, the basis
-approximation from basis separation alone, and the level-1 filter
-over an enumerated carrier. Tests cross-check the engines against
-these; verdict assembly uses the search for best-effort witnesses.
+Separators are sought among unions of marked products of
+length-residue blocks (`SeparatorCandidate`) and verified by exact
+inclusion and disjointness. Verdict assembly runs the search for the
+best-effort witness of `--witness`; a hit certifies separability at
+level 1/2 by a route independent of the engines.
 """
 
 from __future__ import annotations
@@ -15,19 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .engines import admissible_totals
 from .errors import Budget
-from .lang import (
-    Alphabet,
-    Dfa,
-    compile_regex,
-    disjoint,
-    included,
-    iter_short_words,
-    short_words,
-)
-from .rating import RatingMap, aux_bpol_map, eval_regular, value_automaton
-from .semiring import DownSet, PowerSemiring, antichain_of, power_cycle
+from .lang import Alphabet, Dfa, compile_regex, disjoint, included, iter_short_words
 
 
 @dataclass(frozen=True)
@@ -133,7 +119,7 @@ def pol_mod_separator_search(
     """
     if l1.alphabet != l2.alphabet:
         raise ValueError("separation inputs use different alphabets")
-    pool = short_words(l1, nmax)
+    pool = list(iter_short_words(l1, nmax))
     probes = list(islice(iter_short_words(l2, nmax + PROBE_EXTRA), PROBE_WORDS))
     for d in range(1, dmax + 1):
         for size in range(0, union_bound + 1):
@@ -145,76 +131,3 @@ def pol_mod_separator_search(
                 if verify_separator(denoted, l1, l2, budget):
                     return candidate
     return None
-
-
-def block_language(alphabet: Alphabet, modulus: int, budget: Budget = Budget()) -> Dfa:
-    """The language (A^d)* of lengths divisible by the modulus."""
-    return compile_regex(_block(alphabet, modulus), alphabet, budget)
-
-
-def mod_iopti_bound(rho: RatingMap, budget: Budget = Budget()) -> int:
-    """Modulus whose block language realizes the basis approximation.
-
-    The exponent at which the powers of the summed letter image become
-    idempotent (`semiring.power_cycle`, within the `values` budget).
-    """
-    s = rho.semiring.sum(rho.letter_image[a] for a in rho.alphabet)
-    return power_cycle(rho.semiring, s, budget)[1]
-
-
-def brute_iopti_mod(rho: RatingMap, dmax: int):
-    """Basis approximation by direct minimization over block languages.
-
-    Evaluates rho on (A^d)* for every d <= dmax and returns the unique
-    order-minimal value. Every length-residue language containing the
-    empty word contains a block language, so once dmax reaches
-    mod_iopti_bound(rho) the minimum is the true approximation.
-    """
-    semiring = rho.semiring
-    values = []
-    for d in range(1, dmax + 1):
-        block = block_language(rho.alphabet, d)
-        values.append(eval_regular(rho, block))
-    for value in values:
-        if all(semiring.leq(value, other) for other in values):
-            return value
-    raise ValueError("no order-minimal block value below the given bound")
-
-
-def generic_iopti(rho: RatingMap, separates, budget: Budget = Budget()):
-    """The basis approximation from basis separation alone.
-
-    Sums every reachable word image r whose preimage language is not
-    separable from {empty word} by the basis; unreachable values have
-    empty preimages and never contribute. Agrees with any closed
-    formula for the same basis.
-    """
-    values, transitions = value_automaton(rho, budget)
-    eps = compile_regex((("e", None),), rho.alphabet, budget)
-    semiring = rho.semiring
-    total = semiring.zero
-    for i, value in enumerate(values):
-        preimage = Dfa(rho.alphabet, transitions, 0, frozenset({i}))
-        if not separates(eps, preimage, budget):
-            total = semiring.add(total, value)
-    return total
-
-
-def bpol_iopti_enumerated(rho: RatingMap, oracle, budget: Budget = Budget()):
-    """Level-1 basis value by the greatest-fixpoint filter over an enumerated carrier.
-
-    The same filter as `engines.bpol_iopti`, but on explicit value sets
-    with exact inner sets in the auxiliary map, so it needs no meets
-    and no antichain pruning: the differential oracle for that engine.
-    The carrier is materialized as a downset, within the antichain budget.
-    """
-    semiring = rho.semiring
-    inner = PowerSemiring(semiring)
-    current = set(DownSet(semiring, frozenset({semiring.top()})).to_set(budget))
-    for iterations in budget.rounds():
-        eta = aux_bpol_map(rho, frozenset(current), inner)
-        valid = admissible_totals(semiring, oracle.iopti(eta, budget))
-        survivors = {s for s in current if any(semiring.leq(s, t) for t in valid)}
-        if survivors == current:
-            return DownSet(semiring, antichain_of(semiring, current), iterations)
-        current = survivors

@@ -9,7 +9,6 @@ from modhier.basis import BasisOracle, mod_separable
 from modhier.errors import Budget
 from modhier.lang import Alphabet, MonoidMorphism, compile_regex, explore, parse_regex
 from modhier.rating import aux_pbpol_map
-from modhier.refcheck import generic_iopti
 from modhier.semiring import (
     Antichain,
     AntichainSemiring,
@@ -19,6 +18,8 @@ from modhier.semiring import (
     Semiring,
     antichain_of,
 )
+
+from oracles import generic_iopti
 
 
 class TableSemiring(Semiring):
@@ -93,7 +94,7 @@ class TableSemiring(Semiring):
 class SeparationOnlyOracle(BasisOracle):
     """The length-residue basis through its separation alone: iopti sums
     the word images that `mod_separable` cannot separate from the empty
-    word (`refcheck.generic_iopti`), with no closed form."""
+    word (`oracles.generic_iopti`), with no closed form."""
 
     def iopti(self, rho, budget: Budget = Budget()):
         return generic_iopti(rho, mod_separable, budget)

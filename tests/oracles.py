@@ -1,0 +1,145 @@
+"""Test-only references: routes to what the engines and the basis compute
+that no query takes.
+
+Exact language operations on DFAs, the exact sum of a rating map over
+a regular language, a direct minimum over the block languages (A^d)*
+for the basis approximation, the basis approximation from basis
+separation alone, and the level-1 filter over an enumerated carrier.
+Tests cross-check the package against these; the package itself keeps
+only what a query runs.
+"""
+
+from __future__ import annotations
+
+from modhier.engines import admissible_totals
+from modhier.errors import Budget
+from modhier.lang import Alphabet, Dfa, compile_regex, disjoint, explore, included
+from modhier.rating import RatingMap, aux_bpol_map
+from modhier.refcheck import SeparatorCandidate, candidate_language
+from modhier.semiring import DownSet, PowerSemiring, antichain_of, power_cycle
+
+
+def accepts(dfa: Dfa, word: str) -> bool:
+    q = dfa.initial
+    for a in word:
+        q = dfa.transitions[q][dfa.alphabet.index(a)]
+    return q in dfa.accepting
+
+
+def is_empty(x: Dfa) -> bool:
+    return disjoint(x, x)
+
+
+def equivalent(x: Dfa, y: Dfa) -> bool:
+    return included(x, y) and included(y, x)
+
+
+def eval_regular(rho: RatingMap, dfa: Dfa, budget: Budget = Budget()):
+    """Sum of rho over a regular language.
+
+    Saturates the reachable (DFA state, semiring value) pairs and adds
+    up the values seen at accepting states. Idempotent addition makes
+    the sum over distinct pairs equal the sum over all words. No
+    antichain pruning here: the result must be the exact sum. The pairs
+    draw on the `values` budget.
+    """
+    if dfa.alphabet != rho.alphabet:
+        raise ValueError("language and rating map use different alphabets")
+    semiring = rho.semiring
+    letters = [(j, rho.letter_image[a]) for j, a in enumerate(dfa.alphabet)]
+
+    def step(pair, letter):
+        (state, value), (j, image) = pair, letter
+        return dfa.transitions[state][j], semiring.mul(value, image)
+
+    start = (dfa.initial, semiring.one)
+    pairs, _, _ = explore(start, letters, step, budget, "values", "evaluation pair")
+    return semiring.sum(value for state, value in pairs if state in dfa.accepting)
+
+
+def value_automaton(rho: RatingMap, budget: Budget = Budget()):
+    """Reachable word images of rho with their right-multiplication graph.
+
+    Returns (values, transitions): values[0] is the unit, and
+    transitions[i][j] is the index of values[i] * rho(letter j). A DFA
+    over this graph with accepting set {i} recognizes the preimage of
+    values[i] under the word-level map.
+    """
+    semiring = rho.semiring
+    letters = [rho.letter_image[a] for a in rho.alphabet]
+    values, transitions, _ = explore(semiring.one, letters, semiring.mul, budget, "values")
+    return values, tuple(transitions)
+
+
+def block_language(alphabet: Alphabet, modulus: int, budget: Budget = Budget()) -> Dfa:
+    """The language (A^d)* of lengths divisible by the modulus: the
+    separator candidate whose one marker word is empty."""
+    return candidate_language(SeparatorCandidate(modulus, ("",)), alphabet, budget)
+
+
+def mod_iopti_bound(rho: RatingMap, budget: Budget = Budget()) -> int:
+    """Modulus whose block language realizes the basis approximation.
+
+    The exponent at which the powers of the summed letter image become
+    idempotent (`semiring.power_cycle`, within the `values` budget).
+    """
+    s = rho.semiring.sum(rho.letter_image[a] for a in rho.alphabet)
+    return power_cycle(rho.semiring, s, budget)[1]
+
+
+def brute_iopti_mod(rho: RatingMap, dmax: int):
+    """Basis approximation by direct minimization over block languages.
+
+    Evaluates rho on (A^d)* for every d <= dmax and returns the unique
+    order-minimal value. Every length-residue language containing the
+    empty word contains a block language, so once dmax reaches
+    mod_iopti_bound(rho) the minimum is the true approximation.
+    """
+    semiring = rho.semiring
+    values = []
+    for d in range(1, dmax + 1):
+        block = block_language(rho.alphabet, d)
+        values.append(eval_regular(rho, block))
+    for value in values:
+        if all(semiring.leq(value, other) for other in values):
+            return value
+    raise ValueError("no order-minimal block value below the given bound")
+
+
+def generic_iopti(rho: RatingMap, separates, budget: Budget = Budget()):
+    """The basis approximation from basis separation alone.
+
+    Sums every reachable word image r whose preimage language is not
+    separable from {empty word} by the basis; unreachable values have
+    empty preimages and never contribute. Agrees with any closed
+    formula for the same basis.
+    """
+    values, transitions = value_automaton(rho, budget)
+    eps = compile_regex((("e", None),), rho.alphabet, budget)
+    semiring = rho.semiring
+    total = semiring.zero
+    for i, value in enumerate(values):
+        preimage = Dfa(rho.alphabet, transitions, 0, frozenset({i}))
+        if not separates(eps, preimage, budget):
+            total = semiring.add(total, value)
+    return total
+
+
+def bpol_iopti_enumerated(rho: RatingMap, oracle, budget: Budget = Budget()):
+    """Level-1 basis value by the greatest-fixpoint filter over an enumerated carrier.
+
+    The same filter as `engines.bpol_iopti`, but on explicit value sets
+    with exact inner sets in the auxiliary map, so it needs no meets
+    and no antichain pruning: the differential oracle for that engine.
+    The carrier is materialized as a downset, within the antichain budget.
+    """
+    semiring = rho.semiring
+    inner = PowerSemiring(semiring)
+    current = set(DownSet(semiring, frozenset({semiring.top()})).to_set(budget))
+    for iterations in budget.rounds():
+        eta = aux_bpol_map(rho, frozenset(current), inner)
+        valid = admissible_totals(semiring, oracle.iopti(eta, budget))
+        survivors = {s for s in current if any(semiring.leq(s, t) for t in valid)}
+        if survivors == current:
+            return DownSet(semiring, antichain_of(semiring, current), iterations)
+        current = survivors

@@ -30,18 +30,13 @@ from modhier.lang import (
     transition_monoid,
 )
 from modhier.rating import aux_bpol_map, canonical_covering_map
-from modhier.refcheck import (
-    brute_iopti_mod,
-    candidate_language,
-    generic_iopti,
-    mod_iopti_bound,
-    pol_mod_separator_search,
-)
+from modhier.refcheck import candidate_language, pol_mod_separator_search
 from modhier.semiring import AntichainSemiring
 
 from io import StringIO
 
 from gen import random_dfa, random_rating_map, unpointed
+from oracles import brute_iopti_mod, generic_iopti, mod_iopti_bound
 from test_engines import assert_pbpol_rules_stable, assert_pol_rules_stable, imprint_covers
 
 A = Alphabet.of("a")

@@ -19,10 +19,10 @@ from modhier.basis import (
 from modhier.errors import Budget, BudgetExceededError, UnsupportedError
 from modhier.lang import Alphabet, Dfa, compile_regex, disjoint, parse_regex
 from modhier.rating import RatingMap
-from modhier.refcheck import generic_iopti
 from modhier.semiring import PowerSemiring
 
 from gen import CyclicMonoid, TableSemiring, random_dfa, random_rating_map
+from oracles import generic_iopti
 
 A = Alphabet.of("a")
 AB = Alphabet.of("ab")

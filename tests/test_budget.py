@@ -3,7 +3,11 @@
 import ast
 import contextlib
 import io
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,10 +15,11 @@ import pytest
 import modhier
 from modhier import Alphabet, Budget, BudgetExceededError, compile_regex, member, parse_regex
 from modhier.basis import mod_cover_oracle
-from modhier.rating import canonical_covering_map, eval_regular, value_automaton
+from modhier.rating import canonical_covering_map
 from modhier.engines import bpol_iopti, pbpol_iopti
 from modhier.lang import complement, transition_monoid
-from modhier.refcheck import bpol_iopti_enumerated
+
+from oracles import bpol_iopti_enumerated, eval_regular, value_automaton
 
 AB = Alphabet.of("ab")
 ORACLE = mod_cover_oracle()
@@ -38,6 +43,7 @@ TRIPS = [
     ("values", 1, "rating value",
      lambda b: value_automaton(canonical_covering_map(transition_monoid([lang("a*")])), b)),
     ("values", 1, "evaluation pair", evaluate),
+    ("values", 1, "omega power", lambda b: member("1/2", lang("(aaa)*"), ORACLE, b)),
 ]
 
 
@@ -135,3 +141,30 @@ def test_readme_budget_snippet_prints_what_it_says():
         exec(budget, namespace)
     assert printed.getvalue().splitlines()[-1] == "antichain budget exceeded (limit 1)"
     assert "# antichain budget exceeded (limit 1)" in budget
+
+
+# The known level-1 hang: the subset enumeration behind each round of the
+# level-1 filter (`engines.admissible_totals`) draws on no budget.
+LEVEL_ONE_REPRO = ["separate", "--level", "1", "--alphabet", "ab",
+                   "((a|b)(a|b)(a|b))*a(a|b)*", "(b|ab)*", "--max-antichain", "100"]
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                   reason="the level-1 subset enumeration has no budget")
+def test_the_level_one_repro_ends_in_an_answer_or_a_budget_error():
+    """Every query ends: with an answer (exit 0) or a named budget (exit 3),
+    within 3 s and 1 GiB of address space. Only the hang is expected to
+    fail; running out of memory or any other exit fails the test."""
+    src = Path(modhier.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "modhier.cli", *LEVEL_ONE_REPRO],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        timeout=3,
+        preexec_fn=limit_address_space,
+    )
+    assert done.returncode in (0, 3), done.stderr

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modhier.basis import mod_cover_oracle
-from modhier.decide import LEVELS, Verdict, coverable, level_imprint, member, separable
+from modhier.decide import COVER_LEVELS, LEVELS, Verdict, coverable, level_imprint, member, separable
 from modhier.errors import Budget, InputError, UnsupportedError
 from modhier.lang import (
     Alphabet,
@@ -212,6 +212,22 @@ def test_separability_monotone_across_levels(seed):
         assert (not low) or high
     if not disjoint(l1, l2):
         assert not any(answers)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**9), st.text("ab", max_size=3))
+def test_languages_sharing_a_word_are_never_separated(seed, word):
+    """(r1)|w and (r2)|w both hold the word w. A separator would have to
+    hold w and avoid it, so at no level is one separable from the other
+    or coverable against it. The monoid stays small, as level 1 has no
+    budget on its subset enumeration yet."""
+    rng = random.Random(seed)
+    l1, l2 = (lang(f"({random_regex(rng, AB)})|{word or 'e'}") for _ in range(2))
+    assume(transition_monoid([l1, l2]).size <= 7)
+    for level in LEVELS:
+        assert not separable(level, l1, l2, ORACLE).answer, level
+    for level in COVER_LEVELS:
+        assert not coverable(level, l1, [l2], ORACLE).answer, level
 
 
 @settings(max_examples=25, deadline=None)

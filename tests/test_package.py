@@ -7,19 +7,9 @@ import modhier
 
 PACKAGE = Path(modhier.__file__).parent
 
-# Module-level names that no code in the package refers to, each kept for its role.
-KEPT_UNREFERENCED = {
-    ("lang", "equivalent"): "language operation that tests compare against",
-    ("lang", "is_empty"): "language operation that tests compare against",
-}
-
-# Methods that no code in the package calls, each kept for its role.
-KEPT_UNCALLED = {
-    ("lang", "Dfa", "accepts"): "membership reference that tests check monoids and regexes against",
-}
-
-# `refcheck` is the oracle module: tests call its checkers, the package need not.
-ORACLE_MODULES = {"refcheck"}
+# Where a query starts: the command line's entry points. The names the
+# package root exports are read by its `__all__` statement.
+ENTRY_POINTS = {("cli", "main"), ("cli", "run")}
 
 
 def referenced_names(node: ast.AST) -> set:
@@ -54,50 +44,53 @@ def attribute_uses(node: ast.AST) -> set:
     return out
 
 
-def unreferenced_definitions() -> list:
-    """(module, name) of every module-level function or class that no
-    statement other than its own definition refers to."""
-    definitions, uses = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        module = path.stem
-        for stmt in ast.parse(path.read_text()).body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                own = stmt.name
-                definitions.append((module, own))
-            uses.append((module, own, referenced_names(stmt)))
-    return [
-        (module, name)
-        for module, name in definitions
-        if not any(name in names and (m, o) != (module, name) for m, o, names in uses)
-    ]
+def unreachable(sources=None, roots=ENTRY_POINTS) -> list:
+    """Every module-level function or class, as (module, name), and every
+    method, dunders aside, as (module, class, method), that no walk from
+    the roots reaches. `sources` maps module names to source text, the
+    package's by default.
 
-
-def unreferenced_methods(sources=None) -> list:
-    """(module, class, method) of every method, dunders aside, whose name
-    no statement other than its own definition reads as an attribute.
-    `sources` maps module names to source text, the package's by default."""
+    The walk starts at the roots and at every module-level statement
+    that is not a definition, as those run at import. What it reaches
+    reaches in turn each module-level definition whose name it reads
+    (`referenced_names`), and each method of a reached class whose name
+    it reads as an attribute (`attribute_uses`). A class brings along
+    its decorators, bases, class-level statements and dunder methods.
+    """
     if sources is None:
         sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    definitions, uses = [], []
+    parts, todo = {}, []
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            if not isinstance(stmt, ast.ClassDef):
-                uses.append((None, attribute_uses(stmt)))
-                continue
-            uses += [(None, attribute_uses(node)) for node in stmt.decorator_list + stmt.bases]
-            for node in stmt.body:
-                own = None
-                if isinstance(node, ast.FunctionDef):
-                    own = (module, stmt.name, node.name)
-                    if not (node.name.startswith("__") and node.name.endswith("__")):
-                        definitions.append(own)
-                uses.append((own, attribute_uses(node)))
-    return [
-        method
-        for method in definitions
-        if not any(method[2] in names and own != method for own, names in uses)
-    ]
+            if isinstance(stmt, ast.ClassDef):
+                own = parts[(module, stmt.name)] = stmt.decorator_list + stmt.bases
+                for node in stmt.body:
+                    if isinstance(node, ast.FunctionDef) and not (
+                        node.name.startswith("__") and node.name.endswith("__")
+                    ):
+                        parts[(module, stmt.name, node.name)] = [node]
+                    else:
+                        own.append(node)
+            elif isinstance(stmt, ast.FunctionDef):
+                parts[(module, stmt.name)] = [stmt]
+            else:
+                todo.append(stmt)
+    reached, names, attributes = set(), set(), set()
+    frontier = set(roots)
+    while frontier or todo:
+        reached |= frontier
+        todo += [node for key in frontier for node in parts[key]]
+        for node in todo:
+            names |= referenced_names(node)
+            attributes |= attribute_uses(node)
+        todo = []
+        frontier = {
+            key
+            for key in parts
+            if key not in reached
+            and (key[2] in attributes and key[:2] in reached if len(key) == 3 else key[1] in names)
+        }
+    return [key for key in parts if key not in reached]
 
 
 def self_calls(source: str) -> list:
@@ -184,31 +177,23 @@ def test_regex_front_end_does_not_recurse():
 
 
 def test_every_definition_is_used_or_exported():
-    dead = [
-        (module, name)
-        for module, name in unreferenced_definitions()
-        if module not in ORACLE_MODULES
-        and name not in modhier.__all__
-        and (module, name) not in KEPT_UNREFERENCED
-    ]
-    assert dead == []
-
-
-def test_kept_exceptions_are_still_unreferenced():
-    assert set(KEPT_UNREFERENCED) <= set(unreferenced_definitions())
+    assert [key for key in unreachable() if len(key) == 2] == []
 
 
 def test_every_method_is_used():
-    dead = [
-        method
-        for method in unreferenced_methods()
-        if method[0] not in ORACLE_MODULES and method not in KEPT_UNCALLED
+    assert [key for key in unreachable() if len(key) == 3] == []
+
+
+def test_what_only_dead_code_calls_is_dead():
+    source = (
+        "class C:\n    def live(self):\n        pass\n    def only_dead(self):\n        pass\n"
+        "def main():\n    return C().live()\n"
+        "def dead():\n    return helper(), C().only_dead()\n"
+        "def helper():\n    pass\n"
+    )
+    assert unreachable({"m": source}, {("m", "main")}) == [
+        ("m", "C", "only_dead"), ("m", "dead"), ("m", "helper"),
     ]
-    assert dead == []
-
-
-def test_kept_methods_are_still_uncalled():
-    assert set(KEPT_UNCALLED) <= set(unreferenced_methods())
 
 
 def test_a_bare_name_does_not_use_a_method():
@@ -217,7 +202,8 @@ def test_a_bare_name_does_not_use_a_method():
     source = (
         "class D:\n    def step(self):\n        pass\n    def run(self):\n        pass\n"
         "    def part(self):\n        pass\n"
-        "def run():\n    step = 1\n    return step, 'run', getattr(x, 'part')\n"
+        "def run():\n    step = 1\n    return D, step, 'run', getattr(x, 'part')\n"
     )
-    assert unreferenced_methods({"m": source}) == [("m", "D", "step"), ("m", "D", "run")]
-    assert unreferenced_methods({"m": source + "y = x.step\n"}) == [("m", "D", "run")]
+    roots = {("m", "run")}
+    assert unreachable({"m": source}, roots) == [("m", "D", "step"), ("m", "D", "run")]
+    assert unreachable({"m": source + "y = x.step\n"}, roots) == [("m", "D", "run")]
