@@ -63,28 +63,23 @@ class PairSpace:
     only ever moves the second coordinate. `part` names the first
     coordinate: pairs with different parts are incomparable, so
     antichains over the space keep one bucket per part.
+    `mult` forms each distinct second-coordinate product, the costly
+    one, once per instance and keeps it for the instance's lifetime: a
+    pointed imprint keeps its space, an auxiliary map's space lasts one
+    fixpoint round. So a set product over the space needs no grouping.
     """
 
     def __init__(self, monoid, semiring: Semiring):
         self.monoid = monoid
         self.semiring = semiring
         self.unit = (monoid.unit, semiring.one)
+        self._seconds: dict = {}
 
     def mult(self, x, y):
-        return (self.monoid.mult(x[0], y[0]), self.semiring.mul(x[1], y[1]))
-
-    def mult_sets(self, xs, ys) -> frozenset:
-        """All products x * y, forming each distinct second-coordinate product once."""
-        first, second = self.monoid.mult, self.semiring.mul
-        seconds: dict = {}
-        out: set = set()
-        for a, s in xs:
-            for b, t in ys:
-                st = seconds.get((s, t))
-                if st is None:
-                    st = seconds[s, t] = second(s, t)
-                out.add((first(a, b), st))
-        return frozenset(out)
+        st = self._seconds.get((x[1], y[1]))
+        if st is None:
+            st = self._seconds[x[1], y[1]] = self.semiring.mul(x[1], y[1])
+        return (self.monoid.mult(x[0], y[0]), st)
 
     def leq(self, x, y) -> bool:
         return x[0] == y[0] and self.semiring.leq(x[1], y[1])
@@ -148,10 +143,9 @@ class AntichainSemiring(Semiring):
     A product works row by row. The row of a space element a and a
     right operand y is the set of products a * b for b in y; it is
     formed once per instance, so `mul(x, y)` reads one row per element
-    of x and unions them. Each product of two space elements is formed
-    once per instance too, whichever row first needs it. Both are kept
-    for the instance's lifetime: the engines build one instance per
-    auxiliary map, so what it keeps is dropped with the fixpoint round.
+    of x and unions them. Rows are kept for the instance's lifetime:
+    the engines build one instance per auxiliary map, so they are
+    dropped with the fixpoint round.
     The omega-power of a basis value multiplies each power by the same
     few letter values, and reads their rows back.
     """
@@ -160,7 +154,6 @@ class AntichainSemiring(Semiring):
         self.space = space
         self.zero = frozenset()
         self.one = frozenset({space.unit})
-        self._products: dict = {}
         self._rows: dict = {}
 
     def normal(self, items: Iterable) -> frozenset:
@@ -170,18 +163,12 @@ class AntichainSemiring(Semiring):
         return self.normal(set(x) | set(y))
 
     def mul(self, x, y):
-        mult, products, rows = self.space.mult, self._products, self._rows
+        mult, rows = self.space.mult, self._rows
         out: set = set()
         for a in x:
             row = rows.get((a, y))
             if row is None:
-                built = []
-                for b in y:
-                    p = products.get((a, b))
-                    if p is None:
-                        p = products[a, b] = mult(a, b)
-                    built.append(p)
-                row = rows[a, y] = frozenset(built)
+                row = rows[a, y] = frozenset([mult(a, b) for b in y])
             out.update(row)
         return self.normal(out)
 

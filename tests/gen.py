@@ -7,8 +7,9 @@ from typing import Iterator
 
 from modhier.basis import BasisOracle, mod_separable
 from modhier.errors import Budget
-from modhier.lang import Alphabet, MonoidMorphism, compile_regex, explore, parse_regex
+from modhier.lang import Alphabet, Dfa, MonoidMorphism, compile_regex, explore, parse_regex
 from modhier.rating import aux_pbpol_map
+from modhier.refcheck import SeparatorCandidate, candidate_language
 from modhier.semiring import (
     Antichain,
     AntichainSemiring,
@@ -346,6 +347,30 @@ def random_regex(rng: random.Random, alphabet: Alphabet, depth: int = 3) -> str:
     if kind == "seq":
         return f"({random_regex(rng, alphabet, depth - 1)}{random_regex(rng, alphabet, depth - 1)})"
     return f"({random_regex(rng, alphabet, depth - 1)})*"
+
+
+def residue_language(rng: random.Random, alphabet: Alphabet, max_modulus: int = 3) -> Dfa:
+    """A level-0 language: the words whose length lies in one of a few
+    classes r mod d, written as the union of (A^d)* A^r over those r."""
+    d = rng.randint(1, max_modulus)
+    letter = "(" + "|".join(alphabet.letters) + ")"
+    residues = sorted(rng.sample(range(d), rng.randint(1, d)))
+    text = "|".join(f"({letter * d})*{letter * r}" for r in residues)
+    return compile_regex(parse_regex(text, alphabet), alphabet)
+
+
+def marked_product_language(
+    rng: random.Random, alphabet: Alphabet, max_modulus: int = 2, max_length: int = 2
+) -> Dfa:
+    """A level-1/2 language: a union of one or two marked products
+    (A^d)* a1 (A^d)* ... an (A^d)* of length-residue blocks, compiled as
+    the witness search compiles its candidates."""
+    d = rng.randint(1, max_modulus)
+    markers = tuple(
+        "".join(rng.choices(alphabet.letters, k=rng.randint(1, max_length)))
+        for _ in range(rng.randint(1, 2))
+    )
+    return candidate_language(SeparatorCandidate(d, markers), alphabet)
 
 
 def random_dfa(rng: random.Random, alphabet: Alphabet, max_states: int = 6, depth: int = 3):

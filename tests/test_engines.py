@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from modhier import engines
 from modhier.basis import mod_cover_oracle, mod_iopti
+from modhier.decide import separable
 from modhier.engines import (
     _close_products,
     _maximal_idempotents,
@@ -20,7 +21,7 @@ from modhier.engines import (
     pol_imprint,
 )
 from modhier.errors import Budget, BudgetExceededError
-from modhier.lang import Alphabet, compile_regex, parse_regex, transition_monoid
+from modhier.lang import Alphabet, MonoidMorphism, compile_regex, parse_regex, transition_monoid
 from modhier.rating import RatingMap, aux_bpol_map, canonical_covering_map
 from modhier.semiring import (
     Antichain,
@@ -201,6 +202,26 @@ def test_level_half_closure_forms_few_products(monkeypatch):
     products = count_pair_products(monkeypatch)
     pol_imprint(morphism, rho, ORACLE)
     assert len(products) <= 400
+
+
+@pytest.mark.parametrize("level, bound", [("1/2", 210), ("3/2", 5000)])
+def test_separation_forms_each_set_product_once_per_pair_space(monkeypatch, level, bound):
+    """A pair space keeps its second-coordinate products for its lifetime,
+    so a closure that multiplies the same sets again reads them back."""
+    calls = []
+    original = PowerSemiring.mul
+
+    def counting(self, x, y):
+        if isinstance(self.monoid, MonoidMorphism):
+            calls.append(1)
+        return original(self, x, y)
+
+    monkeypatch.setattr(PowerSemiring, "mul", counting)
+    kth5 = "(a|b)*{}(a|b)(a|b)(a|b)(a|b)"
+    separable(level, lang(kth5.format("a")), lang(kth5.format("b")), ORACLE)
+    # 380 at level 1/2 and 7,033 at level 3/2 when each `PairSpace.mult`
+    # call formed its product anew and each set product kept its own.
+    assert len(calls) <= bound
 
 
 # ---------------------------------------------------------------------------

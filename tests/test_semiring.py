@@ -181,7 +181,7 @@ class CountingSemiring:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
 def test_power_products_match_elementwise(seed):
-    """Over a morphism (Cayley rows) and over the auxiliary maps' pair space (grouped)."""
+    """Over a morphism (Cayley rows) and over the auxiliary maps' pair space (pair by pair)."""
     rng = random.Random(seed)
     morphism = transition_monoid([random_dfa(rng, Alphabet.of("ab"), max_states=5)])
     elements = list(morphism.elements())
@@ -211,6 +211,28 @@ def test_product_monoid_forms_each_second_product_once(seed):
     asked = list(second.asked)
     assert product == elementwise(pairs, xs, ys)
     assert Counter(asked) == Counter({(s, t) for _, s in xs for _, t in ys})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_pair_space_forms_each_second_product_once_across_calls(seed):
+    """Set products and `mult` of one instance share its second-coordinate products."""
+    rng = random.Random(seed)
+    first, power = random_monoid(rng, max_size=5), random_power_semiring(rng, max_size=3)
+    second = CountingSemiring(power)
+    pairs, reference = PairSpace(first, second), PairSpace(first, power)
+    elements = [(a, b) for a in first.elements() for b in power.iter_below(power.top())]
+    xs, ys = rng.choices(elements, k=3), rng.choices(elements, k=3)
+    overlapping = xs[1:] + rng.choices(elements, k=2)
+    wanted = set()
+    for left in (xs, overlapping):
+        product = PowerSemiring(pairs).mul(frozenset(left), frozenset(ys))
+        assert product == elementwise(reference, left, ys)
+        wanted |= {(s, t) for _, s in left for _, t in ys}
+    for x, y in zip(xs + overlapping, ys + ys[::-1]):
+        assert pairs.mult(x, y) == reference.mult(x, y)
+        wanted.add((x[1], y[1]))
+    assert Counter(second.asked) == Counter(wanted)
 
 
 @settings(max_examples=60, deadline=None)
