@@ -532,6 +532,9 @@ class MonoidMorphism:
     m) and kept for the morphism's lifetime. Rows are filled only for
     the left factors in use, so a large monoid whose products are never
     asked costs nothing, but the worst case is |M|^2 integers.
+    `mult_sets` returns one canonical object per distinct set it forms,
+    kept in `_sets` for the morphism's lifetime, so equal products meet
+    in a dict key or a union by identity.
     """
 
     def __init__(self, alphabet, right, tree, accept_sets):
@@ -546,6 +549,7 @@ class MonoidMorphism:
         self.word_for = tuple(word_for)
         self.unit = 0
         self._rows: list[tuple[int, ...] | None] = [None] * len(right)
+        self._sets: dict = {}
 
     @property
     def size(self) -> int:
@@ -575,8 +579,9 @@ class MonoidMorphism:
         return row[j]
 
     def mult_sets(self, xs, ys) -> frozenset:
-        """All products x * y with x in xs and y in ys."""
-        return frozenset([row[y] for row in map(self.row, xs) for y in ys])
+        """All products x * y with x in xs and y in ys, as the canonical object."""
+        value = frozenset([row[y] for row in map(self.row, xs) for y in ys])
+        return self._sets.setdefault(value, value)
 
 
 def transition_monoid(dfas: list[Dfa], budget: Budget = Budget()) -> MonoidMorphism:

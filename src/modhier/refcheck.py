@@ -48,10 +48,8 @@ def _block(alphabet: Alphabet, modulus: int) -> tuple:
     return step + (step + ((".", None),)) * (modulus - 1) + (("*", None),)
 
 
-def candidate_language(
-    candidate: SeparatorCandidate, alphabet: Alphabet, budget: Budget = Budget()
-) -> Dfa:
-    """Compile a candidate's denotation over the given alphabet."""
+def candidate_program(candidate: SeparatorCandidate, alphabet: Alphabet) -> tuple:
+    """The regex program of a candidate's denotation over the given alphabet."""
     block = _block(alphabet, candidate.modulus)
     total = [("0", None)]
     for word in candidate.markers:
@@ -59,7 +57,14 @@ def candidate_language(
         for letter in word:
             total += [("letter", letter), (".", None), *block, (".", None)]
         total.append(("|", None))
-    return compile_regex(tuple(total), alphabet, budget)
+    return tuple(total)
+
+
+def candidate_language(
+    candidate: SeparatorCandidate, alphabet: Alphabet, budget: Budget = Budget()
+) -> Dfa:
+    """Compile a candidate's denotation over the given alphabet."""
+    return compile_regex(candidate_program(candidate, alphabet), alphabet, budget)
 
 
 def marked_product_accepts(word: str, modulus: int, marker: str) -> bool:

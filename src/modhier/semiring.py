@@ -67,6 +67,8 @@ class PairSpace:
     one, once per instance and keeps it for the instance's lifetime: a
     pointed imprint keeps its space, an auxiliary map's space lasts one
     fixpoint round. So a set product over the space needs no grouping.
+    It also returns one canonical object per distinct pair it forms,
+    kept as long as the products, so equal pairs meet by identity.
     """
 
     def __init__(self, monoid, semiring: Semiring):
@@ -74,12 +76,14 @@ class PairSpace:
         self.semiring = semiring
         self.unit = (monoid.unit, semiring.one)
         self._seconds: dict = {}
+        self._pairs: dict = {}
 
     def mult(self, x, y):
         st = self._seconds.get((x[1], y[1]))
         if st is None:
             st = self._seconds[x[1], y[1]] = self.semiring.mul(x[1], y[1])
-        return (self.monoid.mult(x[0], y[0]), st)
+        pair = (self.monoid.mult(x[0], y[0]), st)
+        return self._pairs.setdefault(pair, pair)
 
     def leq(self, x, y) -> bool:
         return x[0] == y[0] and self.semiring.leq(x[1], y[1])
@@ -145,7 +149,10 @@ class AntichainSemiring(Semiring):
     formed once per instance, so `mul(x, y)` reads one row per element
     of x and unions them. Rows are kept for the instance's lifetime:
     the engines build one instance per auxiliary map, so they are
-    dropped with the fixpoint round.
+    dropped with the fixpoint round. Each row and each antichain
+    `normal` returns is the one canonical object of its value for as
+    long, so a row key, a row union and a set of values match equal
+    values by identity.
     The omega-power of a basis value multiplies each power by the same
     few letter values, and reads their rows back.
     """
@@ -155,20 +162,23 @@ class AntichainSemiring(Semiring):
         self.zero = frozenset()
         self.one = frozenset({space.unit})
         self._rows: dict = {}
+        self._values: dict = {}
 
     def normal(self, items: Iterable) -> frozenset:
-        return antichain_of(self.space, items)
+        value = antichain_of(self.space, items)
+        return self._values.setdefault(value, value)
 
     def add(self, x, y):
         return self.normal(set(x) | set(y))
 
     def mul(self, x, y):
-        mult, rows = self.space.mult, self._rows
+        mult, rows, values = self.space.mult, self._rows, self._values
         out: set = set()
         for a in x:
             row = rows.get((a, y))
             if row is None:
-                row = rows[a, y] = frozenset([mult(a, b) for b in y])
+                row = frozenset([mult(a, b) for b in y])
+                row = rows[a, y] = values.setdefault(row, row)
             out.update(row)
         return self.normal(out)
 

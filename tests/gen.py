@@ -9,7 +9,7 @@ from modhier.basis import BasisOracle, mod_separable
 from modhier.errors import Budget
 from modhier.lang import Alphabet, Dfa, MonoidMorphism, compile_regex, explore, parse_regex
 from modhier.rating import aux_pbpol_map
-from modhier.refcheck import SeparatorCandidate, candidate_language
+from modhier.refcheck import SeparatorCandidate, candidate_program
 from modhier.semiring import (
     Antichain,
     AntichainSemiring,
@@ -359,18 +359,34 @@ def residue_language(rng: random.Random, alphabet: Alphabet, max_modulus: int = 
     return compile_regex(parse_regex(text, alphabet), alphabet)
 
 
-def marked_product_language(
+def marked_product_program(
     rng: random.Random, alphabet: Alphabet, max_modulus: int = 2, max_length: int = 2
-) -> Dfa:
-    """A level-1/2 language: a union of one or two marked products
-    (A^d)* a1 (A^d)* ... an (A^d)* of length-residue blocks, compiled as
-    the witness search compiles its candidates."""
+) -> tuple:
+    """The program of a level-1/2 language: a union of one or two marked
+    products (A^d)* a1 (A^d)* ... an (A^d)* of length-residue blocks,
+    built as the witness search builds its candidates."""
     d = rng.randint(1, max_modulus)
     markers = tuple(
         "".join(rng.choices(alphabet.letters, k=rng.randint(1, max_length)))
         for _ in range(rng.randint(1, 2))
     )
-    return candidate_language(SeparatorCandidate(d, markers), alphabet)
+    return candidate_program(SeparatorCandidate(d, markers), alphabet)
+
+
+def marked_product_language(rng: random.Random, alphabet: Alphabet) -> Dfa:
+    """A level-1/2 language, compiled from `marked_product_program`."""
+    return compile_regex(marked_product_program(rng, alphabet), alphabet)
+
+
+def boolean_combination_language(rng: random.Random, alphabet: Alphabet) -> Dfa:
+    """A level-1 language: the complement of one `marked_product_program`,
+    or the union or intersection of two. Level 1 is the Boolean closure
+    of level 1/2."""
+    program = marked_product_program(rng, alphabet)
+    kind = rng.choice(["~", "|", "&"])
+    if kind != "~":
+        program += marked_product_program(rng, alphabet)
+    return compile_regex(program + ((kind, None),), alphabet)
 
 
 def random_dfa(rng: random.Random, alphabet: Alphabet, max_states: int = 6, depth: int = 3):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from modhier.lang import included
 
 from gen import (
     SeparationOnlyOracle,
+    boolean_combination_language,
     image_of_word,
     marked_product_language,
     random_dfa,
@@ -320,12 +322,17 @@ def test_imprints_under_a_separation_only_basis_oracle(seed):
 @given(st.integers(0, 10**9))
 def test_languages_built_at_a_level_are_members_there_and_above(seed):
     """Ground truth by construction: unions of length residues lie at
-    level 0, marked products of length-residue blocks at level 1/2, and
-    each lies at every level above its own. Level 1 is asked only of
-    monoids of at most 7 elements, where its engine is known to end."""
+    level 0, marked products of length-residue blocks at level 1/2,
+    Boolean combinations of those at level 1, and each lies at every
+    level above its own. Level 1 is asked only of monoids of at most 7
+    elements, where its engine is known to end."""
     rng = random.Random(seed)
     alphabet = rng.choice([A, AB, Alphabet.of("abc")])
-    built = [("0", residue_language(rng, alphabet)), ("1/2", marked_product_language(rng, alphabet))]
+    built = [
+        ("0", residue_language(rng, alphabet)),
+        ("1/2", marked_product_language(rng, alphabet)),
+        ("1", boolean_combination_language(rng, alphabet)),
+    ]
     for level, language in built:
         small = transition_monoid([language]).size <= 7
         for above in LEVELS[LEVELS.index(level):]:
@@ -373,6 +380,23 @@ def test_level_three_halves_forms_each_pair_product_once_per_round(monkeypatch):
     # with rows, and 4,477 when the inner semiring also kept each pair
     # product and the auxiliary maps' set products called no `mult`.
     assert len(calls) <= 9000
+
+
+def test_level_three_halves_keeps_one_object_per_product():
+    """Equal products share one object, so the memo tables and rows of the
+    level-3/2 fixpoint hold no duplicates."""
+    kth5 = "(a|b)*{}(a|b)(a|b)(a|b)(a|b)"
+    l1, l2 = lang(kth5.format("a")), lang(kth5.format("b"))
+    tracemalloc.start()
+    try:
+        verdict = separable("3/2", l1, l2, ORACLE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.answer
+    # 1.51–1.52 MB when each product was a new object, 0.45–0.48 MB with
+    # one object per value.
+    assert peak < 0.8 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,30 @@ def test_antichain_products_by_rows_match_pairwise_products(seed):
                     assert semiring.mul(x, y) == antichain_of(space, pairwise)
 
 
+def test_products_are_canonical_objects():
+    """Each product table returns one object per distinct value it forms:
+    the morphism's set products, a pair space's pairs, and an antichain
+    semiring's products and rows."""
+    morphism = transition_monoid([random_dfa(random.Random(3), Alphabet.of("ab"))])
+    first = morphism.mult_sets(fs(0), fs(*morphism.elements()))
+    second = morphism.mult_sets(fs(*morphism.elements()), fs(0))
+    assert first == second and first is second
+
+    space = PairSpace(CyclicMonoid(2), PowerSemiring(CyclicMonoid(2)))
+    x = space.mult((0, fs(1)), (1, fs(1)))
+    y = space.mult((1, fs(0)), (0, fs(0)))
+    assert x == (1, fs(0)) and x is y
+
+    inner = AntichainSemiring(space)
+    x = inner.mul(fs((0, fs(1)), (1, fs(0))), fs((0, fs(1))))
+    y = inner.mul(fs((1, fs(1)), (0, fs(0))), fs((1, fs(1))))
+    assert x == fs((0, fs(0)), (1, fs(1))) and x is y
+    # Four rows, two of each content: (0, {1}) (0, {1}) = (1, {1}) (1, {1}).
+    rows = inner._rows
+    assert len(rows) == 4 and len({id(row) for row in rows.values()}) == 2
+    assert rows[(0, fs(1)), fs((0, fs(1)))] is rows[(1, fs(1)), fs((1, fs(1)))]
+
+
 # ---------------------------------------------------------------------------
 # Explicit tables and axiom checking
 
