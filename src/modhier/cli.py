@@ -139,24 +139,24 @@ def _format_value(value) -> str:
     return "{" + ",".join(str(i) for i in sorted(value)) + "}"
 
 
-def _imprint_text(morphism, imprint, pointed, out) -> None:
+def _imprint_text(morphism, imprint, out) -> None:
     out.write(f"MONOID: {morphism.size} elements\n")
     for i in range(morphism.size):
         out.write(f'  {i} = "{morphism.word_for[i]}"\n')
-    if pointed:
-        cells = ["(%d,%s)" % (s, _format_value(t)) for s, t in maximal_in_order(imprint, True)]
+    if imprint.pointed:
+        cells = ["(%d,%s)" % (s, _format_value(t)) for s, t in maximal_in_order(imprint)]
     else:
-        cells = [_format_value(t) for t in maximal_in_order(imprint, False)]
+        cells = [_format_value(t) for t in maximal_in_order(imprint)]
     out.write("IMPRINT: " + " ".join(cells) + "\n")
 
 
-def _imprint_json(morphism, imprint, pointed) -> dict:
-    if pointed:
-        maximal = [[s, sorted(t)] for s, t in maximal_in_order(imprint, True)]
+def _imprint_json(morphism, imprint) -> dict:
+    if imprint.pointed:
+        maximal = [[s, sorted(t)] for s, t in maximal_in_order(imprint)]
     else:
-        maximal = [sorted(t) for t in maximal_in_order(imprint, False)]
+        maximal = [sorted(t) for t in maximal_in_order(imprint)]
     return {
-        "pointed": pointed,
+        "pointed": imprint.pointed,
         "monoid": list(morphism.word_for),
         "maximal": maximal,
     }

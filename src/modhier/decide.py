@@ -50,9 +50,8 @@ class Verdict:
     level-zero separation, a blocking imprint element for negative
     covering answers, or an explicit separator candidate for positive
     level-1/2 answers when the bounded search finds one. `imprint` is
-    the (morphism, imprint, pointed) triple the answer was read from,
-    absent at level zero. An `imprint` query (see `imprinted`) has no
-    answer.
+    the (morphism, imprint) pair the answer was read from, absent at
+    level zero. An `imprint` query (see `imprinted`) has no answer.
     """
 
     kind: str
@@ -78,34 +77,32 @@ def check_imprint_level(level: str) -> None:
 def level_imprint(level: str, dfas: list[Dfa], oracle: BasisOracle, budget: Budget = Budget()):
     """The optimal imprint of the languages at a level, by that level's engines.
 
-    Returns (morphism, imprint, pointed, iterations): the transition
-    monoid of the languages, the imprint of their canonical covering
-    map, whether its elements pair a monoid element with a value, and
-    the iterations `STATS` reports: the generations of the level-1/2
-    closure, or at levels 1 and 3/2 the fixpoint's rounds plus the
-    generations of the closure that completes the imprint. Imprints
-    start at level 1/2.
+    Returns (morphism, imprint): the transition monoid of the
+    languages and the imprint of their canonical covering map. The
+    imprint's `passes` are the iterations `STATS` reports: the
+    generations of the level-1/2 closure, or at levels 1 and 3/2 the
+    fixpoint's rounds plus the generations of the closure that
+    completes the imprint. Imprints start at level 1/2.
     """
     check_imprint_level(level)
     morphism = transition_monoid(dfas, budget)
     rho = canonical_covering_map(morphism)
     if level == "1/2":
-        imprint = pol_imprint(morphism, rho, oracle, budget)
-        return morphism, imprint, True, imprint.passes
+        return morphism, pol_imprint(morphism, rho, oracle, budget)
     if level == "1":
         iopti = bpol_iopti(rho, oracle, budget)
         imprint = bpol_opti(rho, iopti, budget)
-        return morphism, imprint, False, iopti.passes + imprint.passes
-    iopti = pbpol_iopti(morphism, rho, oracle, budget)
-    imprint = pbpol_pointed_imprint(morphism, rho, iopti, budget)
-    return morphism, imprint, True, iopti.passes + imprint.passes
+    else:
+        iopti = pbpol_iopti(morphism, rho, oracle, budget)
+        imprint = pbpol_pointed_imprint(morphism, rho, iopti, budget)
+    return morphism, replace(imprint, passes=iopti.passes + imprint.passes)
 
 
-def _imprint_stats(started: float, morphism, imprint: DownSet, iterations: int) -> dict:
+def _imprint_stats(started: float, morphism, imprint: DownSet) -> dict:
     """What `STATS` reports for a query read off an imprint, timed from `started`."""
     return {
         "monoid": morphism.size,
-        "iterations": iterations,
+        "iterations": imprint.passes,
         "antichain": len(imprint.maximal),
         "ms": round((time.perf_counter() - started) * 1000, 3),
     }
@@ -116,19 +113,19 @@ def imprinted(
 ) -> Verdict:
     """The imprint of the languages at a level, as a verdict with no answer."""
     started = time.perf_counter()
-    morphism, imprint, pointed, iterations = level_imprint(level, dfas, oracle, budget)
-    stats = _imprint_stats(started, morphism, imprint, iterations)
-    return Verdict("imprint", level, None, None, stats, (morphism, imprint, pointed))
+    morphism, imprint = level_imprint(level, dfas, oracle, budget)
+    stats = _imprint_stats(started, morphism, imprint)
+    return Verdict("imprint", level, None, None, stats, (morphism, imprint))
 
 
-def maximal_in_order(imprint: DownSet, pointed: bool) -> list:
+def maximal_in_order(imprint: DownSet) -> list:
     """The imprint's maximal elements in the order scans and listings use."""
-    if pointed:
+    if imprint.pointed:
         return sorted(imprint.maximal, key=lambda pair: (pair[0], tuple(sorted(pair[1]))))
     return sorted(imprint.maximal, key=lambda value: tuple(sorted(value)))
 
 
-def _blocking(imprint: DownSet, pointed: bool, accept_sets):
+def _blocking(imprint: DownSet, accept_sets):
     """Least imprint element that meets every constraint set.
 
     A value t meeting the accepting set of every constraint, attached
@@ -140,10 +137,10 @@ def _blocking(imprint: DownSet, pointed: bool, accept_sets):
     """
     target = accept_sets[0]
     rest = accept_sets[1:]
-    for element in maximal_in_order(imprint, pointed):
+    pointed = imprint.pointed
+    for element in maximal_in_order(imprint):
         s, t = element if pointed else (None, element)
-        hits_target = s in target if pointed else t & target
-        if hits_target and all(t & f for f in rest):
+        if (s in target if pointed else t & target) and all(t & f for f in rest):
             return element
     return None
 
@@ -172,14 +169,12 @@ def coverable(
         raise InputError("covering inputs use different alphabets")
 
     started = time.perf_counter()
-    morphism, imprint, pointed, iterations = level_imprint(
-        level, [target] + list(constraints), oracle, budget
-    )
-    blocking = _blocking(imprint, pointed, morphism.accept_sets)
+    morphism, imprint = level_imprint(level, [target] + list(constraints), oracle, budget)
+    blocking = _blocking(imprint, morphism.accept_sets)
     answer = blocking is None
     witness = None
     if want_witness and blocking is not None:
-        if pointed:
+        if imprint.pointed:
             s, t = blocking
             witness = {"blocking": {"element": s, "word": morphism.word_for[s], "image": sorted(t)}}
         else:
@@ -202,8 +197,8 @@ def coverable(
                 "separator": {"modulus": found.modulus, "markers": list(found.markers)}
             }
 
-    stats = _imprint_stats(started, morphism, imprint, iterations)
-    return Verdict("cover", level, answer, witness, stats, (morphism, imprint, pointed))
+    stats = _imprint_stats(started, morphism, imprint)
+    return Verdict("cover", level, answer, witness, stats, (morphism, imprint))
 
 
 def separable(

@@ -40,13 +40,11 @@ def _close_products(space, acc: Antichain, old: frozenset = frozenset()):
     is multiplied in its stead. `old` names elements already closed
     under the product before the call (the antichain an earlier call
     returned); a product of two of them is skipped too, since the
-    downset already holds it. Returns whether anything was added and
-    the number of generations.
+    downset already holds it. Returns the number of generations.
     """
     generators = list(acc)
     fresh = [g for g in generators if g not in old]
     frontier = generators
-    changed = False
     passes = 0
     while True:
         passes += 1
@@ -59,8 +57,7 @@ def _close_products(space, acc: Antichain, old: frozenset = frozenset()):
                 if acc.add(y):
                     entered.append(y)
         if not entered:
-            return changed, passes
-        changed = True
+            return passes
         frontier = entered
 
 
@@ -70,7 +67,7 @@ def _saturate(space, seeds, budget: Budget, old: frozenset = frozenset()) -> Dow
     `old` names seeds already closed under the product (see `_close_products`).
     """
     acc = Antichain(space, seeds, budget)
-    _, passes = _close_products(space, acc, old)
+    passes = _close_products(space, acc, old)
     return DownSet(space, acc.freeze(), passes)
 
 
@@ -192,7 +189,11 @@ def pbpol_iopti(
     idempotent pair (e, f) below T, adding (e, f * (1 + r) * f); close
     under product. Every rule is monotone in the set, so this chaotic
     iteration reaches the least fixpoint regardless of order. As at
-    level 1, each round's auxiliary map gets a fresh inner semiring.
+    level 1, a round builds its auxiliary map, over a fresh inner
+    semiring, from the antichain the previous round froze, and the
+    fixpoint is reached when a round freezes that antichain again. It
+    is closed under the product, so the closure skips products of two
+    of its elements.
 
     The idempotent rule walks the maxima (e, F) of T, not all of the
     downset: a pair below (e, F) has part e, so none is idempotent
@@ -207,27 +208,25 @@ def pbpol_iopti(
     space = PairSpace(morphism, semiring)
     acc = Antichain(space, budget=budget)
     idempotents: dict = {}
-    closed: frozenset = frozenset()
+    maxima: frozenset = frozenset()
     for iterations in budget.rounds():
-        eta = aux_pbpol_map(morphism, rho, acc.freeze(), AntichainSemiring(space))
-        changed = False
+        eta = aux_pbpol_map(morphism, rho, maxima, AntichainSemiring(space))
         for r, t_value in oracle.iopti(eta, budget):
             one_r = semiring.add(semiring.one, r)
             for e, upper in t_value:
-                if acc.add((e, upper)):
-                    changed = True
+                acc.add((e, upper))
                 if morphism.mult(e, e) != e:
                     continue
                 maximal = idempotents.get(upper)
                 if maximal is None:
                     maximal = idempotents[upper] = _maximal_idempotents(semiring, upper, budget)
                 for f in maximal:
-                    if acc.add((e, semiring.mul(semiring.mul(f, one_r), f))):
-                        changed = True
-        closed_changed, _ = _close_products(space, acc, closed)
-        if not (changed or closed_changed):
-            return DownSet(space, acc.freeze(), iterations)
-        closed = acc.freeze()
+                    acc.add((e, semiring.mul(semiring.mul(f, one_r), f)))
+        _close_products(space, acc, maxima)
+        new_maxima = acc.freeze()
+        if new_maxima == maxima:
+            return DownSet(space, maxima, iterations)
+        maxima = new_maxima
 
 
 def pbpol_pointed_imprint(
@@ -239,10 +238,10 @@ def pbpol_pointed_imprint(
     """Full level-3/2 pointed imprint: close iopti with the letter pairs.
 
     `iopti` is what `pbpol_iopti` returned. It holds the empty word's
-    pair, as rho(e) <= iopti(rho), and that fixpoint ends only after a
-    product closure that added nothing, so its maxima are already closed
-    under the product. The closure therefore skips the products of two
-    of them: the downset holds each one already.
+    pair, as rho(e) <= iopti(rho), and that fixpoint ends on a round
+    that changed nothing, its product closure included, so its maxima
+    are already closed under the product. The closure therefore skips
+    the products of two of them: the downset holds each one already.
     """
     seeds = list(iopti.maximal)
     seeds += [(morphism.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]

@@ -249,15 +249,20 @@ class DownSet:
     """Downward-closed set given by the antichain of its maxima.
 
     Also the type of every imprint the engines compute: over the
-    semiring itself at level 1, over a `PairSpace` (pointed) at levels
-    1/2 and 3/2. `passes` counts what produced it: the generations of
-    a product closure (see `engines._close_products`), or a fixpoint's
-    rounds. It takes no part in equality.
+    semiring itself at level 1, over a `PairSpace` at levels 1/2 and
+    3/2, where it is `pointed`. `passes` counts what produced it: the
+    generations of a product closure (see `engines._close_products`),
+    or a fixpoint's rounds. It takes no part in equality.
     """
 
     space: object = field(compare=False)
     maximal: frozenset
     passes: int = field(default=0, compare=False)
+
+    @property
+    def pointed(self) -> bool:
+        """Whether each element pairs a first coordinate with a value."""
+        return isinstance(self.space, PairSpace)
 
     def __contains__(self, item) -> bool:
         return any(self.space.leq(item, m) for m in self.maximal)

@@ -378,15 +378,34 @@ def marked_product_language(rng: random.Random, alphabet: Alphabet) -> Dfa:
     return compile_regex(marked_product_program(rng, alphabet), alphabet)
 
 
-def boolean_combination_language(rng: random.Random, alphabet: Alphabet) -> Dfa:
-    """A level-1 language: the complement of one `marked_product_program`,
-    or the union or intersection of two. Level 1 is the Boolean closure
-    of level 1/2."""
+def boolean_combination_program(rng: random.Random, alphabet: Alphabet) -> tuple:
+    """The program of a level-1 language: the complement of one
+    `marked_product_program`, or the union or intersection of two. Level
+    1 is the Boolean closure of level 1/2."""
     program = marked_product_program(rng, alphabet)
     kind = rng.choice(["~", "|", "&"])
     if kind != "~":
         program += marked_product_program(rng, alphabet)
-    return compile_regex(program + ((kind, None),), alphabet)
+    return program + ((kind, None),)
+
+
+def boolean_combination_language(rng: random.Random, alphabet: Alphabet) -> Dfa:
+    """A level-1 language, compiled from `boolean_combination_program`."""
+    return compile_regex(boolean_combination_program(rng, alphabet), alphabet)
+
+
+def marked_concatenation_language(
+    rng: random.Random, alphabet: Alphabet, budget: Budget = Budget()
+) -> Dfa:
+    """A level-3/2 language: the marked product L0 a L1 of two
+    `boolean_combination_program`s and a letter. Level 3/2 is the
+    polynomial closure of level 1. Its derivatives can outgrow the
+    state budget, which the caller may set low."""
+    left = boolean_combination_program(rng, alphabet)
+    letter = rng.choice(alphabet.letters)
+    right = boolean_combination_program(rng, alphabet)
+    program = left + (("letter", letter), (".", None)) + right + ((".", None),)
+    return compile_regex(program, alphabet, budget)
 
 
 def random_dfa(rng: random.Random, alphabet: Alphabet, max_states: int = 6, depth: int = 3):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from modhier.basis import mod_cover_oracle
 from modhier.decide import COVER_LEVELS, LEVELS, Verdict, coverable, level_imprint, member, separable
-from modhier.errors import Budget, InputError, UnsupportedError
+from modhier.errors import Budget, BudgetExceededError, InputError, UnsupportedError
 from modhier.lang import (
     Alphabet,
     Dfa,
@@ -32,6 +32,7 @@ from gen import (
     SeparationOnlyOracle,
     boolean_combination_language,
     image_of_word,
+    marked_concatenation_language,
     marked_product_language,
     random_dfa,
     random_regex,
@@ -312,10 +313,15 @@ def test_imprints_under_a_separation_only_basis_oracle(seed):
     dfas = [lang(text) for text in texts]
     assume(transition_monoid(dfas).size <= 7)
     for level, unit_value in UNIT_VALUES.items():
-        _, closed, _, closed_iterations = level_imprint(level, dfas, ORACLE)
-        _, generic, _, generic_iterations = level_imprint(level, dfas, SEPARATION_ONLY)
-        assert (generic.maximal, generic_iterations) == (closed.maximal, closed_iterations)
+        _, closed = level_imprint(level, dfas, ORACLE)
+        _, generic = level_imprint(level, dfas, SEPARATION_ONLY)
+        assert (generic.maximal, generic.passes) == (closed.maximal, closed.passes)
         assert unit_value in generic
+
+
+# Marked products of level-1 languages can have thousands of derivatives
+# or monoid elements; about two in three fit these bounds.
+SMALL_BUILD = Budget(states=256, monoid=64)
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,9 +329,11 @@ def test_imprints_under_a_separation_only_basis_oracle(seed):
 def test_languages_built_at_a_level_are_members_there_and_above(seed):
     """Ground truth by construction: unions of length residues lie at
     level 0, marked products of length-residue blocks at level 1/2,
-    Boolean combinations of those at level 1, and each lies at every
-    level above its own. Level 1 is asked only of monoids of at most 7
-    elements, where its engine is known to end."""
+    Boolean combinations of those at level 1, marked products of two of
+    those at level 3/2, and each lies at every level above its own.
+    Level 1 is asked only of monoids of at most 7 elements, where its
+    engine is known to end. A level-3/2 language is built only within
+    `SMALL_BUILD`, so its monoid has at most 64 elements."""
     rng = random.Random(seed)
     alphabet = rng.choice([A, AB, Alphabet.of("abc")])
     built = [
@@ -333,6 +341,13 @@ def test_languages_built_at_a_level_are_members_there_and_above(seed):
         ("1/2", marked_product_language(rng, alphabet)),
         ("1", boolean_combination_language(rng, alphabet)),
     ]
+    try:
+        language = marked_concatenation_language(rng, alphabet, SMALL_BUILD)
+        transition_monoid([language], SMALL_BUILD)
+    except BudgetExceededError:
+        pass
+    else:
+        built.append(("3/2", language))
     for level, language in built:
         small = transition_monoid([language]).size <= 7
         for above in LEVELS[LEVELS.index(level):]:

@@ -138,8 +138,9 @@ def random_closure_instance(rng):
 
 def close_outcome(close, space, seeds, more, budget):
     """Close the seeds, then add `more` and close again carrying the first
-    result as `old`, as `pbpol_iopti` does. Each call's (changed, passes)
-    and antichain, or the budget error, and the final antichain."""
+    result as `old`, as `pbpol_iopti` does. Each call's result, whether it
+    moved the antichain and the antichain it left, or the budget error;
+    and the final antichain."""
     acc = Antichain(space, budget=budget)
     calls = []
     old = frozenset()
@@ -147,26 +148,35 @@ def close_outcome(close, space, seeds, more, budget):
         for batch in (seeds, more):
             for x in batch:
                 acc.add(x)
-            calls.append((close(space, acc, old), acc.freeze()))
+            before = acc.freeze()
+            result = close(space, acc, old)
             old = acc.freeze()
+            calls.append((result, old != before, old))
     except BudgetExceededError as error:
         calls.append(str(error))
     return calls, acc.freeze()
 
 
+def passes_of(reference):
+    """A reference closure that returns its passes alone, as `_close_products` does."""
+    return lambda space, acc, old=frozenset(): reference(space, acc, old)[1]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9), st.one_of(st.none(), st.integers(1, 8)))
 def test_semi_naive_closure_matches_naive(seed, limit):
-    """Fixpoints and `changed` as the all-pairs closure; passes and budget
-    trips as the generation reference, which has no `old` skip."""
+    """Fixpoints as the all-pairs closure, and each call moves the antichain
+    when that reference reports `changed`; passes and budget trips as the
+    generation reference, which has no `old` skip."""
     space, seeds, more = random_closure_instance(random.Random(seed))
     budget = Budget() if limit is None else Budget(antichain=limit)
     outcome = close_outcome(_close_products, space, seeds, more, budget)
-    assert outcome == close_outcome(generation_close_products, space, seeds, more, budget)
+    generation = passes_of(generation_close_products)
+    assert outcome == close_outcome(generation, space, seeds, more, budget)
     calls, closed = close_outcome(_close_products, space, seeds, more, Budget())
     reference, _ = close_outcome(all_pairs_close_products, space, seeds, more, Budget())
-    assert [(changed, fixpoint) for (changed, _), fixpoint in calls] == [
-        (changed, fixpoint) for (changed, _), fixpoint in reference
+    assert [(moved, fixpoint) for _, moved, fixpoint in calls] == [
+        (changed, fixpoint) for (changed, _), _, fixpoint in reference
     ]
     downset = DownSet(space, closed)
     assert all(space.mult(x, y) in downset for x in closed for y in closed)
@@ -605,7 +615,7 @@ def test_pbpol_maxima_need_no_per_round_product_closure(monkeypatch, first, seco
     else:
         morphism, rho = pbpol_instance(first, second)
     with monkeypatch.context() as patched:
-        patched.setattr(engines, "_close_products", lambda space, acc, old=frozenset(): (False, 1))
+        patched.setattr(engines, "_close_products", lambda space, acc, old=frozenset(): 1)
         unclosed = pbpol_iopti(morphism, rho, ORACLE)
     assert unclosed.maximal == pbpol_iopti(morphism, rho, ORACLE).maximal
     closed = engines._saturate(unclosed.space, unclosed.maximal, Budget())
