@@ -14,16 +14,18 @@ from __future__ import annotations
 
 from .basis import BasisOracle
 from .errors import Budget
-from .lang import MonoidMorphism
+from .lang import MonoidMorphism, explore
 from .rating import RatingMap, aux_bpol_map, aux_pbpol_map
 from .semiring import (
     Antichain,
     AntichainSemiring,
     DownSet,
     PairSpace,
+    PowerSemiring,
     Semiring,
     add_closure,
     antichain_of,
+    omega_power,
 )
 
 
@@ -166,13 +168,29 @@ def bpol_opti(rho: RatingMap, iopti: DownSet, budget: Budget = Budget()) -> Down
 # Level 3/2
 
 
-def _maximal_idempotents(semiring: Semiring, value, budget: Budget) -> frozenset:
-    """Maxima of the multiplicatively idempotent elements below `value`.
+def _maximal_idempotents(semiring: PowerSemiring, value, budget: Budget) -> frozenset:
+    """Maxima of the multiplicatively idempotent sets below F = `value`.
 
-    Walks the downset of `value` within the antichain budget.
+    An idempotent f is closed under the product and f = f^n, so f lies
+    below the omega power of every closed set above it. If xy leaves F
+    for some x, y in F, no closed set holds both: each f below F lies
+    below F - {x} or F - {y}. `explore` branches so within the antichain
+    budget (letter i drops the i-th of the first such pair, and fixes a
+    closed set); the answer is the maxima of the omega powers of the
+    closed sets reached. A nonempty idempotent holds an idempotent of
+    the monoid, so if F holds none, only the empty set is one.
     """
-    below = DownSet(semiring, frozenset([value])).to_set(budget)
-    return antichain_of(semiring, [f for f in below if semiring.mul(f, f) == f])
+    mult = semiring.monoid.mult
+    if all(mult(x, x) != x for x in value):
+        return frozenset({semiring.zero})
+
+    def step(f, i):
+        pair = next(((x, y) for x in f for y in f if mult(x, y) not in f), None)
+        return f if pair is None else f - {pair[i]}
+
+    sets, moves, _ = explore(value, (0, 1), step, budget, "antichain", "idempotent search")
+    closed = [sets[i] for i, move in enumerate(moves) if move[0] == i]
+    return antichain_of(semiring, [omega_power(semiring, f, budget) for f in closed])
 
 
 def pbpol_iopti(
@@ -200,7 +218,8 @@ def pbpol_iopti(
     unless e is. Its image is monotone in f, so only the maximal
     idempotents f below F need applying; the others' images are
     dominated. Those depend on F alone, so they are found once per
-    call (see `_maximal_idempotents`) and reused in every round.
+    call, by a search over the closed subsets of F in a power semiring
+    (`_maximal_idempotents`), and reused in every round.
     """
     if morphism.alphabet != rho.alphabet:
         raise ValueError("morphism and rating map use different alphabets")

@@ -36,13 +36,13 @@ class Budget:
     `states` bounds the derivatives of a regex being compiled and the
     subset sequence of a length profile, `monoid` the transition monoid
     and the product states that an inclusion or disjointness check
-    walks, `antichain` every antichain and materialized downset the
-    engines keep, `iterations` the rounds of a fixpoint, and `values`
-    the powers of an omega power. Every loop that grows draws through
-    one of four functions, the only ones that raise `exceeded(field)`:
-    `lang.explore` for reachability walks, `semiring.Antichain.add` for
-    antichains, `semiring.DownSet.to_set` for materialized downsets,
-    and `rounds` for fixpoint rounds.
+    walks, `antichain` every antichain the engines keep and the sets
+    the level-3/2 idempotent search visits, `iterations` the rounds of
+    a fixpoint, and `values` the powers of an omega power. Every loop
+    that grows draws through one of three functions, the only ones that
+    raise `exceeded(field)`: `lang.explore` for reachability walks and
+    searches, `semiring.Antichain.add` for antichains, and `rounds` for
+    fixpoint rounds.
     """
 
     states: int = 4096

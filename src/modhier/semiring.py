@@ -10,8 +10,8 @@ enumerated carrier).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable
 
 from .errors import Budget
 from .lang import explore
@@ -91,17 +91,12 @@ class PairSpace:
     def part(self, x):
         return x[0]
 
-    def iter_below(self, x) -> Iterator:
-        s, r = x
-        return ((s, v) for v in self.semiring.iter_below(r))
-
 
 class PowerSemiring(Semiring):
     """2^M for a finite monoid M: union as addition, elementwise product.
 
-    M is any multiplicative space; elements are frozensets of its elements. The carrier is virtual:
-    `iter_below(top())` walks it, and `DownSet.to_set` does so within
-    the antichain budget.
+    M is any multiplicative space; elements are frozensets of its
+    elements. The carrier is virtual: no query enumerates it.
     """
 
     def __init__(self, monoid):
@@ -127,12 +122,6 @@ class PowerSemiring(Semiring):
 
     def top(self) -> frozenset:
         return frozenset(self.monoid.elements())
-
-    def iter_below(self, x) -> Iterator[frozenset]:
-        base = sorted(x, key=repr)
-        for k in range(len(base) + 1):
-            for combo in combinations(base, k):
-                yield frozenset(combo)
 
 
 class AntichainSemiring(Semiring):
@@ -269,17 +258,6 @@ class DownSet:
 
     def __iter__(self):
         return iter(self.maximal)
-
-    def to_set(self, budget: Budget = Budget()) -> frozenset:
-        """Materialize the full downset, within the antichain budget."""
-        limit = budget.antichain
-        out: set = set()
-        for m in self.maximal:
-            for x in self.space.iter_below(m):
-                out.add(x)
-                if len(out) > limit:
-                    raise budget.exceeded("antichain", "downset materialization")
-        return frozenset(out)
 
 
 class Antichain:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
 from modhier.basis import BasisOracle, mod_separable
 from modhier.errors import Budget
@@ -20,7 +19,7 @@ from modhier.semiring import (
     antichain_of,
 )
 
-from oracles import generic_iopti
+from oracles import downset_elements, elements_below, generic_iopti
 
 
 class TableSemiring(Semiring):
@@ -81,10 +80,6 @@ class TableSemiring(Semiring):
 
     def top(self) -> int:
         return self.sum(self.elements())
-
-    def iter_below(self, x) -> Iterator:
-        """All elements <= x (materializes a principal downset)."""
-        return (r for r in self.elements() if self._leq[r][x])
 
     def meet(self, x, y):
         """The greatest common lower bound: the sum of all common lower
@@ -163,7 +158,7 @@ def random_monoid(rng: random.Random, max_size: int = 4, points: int = 3) -> Tra
 
 def materialize(semiring) -> TableSemiring:
     """Tabulate a semiring whose carrier is the downset of its top (axioms re-checked)."""
-    elems = list(semiring.iter_below(semiring.top()))
+    elems = list(elements_below(semiring, semiring.top()))
     index = {e: i for i, e in enumerate(elems)}
     add = [[index[semiring.add(x, y)] for y in elems] for x in elems]
     mul = [[index[semiring.mul(x, y)] for y in elems] for x in elems]
@@ -324,7 +319,7 @@ def pbpol_iopti_all_candidates(morphism, rho, oracle, budget: Budget = Budget())
             for pair in t_value:
                 if acc.add(pair):
                     changed = True
-            for candidate in DownSet(space, t_value).to_set(budget):
+            for candidate in downset_elements(DownSet(space, t_value), budget):
                 if space.mult(candidate, candidate) != candidate:
                     continue
                 e, f = candidate

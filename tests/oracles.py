@@ -4,19 +4,23 @@ that no query takes.
 Exact language operations on DFAs, the exact sum of a rating map over
 a regular language, a direct minimum over the block languages (A^d)*
 for the basis approximation, the basis approximation from basis
-separation alone, and the level-1 filter over an enumerated carrier.
+separation alone, the level-1 filter over an enumerated carrier, and
+the walk of every element of a downset (within the antichain budget).
 Tests cross-check the package against these; the package itself keeps
 only what a query runs.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+from typing import Iterator
+
 from modhier.engines import admissible_totals
 from modhier.errors import Budget
 from modhier.lang import Alphabet, Dfa, compile_regex, disjoint, explore, included
 from modhier.rating import RatingMap, aux_bpol_map
 from modhier.refcheck import SeparatorCandidate, candidate_language
-from modhier.semiring import DownSet, PowerSemiring, antichain_of, power_cycle
+from modhier.semiring import DownSet, PairSpace, PowerSemiring, antichain_of, power_cycle
 
 
 def accepts(dfa: Dfa, word: str) -> bool:
@@ -135,7 +139,7 @@ def bpol_iopti_enumerated(rho: RatingMap, oracle, budget: Budget = Budget()):
     """
     semiring = rho.semiring
     inner = PowerSemiring(semiring)
-    current = set(DownSet(semiring, frozenset({semiring.top()})).to_set(budget))
+    current = set(downset_elements(DownSet(semiring, frozenset({semiring.top()})), budget))
     for iterations in budget.rounds():
         eta = aux_bpol_map(rho, frozenset(current), inner)
         valid = admissible_totals(semiring, oracle.iopti(eta, budget))
@@ -143,3 +147,31 @@ def bpol_iopti_enumerated(rho: RatingMap, oracle, budget: Budget = Budget()):
         if survivors == current:
             return DownSet(semiring, antichain_of(semiring, current), iterations)
         current = survivors
+
+
+def elements_below(space, x) -> Iterator:
+    """Every element of the space below x, x included.
+
+    The subsets of x in a power semiring, the pairs (s, v) with v below
+    r for x = (s, r) in a pair space, and otherwise the elements of an
+    enumerated carrier that lie below x.
+    """
+    if isinstance(space, PowerSemiring):
+        base = sorted(x, key=repr)
+        return (frozenset(c) for k in range(len(base) + 1) for c in combinations(base, k))
+    if isinstance(space, PairSpace):
+        s, r = x
+        return ((s, v) for v in elements_below(space.semiring, r))
+    return (r for r in space.elements() if space.leq(r, x))
+
+
+def downset_elements(downset: DownSet, budget: Budget = Budget()) -> frozenset:
+    """Every element of the downset, gathered within the antichain budget."""
+    out: set = set()
+    for m in downset.maximal:
+        for x in elements_below(downset.space, m):
+            out.add(x)
+            if len(out) > budget.antichain:
+                raise budget.exceeded("antichain", "downset materialization")
+    return frozenset(out)
+

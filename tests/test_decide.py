@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from modhier.basis import mod_cover_oracle
 from modhier.decide import COVER_LEVELS, LEVELS, Verdict, coverable, level_imprint, member, separable
+from modhier.engines import pbpol_iopti
 from modhier.errors import Budget, BudgetExceededError, InputError, UnsupportedError
 from modhier.lang import (
     Alphabet,
@@ -23,6 +24,7 @@ from modhier.lang import (
     parse_regex,
     transition_monoid,
 )
+from modhier.rating import canonical_covering_map
 from modhier.refcheck import candidate_language, pol_mod_separator_search
 from modhier.refcheck import SeparatorCandidate
 from modhier.semiring import AntichainSemiring, PairSpace
@@ -34,6 +36,7 @@ from gen import (
     image_of_word,
     marked_concatenation_language,
     marked_product_language,
+    pbpol_iopti_all_candidates,
     random_dfa,
     random_regex,
     residue_language,
@@ -348,6 +351,13 @@ def test_languages_built_at_a_level_are_members_there_and_above(seed):
         pass
     else:
         built.append(("3/2", language))
+        # Ground truth for the engine's shortcuts, the idempotent search
+        # among them: the rule applied to every candidate below each
+        # basis value, on the language's covering map.
+        morphism = transition_monoid([language])
+        rho = canonical_covering_map(morphism)
+        reference = pbpol_iopti_all_candidates(morphism, rho, ORACLE)
+        assert pbpol_iopti(morphism, rho, ORACLE).maximal == reference.maximal
     for level, language in built:
         small = transition_monoid([language]).size <= 7
         for above in LEVELS[LEVELS.index(level):]:

@@ -47,7 +47,7 @@ from gen import (
     table_from_seed,
     unpointed,
 )
-from oracles import bpol_iopti_enumerated
+from oracles import bpol_iopti_enumerated, downset_elements, elements_below
 
 A = Alphabet.of("a")
 AB = Alphabet.of("ab")
@@ -242,7 +242,7 @@ def test_pol_imprint_parity(parity_instance):
     morphism, rho = parity_instance
     result = pol_imprint(morphism, rho, ORACLE)
     assert result.maximal == {(0, fs(0)), (1, fs(1))}
-    assert result.to_set() == {(0, fs(0)), (1, fs(1)), (0, fs()), (1, fs())}
+    assert downset_elements(result) == {(0, fs(0)), (1, fs(1)), (0, fs()), (1, fs())}
 
 
 def test_pol_imprint_trivial_algebra():
@@ -257,7 +257,7 @@ def test_pol_imprint_trivial_monoid_parity_values():
     rho = RatingMap(AB, PowerSemiring(CyclicMonoid(2)), {"a": fs(1), "b": fs(1)})
     result = pol_imprint(morphism, rho, ORACLE)
     assert result.maximal == {(0, fs(0)), (0, fs(1))}
-    assert result.to_set() == {(0, fs(0)), (0, fs(1)), (0, fs())}
+    assert downset_elements(result) == {(0, fs(0)), (0, fs(1)), (0, fs())}
 
 
 def test_pol_imprint_contains_basis_seed(parity_instance):
@@ -350,7 +350,7 @@ def test_bpol_iopti_parity(parity_instance):
     _, rho = parity_instance
     result = bpol_iopti(rho, ORACLE)
     assert result.maximal == {fs(0)}
-    assert result.to_set() == {fs(), fs(0)}
+    assert downset_elements(result) == {fs(), fs(0)}
     assert result.passes == 2
 
 
@@ -358,7 +358,7 @@ def test_bpol_iopti_unit_letters():
     semiring = PowerSemiring(CyclicMonoid(2))
     rho = RatingMap(AB, semiring, {"a": semiring.one, "b": semiring.one})
     result = bpol_iopti(rho, ORACLE)
-    assert result.to_set() == {fs(), fs(0)}
+    assert downset_elements(result) == {fs(), fs(0)}
 
 
 def test_bpol_iopti_iteration_budget(parity_instance):
@@ -391,7 +391,7 @@ def test_bpol_opti_parity(parity_instance):
     _, rho = parity_instance
     result = bpol_opti(rho, bpol_iopti(rho, ORACLE))
     assert result.maximal == {fs(0), fs(1)}
-    assert result.to_set() == {fs(), fs(0), fs(1)}
+    assert downset_elements(result) == {fs(), fs(0), fs(1)}
 
 
 def test_bpol_opti_unit_letter():
@@ -399,7 +399,7 @@ def test_bpol_opti_unit_letter():
     rho = RatingMap(A, semiring, {"a": semiring.one})
     result = bpol_opti(rho, bpol_iopti(rho, ORACLE))
     assert result.maximal == {fs(0)}
-    assert result.to_set() == {fs(), fs(0)}
+    assert downset_elements(result) == {fs(), fs(0)}
 
 
 def test_bpol_opti_trivial_semiring_binary_alphabet():
@@ -408,7 +408,7 @@ def test_bpol_opti_trivial_semiring_binary_alphabet():
     enumerated = bpol_iopti_enumerated(rho, ORACLE)
     assert (iopti.maximal, iopti.passes) == (enumerated.maximal, enumerated.passes)
     result = bpol_opti(rho, iopti)
-    assert result.to_set() == {0}
+    assert downset_elements(result) == {0}
 
 
 # ---------------------------------------------------------------------------
@@ -419,22 +419,24 @@ def test_pbpol_iopti_parity(parity_instance):
     morphism, rho = parity_instance
     result = pbpol_iopti(morphism, rho, ORACLE)
     assert result.maximal == {(0, fs(0))}
-    assert result.to_set() == {(0, fs(0)), (0, fs())}
+    assert downset_elements(result) == {(0, fs(0)), (0, fs())}
     assert result.passes == 2
 
 
 def test_pbpol_iopti_trivial_algebra():
+    # Level 3/2 rates into a power semiring; this one is over the trivial monoid.
     morphism = transition_monoid([lang("~0", A)])
-    rho = RatingMap(A, trivial_semiring(), {"a": 0})
+    semiring = PowerSemiring(CyclicMonoid(1))
+    rho = RatingMap(A, semiring, {"a": semiring.one})
     result = pbpol_iopti(morphism, rho, ORACLE)
-    assert result.to_set() == {(0, 0)}
+    assert downset_elements(result) == {(0, fs(0)), (0, fs())}
 
 
 def test_pbpol_pointed_imprint_parity(parity_instance):
     morphism, rho = parity_instance
     pointed = pbpol_pointed_imprint(morphism, rho, pbpol_iopti(morphism, rho, ORACLE))
     assert pointed.maximal == {(0, fs(0)), (1, fs(1))}
-    assert pointed.to_set() == {(0, fs(0)), (1, fs(1)), (0, fs()), (1, fs())}
+    assert downset_elements(pointed) == {(0, fs(0)), (1, fs(1)), (0, fs()), (1, fs())}
 
 
 def test_pbpol_downset_and_product_closure(parity_instance):
@@ -444,7 +446,7 @@ def test_pbpol_downset_and_product_closure(parity_instance):
     for x in result.maximal:
         for y in result.maximal:
             assert space.mult(x, y) in result
-        for below in space.iter_below(x):
+        for below in elements_below(space, x):
             assert below in result
 
 
@@ -458,7 +460,7 @@ def assert_pbpol_rules_stable(morphism, rho, oracle, result):
         for pair in t_value:
             assert pair in result
         for m in t_value:
-            for candidate in space.iter_below(m):
+            for candidate in elements_below(space, m):
                 if space.mult(candidate, candidate) == candidate:
                     e, f = candidate
                     image = semiring.mul(semiring.mul(f, semiring.add(semiring.one, r)), f)
@@ -636,24 +638,65 @@ def test_pbpol_applies_the_rule_to_maximal_idempotents_only(monkeypatch):
     assert pruned < len(products)
 
 
-def test_maximal_idempotents_walk_draws_on_the_antichain_budget():
-    # The 8 subsets of Z/3 hold three idempotents: {}, {0} and Z/3.
+def test_maximal_idempotents_search_draws_on_the_antichain_budget():
     semiring = PowerSemiring(CyclicMonoid(3))
     whole = fs(0, 1, 2)
-    assert _maximal_idempotents(semiring, whole, Budget(antichain=8)) == {whole}
-    assert _maximal_idempotents(semiring, fs(1, 2), Budget(antichain=4)) == {fs()}
+    # Z/3 is closed: the search visits it alone.
+    assert _maximal_idempotents(semiring, whole, Budget(antichain=1)) == {whole}
+    # {0, 1} is not closed (1 + 1 = 2) and holds the idempotent 0: the
+    # search visits it and {0}.
+    assert _maximal_idempotents(semiring, fs(0, 1), Budget(antichain=2)) == {fs(0)}
     with pytest.raises(BudgetExceededError,
-                       match=r"^downset materialization budget exceeded \(limit 7\)$"):
-        _maximal_idempotents(semiring, whole, Budget(antichain=7))
+                       match=r"^idempotent search budget exceeded \(limit 1\)$"):
+        _maximal_idempotents(semiring, fs(0, 1), Budget(antichain=1))
 
 
-def test_pbpol_walk_trips_the_antichain_budget():
-    # Under a limit of 1 the walk below any nonempty set trips: it has two subsets or more.
+def test_maximal_idempotents_need_no_search_below_a_value_without_idempotents():
+    """A nonempty idempotent set holds an idempotent of the monoid, so
+    below a value with none only the empty set is idempotent. On Z/18
+    less 0 the search would visit 2,725 sets, and the walk of its 2^17
+    subsets runs past the default antichain budget."""
+    semiring = PowerSemiring(CyclicMonoid(18))
+    value = fs(*range(1, 18))
+    assert _maximal_idempotents(semiring, value, Budget(antichain=1)) == {fs()}
+    assert _maximal_idempotents(semiring, fs(1, 2), Budget(antichain=1)) == {fs()}
+    with pytest.raises(BudgetExceededError,
+                       match=r"^downset materialization budget exceeded \(limit 50000\)$"):
+        downset_elements(DownSet(semiring, fs(value)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_maximal_idempotents_match_the_walk(seed):
+    """The search finds the maxima of the idempotents among every subset.
+
+    Monoids of 4 to 12 elements, 8 values each: about half the values
+    are not closed and hold an idempotent, so the search branches."""
+    rng = random.Random(seed)
+    monoid = random_monoid(rng, max_size=12, points=4)
+    while len(monoid.elements()) < 4:
+        monoid = random_monoid(rng, max_size=12, points=4)
+    semiring = PowerSemiring(monoid)
+    for _ in range(8):
+        value = random_subset(rng, monoid.elements())
+        below = downset_elements(DownSet(semiring, fs(value)))
+        walked = antichain_of(semiring, [f for f in below if semiring.mul(f, f) == f])
+        assert _maximal_idempotents(semiring, value, Budget()) == walked
+
+
+def test_pbpol_trips_the_antichain_budget():
     morphism = pair_morphism(KTH3.format("a"), KTH3.format("b"))
     rho = canonical_covering_map(morphism)
     with pytest.raises(BudgetExceededError) as raised:
         pbpol_iopti(morphism, rho, ORACLE, Budget(antichain=1))
-    assert str(raised.value) == "downset materialization budget exceeded (limit 1)"
+    assert str(raised.value) == "antichain budget exceeded (limit 1)"
+    # Over Z/3 the letter image {0, 1} is not closed and holds the
+    # idempotent 0, so the search below it visits two sets.
+    semiring = PowerSemiring(CyclicMonoid(3))
+    rho = RatingMap(AB, semiring, {"a": fs(0), "b": fs(0, 1)})
+    with pytest.raises(BudgetExceededError) as raised:
+        pbpol_iopti(transition_monoid([lang("~0")]), rho, ORACLE, Budget(antichain=1))
+    assert str(raised.value) == "idempotent search budget exceeded (limit 1)"
     assert "_maximal_idempotents" in {frame.name for frame in raised.traceback}
 
 

@@ -127,13 +127,12 @@ def self_calls(source: str) -> list:
 
 
 # The functions that may raise a budget error, one per kind of growth:
-# reachability walks, fixpoint rounds, antichains and materialized
-# downsets. Every engine and oracle draws through them.
+# reachability walks and searches, fixpoint rounds and antichains.
+# Every engine draws through them.
 BUDGET_CALLERS = {
     "lang.explore",
     "errors.Budget.rounds",
     "semiring.Antichain.add",
-    "semiring.DownSet.to_set",
 }
 
 
