@@ -101,7 +101,7 @@ def pol_imprint(
 # Level 1
 
 
-def admissible_totals(semiring: Semiring, pairs) -> frozenset:
+def admissible_totals(semiring: Semiring, pairs, closures: dict | None = None) -> frozenset:
     """Sums realizable by pair families whose total sits below every chosen set.
 
     A total t = r_1 + ... + r_k over pairs (r_i, U_i) counts when t
@@ -112,13 +112,25 @@ def admissible_totals(semiring: Semiring, pairs) -> frozenset:
     additive combination of the pairs that tolerate it, that is, when
     the tolerating r with r <= t sum to t: a combination reaching t
     uses only such r, and their full sum lies between it and t.
+
+    The candidate totals are the `add_closure` of the values r, which
+    depends on their set alone. `closures` maps a frozenset of values
+    to its closure: a closure found there is read, not formed again,
+    and one formed is stored there. The caller owns the dict and so
+    decides how long closures live; without one, each call forms its
+    own.
     """
     pairs = list(pairs)
     if not pairs:
         return frozenset()
+    closures = {} if closures is None else closures
+    values = [r for r, _ in pairs]
+    key = frozenset(values)
+    if key not in closures:
+        closures[key] = add_closure(semiring, values)
     leq = semiring.leq
     valid = []
-    for t in add_closure(semiring, [r for r, _ in pairs]):
+    for t in closures[key]:
         below = [r for r, u in pairs if leq(r, t) and any(leq(t, v) for v in u)]
         if below and semiring.sum(below) == t:
             valid.append(t)
@@ -139,12 +151,19 @@ def bpol_iopti(rho: RatingMap, oracle: BasisOracle, budget: Budget = Budget()) -
     the operands' maxima, gathered in an `Antichain` within the
     antichain budget. Each round builds its auxiliary map over a fresh
     inner semiring, so the products it keeps last one round.
+
+    The pairs' values r are rho-images of words and do not depend on
+    the round's set; only their sets U do. So the candidate totals, the
+    sums of the values, are formed once per distinct set of values: a
+    dict keyed by that frozenset keeps each `add_closure` for the rest
+    of the call (see `admissible_totals`) and is dropped when it returns.
     """
     semiring = rho.semiring
     maxima = frozenset({semiring.top()})
+    closures: dict = {}
     for iterations in budget.rounds():
         eta = aux_bpol_map(rho, maxima, AntichainSemiring(semiring))
-        valid = admissible_totals(semiring, oracle.iopti(eta, budget))
+        valid = admissible_totals(semiring, oracle.iopti(eta, budget), closures)
         meets = {semiring.meet(m, t) for m in maxima for t in valid}
         new_maxima = Antichain(semiring, meets, budget).freeze()
         if new_maxima == maxima:

@@ -131,8 +131,15 @@ class TransformationMonoid:
         return range(len(self._elems))
 
 
-def random_monoid(rng: random.Random, max_size: int = 4, points: int = 3) -> TransformationMonoid:
-    """Random transformation monoid with at most max_size elements."""
+def random_monoid(
+    rng: random.Random, max_size: int = 4, points: int = 3, min_size: int = 1
+) -> TransformationMonoid:
+    """Random transformation monoid with min_size to max_size elements.
+
+    Draws until a monoid fits. Most draws are tiny (a mean of about 2
+    elements at max_size 12), so a test that needs larger ones raises
+    min_size; the default accepts every draw that fits max_size.
+    """
     while True:
         k = rng.randint(1, points)
         gens = [tuple(rng.randrange(k) for _ in range(k)) for _ in range(rng.randint(1, 2))]
@@ -152,7 +159,7 @@ def random_monoid(rng: random.Random, max_size: int = 4, points: int = 3) -> Tra
                     if len(elems) > max_size:
                         small = False
                         break
-        if small:
+        if small and len(elems) >= min_size:
             return TransformationMonoid(elems)
 
 
@@ -170,8 +177,8 @@ def table_from_seed(seed: int, max_size: int = 4) -> TableSemiring:
     return materialize(PowerSemiring(random_monoid(random.Random(seed), max_size=max_size)))
 
 
-def random_power_semiring(rng: random.Random, max_size: int = 4) -> PowerSemiring:
-    return PowerSemiring(random_monoid(rng, max_size=max_size))
+def random_power_semiring(rng: random.Random, max_size: int = 4, min_size: int = 1) -> PowerSemiring:
+    return PowerSemiring(random_monoid(rng, max_size=max_size, min_size=min_size))
 
 
 def random_subset(rng: random.Random, items) -> frozenset:
@@ -179,11 +186,13 @@ def random_subset(rng: random.Random, items) -> frozenset:
     return frozenset(x for x in pool if rng.random() < 0.5)
 
 
-def random_rating_map(rng: random.Random, alphabet: Alphabet, max_monoid: int = 4):
+def random_rating_map(
+    rng: random.Random, alphabet: Alphabet, max_monoid: int = 4, min_monoid: int = 1
+):
     """Random nice multiplicative map into a power semiring of a small monoid."""
     from modhier.rating import RatingMap
 
-    semiring = random_power_semiring(rng, max_size=max_monoid)
+    semiring = random_power_semiring(rng, max_size=max_monoid, min_size=min_monoid)
     carrier = list(semiring.monoid.elements())
     images = {a: random_subset(rng, carrier) for a in alphabet}
     return RatingMap(alphabet, semiring, images)

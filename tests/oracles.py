@@ -135,6 +135,8 @@ def bpol_iopti_enumerated(rho: RatingMap, oracle, budget: Budget = Budget()):
     The same filter as `engines.bpol_iopti`, but on explicit value sets
     with exact inner sets in the auxiliary map, so it needs no meets
     and no antichain pruning: the differential oracle for that engine.
+    It passes `admissible_totals` no closure dict, so each round forms
+    its sums anew and shares none with the engine's call.
     The carrier is materialized as a downset, within the antichain budget.
     """
     semiring = rho.semiring

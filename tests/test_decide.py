@@ -27,7 +27,7 @@ from modhier.lang import (
 from modhier.rating import canonical_covering_map
 from modhier.refcheck import candidate_language, pol_mod_separator_search
 from modhier.refcheck import SeparatorCandidate
-from modhier.semiring import AntichainSemiring, PairSpace
+from modhier.semiring import AntichainSemiring, PairSpace, PowerSemiring
 from modhier.lang import included
 
 from gen import (
@@ -405,6 +405,25 @@ def test_level_three_halves_forms_each_pair_product_once_per_round(monkeypatch):
     # with rows, and 4,477 when the inner semiring also kept each pair
     # product and the auxiliary maps' set products called no `mult`.
     assert len(calls) <= 9000
+
+
+def test_level_one_closes_the_pair_values_once_per_query(monkeypatch):
+    """The level-1 fixpoint keeps the sums of its pair values for the call,
+    so its second round adds no values."""
+    calls = []
+    original = PowerSemiring.add
+
+    def counting(self, x, y):
+        calls.append(1)
+        return original(self, x, y)
+
+    monkeypatch.setattr(PowerSemiring, "add", counting)
+    factor = "(a|b)*aab(a|b)*"
+    verdict = separable("1", lang(factor), lang(f"~({factor})"), ORACLE)
+    assert not verdict.answer
+    # 281,097 when each of the two rounds closed the same 9 values into
+    # the same 511 sums; 141,065 when the call closes them once.
+    assert len(calls) <= 160_000
 
 
 def test_level_three_halves_keeps_one_object_per_product():

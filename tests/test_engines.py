@@ -387,6 +387,49 @@ def test_bpol_routes_agree_on_tables(seed):
     assert (iopti.maximal, iopti.passes) == (enumerated.maximal, enumerated.passes)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_bpol_routes_agree_on_monoids_of_four_or_more(seed):
+    """The enumerated route forms each round's closure anew, so it shares
+    no closure with the engine, which keeps them for the call."""
+    rho = random_rating_map(random.Random(seed), AB, max_monoid=6, min_monoid=4)
+    iopti = bpol_iopti(rho, ORACLE)
+    enumerated = bpol_iopti_enumerated(rho, ORACLE)
+    assert (iopti.maximal, iopti.passes) == (enumerated.maximal, enumerated.passes)
+
+
+@pytest.mark.parametrize("regexes, rounds", [
+    # The heavy factor pair of the level-1 corpus: 9 values close into 511 sums.
+    (("(a|b)*aab(a|b)*", "~((a|b)*aab(a|b)*)"), 2),
+    # A membership query of the level-1 corpus whose fixpoint takes three rounds.
+    (("((ab|e))*",), 3),
+])
+def test_bpol_closes_each_value_set_once_per_call(monkeypatch, regexes, rounds):
+    """The pair values are word images, the same in every round: the call
+    forms their sums once, where each round formed them anew before."""
+    value_sets, closed = [], []
+    totals, closure = engines.admissible_totals, engines.add_closure
+
+    def spy_totals(semiring, pairs, *rest):
+        pairs = list(pairs)
+        value_sets.append(frozenset(r for r, _ in pairs))
+        return totals(semiring, pairs, *rest)
+
+    def spy_closure(semiring, xs):
+        xs = list(xs)
+        closed.append(frozenset(xs))
+        return closure(semiring, xs)
+
+    monkeypatch.setattr(engines, "admissible_totals", spy_totals)
+    monkeypatch.setattr(engines, "add_closure", spy_closure)
+    rho = canonical_covering_map(transition_monoid([lang(r) for r in regexes]))
+    assert bpol_iopti(rho, ORACLE).passes == rounds
+    assert len(value_sets) == rounds
+    # Every round sums one set of values, and the call closes it once.
+    assert len(set(value_sets)) == 1
+    assert closed == value_sets[:1]
+
+
 def test_bpol_opti_parity(parity_instance):
     _, rho = parity_instance
     result = bpol_opti(rho, bpol_iopti(rho, ORACLE))
@@ -673,9 +716,7 @@ def test_maximal_idempotents_match_the_walk(seed):
     Monoids of 4 to 12 elements, 8 values each: about half the values
     are not closed and hold an idempotent, so the search branches."""
     rng = random.Random(seed)
-    monoid = random_monoid(rng, max_size=12, points=4)
-    while len(monoid.elements()) < 4:
-        monoid = random_monoid(rng, max_size=12, points=4)
+    monoid = random_monoid(rng, max_size=12, points=4, min_size=4)
     semiring = PowerSemiring(monoid)
     for _ in range(8):
         value = random_subset(rng, monoid.elements())
