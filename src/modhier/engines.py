@@ -26,6 +26,7 @@ from .semiring import (
     add_closure,
     antichain_of,
     omega_power,
+    sum_kernel,
 )
 
 
@@ -114,27 +115,41 @@ def admissible_totals(semiring: Semiring, pairs, closures: dict | None = None) -
     uses only such r, and their full sum lies between it and t.
 
     The candidate totals are the `add_closure` of the values r, which
-    depends on their set alone. `closures` maps a frozenset of values
-    to its closure: a closure found there is read, not formed again,
-    and one formed is stored there. The caller owns the dict and so
-    decides how long closures live; without one, each call forms its
-    own.
+    depends on their set alone. Where `sum_kernel` gives masks over the
+    elements the values hold, it is formed on them, and the pairs are
+    coded the same way, each set v in U restricted to those elements:
+    every total lies within them, so t <= v holds as before. The empty
+    total is the mask 0, and it counts when some pair tolerates it, as
+    any total does. Only the valid totals are decoded.
+
+    `closures` maps a frozenset of values to where their sums are
+    formed and their closure there: a closure found there is read, not
+    formed again, and one formed is stored there. The caller owns the
+    dict and so decides how long closures live; without one, each call
+    forms its own.
     """
     pairs = list(pairs)
     if not pairs:
         return frozenset()
     closures = {} if closures is None else closures
-    values = [r for r, _ in pairs]
-    key = frozenset(values)
+    key = frozenset(r for r, _ in pairs)
     if key not in closures:
-        closures[key] = add_closure(semiring, values)
-    leq = semiring.leq
+        masks = sum_kernel(semiring, key)
+        if masks is None:
+            closures[key] = semiring, add_closure(semiring, key)
+        else:
+            closures[key] = masks, add_closure(masks, map(masks.encode, key))
+    sums, closure = closures[key]
+    if sums is not semiring:
+        code = sums.encode
+        pairs = [(code(r), [code(v) for v in u]) for r, u in pairs]
+    leq = sums.leq
     valid = []
-    for t in closures[key]:
+    for t in closure:
         below = [r for r, u in pairs if leq(r, t) and any(leq(t, v) for v in u)]
-        if below and semiring.sum(below) == t:
+        if below and sums.sum(below) == t:
             valid.append(t)
-    return frozenset(valid)
+    return frozenset(valid if sums is semiring else map(sums.decode, valid))
 
 
 def bpol_iopti(rho: RatingMap, oracle: BasisOracle, budget: Budget = Budget()) -> DownSet:
@@ -155,8 +170,9 @@ def bpol_iopti(rho: RatingMap, oracle: BasisOracle, budget: Budget = Budget()) -
     The pairs' values r are rho-images of words and do not depend on
     the round's set; only their sets U do. So the candidate totals, the
     sums of the values, are formed once per distinct set of values: a
-    dict keyed by that frozenset keeps each `add_closure` for the rest
-    of the call (see `admissible_totals`) and is dropped when it returns.
+    dict keyed by that frozenset keeps each `add_closure`, as masks
+    where `sum_kernel` gives them, for the rest of the call (see
+    `admissible_totals`) and is dropped when it returns.
     """
     semiring = rho.semiring
     maxima = frozenset({semiring.top()})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import or_
 from typing import Iterable
 
 from .errors import Budget
@@ -97,6 +98,9 @@ class PowerSemiring(Semiring):
 
     M is any multiplicative space; elements are frozensets of its
     elements. The carrier is virtual: no query enumerates it.
+    Products take the space's `mult_sets` when it has one. Sums of many
+    values go to the sum kernel, which forms each union as one int `|`
+    (see `MaskSums` and `sum_kernel`).
     """
 
     def __init__(self, monoid):
@@ -122,6 +126,34 @@ class PowerSemiring(Semiring):
 
     def top(self) -> frozenset:
         return frozenset(self.monoid.elements())
+
+
+class MaskSums(Semiring):
+    """Sums of some power-semiring values, on int bit masks.
+
+    The elements the values hold are numbered, and a set of elements is
+    the int with bit i set when it holds the i-th of them (`encode`,
+    which drops the elements outside the numbering). A sum of sets is
+    then `|`, and r <= t is r & ~t == 0. `decode` turns a mask back
+    into its set. Only sums are formed here; there is no product.
+    """
+
+    zero = 0
+    add = staticmethod(or_)
+
+    def __init__(self, values):
+        self._elements = tuple(dict.fromkeys(chain.from_iterable(values)))
+        self._numbered = frozenset(self._elements)
+        self._bit = {a: 1 << i for i, a in enumerate(self._elements)}
+
+    def encode(self, value) -> int:
+        return sum(map(self._bit.__getitem__, self._numbered.intersection(value)))
+
+    def decode(self, mask: int) -> frozenset:
+        return frozenset([a for i, a in enumerate(self._elements) if mask >> i & 1])
+
+    def leq(self, x, y) -> bool:
+        return not x & ~y
 
 
 class AntichainSemiring(Semiring):
@@ -304,21 +336,45 @@ class Antichain:
         return frozenset(self)
 
 
-def add_closure(semiring: Semiring, xs: Iterable) -> frozenset:
-    """All sums of non-empty subsets of xs.
+def sum_kernel(semiring: Semiring, values) -> MaskSums | None:
+    """Where the sums of `values` are formed on masks: a `MaskSums` that
+    numbers their elements when `semiring` is a power semiring and there
+    are four values or more, else None. The semiring's own `add` forms
+    the few sums of up to three values for less than a numbering costs."""
+    if isinstance(semiring, PowerSemiring) and len(values) > 3:
+        return MaskSums(values)
+    return None
 
-    Since addition is commutative and idempotent, closing under binary
-    sums reaches every subset sum.
-    """
-    todo = list(dict.fromkeys(xs))
-    if not todo:
-        raise ValueError("add_closure needs a non-empty collection")
+
+def _all_pairs(values: list, add) -> set:
+    """Distinct `values` closed under `add`: each new sum is added to
+    every sum found so far."""
+    todo = list(values)
     closed = set(todo)
     while todo:
         x = todo.pop()
         for y in list(closed):
-            s = semiring.add(x, y)
+            s = add(x, y)
             if s not in closed:
                 closed.add(s)
                 todo.append(s)
-    return frozenset(closed)
+    return closed
+
+
+def add_closure(semiring: Semiring, xs: Iterable) -> frozenset:
+    """All sums of non-empty subsets of xs.
+
+    Since addition is commutative and idempotent, closing under binary
+    sums reaches every subset sum. The loop is all-pairs (`_all_pairs`)
+    and draws on no budget. Where `sum_kernel` gives masks for the
+    values, the loop closes the masks under `|` and the closure is
+    decoded once; otherwise it sums by the semiring's `add`.
+    """
+    values = list(dict.fromkeys(xs))
+    if not values:
+        raise ValueError("add_closure needs a non-empty collection")
+    masks = sum_kernel(semiring, values)
+    if masks is None:
+        return frozenset(_all_pairs(values, semiring.add))
+    sums = _all_pairs([masks.encode(x) for x in values], masks.add)
+    return frozenset(map(masks.decode, sums))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from modhier import engines
 from modhier.basis import mod_cover_oracle
 from modhier.decide import COVER_LEVELS, LEVELS, Verdict, coverable, level_imprint, member, separable
 from modhier.engines import pbpol_iopti
@@ -409,21 +410,30 @@ def test_level_three_halves_forms_each_pair_product_once_per_round(monkeypatch):
 
 def test_level_one_closes_the_pair_values_once_per_query(monkeypatch):
     """The level-1 fixpoint keeps the sums of its pair values for the call,
-    so its second round adds no values."""
-    calls = []
-    original = PowerSemiring.add
+    so its second round forms none; the sums are masks, not unions."""
+    calls, closures = [], []
+    original, closure = PowerSemiring.add, engines.add_closure
 
     def counting(self, x, y):
         calls.append(1)
         return original(self, x, y)
 
+    def spy_closure(semiring, xs):
+        xs = list(xs)
+        sums = closure(semiring, xs)
+        closures.append((len(xs), len(sums)))
+        return sums
+
     monkeypatch.setattr(PowerSemiring, "add", counting)
+    monkeypatch.setattr(engines, "add_closure", spy_closure)
     factor = "(a|b)*aab(a|b)*"
     verdict = separable("1", lang(factor), lang(f"~({factor})"), ORACLE)
     assert not verdict.answer
-    # 281,097 when each of the two rounds closed the same 9 values into
-    # the same 511 sums; 141,065 when the call closes them once.
-    assert len(calls) <= 160_000
+    # One closure of the 9 values into 511 sums for the whole query.
+    assert closures == [(9, 511)]
+    # 141,065 unions when the closure summed frozensets; with the sums on
+    # masks, 6 remain, none of them in the closure.
+    assert len(calls) <= 6
 
 
 def test_level_three_halves_keeps_one_object_per_product():

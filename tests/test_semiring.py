@@ -5,7 +5,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modhier.errors import Budget, BudgetExceededError
@@ -541,3 +541,24 @@ def test_add_closure_is_closed_and_dominating(seed):
         assert any(table.leq(base, x) for base in xs)
         for y in closed:
             assert table.add(x, y) in closed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 10), st.booleans())
+@example(seed=0, count=1, empty=False)
+@example(seed=0, count=1, empty=True)
+def test_add_closure_on_masks_matches_the_loop_over_the_table(seed, count, empty):
+    """A power semiring's closure, formed on masks from four values on,
+    equals the all-pairs loop over its materialized table."""
+    rng = random.Random(seed)
+    power = random_power_semiring(rng, max_size=4, min_size=3)
+    table = materialize(power)
+    # The table numbers the carrier in `elements_below` order.
+    elems = list(elements_below(power, power.top()))
+    index = {x: i for i, x in enumerate(elems)}
+    xs = [rng.choice(elems) for _ in range(count)]
+    xs += xs[: count // 2]
+    if empty:
+        xs.append(power.zero)
+    by_table = {elems[i] for i in add_closure(table, [index[x] for x in xs])}
+    assert add_closure(power, xs) == by_table
