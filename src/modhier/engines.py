@@ -20,13 +20,13 @@ from .semiring import (
     Antichain,
     AntichainSemiring,
     DownSet,
+    MaskSums,
     PairSpace,
     PowerSemiring,
     Semiring,
     add_closure,
     antichain_of,
     omega_power,
-    sum_kernel,
 )
 
 
@@ -115,12 +115,14 @@ def admissible_totals(semiring: Semiring, pairs, closures: dict | None = None) -
     uses only such r, and their full sum lies between it and t.
 
     The candidate totals are the `add_closure` of the values r, which
-    depends on their set alone. Where `sum_kernel` gives masks over the
-    elements the values hold, it is formed on them, and the pairs are
-    coded the same way, each set v in U restricted to those elements:
-    every total lies within them, so t <= v holds as before. The empty
-    total is the mask 0, and it counts when some pair tolerates it, as
-    any total does. Only the valid totals are decoded.
+    depends on their set alone. Four values or more of a power semiring
+    are summed in a `MaskSums` over the elements they hold, and the
+    pairs are coded the same way, each set v in U restricted to those
+    elements: every total lies within them, so t <= v holds as before.
+    The empty total is the mask 0, and it counts when some pair
+    tolerates it, as any total does. Only the valid totals are decoded.
+    Up to three values are summed as sets, for less than a numbering
+    costs.
 
     `closures` maps a frozenset of values to where their sums are
     formed and their closure there: a closure found there is read, not
@@ -134,11 +136,11 @@ def admissible_totals(semiring: Semiring, pairs, closures: dict | None = None) -
     closures = {} if closures is None else closures
     key = frozenset(r for r, _ in pairs)
     if key not in closures:
-        masks = sum_kernel(semiring, key)
-        if masks is None:
-            closures[key] = semiring, add_closure(semiring, key)
-        else:
+        if isinstance(semiring, PowerSemiring) and len(key) > 3:
+            masks = MaskSums(key)
             closures[key] = masks, add_closure(masks, map(masks.encode, key))
+        else:
+            closures[key] = semiring, add_closure(semiring, key)
     sums, closure = closures[key]
     if sums is not semiring:
         code = sums.encode
@@ -171,7 +173,7 @@ def bpol_iopti(rho: RatingMap, oracle: BasisOracle, budget: Budget = Budget()) -
     the round's set; only their sets U do. So the candidate totals, the
     sums of the values, are formed once per distinct set of values: a
     dict keyed by that frozenset keeps each `add_closure`, as masks
-    where `sum_kernel` gives them, for the rest of the call (see
+    from four values on, for the rest of the call (see
     `admissible_totals`) and is dropped when it returns.
     """
     semiring = rho.semiring

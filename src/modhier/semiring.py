@@ -98,9 +98,9 @@ class PowerSemiring(Semiring):
 
     M is any multiplicative space; elements are frozensets of its
     elements. The carrier is virtual: no query enumerates it.
-    Products take the space's `mult_sets` when it has one. Sums of many
-    values go to the sum kernel, which forms each union as one int `|`
-    (see `MaskSums` and `sum_kernel`).
+    Products take the space's `mult_sets` when it has one. The level-1
+    sums of four values or more are formed in a `MaskSums`, each union
+    as one int `|` (see `engines.admissible_totals`).
     """
 
     def __init__(self, monoid):
@@ -336,20 +336,18 @@ class Antichain:
         return frozenset(self)
 
 
-def sum_kernel(semiring: Semiring, values) -> MaskSums | None:
-    """Where the sums of `values` are formed on masks: a `MaskSums` that
-    numbers their elements when `semiring` is a power semiring and there
-    are four values or more, else None. The semiring's own `add` forms
-    the few sums of up to three values for less than a numbering costs."""
-    if isinstance(semiring, PowerSemiring) and len(values) > 3:
-        return MaskSums(values)
-    return None
+def add_closure(semiring: Semiring, xs: Iterable) -> frozenset:
+    """All sums of non-empty subsets of xs.
 
-
-def _all_pairs(values: list, add) -> set:
-    """Distinct `values` closed under `add`: each new sum is added to
-    every sum found so far."""
-    todo = list(values)
+    Since addition is commutative and idempotent, closing under binary
+    sums reaches every subset sum. The loop is all-pairs, each new sum
+    added to every sum found so far, and draws on no budget. It sums by
+    the semiring's `add`: on a `MaskSums`, one int `|` per sum.
+    """
+    todo = list(dict.fromkeys(xs))
+    if not todo:
+        raise ValueError("add_closure needs a non-empty collection")
+    add = semiring.add
     closed = set(todo)
     while todo:
         x = todo.pop()
@@ -358,23 +356,4 @@ def _all_pairs(values: list, add) -> set:
             if s not in closed:
                 closed.add(s)
                 todo.append(s)
-    return closed
-
-
-def add_closure(semiring: Semiring, xs: Iterable) -> frozenset:
-    """All sums of non-empty subsets of xs.
-
-    Since addition is commutative and idempotent, closing under binary
-    sums reaches every subset sum. The loop is all-pairs (`_all_pairs`)
-    and draws on no budget. Where `sum_kernel` gives masks for the
-    values, the loop closes the masks under `|` and the closure is
-    decoded once; otherwise it sums by the semiring's `add`.
-    """
-    values = list(dict.fromkeys(xs))
-    if not values:
-        raise ValueError("add_closure needs a non-empty collection")
-    masks = sum_kernel(semiring, values)
-    if masks is None:
-        return frozenset(_all_pairs(values, semiring.add))
-    sums = _all_pairs([masks.encode(x) for x in values], masks.add)
-    return frozenset(map(masks.decode, sums))
+    return frozenset(closed)

@@ -330,9 +330,10 @@ def test_admissible_totals_match_brute_force(seed, count):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9), st.integers(3, 7))
 def test_admissible_totals_on_masks_match_brute_force(seed, count):
-    """Four values or more go to the power semiring's sum kernel. One value
-    is empty: its pair tolerates the empty total, which sums to zero. The
-    sets in U may hold an element that no value holds."""
+    """Four values or more of a power semiring are summed as masks in a
+    `MaskSums`. One value is empty: its pair tolerates the empty total,
+    which sums to zero. The sets in U may hold an element that no value
+    holds."""
     rng = random.Random(seed)
     power = random_power_semiring(rng, max_size=6, min_size=4)
     elems = list(power.monoid.elements())
@@ -434,7 +435,7 @@ def test_bpol_closes_each_value_set_once_per_call(monkeypatch, regexes, rounds):
         return totals(semiring, pairs, *rest)
 
     def spy_closure(semiring, xs):
-        # Many values are closed as masks of the sum kernel: decode them.
+        # Four values or more are closed as masks in a MaskSums: decode them.
         xs = list(xs)
         decode = getattr(semiring, "decode", None)
         closed.append(frozenset(xs if decode is None else map(decode, xs)))
