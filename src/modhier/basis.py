@@ -125,8 +125,6 @@ def mod_iopti(rho: RatingMap, budget: Budget = Budget()):
 class BasisOracle:
     """Behavioral contract shared by every basis."""
 
-    name = "abstract"
-
     def iopti(self, rho: RatingMap, budget: Budget = Budget()):
         raise NotImplementedError
 
@@ -136,8 +134,6 @@ class BasisOracle:
 
 class ModOracle(BasisOracle):
     """Length-residue basis: closed-formula iopti, arithmetic separation."""
-
-    name = "mod"
 
     def iopti(self, rho: RatingMap, budget: Budget = Budget()):
         return mod_iopti(rho, budget)

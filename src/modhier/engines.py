@@ -23,7 +23,6 @@ from .semiring import (
     MaskSums,
     PairSpace,
     PowerSemiring,
-    Semiring,
     add_closure,
     antichain_of,
     omega_power,
@@ -102,7 +101,7 @@ def pol_imprint(
 # Level 1
 
 
-def admissible_totals(semiring: Semiring, pairs, closures: dict | None = None) -> frozenset:
+def admissible_totals(pairs, closures: dict) -> frozenset:
     """Sums realizable by pair families whose total sits below every chosen set.
 
     A total t = r_1 + ... + r_k over pairs (r_i, U_i) counts when t
@@ -114,44 +113,42 @@ def admissible_totals(semiring: Semiring, pairs, closures: dict | None = None) -
     the tolerating r with r <= t sum to t: a combination reaching t
     uses only such r, and their full sum lies between it and t.
 
-    The candidate totals are the `add_closure` of the values r, which
-    depends on their set alone. Four values or more of a power semiring
-    are summed in a `MaskSums` over the elements they hold, and the
-    pairs are coded the same way, each set v in U restricted to those
+    The values are power-semiring values, summed on int bit masks in a
+    `MaskSums` over the elements they hold: the candidate totals are
+    the `add_closure` of their masks, which depends on their set alone.
+    Each set v in U is coded the same way, restricted to those
     elements: every total lies within them, so t <= v holds as before.
-    The empty total is the mask 0, and it counts when some pair
-    tolerates it, as any total does. Only the valid totals are decoded.
-    Up to three values are summed as sets, for less than a numbering
-    costs.
+    On masks r <= t is `not r & ~t`, and the tolerating values are
+    summed by one `|`. The empty total is the mask 0, and it counts
+    when some pair tolerates it, as any total does. Only the valid
+    totals are decoded.
 
-    `closures` maps a frozenset of values to where their sums are
-    formed and their closure there: a closure found there is read, not
-    formed again, and one formed is stored there. The caller owns the
-    dict and so decides how long closures live; without one, each call
-    forms its own.
+    `closures` maps a frozenset of values to their `MaskSums` and the
+    closure of their masks: a closure found there is read, not formed
+    again, and one formed is stored there. The caller owns the dict and
+    so decides how long closures live.
     """
     pairs = list(pairs)
     if not pairs:
         return frozenset()
-    closures = {} if closures is None else closures
     key = frozenset(r for r, _ in pairs)
     if key not in closures:
-        if isinstance(semiring, PowerSemiring) and len(key) > 3:
-            masks = MaskSums(key)
-            closures[key] = masks, add_closure(masks, map(masks.encode, key))
-        else:
-            closures[key] = semiring, add_closure(semiring, key)
-    sums, closure = closures[key]
-    if sums is not semiring:
-        code = sums.encode
-        pairs = [(code(r), [code(v) for v in u]) for r, u in pairs]
-    leq = sums.leq
+        masks = MaskSums(key)
+        closures[key] = masks, add_closure(masks, map(masks.encode, key))
+    masks, closure = closures[key]
+    code = masks.encode
+    # Each v in U as the complement of its mask: t <= v is `not t & off`.
+    pairs = [(code(r), [~code(v) for v in u]) for r, u in pairs]
     valid = []
     for t in closure:
-        below = [r for r, u in pairs if leq(r, t) and any(leq(t, v) for v in u)]
-        if below and sums.sum(below) == t:
-            valid.append(t)
-    return frozenset(valid if sums is semiring else map(sums.decode, valid))
+        total, tolerated = 0, False
+        for r, offs in pairs:
+            if not r & ~t and any(not t & off for off in offs):
+                total |= r
+                tolerated = True
+        if tolerated and total == t:
+            valid.append(masks.decode(t))
+    return frozenset(valid)
 
 
 def bpol_iopti(rho: RatingMap, oracle: BasisOracle, budget: Budget = Budget()) -> DownSet:
@@ -162,26 +159,26 @@ def bpol_iopti(rho: RatingMap, oracle: BasisOracle, budget: Budget = Budget()) -
     dominates s and lies in every chosen pair's set; the descending
     sequence stabilizes on the answer. The filter condition is
     downward closed in s, so the set is a downset throughout, kept as
-    the antichain of its maxima. That needs the semiring's `meet`
-    (power semirings meet by intersection): the filtered set is an
-    intersection of downsets, whose maxima are the pairwise meets of
-    the operands' maxima, gathered in an `Antichain` within the
-    antichain budget. Each round builds its auxiliary map over a fresh
-    inner semiring, so the products it keeps last one round.
+    the antichain of its maxima. The semiring is a power semiring,
+    which meets by intersection: the filtered set is an intersection of
+    downsets, whose maxima are the pairwise meets of the operands'
+    maxima, gathered in an `Antichain` within the antichain budget.
+    Each round builds its auxiliary map over a fresh inner semiring, so
+    the products it keeps last one round.
 
     The pairs' values r are rho-images of words and do not depend on
     the round's set; only their sets U do. So the candidate totals, the
     sums of the values, are formed once per distinct set of values: a
-    dict keyed by that frozenset keeps each `add_closure`, as masks
-    from four values on, for the rest of the call (see
-    `admissible_totals`) and is dropped when it returns.
+    dict keyed by that frozenset keeps the `add_closure` of their masks
+    for the rest of the call (see `admissible_totals`) and is dropped
+    when it returns.
     """
     semiring = rho.semiring
     maxima = frozenset({semiring.top()})
     closures: dict = {}
     for iterations in budget.rounds():
         eta = aux_bpol_map(rho, maxima, AntichainSemiring(semiring))
-        valid = admissible_totals(semiring, oracle.iopti(eta, budget), closures)
+        valid = admissible_totals(oracle.iopti(eta, budget), closures)
         meets = {semiring.meet(m, t) for m in maxima for t in valid}
         new_maxima = Antichain(semiring, meets, budget).freeze()
         if new_maxima == maxima:

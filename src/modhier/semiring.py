@@ -99,8 +99,8 @@ class PowerSemiring(Semiring):
     M is any multiplicative space; elements are frozensets of its
     elements. The carrier is virtual: no query enumerates it.
     Products take the space's `mult_sets` when it has one. The level-1
-    sums of four values or more are formed in a `MaskSums`, each union
-    as one int `|` (see `engines.admissible_totals`).
+    sums are formed in a `MaskSums`, each union as one int `|` (see
+    `engines.admissible_totals`).
     """
 
     def __init__(self, monoid):
@@ -128,17 +128,16 @@ class PowerSemiring(Semiring):
         return frozenset(self.monoid.elements())
 
 
-class MaskSums(Semiring):
+class MaskSums:
     """Sums of some power-semiring values, on int bit masks.
 
     The elements the values hold are numbered, and a set of elements is
     the int with bit i set when it holds the i-th of them (`encode`,
     which drops the elements outside the numbering). A sum of sets is
-    then `|`, and r <= t is r & ~t == 0. `decode` turns a mask back
-    into its set. Only sums are formed here; there is no product.
+    then `add`, one `|`, and `decode` turns a mask back into its set.
+    Only sums are formed here: there is no product and no order.
     """
 
-    zero = 0
     add = staticmethod(or_)
 
     def __init__(self, values):
@@ -151,9 +150,6 @@ class MaskSums(Semiring):
 
     def decode(self, mask: int) -> frozenset:
         return frozenset([a for i, a in enumerate(self._elements) if mask >> i & 1])
-
-    def leq(self, x, y) -> bool:
-        return not x & ~y
 
 
 class AntichainSemiring(Semiring):
@@ -336,18 +332,18 @@ class Antichain:
         return frozenset(self)
 
 
-def add_closure(semiring: Semiring, xs: Iterable) -> frozenset:
-    """All sums of non-empty subsets of xs.
+def add_closure(sums, xs: Iterable) -> frozenset:
+    """All sums of non-empty subsets of xs, by the `add` of `sums`.
 
     Since addition is commutative and idempotent, closing under binary
     sums reaches every subset sum. The loop is all-pairs, each new sum
-    added to every sum found so far, and draws on no budget. It sums by
-    the semiring's `add`: on a `MaskSums`, one int `|` per sum.
+    added to every sum found so far, and draws on no budget. The
+    level-1 engine closes int masks in a `MaskSums`: one `|` per sum.
     """
     todo = list(dict.fromkeys(xs))
     if not todo:
         raise ValueError("add_closure needs a non-empty collection")
-    add = semiring.add
+    add = sums.add
     closed = set(todo)
     while todo:
         x = todo.pop()

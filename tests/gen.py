@@ -25,8 +25,8 @@ from oracles import downset_elements, elements_below, generic_iopti
 class TableSemiring(Semiring):
     """Explicit small semiring given by operation tables; axioms checked.
 
-    The carrier is range(n). Its meet is enumerated, so the level-1
-    engine, which intersects downsets by meets, runs on it too.
+    The carrier is range(n). Its meet, the greatest lower bound in the
+    canonical order, is enumerated.
     """
 
     def __init__(self, add_table, mul_table, zero: int, one: int):

@@ -4,8 +4,9 @@ that no query takes.
 Exact language operations on DFAs, the exact sum of a rating map over
 a regular language, a direct minimum over the block languages (A^d)*
 for the basis approximation, the basis approximation from basis
-separation alone, the level-1 filter over an enumerated carrier, and
-the walk of every element of a downset (within the antichain budget).
+separation alone, the level-1 filter over an enumerated carrier with
+its admissible totals summed as values, and the walk of every element
+of a downset (within the antichain budget).
 Tests cross-check the package against these; the package itself keeps
 only what a query runs.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from modhier.engines import admissible_totals
 from modhier.errors import Budget
 from modhier.lang import Alphabet, Dfa, compile_regex, disjoint, explore, included
 from modhier.rating import RatingMap, aux_bpol_map
@@ -129,14 +129,36 @@ def generic_iopti(rho: RatingMap, separates, budget: Budget = Budget()):
     return total
 
 
+def admissible_totals_on_values(semiring, pairs) -> frozenset:
+    """The totals `engines.admissible_totals` keeps, summed as values of
+    any semiring, with no masks and no closure kept between calls.
+
+    The sums of the values r are found by adding each distinct value to
+    every sum found before it, and itself. A sum t counts when the
+    values r <= t of the pairs (r, U) with some v >= t in U sum to t.
+    """
+    pairs = list(pairs)
+    sums: set = set()
+    for r in {r for r, _ in pairs}:
+        sums |= {semiring.add(r, s) for s in sums} | {r}
+    leq = semiring.leq
+    valid = set()
+    for t in sums:
+        below = [r for r, u in pairs if leq(r, t) and any(leq(t, v) for v in u)]
+        if below and semiring.sum(below) == t:
+            valid.add(t)
+    return frozenset(valid)
+
+
 def bpol_iopti_enumerated(rho: RatingMap, oracle, budget: Budget = Budget()):
     """Level-1 basis value by the greatest-fixpoint filter over an enumerated carrier.
 
     The same filter as `engines.bpol_iopti`, but on explicit value sets
     with exact inner sets in the auxiliary map, so it needs no meets
     and no antichain pruning: the differential oracle for that engine.
-    It passes `admissible_totals` no closure dict, so each round forms
-    its sums anew and shares none with the engine's call.
+    Its totals come from `admissible_totals_on_values`, which forms each
+    round's sums anew as values of the semiring: no code of the
+    engine's sums on masks runs, so it can share no bug with them.
     The carrier is materialized as a downset, within the antichain budget.
     """
     semiring = rho.semiring
@@ -144,7 +166,7 @@ def bpol_iopti_enumerated(rho: RatingMap, oracle, budget: Budget = Budget()):
     current = set(downset_elements(DownSet(semiring, frozenset({semiring.top()})), budget))
     for iterations in budget.rounds():
         eta = aux_bpol_map(rho, frozenset(current), inner)
-        valid = admissible_totals(semiring, oracle.iopti(eta, budget))
+        valid = admissible_totals_on_values(semiring, oracle.iopti(eta, budget))
         survivors = {s for s in current if any(semiring.leq(s, t) for t in valid)}
         if survivors == current:
             return DownSet(semiring, antichain_of(semiring, current), iterations)

@@ -1,6 +1,7 @@
 """Fixpoint-engine tests: fixtures are hand-saturated, properties randomized."""
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -37,14 +38,12 @@ from gen import (
     TableSemiring,
     all_pairs_close_products,
     ceiling_totals,
-    materialize,
     pbpol_iopti_all_candidates,
     random_dfa,
     random_monoid,
     random_power_semiring,
     random_rating_map,
     random_subset,
-    table_from_seed,
     unpointed,
 )
 from oracles import bpol_iopti_enumerated, downset_elements, elements_below
@@ -311,39 +310,30 @@ def brute_valid_totals(semiring, pairs):
     return frozenset(out)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10**9), st.integers(1, 8))
-def test_admissible_totals_match_brute_force(seed, count):
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 8), st.booleans())
+@example(seed=0, count=1, empty=False)
+@example(seed=0, count=1, empty=True)
+def test_admissible_totals_match_brute_force(seed, count, empty):
+    """The sums on masks against every pair subset, on 1 to 8 values of a
+    power semiring, repeats allowed. With `empty` the first value is
+    empty: its pair tolerates the empty total, which sums to zero. The
+    values leave out one element of the monoid, and the sets in U may
+    hold it: the masks number only the elements the values hold."""
     rng = random.Random(seed)
-    table = materialize(PowerSemiring(random_monoid(rng, max_size=3)))
-    elems = list(table.elements())
-    pairs = [
-        (rng.choice(elems), random_subset(rng, elems))
-        for _ in range(count)
-    ]
-    valid = admissible_totals(table, pairs)
-    assert valid == brute_valid_totals(table, pairs)
-    # The maximal totals by ceilings (ROADMAP direction 1), with no enumeration.
-    assert ceiling_totals(table, pairs) == antichain_of(table, valid)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10**9), st.integers(3, 7))
-def test_admissible_totals_on_masks_match_brute_force(seed, count):
-    """Four values or more of a power semiring are summed as masks in a
-    `MaskSums`. One value is empty: its pair tolerates the empty total,
-    which sums to zero. The sets in U may hold an element that no value
-    holds."""
-    rng = random.Random(seed)
-    power = random_power_semiring(rng, max_size=6, min_size=4)
+    power = random_power_semiring(rng, max_size=6, min_size=2)
     elems = list(power.monoid.elements())
-    outside = elems.pop()
-    subsets = list(elements_below(power, frozenset(elems)))[1:]
-    pairs = [(power.zero, [frozenset({outside})])]
-    for r in rng.sample(subsets, count):
-        u = [r | random_subset(rng, elems + [outside]) for _ in range(rng.randint(1, 2))]
+    inside = elems[:-1]
+    pairs = []
+    for i in range(count):
+        r = power.zero if empty and i == 0 else random_subset(rng, inside)
+        u = [random_subset(rng, elems) | (r if rng.random() < 0.7 else power.zero)
+             for _ in range(rng.randint(0, 2))]
         pairs.append((r, u))
-    assert admissible_totals(power, pairs) == brute_valid_totals(power, pairs)
+    valid = admissible_totals(pairs, {})
+    assert valid == brute_valid_totals(power, pairs)
+    # The maximal totals by ceilings (ROADMAP direction 1), with no enumeration.
+    assert ceiling_totals(power, pairs) == antichain_of(power, valid)
 
 
 @settings(max_examples=40, deadline=None)
@@ -357,7 +347,7 @@ def test_ceilings_give_the_maximal_admissible_totals_of_auxiliary_pairs(seed):
         eta = aux_bpol_map(rho, maxima, AntichainSemiring(semiring))
         pairs = ORACLE.iopti(eta)
         assert ceiling_totals(semiring, pairs) == antichain_of(
-            semiring, admissible_totals(semiring, pairs)
+            semiring, admissible_totals(pairs, {})
         )
 
 
@@ -393,28 +383,42 @@ def test_bpol_routes_agree(seed):
     assert bpol_iopti(rho, ORACLE) == bpol_iopti_enumerated(rho, ORACLE)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9))
-def test_bpol_routes_agree_on_tables(seed):
-    """The engine meets by `TableSemiring.meet`; the oracle needs no meets."""
-    rng = random.Random(seed)
-    table = table_from_seed(seed)
-    elems = list(table.elements())
-    rho = RatingMap(AB, table, {a: rng.choice(elems) for a in AB.letters})
-    iopti = bpol_iopti(rho, ORACLE)
-    enumerated = bpol_iopti_enumerated(rho, ORACLE)
-    assert (iopti.maximal, iopti.passes) == (enumerated.maximal, enumerated.passes)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_bpol_routes_agree_on_monoids_of_four_or_more(seed):
-    """The enumerated route forms each round's closure anew, so it shares
-    no closure with the engine, which keeps them for the call."""
+    """The enumerated route sums values, each round anew, so it shares no
+    closure with the engine, which keeps its masks' closures for the call."""
     rho = random_rating_map(random.Random(seed), AB, max_monoid=6, min_monoid=4)
     iopti = bpol_iopti(rho, ORACLE)
     enumerated = bpol_iopti_enumerated(rho, ORACLE)
     assert (iopti.maximal, iopti.passes) == (enumerated.maximal, enumerated.passes)
+
+
+def calls_of(codes, fn, *args) -> list:
+    """Names of the calls of the functions whose code objects are in
+    `codes` while fn(*args) runs, however they are bound."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_the_enumerated_route_runs_none_of_the_engines_sums():
+    """`bpol_iopti_enumerated` checks the engine by an independent route:
+    neither `admissible_totals` nor the closure it forms runs under it."""
+    codes = {engines.admissible_totals.__code__, engines.add_closure.__code__}
+    rho = random_rating_map(random.Random(4), AB, max_monoid=6, min_monoid=4)
+    assert calls_of(codes, bpol_iopti_enumerated, rho, ORACLE) == []
+    assert set(calls_of(codes, bpol_iopti, rho, ORACLE)) == {"admissible_totals", "add_closure"}
 
 
 @pytest.mark.parametrize("regexes, rounds", [
@@ -429,17 +433,16 @@ def test_bpol_closes_each_value_set_once_per_call(monkeypatch, regexes, rounds):
     value_sets, closed = [], []
     totals, closure = engines.admissible_totals, engines.add_closure
 
-    def spy_totals(semiring, pairs, *rest):
+    def spy_totals(pairs, closures):
         pairs = list(pairs)
         value_sets.append(frozenset(r for r, _ in pairs))
-        return totals(semiring, pairs, *rest)
+        return totals(pairs, closures)
 
-    def spy_closure(semiring, xs):
-        # Four values or more are closed as masks in a MaskSums: decode them.
+    def spy_closure(sums, xs):
+        # The values are closed as masks in a MaskSums: decode them.
         xs = list(xs)
-        decode = getattr(semiring, "decode", None)
-        closed.append(frozenset(xs if decode is None else map(decode, xs)))
-        return closure(semiring, xs)
+        closed.append(frozenset(map(sums.decode, xs)))
+        return closure(sums, xs)
 
     monkeypatch.setattr(engines, "admissible_totals", spy_totals)
     monkeypatch.setattr(engines, "add_closure", spy_closure)
@@ -467,12 +470,13 @@ def test_bpol_opti_unit_letter():
 
 
 def test_bpol_opti_trivial_semiring_binary_alphabet():
-    rho = RatingMap(AB, trivial_semiring(), {"a": 0, "b": 0})
+    semiring = PowerSemiring(CyclicMonoid(1))
+    rho = RatingMap(AB, semiring, {"a": semiring.one, "b": semiring.one})
     iopti = bpol_iopti(rho, ORACLE)
     enumerated = bpol_iopti_enumerated(rho, ORACLE)
     assert (iopti.maximal, iopti.passes) == (enumerated.maximal, enumerated.passes)
     result = bpol_opti(rho, iopti)
-    assert downset_elements(result) == {0}
+    assert downset_elements(result) == {fs(), fs(0)}
 
 
 # ---------------------------------------------------------------------------

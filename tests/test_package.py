@@ -44,18 +44,31 @@ def attribute_uses(node: ast.AST) -> set:
     return out
 
 
+def members(node: ast.stmt) -> list:
+    """The names a class-body statement defines as members, dunders
+    aside: a method's, or each target of a plain assignment. An
+    annotated statement, such as a dataclass field, defines none."""
+    if isinstance(node, ast.FunctionDef):
+        names = [node.name]
+    elif isinstance(node, ast.Assign) and all(isinstance(t, ast.Name) for t in node.targets):
+        names = [t.id for t in node.targets]
+    else:
+        names = []
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
 def unreachable(sources=None, roots=ENTRY_POINTS) -> list:
     """Every module-level function or class, as (module, name), and every
-    method, dunders aside, as (module, class, method), that no walk from
-    the roots reaches. `sources` maps module names to source text, the
-    package's by default.
+    class member (`members`), as (module, class, name), that no walk
+    from the roots reaches. `sources` maps module names to source text,
+    the package's by default.
 
     The walk starts at the roots and at every module-level statement
     that is not a definition, as those run at import. What it reaches
     reaches in turn each module-level definition whose name it reads
-    (`referenced_names`), and each method of a reached class whose name
+    (`referenced_names`), and each member of a reached class whose name
     it reads as an attribute (`attribute_uses`). A class brings along
-    its decorators, bases, class-level statements and dunder methods.
+    its decorators, bases, other class-level statements and dunders.
     """
     if sources is None:
         sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
@@ -65,11 +78,10 @@ def unreachable(sources=None, roots=ENTRY_POINTS) -> list:
             if isinstance(stmt, ast.ClassDef):
                 own = parts[(module, stmt.name)] = stmt.decorator_list + stmt.bases
                 for node in stmt.body:
-                    if isinstance(node, ast.FunctionDef) and not (
-                        node.name.startswith("__") and node.name.endswith("__")
-                    ):
-                        parts[(module, stmt.name, node.name)] = [node]
-                    else:
+                    names = members(node)
+                    for name in names:
+                        parts[(module, stmt.name, name)] = [node]
+                    if not names:
                         own.append(node)
             elif isinstance(stmt, ast.FunctionDef):
                 parts[(module, stmt.name)] = [stmt]
@@ -193,6 +205,17 @@ def test_what_only_dead_code_calls_is_dead():
     assert unreachable({"m": source}, {("m", "main")}) == [
         ("m", "C", "only_dead"), ("m", "dead"), ("m", "helper"),
     ]
+
+
+def test_a_class_attribute_is_used_like_a_method():
+    # A plain class-level assignment is reached by its name as an
+    # attribute; a dataclass field belongs to the class, as do dunders.
+    source = (
+        "@dataclass\nclass F:\n    size: int = 0\n"
+        "class K:\n    __slots__ = ()\n    label = 'k'\n    used = spare = 1\n"
+        "def main():\n    return K().used, F()\n"
+    )
+    assert unreachable({"m": source}, {("m", "main")}) == [("m", "K", "label"), ("m", "K", "spare")]
 
 
 def test_a_bare_name_does_not_use_a_method():
