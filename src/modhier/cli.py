@@ -5,12 +5,17 @@ driver that replays one query per line from a file. Exit codes: 0 for
 an answered query of either polarity, 2 for input errors, 3 for an
 exceeded resource budget, 4 for an unsupported basis or level.
 
-Each piece of front-end work is done once per query. A command line
-that starts with a command name is parsed by that command's own
-parser; the top-level parser sees only help, usage errors and unknown
-commands. A query compiles each distinct language it names once, in
-argument order, and a regex that complements another (`~r` beside
-`r`) is `r`'s DFA with acceptance flipped.
+Each piece of front-end work is done once per query. A well-formed
+query line (a query command, options spelled out in full from
+QUERY_OPTIONS with valid values, one run of positionals that fits the
+command, `--level` and `--alphabet` given) is read in one scan of that
+table, with no parser built. argparse owns help, usage errors and
+irregular spellings: any other line that starts with a command name is
+parsed by that command's own parser, and the top-level parser sees
+only help, usage errors and unknown commands. A query compiles each
+distinct language it names once, in argument order, and a regex that
+complements another (`~r` beside `r`) is `r`'s DFA with acceptance
+flipped.
 """
 
 from __future__ import annotations
@@ -58,31 +63,42 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# The options every query command takes, by name, as `add_argument`
+# takes them: `build_parser` declares them from this table, and `_scan`
+# reads well-formed lines by it.
+QUERY_OPTIONS = {
+    "--level": {"required": True, "choices": LEVELS, "help": "hierarchy level"},
+    "--alphabet": {"required": True, "help": "alphabet letters, e.g. ab"},
+    "--basis": {"default": "mod", "help": "basis oracle name (default mod)"},
+    "--json": {"action": "store_true", "help": "emit one JSON object"},
+    "--witness": {"action": "store_true", "help": "attach a witness when available"},
+    "--emit-imprint": {"action": "store_true", "help": "also print the computed imprint"},
+    "--max-states": {
+        "type": _positive_int,
+        "default": Budget().states,
+        "help": "budget for automaton states",
+    },
+    "--max-antichain": {
+        "type": _positive_int,
+        "default": Budget().antichain,
+        "help": "antichain size budget for the engines",
+    },
+    "--no-stats": {"action": "store_true", "help": "omit statistics for reproducible output"},
+}
+
+# Each query command's help and its positionals, as (name, nargs).
+QUERY_COMMANDS = {
+    "member": ("is the language at the level?", (("regex", None),)),
+    "separate": ("is L1 separable from L2?", (("regex1", None), ("regex2", None))),
+    "cover": ("is the target coverable?", (("target", None), ("constraints", "+"))),
+    "imprint": ("print the imprint of the inputs", (("regexes", "+"),)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--level", required=True, choices=LEVELS, help="hierarchy level")
-    common.add_argument("--alphabet", required=True, help="alphabet letters, e.g. ab")
-    common.add_argument("--basis", default="mod", help="basis oracle name (default mod)")
-    common.add_argument("--json", action="store_true", help="emit one JSON object")
-    common.add_argument("--witness", action="store_true", help="attach a witness when available")
-    common.add_argument(
-        "--emit-imprint", action="store_true", help="also print the computed imprint"
-    )
-    common.add_argument(
-        "--max-states",
-        type=_positive_int,
-        default=Budget().states,
-        help="budget for automaton states",
-    )
-    common.add_argument(
-        "--max-antichain",
-        type=_positive_int,
-        default=Budget().antichain,
-        help="antichain size budget for the engines",
-    )
-    common.add_argument(
-        "--no-stats", action="store_true", help="omit statistics for reproducible output"
-    )
+    for name, spec in QUERY_OPTIONS.items():
+        common.add_argument(name, **spec)
 
     parser = argparse.ArgumentParser(
         prog="modhier",
@@ -90,17 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
         "in concatenation hierarchies over length-residue bases.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("member", parents=[common], help="is the language at the level?")
-    p.add_argument("regex")
-    p = sub.add_parser("separate", parents=[common], help="is L1 separable from L2?")
-    p.add_argument("regex1")
-    p.add_argument("regex2")
-    p = sub.add_parser("cover", parents=[common], help="is the target coverable?")
-    p.add_argument("target")
-    p.add_argument("constraints", nargs="+")
-    p = sub.add_parser("imprint", parents=[common], help="print the imprint of the inputs")
-    p.add_argument("regexes", nargs="+")
+    for command, (text, positionals) in QUERY_COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=text)
+        for name, nargs in positionals:
+            p.add_argument(name, nargs=nargs)
     p = sub.add_parser("batch", help="run one query per line from a file")
     p.add_argument("file")
 
@@ -114,16 +123,85 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _scan(argv: list) -> argparse.Namespace | None:
+    """The arguments of a well-formed query line, read in one pass; None
+    for any other line.
+
+    A line is well formed when it starts with a query command; every
+    token that starts with `-` is a name in QUERY_OPTIONS, written out
+    in full, and a value option is followed by a token that does not
+    start with `-` and passes argparse's own check of it; the
+    positionals are one run of tokens whose count fits the command; and
+    every required option is given. A repeated option keeps its last
+    value, as in argparse. Such a line gives the namespace `parse_args`
+    gives. The scan never prints: help, usage errors and irregular
+    spellings (abbreviations, `=`, `--`, split positionals, `-` or `-1`
+    as a regex) are left to argparse.
+    """
+    command = QUERY_COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {"command": argv[0]}
+    words = []
+    closed = False  # whether an option has followed the positionals
+    i, end = 1, len(argv)
+    while i < end:
+        token = argv[i]
+        i += 1
+        if token[:1] != "-":
+            if closed:
+                return None  # a second run of positionals
+            words.append(token)
+            continue
+        spec = QUERY_OPTIONS.get(token)
+        if spec is None:
+            return None
+        closed = bool(words)
+        if "action" in spec:
+            value = True
+        else:
+            if i == end or argv[i][:1] == "-":
+                return None
+            value = argv[i]
+            i += 1
+            if "type" in spec:
+                try:
+                    value = spec["type"](value)
+                except argparse.ArgumentTypeError:
+                    return None
+            if value not in spec.get("choices", (value,)):
+                return None
+        values[token[2:].replace("-", "_")] = value
+    positionals = command[1]
+    *heads, (last, nargs) = positionals
+    if len(words) < len(positionals) or (nargs is None and len(words) > len(positionals)):
+        return None
+    for (name, _), word in zip(heads, words):
+        values[name] = word
+    values[last] = words[len(heads):] if nargs else words[-1]
+    for name, spec in QUERY_OPTIONS.items():
+        dest = name[2:].replace("-", "_")
+        if dest not in values:
+            if spec.get("required"):
+                return None
+            values[dest] = spec.get("default", False)  # a flag is False by default
+    return argparse.Namespace(**values)
+
+
 def _parse(argv: list) -> argparse.Namespace:
     """The arguments of `argv`, parsed once.
 
-    A command line that starts with a command name goes to that
+    A well-formed query line is read by `_scan`, which builds no
+    parser. Any other line that starts with a command name goes to that
     command's parser alone, which is what the top-level parser would
     hand it to; leftover arguments are reported by the top-level parser,
     as `parse_args` reports them. Anything else (no arguments, help,
     options before the command, an unknown command) goes to the
     top-level parser.
     """
+    args = _scan(argv)
+    if args is not None:
+        return args
     parser = _parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:

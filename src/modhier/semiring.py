@@ -68,6 +68,8 @@ class PairSpace:
     one, once per instance and keeps it for the instance's lifetime: a
     pointed imprint keeps its space, an auxiliary map's space lasts one
     fixpoint round. So a set product over the space needs no grouping.
+    The products are kept in one row per right operand, keyed by the
+    left one, so no pair of keys is built or kept per product.
     It also returns one canonical object per distinct pair it forms,
     kept as long as the products, so equal pairs meet by identity.
     """
@@ -76,13 +78,16 @@ class PairSpace:
         self.monoid = monoid
         self.semiring = semiring
         self.unit = (monoid.unit, semiring.one)
-        self._seconds: dict = {}
+        self._seconds: dict = {}  # right second -> left second -> product
         self._pairs: dict = {}
 
     def mult(self, x, y):
-        st = self._seconds.get((x[1], y[1]))
+        row = self._seconds.get(y[1])
+        if row is None:
+            row = self._seconds[y[1]] = {}
+        st = row.get(x[1])
         if st is None:
-            st = self._seconds[x[1], y[1]] = self.semiring.mul(x[1], y[1])
+            st = row[x[1]] = self.semiring.mul(x[1], y[1])
         pair = (self.monoid.mult(x[0], y[0]), st)
         return self._pairs.setdefault(pair, pair)
 

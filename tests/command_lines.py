@@ -2,8 +2,10 @@
 
 `tests/test_cli.py` checks that `modhier.cli.run` answers each of them
 as one `parse_args` of the whole line would, and
-`tools/same_outputs.py` compares their outputs across revisions. Plain
-data, so that a script can import it without the test dependencies.
+`tools/same_outputs.py` compares their outputs across revisions. Most
+of them are lines that `modhier.cli`'s quick scan of well-formed query
+lines must leave to argparse. Plain data, so that a script can import
+it without the test dependencies.
 """
 
 QUERY = ("--level", "1", "--alphabet", "ab")
@@ -16,6 +18,8 @@ HELP_LINES = [
     ("-h", "member"),
     ("member", "-h"),
     ("separate", "--help"),
+    ("cover", "--help"),
+    ("imprint", "--help"),
     ("batch", "-h"),
     ("member", *QUERY, "a*", "--help"),
     ("member", *QUERY, "--help", "--bogus"),
@@ -59,4 +63,20 @@ MALFORMED_LINES = [
     ("batch",),
     ("batch", "first.txt", "second.txt"),
     ("batch", "no-such-queries.txt"),
+]
+
+# Lines that argparse reads otherwise than a token-by-token reading
+# would suggest. Positionals split by an option: argparse rejects the
+# variadic ones and accepts the fixed ones. `-` and `-1` are
+# positionals, not options. int() takes " 7". An option's value may not
+# start with `-`. A repeated option keeps its last value.
+IRREGULAR_LINES = [
+    ("cover", *QUERY, "(a|b)*", "a*", "--json", "b*"),
+    ("imprint", *QUERY, "a*", "--json", "b*"),
+    ("separate", "a*", "--json", "b*", *QUERY),
+    ("member", *QUERY, "-"),
+    ("member", *QUERY, "-1"),
+    ("member", *QUERY, "a*", "--max-states", " 7"),
+    ("member", "--level", "1", "--alphabet", "--json", "a*"),
+    ("member", "--level", "0", *QUERY, "a*"),
 ]

@@ -25,8 +25,7 @@ from oracles import downset_elements, elements_below, generic_iopti
 class TableSemiring(Semiring):
     """Explicit small semiring given by operation tables; axioms checked.
 
-    The carrier is range(n). Its meet, the greatest lower bound in the
-    canonical order, is enumerated.
+    The carrier is range(n).
     """
 
     def __init__(self, add_table, mul_table, zero: int, one: int):
@@ -80,11 +79,6 @@ class TableSemiring(Semiring):
 
     def top(self) -> int:
         return self.sum(self.elements())
-
-    def meet(self, x, y):
-        """The greatest common lower bound: the sum of all common lower
-        bounds, which exists because `zero` is one of them."""
-        return self.sum(r for r in self.elements() if self._leq[r][x] and self._leq[r][y])
 
 
 class SeparationOnlyOracle(BasisOracle):

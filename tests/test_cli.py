@@ -1,20 +1,28 @@
 """End-to-end command-line tests driving run() with captured streams."""
 
+import itertools
 import json
 import re
 import shlex
 import sys
 import time
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modhier import cli, engines
-from modhier.cli import build_parser, run
+from modhier.cli import QUERY_COMMANDS, build_parser, run
+from modhier.decide import LEVELS
 from modhier.lang import compile_regex
 
-from command_lines import HELP_LINES, MALFORMED_LINES
+from command_lines import HELP_LINES, IRREGULAR_LINES, MALFORMED_LINES
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def invoke(*argv):
@@ -613,7 +621,7 @@ MS = re.compile(r'(ms=|"ms": )[0-9.e+-]+')
 
 @pytest.mark.parametrize(
     "argv",
-    VALID_LINES + HELP_LINES + MALFORMED_LINES,
+    VALID_LINES + HELP_LINES + MALFORMED_LINES + IRREGULAR_LINES,
     ids=lambda argv: shlex.join(argv) or "no arguments",
 )
 def test_each_line_runs_as_when_parsed_whole_at_the_top(argv, monkeypatch, tmp_path):
@@ -630,3 +638,82 @@ def test_each_line_runs_as_when_parsed_whole_at_the_top(argv, monkeypatch, tmp_p
     once = masked()
     monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
     assert masked() == once
+
+
+def parsed(parse, argv):
+    """What `parse(argv)` gives, and what it prints: a namespace, or the
+    exit code of the `SystemExit` it raised."""
+    out, err = StringIO(), StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            result = parse(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+# Pieces of a query line, most of them well formed: options written out
+# in full with valid values. The rest are what argparse reads on its
+# own: abbreviations, `=`, invalid or missing values, `-h`, `--`, and
+# `-` or `-1` where an option or a regex may stand.
+WELL_FORMED_PIECES = [
+    ("--level", "0"), ("--level", "1/2"), ("--level", "1"), ("--level", "3/2"),
+    ("--alphabet", "ab"), ("--alphabet", ""), ("--basis", "mod"), ("--basis", "gr"),
+    ("--json",), ("--witness",), ("--emit-imprint",), ("--no-stats",),
+    ("--max-states", "7"), ("--max-states", " 7"), ("--max-antichain", "3"),
+]
+IRREGULAR_PIECES = [
+    ("--level", "5/2"), ("--max-states", "0"), ("--max-states", "x"), ("--max-antichain", "-3"),
+    ("--lev", "1"), ("--al", "ab"), ("--js",), ("--max", "3"), ("--no",),
+    ("--level=1",), ("--alphabet=ab",), ("--max-states=5",), ("--bogus",), ("-x",),
+    ("--level",), ("--alphabet",), ("--max-states",), ("--alphabet", "--json"),
+    ("--basis", "-x"), ("-h",), ("--help",),
+    ("--",), ("-",), ("-1",),
+]
+REGEXES = ["a*", "(aa)*", "b", "~(a)", "", "a b", "member"]
+
+
+@st.composite
+def query_lines(draw):
+    """A query command's line, well formed or nearly so: --level and
+    --alphabet seven times in eight each, an irregular piece or two one
+    time in two, a count of regexes that fits three times in four."""
+    command = draw(st.sampled_from(list(QUERY_COMMANDS)))
+    positionals = QUERY_COMMANDS[command][1]
+    pieces = draw(st.lists(st.sampled_from(WELL_FORMED_PIECES), max_size=3))
+    for required in (("--level", draw(st.sampled_from(LEVELS))), ("--alphabet", "ab")):
+        if draw(st.integers(0, 7)):
+            pieces.append(required)
+    if draw(st.booleans()):
+        pieces += draw(st.lists(st.sampled_from(IRREGULAR_PIECES), min_size=1, max_size=2))
+    fits = len(positionals) + (positionals[-1][1] == "+") * draw(st.integers(0, 1))
+    count = fits if draw(st.integers(0, 3)) else draw(st.integers(0, 4))
+    regexes = draw(st.lists(st.sampled_from(REGEXES), min_size=count, max_size=count))
+    # The regexes stand together, or each where it falls.
+    pieces += [tuple(regexes)] if draw(st.integers(0, 3)) else [(r,) for r in regexes]
+    pieces = draw(st.permutations(pieces))
+    return [command, *itertools.chain(*pieces)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(query_lines())
+def test_a_query_line_parses_as_when_parsed_whole_at_the_top(argv):
+    # The scan reads the well-formed lines, argparse the rest; either way
+    # the line gives what `parse_args` of the whole line gives.
+    assert parsed(cli._parse, argv) == parsed(build_parser().parse_args, argv)
+
+
+def test_well_formed_lines_parse_without_argparse(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import corpus
+
+    lines = [list(line) for line in VALID_LINES[:4]]
+    lines += [q.argv for make in corpus.WORKLOADS.values() for q in make(101)]
+    parser = build_parser()
+    expected = [parser.parse_args(argv) for argv in lines]
+
+    def no_parser():
+        raise AssertionError("argparse was asked to parse a well-formed line")
+
+    monkeypatch.setattr(cli, "_parser", no_parser)
+    assert [cli._parse(argv) for argv in lines] == expected

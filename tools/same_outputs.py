@@ -7,17 +7,20 @@ takes every distinct argument list of the three benchmark corpora at
 each seed, from this tree's bench/corpus.py: as drawn, with
 `--no-stats`, and with `--no-stats` plus each of `--emit-imprint`,
 `--witness` and `--json`. The query with the short repro deadline is
-left out, as it never returns. To these it adds the help and malformed
-command lines of tests/command_lines.py, so usage errors are compared
-too. Each list runs through
-`modhier.cli.run` of both trees, each tree in its own subprocess, and
-every difference in exit code, stdout or stderr is printed with the
-`ms` timings masked. Exits 1 if there is any difference, 0 if there is
-none.
+left out, as it never returns. To these it adds the help, malformed
+and irregular command lines of tests/command_lines.py, so usage errors
+and argparse's own readings are compared too. Each list runs through
+`modhier.cli.run` of both trees, each tree in its own subprocess; then
+all of them run again as the lines of one `batch` file (one
+`shlex.join` per line), so the parsing of `batch` lines is compared
+too. Every difference in exit code, stdout or stderr is printed, as a
+diff of lines, with the `ms` timings masked. Exits 1 if there is any
+difference, 0 if there is none.
 """
 
 from __future__ import annotations
 
+import difflib
 import io
 import json
 import re
@@ -40,12 +43,12 @@ VARIANTS = (
 
 def argument_lists(seeds) -> list:
     """Every distinct argument list of the corpora at `seeds`, and every
-    help and malformed command line, in a fixed order."""
+    help, malformed and irregular command line, in a fixed order."""
     sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
     import corpus
-    from command_lines import HELP_LINES, MALFORMED_LINES
+    from command_lines import HELP_LINES, IRREGULAR_LINES, MALFORMED_LINES
 
-    lists = set(HELP_LINES + MALFORMED_LINES)
+    lists = set(HELP_LINES + MALFORMED_LINES + IRREGULAR_LINES)
     for seed in seeds:
         for make in corpus.WORKLOADS.values():
             for q in make(seed):
@@ -88,6 +91,9 @@ def main(argv) -> int:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent_rev],
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        batch_file = Path(tmp) / "queries.txt"
+        batch_file.write_text("".join(shlex.join(argv) + "\n" for argv in lists))
+        lists = [*lists, ("batch", str(batch_file))]
         lists_file = Path(tmp) / "lists.json"
         lists_file.write_text(json.dumps(lists))
         results = [Path(tmp) / "parent.json", Path(tmp) / "this.json"]
@@ -104,9 +110,16 @@ def main(argv) -> int:
         for what, x, y in zip(("exit code", "stdout", "stderr"), old, new):
             if x != y:
                 differences += 1
-                print(f"{shlex.join(args)}\n  {what}: parent {x!r}\n  {what}: this tree {y!r}")
-    print(f"{len(lists)} argument lists of seeds {' '.join(map(str, seeds))} "
-          f"against {parent_rev}: {differences} differences")
+                print(f"{shlex.join(args)}: {what}")
+                if what == "exit code":
+                    print(f"  parent {x}, this tree {y}")
+                else:
+                    diff = difflib.unified_diff(x.splitlines(), y.splitlines(), "parent",
+                                                "this tree", n=1, lineterm="")
+                    print("\n".join("  " + line for line in diff))
+    print(f"{len(lists) - 1} argument lists of seeds {' '.join(map(str, seeds))}, "
+          f"one by one and as one batch file, against {parent_rev}: "
+          f"{differences} differences")
     return 1 if differences else 0
 
 
