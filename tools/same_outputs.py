@@ -93,9 +93,9 @@ def main(argv) -> int:
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
         batch_file = Path(tmp) / "queries.txt"
         batch_file.write_text("".join(shlex.join(argv) + "\n" for argv in lists))
-        lists = [*lists, ("batch", str(batch_file))]
+        runs = [*lists, ("batch", str(batch_file))]
         lists_file = Path(tmp) / "lists.json"
-        lists_file.write_text(json.dumps(lists))
+        lists_file.write_text(json.dumps(runs))
         results = [Path(tmp) / "parent.json", Path(tmp) / "this.json"]
         children = [
             subprocess.Popen([sys.executable, __file__, "--child", str(src), str(lists_file), str(out)])
@@ -106,7 +106,7 @@ def main(argv) -> int:
             return 2
         before, after = (json.loads(out.read_text()) for out in results)
     differences = 0
-    for args, old, new in zip(lists, before, after):
+    for args, old, new in zip(runs, before, after):
         for what, x, y in zip(("exit code", "stdout", "stderr"), old, new):
             if x != y:
                 differences += 1
@@ -117,7 +117,7 @@ def main(argv) -> int:
                     diff = difflib.unified_diff(x.splitlines(), y.splitlines(), "parent",
                                                 "this tree", n=1, lineterm="")
                     print("\n".join("  " + line for line in diff))
-    print(f"{len(lists) - 1} argument lists of seeds {' '.join(map(str, seeds))}, "
+    print(f"{len(lists)} argument lists of seeds {' '.join(map(str, seeds))}, "
           f"one by one and as one batch file, against {parent_rev}: "
           f"{differences} differences")
     return 1 if differences else 0
