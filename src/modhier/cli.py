@@ -10,9 +10,9 @@ query line (a query command, options spelled out in full from
 QUERY_OPTIONS with valid values, one run of positionals that fits the
 command, `--level` and `--alphabet` given) is read in one scan of that
 table, with no parser built. argparse owns help, usage errors and
-irregular spellings: any other line that starts with a command name is
-parsed by that command's own parser, and the top-level parser sees
-only help, usage errors and unknown commands. A query compiles each
+irregular spellings: any other line is parsed whole by the top-level
+parser. Each query command is declared once, in QUERY_COMMANDS: its
+help, its regexes and its result words. A query compiles each
 distinct language it names once, in argument order, and a regex that
 complements another (`~r` beside `r`) is `r`'s DFA with acceptance
 flipped.
@@ -41,16 +41,6 @@ from .decide import (
 )
 from .errors import Budget, BudgetExceededError, InputError, UnsupportedError
 from .lang import Alphabet, compile_regex, complement, parse_regex
-
-RESULT_WORDS = {
-    ("member", True): "member",
-    ("member", False): "not-member",
-    ("separate", True): "separable",
-    ("separate", False): "not-separable",
-    ("cover", True): "coverable",
-    ("cover", False): "not-coverable",
-}
-
 
 def _positive_int(text: str) -> int:
     """A budget flag's value: an integer of at least 1."""
@@ -86,12 +76,15 @@ QUERY_OPTIONS = {
     "--no-stats": {"action": "store_true", "help": "omit statistics for reproducible output"},
 }
 
-# Each query command's help and its positionals, as (name, nargs).
+# Each query command's help; its positionals, as (name, nargs), which
+# hold its regexes in the order they are compiled; and the result word
+# of a positive answer, which `not-` prefixes for a negative one (an
+# imprint has no answer).
 QUERY_COMMANDS = {
-    "member": ("is the language at the level?", (("regex", None),)),
-    "separate": ("is L1 separable from L2?", (("regex1", None), ("regex2", None))),
-    "cover": ("is the target coverable?", (("target", None), ("constraints", "+"))),
-    "imprint": ("print the imprint of the inputs", (("regexes", "+"),)),
+    "member": ("is the language at the level?", (("regex", None),), "member"),
+    "separate": ("is L1 separable from L2?", (("regex1", None), ("regex2", None)), "separable"),
+    "cover": ("is the target coverable?", (("target", None), ("constraints", "+")), "coverable"),
+    "imprint": ("print the imprint of the inputs", (("regexes", "+"),), None),
 }
 
 
@@ -106,14 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
         "in concatenation hierarchies over length-residue bases.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, positionals) in QUERY_COMMANDS.items():
+    for command, (text, positionals, _) in QUERY_COMMANDS.items():
         p = sub.add_parser(command, parents=[common], help=text)
         for name, nargs in positionals:
             p.add_argument(name, nargs=nargs)
     p = sub.add_parser("batch", help="run one query per line from a file")
     p.add_argument("file")
-
-    parser.commands = sub.choices  # each command's own parser, by name
     return parser
 
 
@@ -189,28 +180,12 @@ def _scan(argv: list) -> argparse.Namespace | None:
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """The arguments of `argv`, parsed once.
-
-    A well-formed query line is read by `_scan`, which builds no
-    parser. Any other line that starts with a command name goes to that
-    command's parser alone, which is what the top-level parser would
-    hand it to; leftover arguments are reported by the top-level parser,
-    as `parse_args` reports them. Anything else (no arguments, help,
-    options before the command, an unknown command) goes to the
-    top-level parser.
+    """The arguments of `argv`, parsed once: a well-formed query line by
+    `_scan`, which builds no parser, and any other line by the
+    top-level parser's `parse_args`, which prints help and usage errors.
     """
     args = _scan(argv)
-    if args is not None:
-        return args
-    parser = _parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    args.command = argv[0]
-    return args
+    return _parser().parse_args(argv) if args is None else args
 
 
 def _format_value(value) -> str:
@@ -275,24 +250,14 @@ def _emit(args, verdict: Verdict, imprint_parts, out) -> None:
         out.write(json.dumps(payload, sort_keys=True) + "\n")
         return
     if verdict.answer is not None:
-        out.write(f"RESULT: {RESULT_WORDS[(verdict.kind, verdict.answer)]}\n")
+        word = QUERY_COMMANDS[args.command][2]
+        out.write(f"RESULT: {word if verdict.answer else 'not-' + word}\n")
     if verdict.witness is not None:
         out.write(_witness_text(verdict.witness) + "\n")
     if imprint_parts is not None:
         _imprint_text(*imprint_parts, out)
     if not args.no_stats:
         out.write(_stats_line(verdict.stats))
-
-
-def _query_regexes(args) -> list:
-    """The query's regexes in the order they are compiled."""
-    if args.command == "imprint":
-        return args.regexes
-    if args.command == "member":
-        return [args.regex]
-    if args.command == "separate":
-        return [args.regex1, args.regex2]
-    return [args.target, *args.constraints]
 
 
 def _run_query(args, out) -> int:
@@ -303,9 +268,13 @@ def _run_query(args, out) -> int:
     # regex with an error reports it. A program's core drops its trailing
     # complements: `~r` derives as `r` does with acceptance flipped, so
     # each core is compiled once and complemented as often as needed.
+    regexes = []
+    for name, nargs in QUERY_COMMANDS[args.command][1]:
+        value = getattr(args, name)
+        regexes += value if nargs else [value]
     cores = {}  # core program -> its DFA
     dfas = []
-    for text in _query_regexes(args):
+    for text in regexes:
         program = parse_regex(text, alphabet)
         end = len(program)
         while program[end - 1] == ("~", None):

@@ -52,10 +52,10 @@ class Verdict:
     level-1/2 answers when the bounded search finds one. `imprint` is
     the (morphism, imprint) pair the answer was read from, absent at
     level zero. An `imprint` query (see `imprinted`) has no answer.
+    The query's command and level are the caller's; a verdict holds
+    only what was found.
     """
 
-    kind: str
-    level: str
     answer: Optional[bool]
     witness: Optional[dict] = None
     stats: Optional[dict] = None
@@ -115,7 +115,7 @@ def imprinted(
     started = time.perf_counter()
     morphism, imprint = level_imprint(level, dfas, oracle, budget)
     stats = _imprint_stats(started, morphism, imprint)
-    return Verdict("imprint", level, None, None, stats, (morphism, imprint))
+    return Verdict(None, None, stats, (morphism, imprint))
 
 
 def maximal_in_order(imprint: DownSet) -> list:
@@ -198,7 +198,7 @@ def coverable(
             }
 
     stats = _imprint_stats(started, morphism, imprint)
-    return Verdict("cover", level, answer, witness, stats, (morphism, imprint))
+    return Verdict(answer, witness, stats, (morphism, imprint))
 
 
 def separable(
@@ -220,9 +220,8 @@ def separable(
         if want_witness and answer.separable and answer.modulus is not None:
             witness = {"modulus": answer.modulus}
         stats = {"ms": round((time.perf_counter() - started) * 1000, 3)}
-        return Verdict("separate", level, bool(answer), witness, stats)
-    inner = coverable(level, l1, [l2], oracle, budget, want_witness)
-    return replace(inner, kind="separate")
+        return Verdict(bool(answer), witness, stats)
+    return coverable(level, l1, [l2], oracle, budget, want_witness)
 
 
 def member(
@@ -237,5 +236,4 @@ def member(
     A regular language is a level language exactly when it is separable
     from its complement (the separator then equals the language).
     """
-    inner = separable(level, language, complement(language), oracle, budget, want_witness)
-    return replace(inner, kind="member")
+    return separable(level, language, complement(language), oracle, budget, want_witness)

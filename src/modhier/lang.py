@@ -66,9 +66,6 @@ class Alphabet:
         except ValueError:
             raise InputError(f"letter {letter!r} not in alphabet {''.join(self.letters)!r}") from None
 
-    def __contains__(self, letter: str) -> bool:
-        return letter in self.letters
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.letters)
 
@@ -554,9 +551,6 @@ class MonoidMorphism:
     @property
     def size(self) -> int:
         return len(self._right)
-
-    def __len__(self) -> int:
-        return self.size
 
     def elements(self) -> range:
         return range(self.size)

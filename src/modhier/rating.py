@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .lang import Alphabet, MonoidMorphism
-from .semiring import PairSpace, PowerSemiring, Semiring
+from .semiring import AntichainSemiring, PairSpace, PowerSemiring, Semiring
 
 
 class RatingMap:
@@ -42,33 +42,39 @@ def canonical_covering_map(morphism: MonoidMorphism) -> RatingMap:
     return RatingMap(morphism.alphabet, semiring, images)
 
 
-def aux_bpol_map(rho: RatingMap, s_values: Iterable, inner: Semiring) -> RatingMap:
+def aux_bpol_map(
+    rho: RatingMap, s_values: Iterable, inner: PowerSemiring | AntichainSemiring
+) -> RatingMap:
     """The auxiliary map a -> {(rho(a), S.{rho(a)}.S)} into 2^(R x 2^R).
 
-    S is a set of semiring values, taken as given, and `inner` the
-    semiring of the second coordinates. The exact `PowerSemiring(R)`
-    keeps them as literal subsets of R; `AntichainSemiring(R)` prunes
-    the products to maxima, sound for consumers that only read the
-    result through downward closure, and then only the maxima of S count.
+    S is a set of semiring values, taken as given, and `inner` forms the
+    products of the second coordinates, the only operation they take.
+    The exact `PowerSemiring(R)` keeps them as literal subsets of R;
+    `AntichainSemiring(R)` prunes the products to maxima, sound for
+    consumers that only read the result through downward closure, and
+    then only the maxima of S count.
     """
     return _aux_map(rho, s_values, inner, rho.letter_image)
 
 
 def aux_pbpol_map(
-    morphism: MonoidMorphism, rho: RatingMap, s_pairs: Iterable, inner: Semiring
+    morphism: MonoidMorphism,
+    rho: RatingMap,
+    s_pairs: Iterable,
+    inner: PowerSemiring | AntichainSemiring,
 ) -> RatingMap:
     """The auxiliary map a -> {(rho(a), S.{(alpha(a), rho(a))}.S)}.
 
     S is a set of monoid-value pairs, taken as given; values are in 2^(R x 2^(M x R)).
-    The inner semiring is exact as `PowerSemiring(PairSpace(M, R))` or
-    antichain-pruned as `AntichainSemiring(PairSpace(M, R))` (same
+    The inner products are exact in `PowerSemiring(PairSpace(M, R))` or
+    antichain-pruned in `AntichainSemiring(PairSpace(M, R))` (same
     soundness condition as aux_bpol_map).
     """
     marks = {a: (morphism.letter_image[a], r) for a, r in rho.letter_image.items()}
     return _aux_map(rho, s_pairs, inner, marks)
 
 
-def _aux_map(rho: RatingMap, s_items: Iterable, inner: Semiring, marks: dict) -> RatingMap:
+def _aux_map(rho: RatingMap, s_items: Iterable, inner, marks: dict) -> RatingMap:
     """The auxiliary map a -> {(rho(a), S.{marks[a]}.S)}, S the set of `s_items` as given."""
     s_value = frozenset(s_items)
     outer = PowerSemiring(PairSpace(rho.semiring, inner))

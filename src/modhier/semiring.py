@@ -59,7 +59,9 @@ class PairSpace:
 
     The first factor is any multiplicative space: a transition monoid
     for the pointed imprints, a semiring for the auxiliary maps' pairs
-    of a value and an inner set. The second is a semiring R.
+    of a value and an inner set. The second is a semiring R, or for
+    those inner sets an `AntichainSemiring`, which has no order: the
+    auxiliary maps' pairs are only multiplied, never compared.
     (s, r) <= (s', r') iff s = s' and r <= r' in R: downward closure
     only ever moves the second coordinate. `part` names the first
     coordinate: pairs with different parts are incomparable, so
@@ -74,7 +76,7 @@ class PairSpace:
     kept as long as the products, so equal pairs meet by identity.
     """
 
-    def __init__(self, monoid, semiring: Semiring):
+    def __init__(self, monoid, semiring):
         self.monoid = monoid
         self.semiring = semiring
         self.unit = (monoid.unit, semiring.one)
@@ -157,14 +159,17 @@ class MaskSums:
         return frozenset([a for i, a in enumerate(self._elements) if mask >> i & 1])
 
 
-class AntichainSemiring(Semiring):
-    """Sets over an ordered multiplicative space, kept as antichains.
+class AntichainSemiring:
+    """Products of sets over an ordered multiplicative space, kept as antichains.
 
-    An element is the antichain of maxima of a downward-closed subset of
+    A value is the antichain of maxima of a downward-closed subset of
     the space; two exact sets with the same downward closure collapse to
     the same value here. Sound wherever consumers only read values
     through downward closure, because the space's product is monotone:
-    maxima of a product of downsets are products of maxima.
+    maxima of a product of downsets are products of maxima. It is the
+    inner structure of the auxiliary maps (see `rating.aux_bpol_map`),
+    which only multiply their inner sets: it has a `one` and a `mul`,
+    and no zero, sum or order.
 
     A product works row by row. The row of a space element a and a
     right operand y is the set of products a * b for b in y; it is
@@ -181,7 +186,6 @@ class AntichainSemiring(Semiring):
 
     def __init__(self, space):
         self.space = space
-        self.zero = frozenset()
         self.one = frozenset({space.unit})
         self._rows: dict = {}
         self._values: dict = {}
@@ -189,9 +193,6 @@ class AntichainSemiring(Semiring):
     def normal(self, items: Iterable) -> frozenset:
         value = antichain_of(self.space, items)
         return self._values.setdefault(value, value)
-
-    def add(self, x, y):
-        return self.normal(set(x) | set(y))
 
     def mul(self, x, y):
         mult, rows, values = self.space.mult, self._rows, self._values
@@ -203,10 +204,6 @@ class AntichainSemiring(Semiring):
                 row = rows[a, y] = values.setdefault(row, row)
             out.update(row)
         return self.normal(out)
-
-    def leq(self, x, y) -> bool:
-        space_leq = self.space.leq
-        return all(any(space_leq(a, b) for b in y) for a in x)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +285,6 @@ class DownSet:
 
     def __contains__(self, item) -> bool:
         return any(self.space.leq(item, m) for m in self.maximal)
-
-    def __iter__(self):
-        return iter(self.maximal)
 
 
 class Antichain:

@@ -59,7 +59,7 @@ def lang(text, alphabet=AB):
 
 def test_verdict_chain_level_zero():
     verdict = separable("0", lang("a*"), lang("(a|b)*b(a|b)*"), ORACLE)
-    assert verdict == Verdict("separate", "0", False, None, verdict.stats)
+    assert verdict == Verdict(False, None, verdict.stats)
 
 
 def test_verdict_chain_level_half():
