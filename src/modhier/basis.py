@@ -64,19 +64,9 @@ def length_profile(dfa: Dfa, budget: Budget = Budget()) -> LengthProfile:
     return LengthProfile(threshold, period, initial, residues)
 
 
-@dataclass(frozen=True)
-class SeparationAnswer:
-    """Separation verdict with the witness modulus when one exists."""
-
-    separable: bool
-    modulus: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.separable
-
-
-def mod_separable(l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> SeparationAnswer:
-    """Can a union of length-residue classes contain l1 and avoid l2?
+def mod_separable(l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> int | None:
+    """The modulus of a union of length-residue classes that contains l1
+    and avoids l2, or None when no such union exists.
 
     Such a separator sees only lengths, so the answer depends on the
     two length sets alone. Normalized to a common threshold t and
@@ -84,7 +74,7 @@ def mod_separable(l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> SeparationAnsw
     disjoint, no length below t is in both sets, and no length below t
     in one set is congruent mod p to a tail residue of the other; the
     classes of l1's lengths mod the smallest positive multiple of p
-    that is >= t then form a separator, and of no smaller structure.
+    that is >= t then form a separator, and that multiple is returned.
 
     No loop runs over p, the lcm of the two periods: by the Chinese
     remainder theorem the tails share a length exactly when a residue
@@ -97,16 +87,16 @@ def mod_separable(l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> SeparationAnsw
     first, second = length_profile(l1, budget), length_profile(l2, budget)
     g = gcd(first.period, second.period)
     if {r % g for r in first.residues} & {r % g for r in second.residues}:
-        return SeparationAnswer(False)
+        return None
     t = max(first.threshold, second.threshold)
     for n in range(t):
         in1, in2 = first.accepts_length(n), second.accepts_length(n)
         if in1 and (in2 or n % second.period in second.residues):
-            return SeparationAnswer(False)
+            return None
         if in2 and n % first.period in first.residues:
-            return SeparationAnswer(False)
+            return None
     p = lcm(first.period, second.period)
-    return SeparationAnswer(True, p * max(1, -(-t // p)))
+    return p * max(1, -(-t // p))
 
 
 def mod_iopti(rho: RatingMap, budget: Budget = Budget()):
@@ -123,12 +113,14 @@ def mod_iopti(rho: RatingMap, budget: Budget = Budget()):
 
 
 class BasisOracle:
-    """Behavioral contract shared by every basis."""
+    """Behavioral contract shared by every basis: `iopti` returns the
+    basis-optimal value of a rating map, and `separates` the modulus of
+    a separator, or None when no class language separates the inputs."""
 
     def iopti(self, rho: RatingMap, budget: Budget = Budget()):
         raise NotImplementedError
 
-    def separates(self, l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> SeparationAnswer:
+    def separates(self, l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> int | None:
         raise NotImplementedError
 
 
@@ -138,7 +130,7 @@ class ModOracle(BasisOracle):
     def iopti(self, rho: RatingMap, budget: Budget = Budget()):
         return mod_iopti(rho, budget)
 
-    def separates(self, l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> SeparationAnswer:
+    def separates(self, l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> int | None:
         return mod_separable(l1, l2, budget)
 
 

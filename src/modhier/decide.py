@@ -215,12 +215,10 @@ def separable(
         raise InputError("separation inputs use different alphabets")
     if level == "0":
         started = time.perf_counter()
-        answer = oracle.separates(l1, l2, budget)
-        witness = None
-        if want_witness and answer.separable and answer.modulus is not None:
-            witness = {"modulus": answer.modulus}
+        modulus = oracle.separates(l1, l2, budget)
+        witness = {"modulus": modulus} if want_witness and modulus is not None else None
         stats = {"ms": round((time.perf_counter() - started) * 1000, 3)}
-        return Verdict(bool(answer), witness, stats)
+        return Verdict(modulus is not None, witness, stats)
     return coverable(level, l1, [l2], oracle, budget, want_witness)
 
 

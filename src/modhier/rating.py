@@ -13,22 +13,19 @@ from __future__ import annotations
 from typing import Iterable
 
 from .lang import Alphabet, MonoidMorphism
-from .semiring import AntichainSemiring, PairSpace, PowerSemiring, Semiring
+from .semiring import AntichainSemiring, PairSpace, PowerSemiring
 
 
 class RatingMap:
     """A nice multiplicative rating map stored as its letter-image table."""
 
-    def __init__(self, alphabet: Alphabet, semiring: Semiring, letter_image: dict):
+    def __init__(self, alphabet: Alphabet, semiring: PowerSemiring, letter_image: dict):
         missing = [a for a in alphabet if a not in letter_image]
         if missing:
             raise ValueError(f"letter image missing for {missing}")
         self.alphabet = alphabet
         self.semiring = semiring
         self.letter_image = {a: letter_image[a] for a in alphabet}
-
-    def __repr__(self) -> str:
-        return f"RatingMap({self.alphabet.letters}, {self.letter_image})"
 
 
 def canonical_covering_map(morphism: MonoidMorphism) -> RatingMap:

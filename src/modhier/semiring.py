@@ -1,7 +1,8 @@
-"""Finite idempotent semirings and the order machinery the engines run in.
+"""Power semirings over multiplicative spaces, and the engines' order machinery.
 
-Elements are opaque hashable values. The canonical order r <= s iff
-r + s = s underlies everything: downward-closed sets are stored as
+Elements are opaque hashable values. A power semiring 2^M is finite
+and idempotent, and its canonical order r <= s iff r + s = s (set
+inclusion) underlies everything: downward-closed sets are stored as
 antichains of their maximal elements, and the power-semiring carriers
 the fixpoints live in are virtual (sets handled directly, never an
 enumerated carrier).
@@ -18,40 +19,16 @@ from .errors import Budget
 from .lang import explore
 
 
-class Semiring:
-    """Interface: add/mul/zero/one; each kind computes the canonical order as `leq`."""
-
-    zero: object
-    one: object
-
-    def add(self, x, y):
-        raise NotImplementedError
-
-    def mul(self, x, y):
-        raise NotImplementedError
-
-    @property
-    def unit(self):
-        return self.one
-
-    def mult(self, x, y):
-        return self.mul(x, y)
-
-    def sum(self, items) -> object:
-        total = self.zero
-        for x in items:
-            total = self.add(total, x)
-        return total
-
-
 # ---------------------------------------------------------------------------
 # Multiplicative spaces: `unit` and an associative `mult`, optionally an
 # order `leq` under which `mult` is monotone, a `part` (see
-# `PairSpace.part`), and `mult_sets(xs, ys)`, the set of all products when
-# the space forms it with fewer element products than one per pair.
+# `PairSpace.part`), and `mult_sets(xs, ys)`, the canonical set of all
+# products x * y, which a power semiring over the space takes in place of
+# its own loop over the pairs (`MonoidMorphism.mult_sets` reads one
+# product per pair from the Cayley rows).
 # Power semirings are built over them, and antichains ordered by them.
-# Every semiring is one: `unit` is its one, `mult` its `mul`, and `leq`
-# its canonical order.
+# A power semiring is a space itself: `unit` is its one, `mult` its `mul`,
+# and `leq` its canonical order.
 
 
 class PairSpace:
@@ -100,11 +77,12 @@ class PairSpace:
         return x[0]
 
 
-class PowerSemiring(Semiring):
+class PowerSemiring:
     """2^M for a finite monoid M: union as addition, elementwise product.
 
     M is any multiplicative space; elements are frozensets of its
-    elements. The carrier is virtual: no query enumerates it.
+    elements. The carrier is virtual: no query enumerates it. As a
+    space itself, its `mult` and `sum` go through `mul` and `add`.
     Products take the space's `mult_sets` when it has one. The level-1
     sums are formed in a `MaskSums`, each union as one int `|` (see
     `engines.admissible_totals`).
@@ -113,7 +91,7 @@ class PowerSemiring(Semiring):
     def __init__(self, monoid):
         self.monoid = monoid
         self.zero = frozenset()
-        self.one = frozenset({monoid.unit})
+        self.one = self.unit = frozenset({monoid.unit})
         self._mult_sets = getattr(monoid, "mult_sets", None)
 
     def add(self, x, y):
@@ -124,6 +102,15 @@ class PowerSemiring(Semiring):
             return self._mult_sets(x, y)
         mult = self.monoid.mult
         return frozenset(mult(a, b) for a in x for b in y)
+
+    def mult(self, x, y):
+        return self.mul(x, y)
+
+    def sum(self, items) -> frozenset:
+        total = self.zero
+        for x in items:
+            total = self.add(total, x)
+        return total
 
     def leq(self, x, y) -> bool:
         return x <= y
@@ -210,13 +197,13 @@ class AntichainSemiring:
 # Order utilities
 
 
-def omega_power(semiring: Semiring, s, budget: Budget = Budget()):
+def omega_power(semiring: PowerSemiring, s, budget: Budget = Budget()):
     """The unique idempotent among the positive powers of s."""
     powers, k = power_cycle(semiring, s, budget)
     return powers[k - 1]
 
 
-def power_cycle(semiring: Semiring, s, budget: Budget = Budget()) -> tuple[list, int]:
+def power_cycle(semiring: PowerSemiring, s, budget: Budget = Budget()) -> tuple[list, int]:
     """The powers s, s^2, ... up to the first repeat, and the exponent of their idempotent.
 
     Successive powers with cycle detection (`explore` with the one

@@ -15,24 +15,24 @@ from modhier.semiring import (
     DownSet,
     PairSpace,
     PowerSemiring,
-    Semiring,
     antichain_of,
 )
 
 from oracles import downset_elements, elements_below, generic_iopti
 
 
-class TableSemiring(Semiring):
+class TableSemiring:
     """Explicit small semiring given by operation tables; axioms checked.
 
-    The carrier is range(n).
+    The carrier is range(n). Like a power semiring, it is a
+    multiplicative space too: `unit` is its one and `mult` its `mul`.
     """
 
     def __init__(self, add_table, mul_table, zero: int, one: int):
         self._add = tuple(tuple(row) for row in add_table)
         self._mul = tuple(tuple(row) for row in mul_table)
         self.zero = zero
-        self.one = one
+        self.one = self.unit = one
         n = len(self._add)
         self._check_axioms(n)
         # order as a bit of precomputation; carriers here are small
@@ -70,6 +70,15 @@ class TableSemiring(Semiring):
 
     def mul(self, x, y):
         return self._mul[x][y]
+
+    def mult(self, x, y):
+        return self.mul(x, y)
+
+    def sum(self, items) -> int:
+        total = self.zero
+        for x in items:
+            total = self.add(total, x)
+        return total
 
     def leq(self, x, y) -> bool:
         return self._leq[x][y]

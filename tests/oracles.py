@@ -124,7 +124,7 @@ def generic_iopti(rho: RatingMap, separates, budget: Budget = Budget()):
     total = semiring.zero
     for i, value in enumerate(values):
         preimage = Dfa(rho.alphabet, transitions, 0, frozenset({i}))
-        if not separates(eps, preimage, budget):
+        if separates(eps, preimage, budget) is None:
             total = semiring.add(total, value)
     return total
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from modhier.basis import (
     LengthProfile,
     ModOracle,
-    SeparationAnswer,
     length_profile,
     mod_cover_oracle,
     mod_iopti,
@@ -85,24 +84,20 @@ def test_length_profile_matches_subset_stepping(seed):
 
 
 def test_mod_separable_even_vs_odd():
-    answer = mod_separable(lang("(aa)*", A), lang("a(aa)*", A))
-    assert answer.separable
-    assert answer.modulus == 2
+    assert mod_separable(lang("(aa)*", A), lang("a(aa)*", A)) == 2
 
 
 def test_mod_separable_same_lengths():
-    assert not mod_separable(lang("a*"), lang("b*"))
+    assert mod_separable(lang("a*"), lang("b*")) is None
 
 
 def test_mod_separable_colliding_multiples():
     # lengths 2,4,6,... vs 3,6,9,...: length 6 in both
-    assert not mod_separable(lang("aa(aa)*", A), lang("aaa(aaa)*", A))
+    assert mod_separable(lang("aa(aa)*", A), lang("aaa(aaa)*", A)) is None
 
 
 def test_mod_separable_finite_vs_periodic():
-    answer = mod_separable(lang("aa", A), lang("(aaaa)*", A))
-    assert answer.separable
-    assert answer.modulus == 4
+    assert mod_separable(lang("aa", A), lang("(aaaa)*", A)) == 4
 
 
 def test_mod_separable_rejects_mixed_alphabets():
@@ -121,18 +116,17 @@ def test_mod_separable_is_symmetric_and_sound(seed):
     rng = random.Random(seed)
     l1 = random_dfa(rng, AB)
     l2 = random_dfa(rng, AB)
-    answer = mod_separable(l1, l2)
-    mirrored = mod_separable(l2, l1)
-    assert answer.separable == mirrored.separable
-    if answer.separable:
+    d = mod_separable(l1, l2)
+    assert (d is None) == (mod_separable(l2, l1) is None)
+    if d is not None:
         assert disjoint(l1, l2)
-        d = answer.modulus
         horizon = d + max(length_profile(l1).threshold, length_profile(l2).threshold)
         assert not (accepted_residues(l1, d, horizon) & accepted_residues(l2, d, horizon))
 
 
 def lcm_separable(l1, l2):
-    """The reference test: every residue mod the lcm of the two periods, one by one."""
+    """The reference test: every residue mod the lcm of the two periods,
+    one by one. Returns the separating modulus, or None."""
     first, second = length_profile(l1), length_profile(l2)
     t = max(first.threshold, second.threshold)
     p = lcm(first.period, second.period)
@@ -141,10 +135,10 @@ def lcm_separable(l1, l2):
     res1 = {n % p for n in range(t, t + p) if first.accepts_length(n)}
     res2 = {n % p for n in range(t, t + p) if second.accepts_length(n)}
     if res1 & res2 or init1 & init2:
-        return SeparationAnswer(False)
+        return None
     if any(n % p in res2 for n in init1) or any(n % p in res1 for n in init2):
-        return SeparationAnswer(False)
-    return SeparationAnswer(True, p * max(1, -(-t // p)))
+        return None
+    return p * max(1, -(-t // p))
 
 
 def raw_dfa(rng, alphabet, states):
@@ -236,7 +230,7 @@ def test_mod_cover_oracle_roundtrip():
     oracle = mod_cover_oracle()
     rho = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
     assert oracle.iopti(rho) == fs(0)
-    assert oracle.separates(lang("(aa)*", A), lang("a(aa)*", A)).separable
+    assert oracle.separates(lang("(aa)*", A), lang("a(aa)*", A)) == 2
     assert isinstance(oracle, ModOracle)
 
 

@@ -6,11 +6,15 @@ import io
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import modhier
 from modhier import Alphabet, Budget, BudgetExceededError, compile_regex, member, parse_regex
@@ -168,3 +172,75 @@ def test_the_level_one_repro_ends_in_an_answer_or_a_budget_error():
         preexec_fn=limit_address_space,
     )
     assert done.returncode in (0, 3), done.stderr
+
+
+def regexes(alphabet: str, depth: int):
+    """Regex text over the alphabet's letters, `e` and `0`, with `|`, `&`,
+    concatenation, `*` and `~`, nested at most `depth` deep."""
+    leaf = st.sampled_from([*alphabet, "e", "0"])
+    if depth == 0:
+        return leaf
+    sub = regexes(alphabet, depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds("({}|{})".format, sub, sub),
+        st.builds("({}&{})".format, sub, sub),
+        st.builds("({}{})".format, sub, sub),
+        st.builds("({})*".format, sub),
+        st.builds("~({})".format, sub),
+    )
+
+
+# The fewest and the most regexes each command reads.
+ARITIES = {"member": (1, 1), "separate": (2, 2), "cover": (2, 3), "imprint": (1, 2)}
+
+
+@st.composite
+def query_lines(draw) -> str:
+    alphabet = draw(st.sampled_from(["ab", "abc"]))
+    level = draw(st.sampled_from(["0", "1/2", "3/2"]))
+    # Covering and imprints are refused at level 0, on purpose.
+    command = draw(st.sampled_from(list(ARITIES) if level != "0" else ["member", "separate"]))
+    count = draw(st.integers(*ARITIES[command]))
+    args = [command, "--level", level, "--alphabet", alphabet]
+    if draw(st.booleans()):
+        args += ["--witness"]
+    for option in ("--max-states", "--max-antichain"):
+        if draw(st.integers(0, 3)) == 0:
+            args += [option, str(draw(st.integers(1, 30)))]
+    args += [draw(regexes(alphabet, 4)) for _ in range(count)]
+    return shlex.join(args)
+
+
+BUDGET_ERROR = re.compile(r"error: [a-z -]+ budget exceeded \(limit \d+\)")
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(query_lines(), min_size=1, max_size=4))
+def test_every_query_file_ends_in_answers_or_budget_errors(lines):
+    """Every query of a batch file ends in an answer or a named budget
+    (exit 0 or 3), within 30 s and 1 GiB of address space, and nothing
+    else reaches stderr, so a traceback fails the test.
+
+    Level 1 is left out: its subset enumeration draws on no budget and
+    hangs, as `test_the_level_one_repro_ends_in_an_answer_or_a_budget_error`
+    pins by its strict xfail. The level-1 fix by ceilings (ROADMAP,
+    direction 1) adds level 1 here.
+    """
+    src = Path(modhier.__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "queries.txt"
+        path.write_text("\n".join(lines) + "\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "modhier.cli", "batch", str(path)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=30,
+            preexec_fn=limit_address_space,
+        )
+    assert done.returncode in (0, 3), done.stderr
+    answers = [x for x in done.stdout.splitlines() if x.startswith(("RESULT:", "IMPRINT:"))]
+    errors = done.stderr.splitlines()
+    assert all(BUDGET_ERROR.fullmatch(x) for x in errors), done.stderr
+    assert len(answers) + len(errors) == len(lines)

@@ -47,7 +47,13 @@ def attribute_uses(node: ast.AST) -> set:
 def members(node: ast.stmt) -> list:
     """The names a class-body statement defines as members, dunders
     aside: a method's, or each target of a plain assignment. An
-    annotated statement, such as a dataclass field, defines none."""
+    annotated statement, such as a dataclass field, defines none.
+
+    Dunders stay outside the guard because Python calls them
+    implicitly (`in`, `len`, iteration), so no attribute names them;
+    `tools/reached.py` lists the ones no query runs. One it lists,
+    `DownSet.__contains__`, stays: the tests read downsets through
+    `in`, and without it 11 tier-1 tests fail."""
     if isinstance(node, ast.FunctionDef):
         names = [node.name]
     elif isinstance(node, ast.Assign) and all(isinstance(t, ast.Name) for t in node.targets):
@@ -176,6 +182,50 @@ def test_only_the_allowed_functions_raise_budget_errors():
     assert found == BUDGET_CALLERS
     loop = "def walk(b):\n    while True:\n        raise b.exceeded('states')\n"
     assert budget_callers(loop, "lang") == {"lang.walk"}
+
+
+# The abstract interfaces the package keeps. `BasisOracle` is the
+# paper's basis contract (an iopti and a separation test), which the
+# generic route takes as its input; `ModOracle` implements it in the
+# package and `gen.SeparationOnlyOracle` in the tests. Every other
+# concept has one implementation, so it needs no interface above it.
+ABSTRACT_INTERFACES = {"basis.BasisOracle"}
+
+
+def abstract_classes(source: str, module: str) -> set:
+    """Qualified names of the classes in `source` with a method whose
+    body, its docstring aside, is only `raise NotImplementedError`."""
+    found = set()
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            body = method.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            if (
+                len(body) == 1
+                and isinstance(body[0], ast.Raise)
+                and "NotImplementedError" in referenced_names(body[0])
+            ):
+                found.add(f"{module}.{cls.name}")
+    return found
+
+
+def test_only_the_kept_interfaces_are_abstract():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= abstract_classes(path.read_text(), path.stem)
+    assert found == ABSTRACT_INTERFACES
+    snippet = (
+        "class Base:\n    def f(self):\n        \"\"\"Doc.\"\"\"\n        raise NotImplementedError\n"
+        "class Impl(Base):\n    def f(self):\n        raise NotImplementedError('no')\n"
+        "        return 1\n"
+        "class Other:\n    def g(self):\n        raise NotImplementedError()\n"
+    )
+    assert abstract_classes(snippet, "m") == {"m.Base", "m.Other"}
 
 
 def test_regex_front_end_does_not_recurse():
