@@ -75,6 +75,8 @@ def mod_separable(l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> int | None:
     in one set is congruent mod p to a tail residue of the other; the
     classes of l1's lengths mod the smallest positive multiple of p
     that is >= t then form a separator, and that multiple is returned.
+    It is not necessarily the least separating modulus: `a` against
+    `aaa` gets 4, though lengths mod 3 separate them.
 
     No loop runs over p, the lcm of the two periods: by the Chinese
     remainder theorem the tails share a length exactly when a residue

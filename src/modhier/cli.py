@@ -196,22 +196,16 @@ def _imprint_text(morphism, imprint, out) -> None:
     out.write(f"MONOID: {morphism.size} elements\n")
     for i in range(morphism.size):
         out.write(f'  {i} = "{morphism.word_for[i]}"\n')
-    if imprint.pointed:
-        cells = ["(%d,%s)" % (s, _format_value(t)) for s, t in maximal_in_order(imprint)]
-    else:
-        cells = [_format_value(t) for t in maximal_in_order(imprint)]
+    maximal = maximal_in_order(imprint)
+    cells = [_format_value(t) if s is None else "(%d,%s)" % (s, _format_value(t)) for s, t in maximal]
     out.write("IMPRINT: " + " ".join(cells) + "\n")
 
 
 def _imprint_json(morphism, imprint) -> dict:
-    if imprint.pointed:
-        maximal = [[s, sorted(t)] for s, t in maximal_in_order(imprint)]
-    else:
-        maximal = [sorted(t) for t in maximal_in_order(imprint)]
     return {
         "pointed": imprint.pointed,
         "monoid": list(morphism.word_for),
-        "maximal": maximal,
+        "maximal": [sorted(t) if s is None else [s, sorted(t)] for s, t in maximal_in_order(imprint)],
     }
 
 

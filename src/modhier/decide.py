@@ -119,29 +119,27 @@ def imprinted(
 
 
 def maximal_in_order(imprint: DownSet) -> list:
-    """The imprint's maximal elements in the order scans and listings use."""
-    if imprint.pointed:
-        return sorted(imprint.maximal, key=lambda pair: (pair[0], tuple(sorted(pair[1]))))
-    return sorted(imprint.maximal, key=lambda value: tuple(sorted(value)))
+    """The imprint's maximal elements as (monoid element, value) cells, in
+    the order scans and listings use; the element is None in every cell
+    of an imprint that is not pointed."""
+    cells = imprint.maximal if imprint.pointed else [(None, t) for t in imprint.maximal]
+    return sorted(cells, key=lambda cell: (cell[0], tuple(sorted(cell[1]))))
 
 
 def _blocking(imprint: DownSet, accept_sets):
-    """Least imprint element that meets every constraint set.
+    """Least imprint cell (s, t) that meets every constraint set.
 
     A value t meeting the accepting set of every constraint, attached
     to something the target accepts, witnesses an uncoverable query:
-    for a pointed pair (s, t) the monoid element s is accepted by the
-    target, for a plain value t meets the target's accepting set. It
-    suffices to scan maximal elements: the order fixes s and grows t,
-    and the blocking condition survives growth.
+    in a pointed cell the monoid element s is accepted by the target,
+    in a cell of a plain imprint (s None) t meets the target's
+    accepting set. It suffices to scan maximal elements: the order
+    fixes s and grows t, and the blocking condition survives growth.
     """
-    target = accept_sets[0]
-    rest = accept_sets[1:]
-    pointed = imprint.pointed
-    for element in maximal_in_order(imprint):
-        s, t = element if pointed else (None, element)
-        if (s in target if pointed else t & target) and all(t & f for f in rest):
-            return element
+    target, *rest = accept_sets
+    for s, t in maximal_in_order(imprint):
+        if (t & target if s is None else s in target) and all(t & f for f in rest):
+            return s, t
     return None
 
 
@@ -174,11 +172,9 @@ def coverable(
     answer = blocking is None
     witness = None
     if want_witness and blocking is not None:
-        if imprint.pointed:
-            s, t = blocking
-            witness = {"blocking": {"element": s, "word": morphism.word_for[s], "image": sorted(t)}}
-        else:
-            witness = {"blocking": {"image": sorted(blocking)}}
+        s, t = blocking
+        pointer = {} if s is None else {"element": s, "word": morphism.word_for[s]}
+        witness = {"blocking": {**pointer, "image": sorted(t)}}
 
     if want_witness and answer and level == "1/2" and len(constraints) == 1:
         try:

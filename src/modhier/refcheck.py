@@ -1,10 +1,11 @@
 """The bounded search for level-1/2 separator witnesses.
 
 Separators are sought among unions of marked products of
-length-residue blocks (`SeparatorCandidate`) and verified by exact
-inclusion and disjointness. Verdict assembly runs the search for the
-best-effort witness of `--witness`; a hit certifies separability at
-level 1/2 by a route independent of the engines.
+length-residue blocks (`SeparatorCandidate`), each written as regex
+text for `parse_regex`, and verified by exact inclusion and
+disjointness. Verdict assembly runs the search for the best-effort
+witness of `--witness`; a hit certifies separability at level 1/2 by a
+route independent of the engines.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 
 from .errors import Budget
-from .lang import Alphabet, Dfa, compile_regex, disjoint, included, iter_short_words
+from .lang import Alphabet, Dfa, compile_regex, disjoint, included, iter_short_words, parse_regex
 
 
 @dataclass(frozen=True)
@@ -34,30 +35,17 @@ class SeparatorCandidate:
             raise ValueError("modulus must be at least 1")
 
 
-def _any_letter(alphabet: Alphabet) -> tuple:
-    """The program of a1|a2|...|an, for the letters a1, ..., an of `alphabet`."""
-    program = [("letter", alphabet.letters[0])]
-    for letter in alphabet.letters[1:]:
-        program += [("letter", letter), ("|", None)]
-    return tuple(program)
-
-
-def _block(alphabet: Alphabet, modulus: int) -> tuple:
-    """The program of (A^d)*: words whose length is divisible by d."""
-    step = _any_letter(alphabet)
-    return step + (step + ((".", None),)) * (modulus - 1) + (("*", None),)
-
-
 def candidate_program(candidate: SeparatorCandidate, alphabet: Alphabet) -> tuple:
-    """The regex program of a candidate's denotation over the given alphabet."""
-    block = _block(alphabet, candidate.modulus)
-    total = [("0", None)]
-    for word in candidate.markers:
-        total += block
-        for letter in word:
-            total += [("letter", letter), (".", None), *block, (".", None)]
-        total.append(("|", None))
-    return tuple(total)
+    """The regex program of a candidate's denotation over the given alphabet.
+
+    The candidate is written as regex text that `parse_regex` reads:
+    `0|P1|P2...`, where each Pi is `B a1 B ... an B` for the marker
+    a1...an and the block B = `((a|b)...(a|b))*` holds d copies of
+    the letter alternation.
+    """
+    block = "((" + ")(".join(["|".join(alphabet.letters)] * candidate.modulus) + "))*"
+    products = (block + "".join(letter + block for letter in word) for word in candidate.markers)
+    return parse_regex("|".join(["0", *products]), alphabet)
 
 
 def candidate_language(

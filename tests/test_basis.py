@@ -98,6 +98,9 @@ def test_mod_separable_colliding_multiples():
 
 def test_mod_separable_finite_vs_periodic():
     assert mod_separable(lang("aa", A), lang("(aaaa)*", A)) == 4
+    # The least multiple of the common period at or above the common
+    # threshold, not the least separating modulus: mod 3 separates too.
+    assert mod_separable(lang("a", A), lang("aaa", A)) == 4
 
 
 def test_mod_separable_rejects_mixed_alphabets():
