@@ -1,10 +1,10 @@
-"""Shared structure builders and random generators for the test suite."""
+"""Shared fixtures, structure builders and random generators for the test suite."""
 
 from __future__ import annotations
 
 import random
 
-from modhier.basis import BasisOracle, mod_separable
+from modhier.basis import BasisOracle, mod_cover_oracle, mod_separable
 from modhier.errors import Budget
 from modhier.lang import Alphabet, Dfa, MonoidMorphism, compile_regex, explore, parse_regex
 from modhier.rating import aux_pbpol_map
@@ -19,6 +19,31 @@ from modhier.semiring import (
 )
 
 from oracles import downset_elements, elements_below, generic_iopti
+
+A = Alphabet.of("a")
+AB = Alphabet.of("ab")
+ORACLE = mod_cover_oracle()
+
+
+def fs(*xs):
+    return frozenset(xs)
+
+
+def lang(text, alphabet=AB):
+    return compile_regex(parse_regex(text, alphabet), alphabet)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count calls of the method `owner.name` from here on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(self, x, y):
+        calls.append(1)
+        return original(self, x, y)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 class TableSemiring:

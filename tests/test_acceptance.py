@@ -10,7 +10,7 @@ import random
 import time
 from itertools import product
 
-from modhier.basis import mod_cover_oracle, mod_iopti, mod_separable
+from modhier.basis import mod_iopti, mod_separable
 from modhier.cli import run
 from modhier.decide import LEVELS, member, separable
 from modhier.engines import (
@@ -22,11 +22,8 @@ from modhier.engines import (
     pol_imprint,
 )
 from modhier.lang import (
-    Alphabet,
-    compile_regex,
     disjoint,
     included,
-    parse_regex,
     transition_monoid,
 )
 from modhier.rating import aux_bpol_map, canonical_covering_map
@@ -35,21 +32,9 @@ from modhier.semiring import AntichainSemiring
 
 from io import StringIO
 
-from gen import random_dfa, random_rating_map, unpointed
+from gen import A, AB, ORACLE, fs, lang, random_dfa, random_rating_map, unpointed
 from oracles import brute_iopti_mod, generic_iopti, mod_iopti_bound
 from test_engines import assert_pbpol_rules_stable, assert_pol_rules_stable, imprint_covers
-
-A = Alphabet.of("a")
-AB = Alphabet.of("ab")
-ORACLE = mod_cover_oracle()
-
-
-def fs(*xs):
-    return frozenset(xs)
-
-
-def lang(text, alphabet=AB):
-    return compile_regex(parse_regex(text, alphabet), alphabet)
 
 
 def random_maps(count=100):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modhier.basis import (
-    LengthProfile,
     ModOracle,
     length_profile,
     mod_cover_oracle,
@@ -17,23 +16,12 @@ from modhier.basis import (
     oracle_for,
 )
 from modhier.errors import Budget, BudgetExceededError, UnsupportedError
-from modhier.lang import Alphabet, Dfa, compile_regex, disjoint, parse_regex
+from modhier.lang import Dfa, disjoint
 from modhier.rating import RatingMap
 from modhier.semiring import PowerSemiring
 
-from gen import CyclicMonoid, TableSemiring, random_dfa, random_rating_map
+from gen import A, AB, CyclicMonoid, TableSemiring, fs, lang, random_dfa, random_rating_map
 from oracles import generic_iopti
-
-A = Alphabet.of("a")
-AB = Alphabet.of("ab")
-
-
-def fs(*xs):
-    return frozenset(xs)
-
-
-def lang(text, alphabet=AB):
-    return compile_regex(parse_regex(text, alphabet), alphabet)
 
 
 # ---------------------------------------------------------------------------

@@ -17,20 +17,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import modhier
-from modhier import Alphabet, Budget, BudgetExceededError, compile_regex, member, parse_regex
-from modhier.basis import mod_cover_oracle
+from modhier import Budget, BudgetExceededError, compile_regex, member, parse_regex
 from modhier.rating import canonical_covering_map
 from modhier.engines import bpol_iopti, pbpol_iopti
 from modhier.lang import complement, transition_monoid
 
+from gen import AB, ORACLE, lang
 from oracles import bpol_iopti_enumerated, eval_regular, value_automaton
-
-AB = Alphabet.of("ab")
-ORACLE = mod_cover_oracle()
-
-
-def lang(text):
-    return compile_regex(parse_regex(text, AB), AB)
 
 
 def evaluate(budget):

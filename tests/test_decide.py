@@ -12,17 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modhier import engines
-from modhier.basis import mod_cover_oracle
 from modhier.decide import COVER_LEVELS, LEVELS, Verdict, coverable, level_imprint, member, separable
 from modhier.engines import pbpol_iopti
 from modhier.errors import Budget, BudgetExceededError, InputError, UnsupportedError
 from modhier.lang import (
     Alphabet,
     Dfa,
-    compile_regex,
     complement,
     disjoint,
-    parse_regex,
     transition_monoid,
 )
 from modhier.rating import canonical_covering_map
@@ -32,9 +29,14 @@ from modhier.semiring import AntichainSemiring, PairSpace, PowerSemiring
 from modhier.lang import included
 
 from gen import (
+    A,
+    AB,
+    ORACLE,
     SeparationOnlyOracle,
     boolean_combination_language,
+    count_calls,
     image_of_word,
+    lang,
     marked_concatenation_language,
     marked_product_language,
     pbpol_iopti_all_candidates,
@@ -43,14 +45,7 @@ from gen import (
     residue_language,
 )
 
-A = Alphabet.of("a")
-AB = Alphabet.of("ab")
-ORACLE = mod_cover_oracle()
 SEPARATION_ONLY = SeparationOnlyOracle()
-
-
-def lang(text, alphabet=AB):
-    return compile_regex(parse_regex(text, alphabet), alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +368,7 @@ def test_languages_built_at_a_level_are_members_there_and_above(seed):
 def test_level_three_halves_forms_few_antichain_products(monkeypatch):
     """The pair space's table of second-coordinate products bounds the inner
     products of the auxiliary maps."""
-    calls = []
-    original = AntichainSemiring.mul
-
-    def counting(self, x, y):
-        calls.append(1)
-        return original(self, x, y)
-
-    monkeypatch.setattr(AntichainSemiring, "mul", counting)
+    calls = count_calls(monkeypatch, AntichainSemiring, "mul")
     kth4 = "(a|b)*{}(a|b)(a|b)(a|b)"
     verdict = separable("3/2", lang(kth4.format("a")), lang(kth4.format("b")), ORACLE)
     assert verdict.answer
@@ -391,14 +379,7 @@ def test_level_three_halves_forms_few_antichain_products(monkeypatch):
 def test_level_three_halves_forms_each_pair_product_once_per_round(monkeypatch):
     """One inner semiring per auxiliary map: its omega-power reads back the
     rows of pair products that its earlier powers formed."""
-    calls = []
-    original = PairSpace.mult
-
-    def counting(self, x, y):
-        calls.append(1)
-        return original(self, x, y)
-
-    monkeypatch.setattr(PairSpace, "mult", counting)
+    calls = count_calls(monkeypatch, PairSpace, "mult")
     kth5 = "(a|b)*{}(a|b)(a|b)(a|b)(a|b)"
     verdict = separable("3/2", lang(kth5.format("a")), lang(kth5.format("b")), ORACLE)
     assert verdict.answer

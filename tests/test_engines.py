@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modhier import engines
-from modhier.basis import mod_cover_oracle, mod_iopti
 from modhier.decide import separable
 from modhier.engines import (
     _close_products,
@@ -22,8 +21,8 @@ from modhier.engines import (
     pol_imprint,
 )
 from modhier.errors import Budget, BudgetExceededError
-from modhier.lang import Alphabet, MonoidMorphism, compile_regex, parse_regex, transition_monoid
-from modhier.rating import RatingMap, aux_bpol_map, canonical_covering_map
+from modhier.lang import Alphabet, MonoidMorphism, disjoint, included, transition_monoid
+from modhier.rating import RatingMap, aux_bpol_map, aux_pbpol_map, canonical_covering_map
 from modhier.semiring import (
     Antichain,
     AntichainSemiring,
@@ -34,10 +33,16 @@ from modhier.semiring import (
 )
 
 from gen import (
+    A,
+    AB,
     CyclicMonoid,
+    ORACLE,
     TableSemiring,
     all_pairs_close_products,
     ceiling_totals,
+    count_calls,
+    fs,
+    lang,
     pbpol_iopti_all_candidates,
     random_dfa,
     random_monoid,
@@ -48,22 +53,11 @@ from gen import (
 )
 from oracles import bpol_iopti_enumerated, downset_elements, elements_below
 
-A = Alphabet.of("a")
-AB = Alphabet.of("ab")
 ABC = Alphabet.of("abc")
-ORACLE = mod_cover_oracle()
 # The k-th letter from the end is a, against the same for b.
 KTH3 = "(a|b)*{}(a|b)(a|b)"
 KTH4 = KTH3 + "(a|b)"
 FACTOR_ABA = "(a|b)*aba(a|b)*"
-
-
-def fs(*xs):
-    return frozenset(xs)
-
-
-def lang(text, alphabet=AB):
-    return compile_regex(parse_regex(text, alphabet), alphabet)
 
 
 def pair_morphism(first, second):
@@ -182,24 +176,6 @@ def test_semi_naive_closure_matches_naive(seed, limit):
     assert all(space.mult(x, y) in downset for x in closed for y in closed)
 
 
-def count_calls(monkeypatch, owner, name):
-    """Count calls of the method `owner.name` from here on."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counting(self, x, y):
-        calls.append(1)
-        return original(self, x, y)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
-
-
-def count_pair_products(monkeypatch):
-    """Count `PairSpace.mult` calls from here on."""
-    return count_calls(monkeypatch, PairSpace, "mult")
-
-
 def test_level_half_closure_forms_few_products(monkeypatch):
     # The 5th letter from the end is a, against the same for b: a
     # 63-element monoid. Multiplying each entering element by each
@@ -209,7 +185,7 @@ def test_level_half_closure_forms_few_products(monkeypatch):
     morphism = transition_monoid([lang(kth5.format("a")), lang(kth5.format("b"))])
     assert morphism.size == 63
     rho = canonical_covering_map(morphism)
-    products = count_pair_products(monkeypatch)
+    products = count_calls(monkeypatch, PairSpace, "mult")
     pol_imprint(morphism, rho, ORACLE)
     assert len(products) <= 400
 
@@ -555,7 +531,7 @@ def pbpol_fresh_and_carried(monkeypatch, morphism, rho):
 
     Each result comes with the number of pair products its run formed.
     """
-    products = count_pair_products(monkeypatch)
+    products = count_calls(monkeypatch, PairSpace, "mult")
     outcomes = []
     for fresh in (True, False):
         if fresh:
@@ -603,7 +579,7 @@ def test_pointed_closure_skips_products_of_iopti_maxima(monkeypatch):
     iopti = pbpol_iopti(morphism, rho, ORACLE)
     seeds = list(iopti.maximal)
     seeds += [(morphism.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
-    products = count_pair_products(monkeypatch)
+    products = count_calls(monkeypatch, PairSpace, "mult")
     pointed = pbpol_pointed_imprint(morphism, rho, iopti)
     skipping = len(products)
     products.clear()
@@ -675,9 +651,14 @@ def test_pbpol_maxima_need_no_per_round_product_closure(monkeypatch, first, seco
     round's basis value is 1 + s^d, for s the image of the alphabet and
     s^2d = s^d, so it is its own square; as the auxiliary map is
     multiplicative, the product of two pairs a round absorbs from it
-    lies below a third. The open step is the idempotent rule's outputs
-    (e, f(1 + r)f): no argument yet shows that their products are
-    dominated. Beyond these instances,
+    lies below a third. The open step is a lemma on the idempotent
+    rule: in the last round of the rules-only run, for each pair
+    (r, T) of the basis value, each maximum (e, F) of T with e
+    idempotent and each maximal idempotent f below F, f(1 + r)f = f,
+    so the rule's output (e, f) lies below the absorbed (e, F). With
+    it, the maxima are the absorbed pairs, closed under the product
+    as above. The test checks the lemma, and that every maximum lies
+    below an absorbed pair, on each instance. Beyond these instances,
     19,368 from the same generator (seeds 0 to 9,999, both kinds of map,
     at most 12 elements) and six corpus families of 12 to 63 elements
     (the k-th letter from the end for k = 3, 4, 5, and the factors aba,
@@ -699,6 +680,16 @@ def test_pbpol_maxima_need_no_per_round_product_closure(monkeypatch, first, seco
     assert unclosed.maximal == pbpol_iopti(morphism, rho, ORACLE).maximal
     closed = engines._saturate(unclosed.space, unclosed.maximal, Budget())
     assert closed.maximal == unclosed.maximal
+    space, semiring = unclosed.space, rho.semiring
+    last = ORACLE.iopti(aux_pbpol_map(morphism, rho, unclosed.maximal, AntichainSemiring(space)))
+    absorbed = DownSet(space, frozenset(pair for _, t_value in last for pair in t_value))
+    assert all(pair in absorbed for pair in unclosed.maximal)
+    for r, t_value in last:
+        one_r = semiring.add(semiring.one, r)
+        for e, upper in t_value:
+            if morphism.mult(e, e) == e:
+                for f in _maximal_idempotents(semiring, upper, Budget()):
+                    assert semiring.mul(semiring.mul(f, one_r), f) == f
 
 
 def test_pbpol_applies_the_rule_to_maximal_idempotents_only(monkeypatch):
@@ -792,3 +783,35 @@ def test_level_inclusion_chain(seed):
     pbpol = unpointed(pbpol_pointed_imprint(morphism, rho, pbpol_iopti(morphism, rho, ORACLE)))
     assert imprint_covers(pol, bpol)
     assert imprint_covers(bpol, pbpol)
+
+
+# ---------------------------------------------------------------------------
+# Preconditions
+
+
+def unary_morphism_with_binary_map():
+    """A morphism over `a` and the covering map of one over `ab`."""
+    binary = transition_monoid([lang("a*")])
+    return transition_monoid([lang("a*", A)]), canonical_covering_map(binary)
+
+
+# The precondition errors no query reaches, as the front end builds
+# every argument over one alphabet: each call with the message it raises.
+PRECONDITIONS = [
+    pytest.param(lambda: pol_imprint(*unary_morphism_with_binary_map(), ORACLE),
+                 "morphism and rating map use different alphabets", id="pol_imprint"),
+    pytest.param(lambda: pbpol_iopti(*unary_morphism_with_binary_map(), ORACLE),
+                 "morphism and rating map use different alphabets", id="pbpol_iopti"),
+    pytest.param(lambda: transition_monoid([]), "need at least one DFA",
+                 id="transition_monoid-empty"),
+    pytest.param(lambda: transition_monoid([lang("a", A), lang("a")]), "alphabet mismatch",
+                 id="transition_monoid-alphabets"),
+    pytest.param(lambda: included(lang("a", A), lang("a")), "alphabet mismatch", id="included"),
+    pytest.param(lambda: disjoint(lang("a", A), lang("a")), "alphabet mismatch", id="disjoint"),
+]
+
+
+@pytest.mark.parametrize("call, message", PRECONDITIONS)
+def test_precondition_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -27,15 +27,17 @@ from modhier.lang import (
     transition_monoid,
 )
 
-from gen import image_of_word, matches, product_transition_monoid, random_dfa, validate_morphism
+from gen import (
+    A,
+    AB,
+    image_of_word,
+    lang,
+    matches,
+    product_transition_monoid,
+    random_dfa,
+    validate_morphism,
+)
 from oracles import accepts, equivalent, is_empty
-
-A1 = Alphabet.of("a")
-A2 = Alphabet.of("ab")
-
-
-def lang(text, alphabet=A2):
-    return compile_regex(parse_regex(text, alphabet), alphabet)
 
 
 def program(opcodes):
@@ -49,27 +51,27 @@ def program(opcodes):
 
 
 def test_parse_concat_star():
-    assert parse_regex("a(ab)*", A2) == (
+    assert parse_regex("a(ab)*", AB) == (
         ("letter", "a"), ("letter", "a"), ("letter", "b"), (".", None), ("*", None), (".", None)
     )
 
 
 def test_parse_complement_of_empty():
-    assert parse_regex("~0", A1) == program("0 ~")
+    assert parse_regex("~0", A) == program("0 ~")
 
 
 def test_parse_precedence():
     # union lowest, complement binds the following item with its postfix
-    assert parse_regex("a|b a", A2) == program("a b a . |")
-    assert parse_regex("~a*", A1) == program("a * ~")
-    assert parse_regex("~ab", A2) == program("a ~ b .")
-    assert parse_regex("a+", A1) == program("a +")
-    assert parse_regex("e|a", A1) == program("e a |")
+    assert parse_regex("a|b a", AB) == program("a b a . |")
+    assert parse_regex("~a*", A) == program("a * ~")
+    assert parse_regex("~ab", AB) == program("a ~ b .")
+    assert parse_regex("a+", A) == program("a +")
+    assert parse_regex("e|a", A) == program("e a |")
 
 
 def test_parse_groups_binary_operators_to_the_left():
-    assert parse_regex("a|b|a&b&a", A2) == program("a b | a b & a & |")
-    assert parse_regex("a b (a b) a", A2) == program("a b . a b . . a .")
+    assert parse_regex("a|b|a&b&a", AB) == program("a b | a b & a & |")
+    assert parse_regex("a b (a b) a", AB) == program("a b . a b . . a .")
 
 
 # Each malformed text with its full message; the position ends the message.
@@ -94,7 +96,7 @@ SYNTAX_ERRORS = [
 def test_parse_errors():
     for text, message in SYNTAX_ERRORS:
         with pytest.raises(RegexSyntaxError) as caught:
-            parse_regex(text, A2)
+            parse_regex(text, AB)
         assert str(caught.value) == message
         assert caught.value.position == int(message.rsplit(" ", 1)[1][:-1])
 
@@ -109,14 +111,14 @@ def test_alphabet_validation():
     with pytest.raises(InputError):
         Alphabet.of("aB")
     with pytest.raises(InputError):
-        A2.index("c")
+        AB.index("c")
 
 
 # -- compilation ------------------------------------------------------------
 
 
 def test_compile_even_length_unary():
-    d = lang("(aa)*", A1)
+    d = lang("(aa)*", A)
     assert d.num_states == 2
     assert d.initial == 0
     assert d.accepting == frozenset({0})
@@ -124,7 +126,7 @@ def test_compile_even_length_unary():
 
 
 def test_compile_empty_language():
-    d = lang("0", A1)
+    d = lang("0", A)
     assert d.num_states == 1
     assert d.accepting == frozenset()
 
@@ -159,18 +161,18 @@ def test_compile_plus_vs_star():
 def test_compile_boolean_ops():
     assert equivalent(lang("~0"), lang("(a|b)*"))
     assert equivalent(lang("~(~a)"), lang("a"))
-    assert equivalent(lang("a* & ~e"), lang("a+", A2))
+    assert equivalent(lang("a* & ~e"), lang("a+", AB))
     assert equivalent(lang("~((a|b)*b(a|b)*)"), lang("a*"))
 
 
 def test_compile_budget():
     with pytest.raises(BudgetExceededError):
-        compile_regex(parse_regex("(a|b)(a|b)(a|b)(a|b)(a|b)", A2), A2, Budget(states=4))
+        compile_regex(parse_regex("(a|b)(a|b)(a|b)(a|b)(a|b)", AB), AB, Budget(states=4))
     # The budget bounds the derivatives: a^10, a^9, ..., a, e and 0.
-    path = parse_regex("a" * 10, A2)
-    assert compile_regex(path, A2, Budget(states=12)).num_states == 12
+    path = parse_regex("a" * 10, AB)
+    assert compile_regex(path, AB, Budget(states=12)).num_states == 12
     with pytest.raises(BudgetExceededError, match=r"^state budget exceeded \(limit 11\)$"):
-        compile_regex(path, A2, Budget(states=11))
+        compile_regex(path, AB, Budget(states=11))
 
 
 @pytest.mark.parametrize(
@@ -188,16 +190,16 @@ def test_compile_budget():
 )
 def test_malformed_programs_are_rejected(regex, message):
     with pytest.raises(TypeError) as caught:
-        compile_regex(regex, A2)
+        compile_regex(regex, AB)
     assert str(caught.value) == message.format(repr(regex))
 
 
 def test_program_letters_are_checked_against_the_alphabet():
     with pytest.raises(InputError, match=r"^letter 'c' not in alphabet 'ab'$"):
-        compile_regex(program("a c ."), A2)
+        compile_regex(program("a c ."), AB)
     # A program compiles under any alphabet that holds its letters.
     abc = Alphabet.of("abc")
-    assert compile_regex(parse_regex("a*b", A2), abc) == lang("a*b", abc)
+    assert compile_regex(parse_regex("a*b", AB), abc) == lang("a*b", abc)
 
 
 # Regexes that together use every operator, with the number of derivatives
@@ -224,10 +226,10 @@ TRIP_POINTS = [
 
 @pytest.mark.parametrize("text, n", TRIP_POINTS, ids=[t[:24] for t, _ in TRIP_POINTS])
 def test_state_budget_trips_at_the_derivative_count(text, n):
-    regex = parse_regex(text, A2)
-    assert compile_regex(regex, A2, Budget(states=n)) == lang(text)
+    regex = parse_regex(text, AB)
+    assert compile_regex(regex, AB, Budget(states=n)) == lang(text)
     with pytest.raises(BudgetExceededError, match=rf"^state budget exceeded \(limit {n - 1}\)$"):
-        compile_regex(regex, A2, Budget(states=n - 1))
+        compile_regex(regex, AB, Budget(states=n - 1))
 
 
 @pytest.mark.parametrize(
@@ -246,12 +248,12 @@ def test_state_budget_trips_at_the_derivative_count(text, n):
 )
 def test_malformed_dfas_are_rejected(transitions, initial, accepting, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        Dfa(A2, transitions, initial, frozenset(accepting))
+        Dfa(AB, transitions, initial, frozenset(accepting))
 
 
 def compile_outcome(regex, budget):
     try:
-        dfa = compile_regex(regex, A2, budget)
+        dfa = compile_regex(regex, AB, budget)
     except BudgetExceededError as error:
         return str(error)
     return dfa
@@ -283,7 +285,7 @@ _SHORT_WORDS = ["".join(w) for n in range(7) for w in itertools.product("ab", re
 @given(_shared_regexes, st.integers(1, 24))
 def test_shared_subexpressions_compile_as_when_built_each_time(regex, limit):
     # Against `matches`, which reads the program with no automaton.
-    dfa = compile_regex(regex, A2)
+    dfa = compile_regex(regex, AB)
     accepted = [w for w in _SHORT_WORDS if accepts(dfa, w)]
     assert accepted == [w for w in _SHORT_WORDS if matches(regex, w)]
     assert minimize(dfa) == dfa
@@ -297,8 +299,8 @@ def test_shared_subexpressions_compile_as_when_built_each_time(regex, limit):
 
 def derivative_count(regex):
     """The number of derivatives `compile_regex` walks for `regex`."""
-    terms = lang_module._Terms(len(A2))
-    found, _, _ = explore(terms.replay(regex, A2), range(len(A2)), terms.derive, Budget(), "states")
+    terms = lang_module._Terms(len(AB))
+    found, _, _ = explore(terms.replay(regex, AB), range(len(AB)), terms.derive, Budget(), "states")
     return len(found)
 
 
@@ -309,8 +311,8 @@ def test_a_complement_compiles_to_the_flipped_dfa(regex):
     # derivatives, so the same state-budget trip point.
     negated = regex + (("~", None),)
     n = derivative_count(regex)
-    dfa = compile_regex(regex, A2, Budget(states=n))
-    assert compile_regex(negated, A2, Budget(states=n)) == complement(dfa)
+    dfa = compile_regex(regex, AB, Budget(states=n))
+    assert compile_regex(negated, AB, Budget(states=n)) == complement(dfa)
     if n > 1:
         tripped = compile_outcome(regex, Budget(states=n - 1))
         assert tripped == f"state budget exceeded (limit {n - 1})"
@@ -330,7 +332,7 @@ def test_a_complement_compiles_to_the_flipped_dfa(regex):
 def test_path_regexes_compile_in_bounded_time(text, states):
     # Long paths: their cost is bounded by the states budget, not cubic in their length.
     started = time.process_time()
-    outcome = compile_outcome(parse_regex(text, A2), Budget())
+    outcome = compile_outcome(parse_regex(text, AB), Budget())
     assert time.process_time() - started < 5
     if states is None:
         assert outcome == "state budget exceeded (limit 4096)"
@@ -340,8 +342,8 @@ def test_path_regexes_compile_in_bounded_time(text, states):
 
 def test_long_alternations_compile():
     # 700 nested unions.
-    regex = parse_regex("|".join(["a", "b", "ab"] * 233 + ["ba"]), A2)
-    assert compile_regex(regex, A2) == lang("a|b|ab|ba")
+    regex = parse_regex("|".join(["a", "b", "ab"] * 233 + ["ba"]), AB)
+    assert compile_regex(regex, AB) == lang("a|b|ab|ba")
 
 
 # How tightly each opcode binds as printed: union, intersection,
@@ -378,7 +380,7 @@ def printed(regex):
 def test_printed_regexes_parse_back(regex):
     # Precedence, left grouping and postfix/complement binding, on the
     # parser's explicit stack of open groups.
-    assert parse_regex(printed(regex), A2) == regex
+    assert parse_regex(printed(regex), AB) == regex
 
 
 @pytest.fixture
@@ -398,7 +400,7 @@ def test_equal_subexpressions_are_minimized_once(minimize_calls):
     # Every compilation minimizes once, at the root, whatever its operators.
     for text in ["(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)", "~(a*b)&(ab)+|e", "(" * 50 + "a" + ")*" * 50]:
         minimize_calls.clear()
-        compile_regex(parse_regex(text, A2), A2)
+        compile_regex(parse_regex(text, AB), AB)
         assert len(minimize_calls) == 1, text
 
 
@@ -413,9 +415,9 @@ def test_no_compiled_subexpression_outlives_its_call(monkeypatch):
             tables.append((weakref.ref(self), len(self.nodes), [len(m) for m in self.derivatives]))
 
     monkeypatch.setattr(lang_module, "_Terms", Recorded)
-    regex = parse_regex("((a|b)(a|b))*a(a|b)|((a|b)(a|b))*", A2)
+    regex = parse_regex("((a|b)(a|b))*a(a|b)|((a|b)(a|b))*", AB)
     for _ in range(2):
-        compile_regex(regex, A2)
+        compile_regex(regex, AB)
     gc.collect()
     assert [(ref(), nodes, memos) for ref, nodes, memos in tables] == [(None, 3, [0, 0])] * 2
 
@@ -482,27 +484,27 @@ def test_letter_automata_are_built_minimal(letters):
 
 
 def test_regular_ops_examples():
-    even, odd = lang("(aa)*", A1), lang("a(aa)*", A1)
+    even, odd = lang("(aa)*", A), lang("a(aa)*", A)
     assert disjoint(even, odd)
     assert included(lang("a*"), lang("~((a|b)*b(a|b)*)"))
     assert is_empty(lang("a* & (a|b)*b(a|b)*"))
     assert not disjoint(lang("a*"), lang("a|b"))
-    assert equivalent(lang("(aa)* | a(aa)*", A1), lang("a*", A1))
-    assert is_empty(lang("(aa)* & ~((aa)*)", A1))
+    assert equivalent(lang("(aa)* | a(aa)*", A), lang("a*", A))
+    assert is_empty(lang("(aa)* & ~((aa)*)", A))
     assert complement(even) == odd
 
 
 def test_short_words():
     assert list(iter_short_words(lang("(ab)*"), 4)) == ["", "ab", "abab"]
     assert list(iter_short_words(lang("a|b"), 2)) == ["a", "b"]
-    assert list(iter_short_words(lang("0", A1), 3)) == []
+    assert list(iter_short_words(lang("0", A), 3)) == []
 
 
 # -- transition monoids -----------------------------------------------------
 
 
 def test_monoid_of_even_unary():
-    m = transition_monoid([lang("(aa)*", A1)])
+    m = transition_monoid([lang("(aa)*", A)])
     assert m.size == 2
     assert m.mult(1, 1) == 0
     assert m.accept_sets == (frozenset({0}),)
@@ -510,7 +512,7 @@ def test_monoid_of_even_unary():
 
 
 def test_monoid_of_full_language():
-    m = transition_monoid([lang("~0", A1)])
+    m = transition_monoid([lang("~0", A)])
     assert m.size == 1
     assert m.accept_sets == (frozenset({0}),)
 
@@ -554,7 +556,7 @@ def test_mult_composes_transformations(texts, size):
 
     def run(state, word):
         for a in word:
-            state = tuple(d.transitions[q][A2.index(a)] for d, q in zip(dfas, state))
+            state = tuple(d.transitions[q][AB.index(a)] for d, q in zip(dfas, state))
         return state
 
     # The product states reachable from the initials, and each element's
@@ -563,7 +565,7 @@ def test_mult_composes_transformations(texts, size):
     todo = list(states)
     while todo:
         state = todo.pop()
-        for a in A2:
+        for a in AB:
             nxt = run(state, a)
             if nxt not in states:
                 states.add(nxt)
@@ -585,7 +587,7 @@ def test_monoid_budget():
 def test_monoid_elements_draw_on_the_monoid_budget():
     # 58 states, on which a acts with order 2 * 3 * 5 * 7 * 11 * 13 * 17
     # = 510,510: the walk stops at the 101st element.
-    dfas = [lang("(%s)*" % ("a" * p), A1) for p in (2, 3, 5, 7, 11, 13, 17)]
+    dfas = [lang("(%s)*" % ("a" * p), A) for p in (2, 3, 5, 7, 11, 13, 17)]
     started = time.process_time()
     with pytest.raises(BudgetExceededError) as caught:
         transition_monoid(dfas, Budget(monoid=100))
@@ -595,7 +597,7 @@ def test_monoid_elements_draw_on_the_monoid_budget():
 
 def test_product_walks_draw_on_the_monoid_budget():
     # (a^997)* and (a^1009)* reach 997 * 1009 = 1,005,973 product states.
-    x, y = lang("(%s)*" % ("a" * 997), A1), lang("(%s)*" % ("a" * 1009), A1)
+    x, y = lang("(%s)*" % ("a" * 997), A), lang("(%s)*" % ("a" * 1009), A)
     started = time.process_time()
     for check in (included, disjoint):
         with pytest.raises(BudgetExceededError) as caught:
@@ -604,7 +606,7 @@ def test_product_walks_draw_on_the_monoid_budget():
     with pytest.raises(BudgetExceededError):
         included(x, y)
     assert time.process_time() - started < 0.5
-    even, triple = lang("(aa)*", A1), lang("(aaa)*", A1)  # 6 product states
+    even, triple = lang("(aa)*", A), lang("(aaa)*", A)  # 6 product states
     assert not included(even, triple, Budget(monoid=6))
     with pytest.raises(BudgetExceededError):
         included(even, triple, Budget(monoid=5))
@@ -616,7 +618,7 @@ def test_monoid_of_the_states_is_the_product_monoid(seed, count, extra):
     # On DFAs whose states are all reachable, acting on the states side
     # by side gives the product automaton's monoid, numbered alike.
     rng = random.Random(seed)
-    dfas = [random_dfa(rng, A2, max_states=5) for _ in range(count)]
+    dfas = [random_dfa(rng, AB, max_states=5) for _ in range(count)]
     if extra == "complement":
         dfas.append(complement(rng.choice(dfas)))
     elif extra == "repeat":

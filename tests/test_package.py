@@ -1,4 +1,5 @@
-"""The package keeps only code that its engines, front end or exported API use."""
+"""The package keeps only code that its engines, front end or exported API
+use, and the test suite defines each shared fixture once."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import modhier
 
 PACKAGE = Path(modhier.__file__).parent
+TESTS = Path(__file__).parent
 
 # Where a query starts: the command line's entry points. The names the
 # package root exports are read by its `__all__` statement.
@@ -279,3 +281,33 @@ def test_a_bare_name_does_not_use_a_method():
     roots = {("m", "run")}
     assert unreachable({"m": source}, roots) == [("m", "D", "step"), ("m", "D", "run")]
     assert unreachable({"m": source + "y = x.step\n"}, roots) == [("m", "D", "run")]
+
+
+def top_level_names(source: str) -> set:
+    """The names a module's own top-level statements define: its
+    functions, its classes and the targets of its assignments. A name
+    it imports is not one of them."""
+    names = set()
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_test_modules_import_the_shared_fixtures():
+    """`tests/gen.py` holds the shared fixtures, builders and counters;
+    a test module imports them rather than defining its own copy."""
+    shared = top_level_names((TESTS / "gen.py").read_text())
+    copies = {
+        path.name: sorted(top_level_names(path.read_text()) & shared)
+        for path in sorted(TESTS.glob("test_*.py"))
+    }
+    assert {name: names for name, names in copies.items() if names} == {}
+    source = (
+        "from gen import lang\nA, B = 1, 2\nC: int = 3\n"
+        "class K:\n    D = 4\ndef f():\n    E = 5\n"
+    )
+    assert top_level_names(source) == {"A", "B", "C", "K", "f"}

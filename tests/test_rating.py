@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modhier.errors import Budget, BudgetExceededError
-from modhier.lang import Alphabet, compile_regex, disjoint, parse_regex, transition_monoid
+from modhier.lang import disjoint, transition_monoid
 from modhier.rating import (
     RatingMap,
     aux_bpol_map,
@@ -17,19 +17,8 @@ from modhier.rating import (
 )
 from modhier.semiring import AntichainSemiring, PairSpace, PowerSemiring
 
-from gen import CyclicMonoid, eval_word, image_of_word, random_rating_map
+from gen import A, AB, CyclicMonoid, eval_word, fs, image_of_word, lang, random_rating_map
 from oracles import accepts, eval_regular, value_automaton
-
-A = Alphabet.of("a")
-AB = Alphabet.of("ab")
-
-
-def fs(*xs):
-    return frozenset(xs)
-
-
-def lang(text, alphabet=AB):
-    return compile_regex(parse_regex(text, alphabet), alphabet)
 
 
 @pytest.fixture

@@ -14,12 +14,10 @@ from modhier.decide import SEARCH_DMAX, SEARCH_NMAX, SEARCH_UNION_BOUND
 from modhier.errors import Budget, BudgetExceededError
 from modhier.lang import (
     Alphabet,
-    compile_regex,
     complement,
     disjoint,
     included,
     iter_short_words,
-    parse_regex,
 )
 from modhier.rating import RatingMap
 from modhier.refcheck import (
@@ -31,7 +29,7 @@ from modhier.refcheck import (
 )
 from modhier.semiring import PowerSemiring
 
-from gen import CyclicMonoid, TableSemiring, random_dfa, random_rating_map
+from gen import A, AB, CyclicMonoid, TableSemiring, fs, lang, random_dfa, random_rating_map
 from oracles import (
     accepts,
     block_language,
@@ -43,17 +41,6 @@ from oracles import (
     is_empty,
     mod_iopti_bound,
 )
-
-A = Alphabet.of("a")
-AB = Alphabet.of("ab")
-
-
-def fs(*xs):
-    return frozenset(xs)
-
-
-def lang(text, alphabet=AB):
-    return compile_regex(parse_regex(text, alphabet), alphabet)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from modhier.semiring import (
 from gen import (
     CyclicMonoid,
     TableSemiring,
+    fs,
     materialize,
     random_dfa,
     random_monoid,
@@ -33,10 +34,6 @@ from gen import (
     table_from_seed,
 )
 from oracles import downset_elements, elements_below
-
-
-def fs(*xs):
-    return frozenset(xs)
 
 
 @pytest.fixture
