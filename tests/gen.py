@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from modhier.basis import BasisOracle, mod_cover_oracle, mod_separable
 from modhier.errors import Budget
-from modhier.lang import Alphabet, Dfa, MonoidMorphism, compile_regex, explore, parse_regex
+from modhier.lang import (
+    Alphabet,
+    Dfa,
+    MonoidMorphism,
+    compile_regex,
+    explore,
+    parse_regex,
+    transition_monoid,
+)
 from modhier.rating import aux_pbpol_map
 from modhier.refcheck import SeparatorCandidate, candidate_program
 from modhier.semiring import (
@@ -224,6 +234,12 @@ def random_rating_map(
     carrier = list(semiring.monoid.elements())
     images = {a: random_subset(rng, carrier) for a in alphabet}
     return RatingMap(alphabet, semiring, images)
+
+
+def seeded_maps(first: int, count: int = 1) -> list:
+    """The `random_rating_map`s over `ab` of the seeds first, ...,
+    first + count - 1, one seed each."""
+    return [random_rating_map(random.Random(seed), AB) for seed in range(first, first + count)]
 
 
 def eval_word(rho, word: str):
@@ -447,6 +463,38 @@ def random_dfa(rng: random.Random, alphabet: Alphabet, max_states: int = 6, dept
         dfa = compile_regex(parse_regex(text, alphabet), alphabet)
         if dfa.num_states <= max_states:
             return dfa
+
+
+def random_instances(
+    count: int, seed: int, size_cap: int | None, languages: int = 2, max_states: int = 6
+) -> list:
+    """`count` lists of `languages` random DFAs over `ab`, drawn in turn
+    from one generator of the seed. A list is kept when the transition
+    monoid of its DFAs has at most `size_cap` elements, or always when
+    `size_cap` is None."""
+    rng = random.Random(seed)
+    instances = []
+    while len(instances) < count:
+        dfas = [random_dfa(rng, AB, max_states) for _ in range(languages)]
+        if size_cap is None or transition_monoid(dfas).size <= size_cap:
+            instances.append(dfas)
+    return instances
+
+
+def drawn_instances(size_cap: int | None, languages: int = 2, max_states: int = 6):
+    """A Hypothesis strategy: the one-instance list of `random_instances`
+    from a drawn seed. A test over such lists takes a kept list of many
+    as an `@example`."""
+    return st.integers(0, 10**9).map(
+        lambda seed: random_instances(1, seed, size_cap, languages, max_states)
+    )
+
+
+def search_pairs() -> list:
+    """Two hand pairs that the bounded separator search separates, then
+    sixty random pairs of at most 8 elements (seed 6000)."""
+    hand = [(lang("(aa)*", A), lang("a(aa)*", A)), (lang("(a|b)*a(a|b)*"), lang("b*"))]
+    return hand + random_instances(60, 6000, size_cap=8)
 
 
 def matches(program, word: str) -> bool:

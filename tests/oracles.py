@@ -1,5 +1,6 @@
 """Test-only references: routes to what the engines and the basis compute
-that no query takes.
+that no query takes, and checkers that re-apply an engine's rules to
+its result.
 
 Exact language operations on DFAs, the exact sum of a rating map over
 a regular language, a direct minimum over the block languages (A^d)*
@@ -9,6 +10,19 @@ its admissible totals summed as values, and the walk of every element
 of a downset (within the antichain budget).
 Tests cross-check the package against these; the package itself keeps
 only what a query runs.
+
+The checkers, one per level, hold an engine's result to the rules
+that produced it: `assert_pol_rules_stable` (level 1/2: the seeds and
+the product of any two maxima), `assert_bpol_filter_stable` (level 1:
+one more filtering round keeps every maximum) and
+`assert_pbpol_rules_stable` (level 3/2: the basis value absorbed, the
+idempotent rule on every element below its maxima, the products),
+with the product step `assert_products_inside` over all pairs of
+maxima; `imprint_covers` compares the imprints of two levels. They
+run no code of `modhier.engines`, but share with the engines the
+auxiliary maps of `modhier.rating`, the basis `iopti` of the oracle
+they are given, and `AntichainSemiring` as those maps' inner sets, so
+a fault in any of these can pass them.
 """
 
 from __future__ import annotations
@@ -18,9 +32,16 @@ from typing import Iterator
 
 from modhier.errors import Budget
 from modhier.lang import Alphabet, Dfa, compile_regex, disjoint, explore, included
-from modhier.rating import RatingMap, aux_bpol_map
+from modhier.rating import RatingMap, aux_bpol_map, aux_pbpol_map
 from modhier.refcheck import SeparatorCandidate, candidate_language
-from modhier.semiring import DownSet, PairSpace, PowerSemiring, antichain_of, power_cycle
+from modhier.semiring import (
+    AntichainSemiring,
+    DownSet,
+    PairSpace,
+    PowerSemiring,
+    antichain_of,
+    power_cycle,
+)
 
 
 def accepts(dfa: Dfa, word: str) -> bool:
@@ -199,3 +220,56 @@ def downset_elements(downset: DownSet, budget: Budget = Budget()) -> frozenset:
                 raise budget.exceeded("antichain", "downset materialization")
     return frozenset(out)
 
+
+
+
+def imprint_covers(big: DownSet, small: DownSet) -> bool:
+    """Does big's downset contain small's (comparing value antichains)?"""
+    semiring = big.space
+    return all(any(semiring.leq(s, b) for b in big.maximal) for s in small.maximal)
+
+
+def assert_products_inside(downset: DownSet) -> None:
+    """The product of any two maxima lies in the downset: it is closed
+    under the product. All pairs, not the engines' closure by generators."""
+    space = downset.space
+    for x in downset.maximal:
+        for y in downset.maximal:
+            assert space.mult(x, y) in downset
+
+
+def assert_pol_rules_stable(morphism, rho: RatingMap, oracle, result: DownSet) -> None:
+    """Level 1/2: the imprint holds each letter's pair, (1, one) and
+    (1, iopti(rho)), and is closed under the product."""
+    for letter in rho.alphabet:
+        assert (morphism.letter_image[letter], rho.letter_image[letter]) in result
+    assert (morphism.unit, rho.semiring.one) in result
+    assert (morphism.unit, oracle.iopti(rho)) in result
+    assert_products_inside(result)
+
+
+def assert_bpol_filter_stable(rho: RatingMap, oracle, result: DownSet) -> None:
+    """Level 1: one more filtering round keeps every maximum, with the
+    admissible totals summed as values (`admissible_totals_on_values`)."""
+    semiring = rho.semiring
+    eta = aux_bpol_map(rho, result.maximal, AntichainSemiring(semiring))
+    valid = admissible_totals_on_values(semiring, oracle.iopti(eta))
+    for m in result.maximal:
+        assert any(semiring.leq(m, t) for t in valid)
+
+
+def assert_pbpol_rules_stable(morphism, rho: RatingMap, oracle, result: DownSet) -> None:
+    """Level 3/2: the result holds every pair of the basis value of its
+    auxiliary map, the idempotent rule's (e, f(1 + r)f) for each
+    idempotent (e, f) below those pairs, and is closed under the product."""
+    space, semiring = result.space, rho.semiring
+    eta = aux_pbpol_map(morphism, rho, result.maximal, AntichainSemiring(space))
+    for r, t_value in oracle.iopti(eta):
+        one_r = semiring.add(semiring.one, r)
+        for m in t_value:
+            assert m in result
+            for candidate in elements_below(space, m):
+                if space.mult(candidate, candidate) == candidate:
+                    e, f = candidate
+                    assert (e, semiring.mul(semiring.mul(f, one_r), f)) in result
+    assert_products_inside(result)

@@ -1,10 +1,11 @@
 """Length-profile, separation, and iopti tests for the basis oracles."""
 
 import random
+import time
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modhier.basis import (
@@ -20,7 +21,7 @@ from modhier.lang import Dfa, disjoint
 from modhier.rating import RatingMap
 from modhier.semiring import PowerSemiring
 
-from gen import A, AB, CyclicMonoid, TableSemiring, fs, lang, random_dfa, random_rating_map
+from gen import A, AB, CyclicMonoid, TableSemiring, fs, lang, random_dfa, seeded_maps
 from oracles import generic_iopti
 
 
@@ -207,10 +208,15 @@ def test_generic_iopti_unit_images():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10**9))
-def test_mod_iopti_equals_generic_iopti(seed):
-    rho = random_rating_map(random.Random(seed), AB)
-    assert mod_iopti(rho) == generic_iopti(rho, mod_separable)
+@given(st.integers(0, 10**9).map(seeded_maps))
+# One hundred fixed maps, within a 60 s ceiling meant to catch an
+# algorithmic regression.
+@example(seeded_maps(7000, 100))
+def test_mod_iopti_equals_generic_iopti(maps):
+    started = time.perf_counter()
+    for rho in maps:
+        assert mod_iopti(rho) == generic_iopti(rho, mod_separable)
+    assert time.perf_counter() - started < 60
 
 
 # ---------------------------------------------------------------------------

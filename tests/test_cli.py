@@ -355,10 +355,14 @@ def test_duplicate_alphabet_exits_two():
     assert invoke("member", "--level", "1", "--alphabet", "aa", "a*")[0] == 2
 
 
-def test_budget_overflow_exits_three():
-    code, out, err = invoke(
-        "member", "--level", "1", "--alphabet", "ab", "(a|b)*b(a|b)*", "--max-states", "1"
-    )
+@pytest.mark.parametrize("argv", [
+    ["member", "--level", "1", "--alphabet", "ab", "(a|b)*b(a|b)*", "--max-states", "1"],
+    ["separate", "--level", "3/2", "--alphabet", "ab", "a*", "(a|b)*b(a|b)*",
+     "--max-antichain", "1"],
+    ["separate", "--level", "3/2", "--alphabet", "ab", "a*", "b*", "--max-states", "1"],
+], ids=["member-states", "separate-antichain", "separate-states"])
+def test_budget_overflow_exits_three(argv):
+    code, out, err = invoke(*argv)
     assert code == 3
     assert out == ""
     assert "budget" in err

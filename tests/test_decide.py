@@ -4,11 +4,13 @@ import contextlib
 import io
 import random
 import re
+import time
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modhier import engines
@@ -35,14 +37,17 @@ from gen import (
     SeparationOnlyOracle,
     boolean_combination_language,
     count_calls,
+    drawn_instances,
     image_of_word,
     lang,
     marked_concatenation_language,
     marked_product_language,
     pbpol_iopti_all_candidates,
     random_dfa,
+    random_instances,
     random_regex,
     residue_language,
+    search_pairs,
 )
 
 SEPARATION_ONLY = SeparationOnlyOracle()
@@ -52,19 +57,14 @@ SEPARATION_ONLY = SeparationOnlyOracle()
 # The canonical chain: a* against words containing b
 
 
-def test_verdict_chain_level_zero():
-    verdict = separable("0", lang("a*"), lang("(a|b)*b(a|b)*"), ORACLE)
-    assert verdict == Verdict(False, None, verdict.stats)
-
-
-def test_verdict_chain_level_half():
-    verdict = separable("1/2", lang("a*"), lang("(a|b)*b(a|b)*"), ORACLE)
-    assert not verdict.answer
-
-
-def test_verdict_chain_level_one():
-    verdict = separable("1", lang("a*"), lang("(a|b)*b(a|b)*"), ORACLE)
-    assert verdict.answer
+@pytest.mark.parametrize("level", LEVELS)
+def test_verdict_chain(level):
+    """Separation fails through level 1/2 and succeeds from level 1 on,
+    each level answering within a 10 s ceiling."""
+    started = time.perf_counter()
+    verdict = separable(level, lang("a*"), lang("(a|b)*b(a|b)*"), ORACLE)
+    assert time.perf_counter() - started < 10
+    assert verdict == Verdict(level in ("1", "3/2"), None, verdict.stats)
 
 
 def test_unreachable_states_enlarge_the_monoid_but_keep_the_answers():
@@ -82,11 +82,6 @@ def test_unreachable_states_enlarge_the_monoid_but_keep_the_answers():
                 answers.append(separable(level, x, y, ORACLE).answer)
                 assert answers[-1] == separable(level, x0, y0, ORACLE).answer
     assert True in answers and False in answers
-
-
-def test_verdict_chain_level_three_halves():
-    verdict = separable("3/2", lang("a*"), lang("(a|b)*b(a|b)*"), ORACLE)
-    assert verdict.answer
 
 
 def test_even_separates_from_odd_at_every_level():
@@ -146,6 +141,17 @@ def test_member_empty_word_language_at_one():
 def test_member_letter_star_needs_level_one():
     assert not member("1/2", lang("a*"), ORACLE).answer
     assert member("1", lang("a*"), ORACLE).answer
+
+
+# Every word of length at most three over `ab`, the empty one as `e`.
+SHORT_WORDS = ["".join(w) or "e" for n in range(4) for w in product("ab", repeat=n)]
+
+
+@pytest.mark.parametrize("word", SHORT_WORDS)
+def test_short_words_are_members_at_level_one_and_above(word):
+    language = lang(word)
+    assert member("1", language, ORACLE).answer
+    assert member("3/2", language, ORACLE).answer
 
 
 def test_member_level_zero_is_length_membership():
@@ -210,17 +216,19 @@ def test_stats_shape():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**9))
-def test_separability_monotone_across_levels(seed):
-    rng = random.Random(seed)
-    l1 = random_dfa(rng, AB)
-    l2 = random_dfa(rng, AB)
-    assume(transition_monoid([l1, l2]).size <= 8)
-    answers = [separable(level, l1, l2, ORACLE).answer for level in LEVELS]
-    for low, high in zip(answers, answers[1:]):
-        assert (not low) or high
-    if not disjoint(l1, l2):
-        assert not any(answers)
+@given(drawn_instances(size_cap=8))
+@example(random_instances(200, 4000, size_cap=8))
+# Level-3/2 queries that end under the default budget.
+@example(random_instances(20, 10_000, size_cap=8))
+def test_separability_monotone_across_levels(pairs):
+    """Separability only switches from no to yes as the level rises, and
+    intersecting pairs never separate."""
+    for l1, l2 in pairs:
+        answers = [separable(level, l1, l2, ORACLE).answer for level in LEVELS]
+        for low, high in zip(answers, answers[1:]):
+            assert (not low) or high
+        if not disjoint(l1, l2):
+            assert not any(answers)
 
 
 @settings(max_examples=25, deadline=None)
@@ -262,15 +270,14 @@ def test_member_level_one_complement_symmetric(seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**9))
-def test_separator_search_success_implies_half_verdict(seed):
-    rng = random.Random(seed)
-    l1 = random_dfa(rng, AB)
-    l2 = random_dfa(rng, AB)
-    found = pol_mod_separator_search(l1, l2, dmax=2, nmax=2, union_bound=2)
-    if found is not None:
-        assume(transition_monoid([l1, l2]).size <= 10)
-        assert separable("1/2", l1, l2, ORACLE).answer
+@given(drawn_instances(size_cap=None))
+@example(search_pairs())
+def test_separator_search_success_implies_half_verdict(pairs):
+    for l1, l2 in pairs:
+        found = pol_mod_separator_search(l1, l2, dmax=2, nmax=2, union_bound=2)
+        if found is not None:
+            assume(transition_monoid([l1, l2]).size <= 10)
+            assert separable("1/2", l1, l2, ORACLE).answer
 
 
 @settings(max_examples=25, deadline=None)

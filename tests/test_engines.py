@@ -41,21 +41,33 @@ from gen import (
     all_pairs_close_products,
     ceiling_totals,
     count_calls,
+    drawn_instances,
     fs,
     lang,
     pbpol_iopti_all_candidates,
     random_dfa,
+    random_instances,
     random_monoid,
     random_power_semiring,
     random_rating_map,
     random_subset,
     unpointed,
 )
-from oracles import bpol_iopti_enumerated, downset_elements, elements_below
+from oracles import (
+    assert_bpol_filter_stable,
+    assert_pbpol_rules_stable,
+    assert_pol_rules_stable,
+    assert_products_inside,
+    bpol_iopti_enumerated,
+    downset_elements,
+    elements_below,
+    imprint_covers,
+)
 
 ABC = Alphabet.of("abc")
 # The k-th letter from the end is a, against the same for b.
-KTH3 = "(a|b)*{}(a|b)(a|b)"
+KTH2 = "(a|b)*{}(a|b)"
+KTH3 = KTH2 + "(a|b)"
 KTH4 = KTH3 + "(a|b)"
 FACTOR_ABA = "(a|b)*aba(a|b)*"
 
@@ -64,21 +76,20 @@ def pair_morphism(first, second):
     return transition_monoid([lang(first), lang(second)])
 
 
+def covering_instance(dfas):
+    """The transition monoid of the DFAs and its canonical covering map."""
+    morphism = transition_monoid(dfas)
+    return morphism, canonical_covering_map(morphism)
+
+
 @pytest.fixture
 def parity_instance():
     """Unary parity: two-element monoid, canonical covering map."""
-    morphism = transition_monoid([lang("(aa)*", A)])
-    return morphism, canonical_covering_map(morphism)
+    return covering_instance([lang("(aa)*", A)])
 
 
 def trivial_semiring():
     return TableSemiring([[0]], [[0]], zero=0, one=0)
-
-
-def imprint_covers(big, small) -> bool:
-    """Does big's downset contain small's (comparing value antichains)?"""
-    semiring = big.space
-    return all(any(semiring.leq(s, b) for b in big.maximal) for s in small.maximal)
 
 
 # ---------------------------------------------------------------------------
@@ -249,26 +260,22 @@ def test_pol_imprint_budget(parity_instance):
         pol_imprint(morphism, rho, ORACLE, Budget(antichain=1))
 
 
-def assert_pol_rules_stable(morphism, rho, oracle, result):
-    space = result.space
-    for letter in rho.alphabet:
-        assert (morphism.letter_image[letter], rho.letter_image[letter]) in result
-    assert (morphism.unit, rho.semiring.one) in result
-    assert (morphism.unit, oracle.iopti(rho)) in result
-    for x in result.maximal:
-        for y in result.maximal:
-            assert space.mult(x, y) in result
+# Fixed instances for the rule-reapplication tests of every level: two
+# by hand, then six random DFAs of at most 6 elements (seed 9000).
+RULE_INSTANCES = [
+    [lang("(aa)*", A)],
+    [lang("a*"), lang("(a|b)*b(a|b)*")],
+    *random_instances(6, 9000, size_cap=6, languages=1, max_states=4),
+]
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**9))
-def test_pol_rules_reapplication_adds_nothing(seed):
-    rng = random.Random(seed)
-    morphism = transition_monoid([random_dfa(rng, AB, max_states=4)])
-    assume(morphism.size <= 8)
-    rho = canonical_covering_map(morphism)
-    result = pol_imprint(morphism, rho, ORACLE)
-    assert_pol_rules_stable(morphism, rho, ORACLE, result)
+@given(drawn_instances(size_cap=8, languages=1, max_states=4))
+@example(RULE_INSTANCES)
+def test_pol_rules_reapplication_adds_nothing(instances):
+    for dfas in instances:
+        morphism, rho = covering_instance(dfas)
+        assert_pol_rules_stable(morphism, rho, ORACLE, pol_imprint(morphism, rho, ORACLE))
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +438,19 @@ def test_bpol_closes_each_value_set_once_per_call(monkeypatch, regexes, rounds):
     assert closed == value_sets[:1]
 
 
+@settings(max_examples=20, deadline=None)
+@given(drawn_instances(size_cap=6, languages=1, max_states=4))
+@example(RULE_INSTANCES)
+def test_bpol_rules_reapplication_changes_nothing(instances):
+    """The filter keeps every value of its greatest fixpoint, and the
+    level-1 imprint is closed under the product."""
+    for dfas in instances:
+        _, rho = covering_instance(dfas)
+        iopti = bpol_iopti(rho, ORACLE)
+        assert_bpol_filter_stable(rho, ORACLE, iopti)
+        assert_products_inside(bpol_opti(rho, iopti))
+
+
 def test_bpol_opti_parity(parity_instance):
     _, rho = parity_instance
     result = bpol_opti(rho, bpol_iopti(rho, ORACLE))
@@ -495,35 +515,13 @@ def test_pbpol_downset_and_product_closure(parity_instance):
             assert below in result
 
 
-def assert_pbpol_rules_stable(morphism, rho, oracle, result):
-    from modhier.rating import aux_pbpol_map
-
-    space = result.space
-    semiring = rho.semiring
-    eta = aux_pbpol_map(morphism, rho, result.maximal, inner=AntichainSemiring(space))
-    for r, t_value in oracle.iopti(eta):
-        for pair in t_value:
-            assert pair in result
-        for m in t_value:
-            for candidate in elements_below(space, m):
-                if space.mult(candidate, candidate) == candidate:
-                    e, f = candidate
-                    image = semiring.mul(semiring.mul(f, semiring.add(semiring.one, r)), f)
-                    assert (e, image) in result
-    for x in result.maximal:
-        for y in result.maximal:
-            assert space.mult(x, y) in result
-
-
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10**9))
-def test_pbpol_rules_reapplication_adds_nothing(seed):
-    rng = random.Random(seed)
-    morphism = transition_monoid([random_dfa(rng, AB, max_states=4)])
-    assume(morphism.size <= 6)
-    rho = canonical_covering_map(morphism)
-    result = pbpol_iopti(morphism, rho, ORACLE)
-    assert_pbpol_rules_stable(morphism, rho, ORACLE, result)
+@given(drawn_instances(size_cap=6, languages=1, max_states=4))
+@example(RULE_INSTANCES)
+def test_pbpol_rules_reapplication_adds_nothing(instances):
+    for dfas in instances:
+        morphism, rho = covering_instance(dfas)
+        assert_pbpol_rules_stable(morphism, rho, ORACLE, pbpol_iopti(morphism, rho, ORACLE))
 
 
 def pbpol_fresh_and_carried(monkeypatch, morphism, rho):
@@ -771,18 +769,57 @@ def test_pbpol_trips_the_antichain_budget():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**9))
-def test_level_inclusion_chain(seed):
-    rng = random.Random(seed)
-    dfas = [random_dfa(rng, AB, max_states=4), random_dfa(rng, AB, max_states=4)]
-    morphism = transition_monoid(dfas)
-    assume(morphism.size <= 6)
-    rho = canonical_covering_map(morphism)
-    pol = unpointed(pol_imprint(morphism, rho, ORACLE))
-    bpol = bpol_opti(rho, bpol_iopti(rho, ORACLE))
-    pbpol = unpointed(pbpol_pointed_imprint(morphism, rho, pbpol_iopti(morphism, rho, ORACLE)))
-    assert imprint_covers(pol, bpol)
-    assert imprint_covers(bpol, pbpol)
+@given(drawn_instances(size_cap=6, max_states=4))
+@example(random_instances(30, 5000, size_cap=6))
+def test_level_inclusion_chain(pairs):
+    """Imprints shrink as the level rises: the level-3/2 imprint lies in
+    the level-1 one, which lies in the level-1/2 one."""
+    for dfas in pairs:
+        morphism, rho = covering_instance(dfas)
+        pol = unpointed(pol_imprint(morphism, rho, ORACLE))
+        bpol = bpol_opti(rho, bpol_iopti(rho, ORACLE))
+        pbpol = unpointed(
+            pbpol_pointed_imprint(morphism, rho, pbpol_iopti(morphism, rho, ORACLE))
+        )
+        assert imprint_covers(pol, bpol)
+        assert imprint_covers(bpol, pbpol)
+
+
+# ---------------------------------------------------------------------------
+# The rule checkers fail on a wrong result
+
+
+# A 2-element and a 7-element instance.
+CHECKED_PAIRS = [("a*", "(a|b)*b(a|b)*"), (KTH2.format("a"), KTH2.format("b"))]
+
+
+@pytest.mark.parametrize("first, second", CHECKED_PAIRS)
+@pytest.mark.parametrize("engine, checker", [
+    (pol_imprint, assert_pol_rules_stable),
+    (pbpol_iopti, assert_pbpol_rules_stable),
+])
+def test_rule_checkers_fail_on_a_result_missing_a_maximum(first, second, engine, checker):
+    morphism, rho = covering_instance([lang(first), lang(second)])
+    result = engine(morphism, rho, ORACLE)
+    checker(morphism, rho, ORACLE, result)
+    for m in result.maximal:
+        with pytest.raises(AssertionError):
+            checker(morphism, rho, ORACLE, DownSet(result.space, result.maximal - {m}))
+
+
+@pytest.mark.parametrize("first, second", CHECKED_PAIRS)
+def test_filter_checker_fails_on_the_whole_carrier(first, second):
+    _, rho = covering_instance([lang(first), lang(second)])
+    with pytest.raises(AssertionError):
+        assert_bpol_filter_stable(rho, ORACLE, DownSet(rho.semiring, fs(rho.semiring.top())))
+
+
+def test_pol_checker_fails_on_an_unclosed_imprint(monkeypatch):
+    morphism, rho = covering_instance([lang(regex) for regex in CHECKED_PAIRS[1]])
+    assert morphism.size == 7
+    monkeypatch.setattr(engines, "_close_products", lambda space, acc, old=frozenset(): 1)
+    with pytest.raises(AssertionError):
+        assert_pol_rules_stable(morphism, rho, ORACLE, pol_imprint(morphism, rho, ORACLE))
 
 
 # ---------------------------------------------------------------------------

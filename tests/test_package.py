@@ -1,5 +1,5 @@
 """The package keeps only code that its engines, front end or exported API
-use, and the test suite defines each shared fixture once."""
+use, and the test suite defines each shared fixture and checker once."""
 
 import ast
 from pathlib import Path
@@ -297,17 +297,34 @@ def top_level_names(source: str) -> set:
     return names
 
 
+def imported_modules(source: str) -> set:
+    """The top-level names of the modules a source imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 def test_test_modules_import_the_shared_fixtures():
-    """`tests/gen.py` holds the shared fixtures, builders and counters;
-    a test module imports them rather than defining its own copy."""
+    """`tests/gen.py` holds the shared fixtures, builders and counters,
+    and `tests/oracles.py` the references and the rule checkers; a test
+    module imports them rather than defining its own copy, and imports
+    no other test module."""
     shared = top_level_names((TESTS / "gen.py").read_text())
-    copies = {
-        path.name: sorted(top_level_names(path.read_text()) & shared)
-        for path in sorted(TESTS.glob("test_*.py"))
-    }
+    shared |= top_level_names((TESTS / "oracles.py").read_text())
+    modules = sorted(TESTS.glob("test_*.py"))
+    copies = {path.name: sorted(top_level_names(path.read_text()) & shared) for path in modules}
     assert {name: names for name, names in copies.items() if names} == {}
+    tests = {path.stem for path in modules}
+    imports = {path.name: sorted(imported_modules(path.read_text()) & tests) for path in modules}
+    assert {name: names for name, names in imports.items() if names} == {}
     source = (
         "from gen import lang\nA, B = 1, 2\nC: int = 3\n"
         "class K:\n    D = 4\ndef f():\n    E = 5\n"
     )
     assert top_level_names(source) == {"A", "B", "C", "K", "f"}
+    source = "import test_a, os.path\nfrom test_b import x\ndef f():\n    from test_c.d import y\n"
+    assert imported_modules(source) == {"test_a", "os", "test_b", "test_c"}

@@ -2,10 +2,11 @@
 and the enumerated level-1 filter."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modhier.basis import mod_cover_oracle, mod_iopti
@@ -29,7 +30,18 @@ from modhier.refcheck import (
 )
 from modhier.semiring import PowerSemiring
 
-from gen import A, AB, CyclicMonoid, TableSemiring, fs, lang, random_dfa, random_rating_map
+from gen import (
+    A,
+    AB,
+    CyclicMonoid,
+    TableSemiring,
+    drawn_instances,
+    fs,
+    lang,
+    random_dfa,
+    search_pairs,
+    seeded_maps,
+)
 from oracles import (
     accepts,
     block_language,
@@ -148,16 +160,19 @@ def test_search_rejects_mixed_alphabets():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9))
-def test_search_results_always_verify(seed):
-    rng = random.Random(seed)
-    l1 = random_dfa(rng, AB)
-    l2 = random_dfa(rng, AB)
-    found = pol_mod_separator_search(l1, l2, dmax=2, nmax=2, union_bound=2)
-    if found is not None:
-        denoted = candidate_language(found, AB)
-        assert included(l1, denoted)
-        assert disjoint(denoted, l2)
+@given(drawn_instances(size_cap=None), st.just(0))
+# The kept pairs, on which the search finds at least two separators.
+@example(search_pairs(), 2)
+def test_search_results_always_verify(pairs, least_hits):
+    hits = 0
+    for l1, l2 in pairs:
+        found = pol_mod_separator_search(l1, l2, dmax=2, nmax=2, union_bound=2)
+        if found is not None:
+            hits += 1
+            denoted = candidate_language(found, l1.alphabet)
+            assert included(l1, denoted)
+            assert disjoint(denoted, l2)
+    assert hits >= least_hits
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +294,15 @@ def test_mod_iopti_bound_draws_on_the_values_budget():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9))
-def test_brute_iopti_matches_mod_iopti(seed):
-    rho = random_rating_map(random.Random(seed), AB)
-    bound = mod_iopti_bound(rho)
-    assert brute_iopti_mod(rho, bound) == mod_iopti(rho)
+@given(st.integers(0, 10**9).map(seeded_maps))
+# The hundred fixed maps of `test_mod_iopti_equals_generic_iopti`, within
+# a 60 s ceiling meant to catch an algorithmic regression.
+@example(seeded_maps(7000, 100))
+def test_brute_iopti_matches_mod_iopti(maps):
+    started = time.perf_counter()
+    for rho in maps:
+        assert brute_iopti_mod(rho, mod_iopti_bound(rho)) == mod_iopti(rho)
+    assert time.perf_counter() - started < 60
 
 
 # ---------------------------------------------------------------------------
