@@ -531,7 +531,10 @@ class MonoidMorphism:
     asked costs nothing, but the worst case is |M|^2 integers.
     `mult_sets` returns one canonical object per distinct set it forms,
     kept in `_sets` for the morphism's lifetime, so equal products meet
-    in a dict key or a union by identity.
+    in a dict key or a union by identity. Under the canonical covering
+    map most operands are singletons {x} and {y}: their product is
+    `_singletons[x * y]`, one slot per element filled through `_sets`
+    the first time it is formed, so no set is built or hashed again.
     """
 
     def __init__(self, alphabet, right, tree, accept_sets):
@@ -547,6 +550,7 @@ class MonoidMorphism:
         self.unit = 0
         self._rows: list[tuple[int, ...] | None] = [None] * len(right)
         self._sets: dict = {}
+        self._singletons: list[frozenset | None] = [None] * len(right)
 
     @property
     def size(self) -> int:
@@ -574,6 +578,14 @@ class MonoidMorphism:
 
     def mult_sets(self, xs, ys) -> frozenset:
         """All products x * y with x in xs and y in ys, as the canonical object."""
+        if len(xs) == 1 == len(ys):
+            (x,), (y,) = xs, ys
+            m = self.row(x)[y]
+            value = self._singletons[m]
+            if value is None:
+                value = frozenset((m,))
+                value = self._singletons[m] = self._sets.setdefault(value, value)
+            return value
         value = frozenset([row[y] for row in map(self.row, xs) for y in ys])
         return self._sets.setdefault(value, value)
 

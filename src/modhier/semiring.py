@@ -166,7 +166,8 @@ class AntichainSemiring:
     dropped with the fixpoint round. Each row and each antichain
     `normal` returns is the one canonical object of its value for as
     long, so a row key, a row union and a set of values match equal
-    values by identity.
+    values by identity. A union of at most one product is already an
+    antichain: it is interned without the dominance scan of `normal`.
     The omega-power of a basis value multiplies each power by the same
     few letter values, and reads their rows back.
     """
@@ -190,6 +191,9 @@ class AntichainSemiring:
                 row = frozenset([mult(a, b) for b in y])
                 row = rows[a, y] = values.setdefault(row, row)
             out.update(row)
+        if len(out) <= 1:  # already an antichain: no dominance scan
+            value = frozenset(out)
+            return values.setdefault(value, value)
         return self.normal(out)
 
 

@@ -17,7 +17,7 @@ from modhier.lang import (
     parse_regex,
     transition_monoid,
 )
-from modhier.rating import aux_pbpol_map
+from modhier.rating import RatingMap, aux_pbpol_map
 from modhier.refcheck import SeparatorCandidate, candidate_program
 from modhier.semiring import (
     Antichain,
@@ -228,8 +228,6 @@ def random_rating_map(
     rng: random.Random, alphabet: Alphabet, max_monoid: int = 4, min_monoid: int = 1
 ):
     """Random nice multiplicative map into a power semiring of a small monoid."""
-    from modhier.rating import RatingMap
-
     semiring = random_power_semiring(rng, max_size=max_monoid, min_size=min_monoid)
     carrier = list(semiring.monoid.elements())
     images = {a: random_subset(rng, carrier) for a in alphabet}

@@ -8,7 +8,7 @@ import time
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modhier import lang as lang_module
@@ -30,11 +30,14 @@ from modhier.lang import (
 from gen import (
     A,
     AB,
+    drawn_instances,
+    fs,
     image_of_word,
     lang,
     matches,
     product_transition_monoid,
     random_dfa,
+    random_instances,
     validate_morphism,
 )
 from oracles import accepts, equivalent, is_empty
@@ -636,6 +639,37 @@ def test_monoid_of_the_states_is_the_product_monoid(seed, count, extra):
     assert m.letter_image == expected.letter_image
     assert m.accept_sets == expected.accept_sets
     assert [m.row(i) for i in m.elements()] == [expected.row(i) for i in expected.elements()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_instances(size_cap=40), st.booleans())
+@example(random_instances(20, 8000, size_cap=40), False)
+@example(random_instances(20, 8000, size_cap=40), True)
+@example([[lang(t) for t in ("(a|b)*a(a|b)(a|b)(a|b)(a|b)", "(a|b)*b(a|b)(a|b)(a|b)(a|b)")]], True)
+def test_singleton_products_are_one_object_per_element(pairs, general_first):
+    """`mult_sets({x}, {y})` is {x * y}, and it is one object per
+    element: for every pair with that product, and for the set products
+    of more than one pair that come to the same value, whichever of the
+    two is formed first."""
+    for dfas in pairs:
+        m = transition_monoid(dfas)
+        merged = [
+            (m.mult(x, y), fs(x, x2), fs(y))
+            for x, x2 in itertools.combinations(m.elements(), 2)
+            for y in m.elements()
+            if m.mult(x, y) == m.mult(x2, y)
+        ]
+        first = {}  # each value's first object
+        if general_first:
+            for value, xs, ys in merged:
+                first.setdefault(value, m.mult_sets(xs, ys))
+        for x in m.elements():
+            for y in m.elements():
+                product = m.mult_sets(fs(x), fs(y))
+                assert product == fs(m.mult(x, y))
+                assert first.setdefault(m.mult(x, y), product) is product
+        for value, xs, ys in merged:
+            assert m.mult_sets(xs, ys) is first[value]
 
 
 @settings(max_examples=1000, deadline=None)

@@ -328,3 +328,38 @@ def test_test_modules_import_the_shared_fixtures():
     assert top_level_names(source) == {"A", "B", "C", "K", "f"}
     source = "import test_a, os.path\nfrom test_b import x\ndef f():\n    from test_c.d import y\n"
     assert imported_modules(source) == {"test_a", "os", "test_b", "test_c"}
+
+
+# The modules a test file imports once, at module level: the package, the
+# shared test modules and Hypothesis.
+SHARED_MODULES = {"modhier", "gen", "oracles", "hypothesis"}
+
+
+def call_time_imports(source: str) -> list:
+    """The lines of a source that import one of `SHARED_MODULES` inside a
+    function or another block rather than at module level."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if node.col_offset and any(n.split(".")[0] in SHARED_MODULES for n in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_shared_modules_are_imported_at_module_level():
+    """A test module names what it takes from the package, the shared
+    fixtures and Hypothesis in its header, not at call time. An import
+    that needs a path set up first, such as the bench's `corpus`, stays."""
+    found = {path.name: call_time_imports(path.read_text()) for path in sorted(TESTS.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    source = (
+        "import os\nfrom gen import fs\ndef f():\n    import json, corpus\n"
+        "    from gen import lang\n    if True:\n        import modhier.lang\n"
+        "    from hypothesis import assume\n"
+    )
+    assert call_time_imports(source) == [5, 7, 8]

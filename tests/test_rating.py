@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modhier.errors import Budget, BudgetExceededError
@@ -17,7 +17,18 @@ from modhier.rating import (
 )
 from modhier.semiring import AntichainSemiring, PairSpace, PowerSemiring
 
-from gen import A, AB, CyclicMonoid, eval_word, fs, image_of_word, lang, random_rating_map
+from gen import (
+    A,
+    AB,
+    CyclicMonoid,
+    eval_word,
+    fs,
+    image_of_word,
+    lang,
+    random_dfa,
+    random_rating_map,
+    random_regex,
+)
 from oracles import accepts, eval_regular, value_automaton
 
 
@@ -86,8 +97,6 @@ def test_canonical_covering_map_reaches_all_elements():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
 def test_covering_map_detects_intersection(seed):
-    from gen import random_dfa
-
     targets = [lang("(ab)*"), lang("(a|b)*a(a|b)*")]
     morphism = transition_monoid(targets)
     rho = canonical_covering_map(morphism)
@@ -150,8 +159,6 @@ def test_eval_word_is_a_morphism(seed, u, v):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9))
 def test_eval_regular_is_additive_and_multiplicative(seed):
-    from gen import random_regex
-
     rng = random.Random(seed)
     rho = random_rating_map(rng, AB)
     t1 = random_regex(rng, AB)
@@ -188,10 +195,6 @@ def saturation_depth(rho, dfa):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
 def test_eval_regular_matches_bounded_enumeration(seed):
-    from hypothesis import assume
-
-    from gen import random_dfa
-
     rng = random.Random(seed)
     rho = random_rating_map(rng, AB, max_monoid=3)
     dfa = random_dfa(rng, AB, max_states=4)

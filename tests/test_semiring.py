@@ -260,25 +260,38 @@ def test_reused_antichain_semiring_forms_what_a_fresh_one_forms(seed):
 @given(st.integers(0, 10**9))
 def test_antichain_products_by_rows_match_pairwise_products(seed):
     """One instance multiplies every value by shared right operands twice,
-    so the second time every row is read back rather than formed."""
+    so the second time every row is read back rather than formed, and
+    each product is the object formed the first time. Among the values
+    are the empty one and a left operand of two elements whose rows, by
+    a right operand with a zero, union to one product."""
     rng = random.Random(seed)
     monoid = random_monoid(rng, max_size=5)
     elements = list(monoid.elements())
     power = PowerSemiring(monoid)
     assert not hasattr(power, "part")
+    u = monoid.unit
     spaces = [
-        (PairSpace(monoid, power), lambda: (rng.choice(elements), random_subset(rng, elements))),
-        (power, lambda: random_subset(rng, elements)),
+        (
+            PairSpace(monoid, power),
+            lambda: (rng.choice(elements), random_subset(rng, elements)),
+            (fs((u, fs()), (u, fs(u))), fs((u, fs()))),
+        ),
+        (power, lambda: random_subset(rng, elements), (fs(fs(), fs(u)), fs(fs()))),
     ]
-    for space, draw in spaces:
+    for space, draw, (left, right) in spaces:
         semiring = AntichainSemiring(space)
         values = [frozenset(draw() for _ in range(rng.randint(0, 4))) for _ in range(4)]
-        rights = values[:2] + [semiring.normal(draw() for _ in range(3))]
+        values += [left, fs()]
+        rights = values[:2] + [semiring.normal(draw() for _ in range(3)), right]
+        first = {}
         for _ in range(2):
             for x in values:
                 for y in rights:
                     pairwise = [space.mult(a, b) for a in x for b in y]
-                    assert semiring.mul(x, y) == antichain_of(space, pairwise)
+                    product = semiring.mul(x, y)
+                    assert product == antichain_of(space, pairwise)
+                    assert first.setdefault(product, product) is product
+        assert len(semiring.mul(left, right)) == 1
 
 
 def test_products_are_canonical_objects():
