@@ -1,8 +1,9 @@
 """Decision procedures for low levels of concatenation hierarchies.
 
-The package answers separation, covering, and membership queries for
-regular languages at levels 1/2, 1, and 3/2 of the hierarchy whose
-basis consists of Boolean combinations of length-residue languages.
+The package answers separation and membership queries for regular
+languages at levels 0, 1/2, 1, and 3/2 of the hierarchy whose basis
+consists of Boolean combinations of length-residue languages, and
+covering queries at the levels above 0.
 Queries reduce to fixpoint computations over finite idempotent
 semirings; `decide` holds the user-facing operations and `cli` the
 command-line front end. The package root exports the library API the

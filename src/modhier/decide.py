@@ -49,11 +49,11 @@ class Verdict:
     `witness`, when present, is independently checkable: a modulus for
     level-zero separation, a blocking imprint element for negative
     covering answers, or an explicit separator candidate for positive
-    level-1/2 answers when the bounded search finds one. `imprint` is
-    the (morphism, imprint) pair the answer was read from, absent at
-    level zero. An `imprint` query (see `imprinted`) has no answer.
-    The query's command and level are the caller's; a verdict holds
-    only what was found.
+    level-1/2 answers with one constraint when the bounded search finds
+    one. `imprint` is the (morphism, imprint) pair the answer was read
+    from, absent at level zero. An `imprint` query (see `imprinted`)
+    has no answer. The query's command and level are the caller's; a
+    verdict holds only what was found.
     """
 
     answer: Optional[bool]

@@ -247,6 +247,13 @@ def pbpol_iopti(
     is closed under the product, so the closure skips products of two
     of its elements.
 
+    The per-round closure is kept for its cost, not for the answer:
+    rounds of the other rules alone reached the same maxima on every
+    instance tried, but not the same work. Level-3/2 membership of
+    `(a(a|b)a(b)*)*`, a 41-element monoid, forms 40,889 pair products
+    with it and 284,207 without it, and a 361-element query that
+    answers within 75 MB with it ran past 4 GB without it.
+
     The idempotent rule walks the maxima (e, F) of T, not all of the
     downset: a pair below (e, F) has part e, so none is idempotent
     unless e is. Its image is monotone in f, so only the maximal

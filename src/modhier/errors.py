@@ -42,7 +42,8 @@ class Budget:
     that grows draws through one of three functions, the only ones that
     raise `exceeded(field)`: `lang.explore` for reachability walks and
     searches, `semiring.Antichain.add` for antichains, and `rounds` for
-    fixpoint rounds.
+    fixpoint rounds. One loop draws on none yet: `semiring.add_closure`,
+    the level-1 sums, as README says.
     """
 
     states: int = 4096

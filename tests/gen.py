@@ -44,13 +44,13 @@ def lang(text, alphabet=AB):
 
 
 def count_calls(monkeypatch, owner, name):
-    """Count calls of the method `owner.name` from here on."""
+    """Count calls of `owner.name`, a method or a module's function, from here on."""
     calls = []
     original = getattr(owner, name)
 
-    def counting(self, x, y):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return original(self, x, y)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
     return calls

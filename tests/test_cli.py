@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modhier import cli, engines
+from modhier import cli, decide, engines
 from modhier.cli import QUERY_COMMANDS, build_parser, run
 from modhier.decide import LEVELS
 from modhier.lang import compile_regex
 
 from command_lines import HELP_LINES, IRREGULAR_LINES, MALFORMED_LINES
+from gen import count_calls
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -105,13 +106,16 @@ def test_separator_search_past_the_state_budget_gives_no_witness(states, witness
     assert (code, lines(out), err) == (0, ["RESULT: separable"] + witness, "")
 
 
-def test_cover_accepts_several_constraints():
+def test_cover_accepts_several_constraints(monkeypatch):
+    # The separator search takes one constraint, so a positive answer
+    # against several carries no witness.
+    searches = count_calls(monkeypatch, decide, "pol_mod_separator_search")
     code, out, _ = invoke(
-        "cover", "--level", "1/2", "--alphabet", "a", "(aa)*", "a(aa)*", "a(aaaa)*",
-        "--no-stats",
+        "cover", "--level", "1/2", "--alphabet", "a", "--witness", "(aa)*", "a(aa)*",
+        "a(aaaa)*", "--no-stats",
     )
-    assert code == 0
-    assert lines(out) == ["RESULT: coverable"]
+    assert (code, lines(out)) == (0, ["RESULT: coverable"])
+    assert not searches
 
 
 def test_stats_line_present_by_default():

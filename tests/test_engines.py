@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modhier import engines
-from modhier.decide import separable
+from modhier.decide import member, separable
 from modhier.engines import (
     _close_products,
     _maximal_idempotents,
@@ -22,7 +22,7 @@ from modhier.engines import (
 )
 from modhier.errors import Budget, BudgetExceededError
 from modhier.lang import Alphabet, MonoidMorphism, disjoint, included, transition_monoid
-from modhier.rating import RatingMap, aux_bpol_map, aux_pbpol_map, canonical_covering_map
+from modhier.rating import RatingMap, aux_bpol_map, canonical_covering_map
 from modhier.semiring import (
     Antichain,
     AntichainSemiring,
@@ -199,6 +199,15 @@ def test_level_half_closure_forms_few_products(monkeypatch):
     products = count_calls(monkeypatch, PairSpace, "mult")
     pol_imprint(morphism, rho, ORACLE)
     assert len(products) <= 400
+
+
+def test_level_three_halves_closure_forms_few_products(monkeypatch):
+    # A 41-element monoid. Closing the antichain under the product at the
+    # end of every round forms 40,889 pair products; rounds of the other
+    # rules alone reach the same imprint after 284,207.
+    products = count_calls(monkeypatch, PairSpace, "mult")
+    assert not member("3/2", lang("(a(a|b)a(b)*)*"), ORACLE).answer
+    assert len(products) <= 60_000
 
 
 @pytest.mark.parametrize("level, bound", [("1/2", 210), ("3/2", 5000)])
@@ -607,7 +616,7 @@ def pbpol_instance(seed, random_map, alphabet=AB):
 # A rating map on which the rule, applied at a part that is not
 # idempotent, would change the fixpoint.
 @example(211, True)
-# A covering map whose fixpoint takes a round more with no product closure.
+# A covering map on which the per-round product closure adds pairs.
 @example(4, False)
 def test_pbpol_matches_all_candidates_route(seed, random_map):
     """Applying the rule to maximal idempotents only keeps the fixpoint and its rounds."""
@@ -628,7 +637,7 @@ def test_pbpol_matches_all_candidates_on_families(first, second):
 
 # Pairs of regexes with their covering map, and seeds of `pbpol_instance`
 # with the kind of map. A seed paired with `ABC` draws over three letters;
-# on both of those the per-round closure adds pairs in some round.
+# on both of those the per-round product closure adds pairs in some round.
 CLOSURE_INSTANCES = [
     (KTH3.format("a"), KTH3.format("b")),
     (KTH4.format("a"), KTH4.format("b")),
@@ -640,54 +649,19 @@ CLOSURE_INSTANCES = [
 
 
 @pytest.mark.parametrize("first, second", CLOSURE_INSTANCES)
-def test_pbpol_maxima_need_no_per_round_product_closure(monkeypatch, first, second):
-    """Level 3/2 with no product closure in its rounds reaches the engine's
-    maxima, and they are closed under the product already.
-
-    This is the evidence that the per-round closure of `pbpol_iopti` may
-    be subsumed by its rules, not a proof. Half of it is proved: a
-    round's basis value is 1 + s^d, for s the image of the alphabet and
-    s^2d = s^d, so it is its own square; as the auxiliary map is
-    multiplicative, the product of two pairs a round absorbs from it
-    lies below a third. The open step is a lemma on the idempotent
-    rule: in the last round of the rules-only run, for each pair
-    (r, T) of the basis value, each maximum (e, F) of T with e
-    idempotent and each maximal idempotent f below F, f(1 + r)f = f,
-    so the rule's output (e, f) lies below the absorbed (e, F). With
-    it, the maxima are the absorbed pairs, closed under the product
-    as above. The test checks the lemma, and that every maximum lies
-    below an absorbed pair, on each instance. Beyond these instances,
-    19,368 from the same generator (seeds 0 to 9,999, both kinds of map,
-    at most 12 elements) and six corpus families of 12 to 63 elements
-    (the k-th letter from the end for k = 3, 4, 5, and the factors aba,
-    abab and abba against their complements) showed no difference.
-    Nor did 11,988 more, of one to three random DFAs of at most 7 states
-    with monoids of at most 40 elements (seeds 1,000 to 3,999 over `ab`
-    and over `abc`, both kinds of map, `Budget(antichain=4000)`); in 485
-    of them the closure added pairs in some round.
-    """
+def test_pbpol_closed_rounds_reach_a_rules_fixpoint(first, second):
+    """Level 3/2, with the product closure in each round, ends on an
+    imprint that no rule grows and that the all-candidates route reaches
+    in as many rounds. Rounds of the other rules alone reach the same
+    imprint, in more rounds on four of these instances."""
     if isinstance(first, str):
         morphism = pair_morphism(first, second)
         rho = canonical_covering_map(morphism)
     else:
         seed, alphabet = first if isinstance(first, tuple) else (first, AB)
         morphism, rho = pbpol_instance(seed, second, alphabet)
-    with monkeypatch.context() as patched:
-        patched.setattr(engines, "_close_products", lambda space, acc, old=frozenset(): 1)
-        unclosed = pbpol_iopti(morphism, rho, ORACLE)
-    assert unclosed.maximal == pbpol_iopti(morphism, rho, ORACLE).maximal
-    closed = engines._saturate(unclosed.space, unclosed.maximal, Budget())
-    assert closed.maximal == unclosed.maximal
-    space, semiring = unclosed.space, rho.semiring
-    last = ORACLE.iopti(aux_pbpol_map(morphism, rho, unclosed.maximal, AntichainSemiring(space)))
-    absorbed = DownSet(space, frozenset(pair for _, t_value in last for pair in t_value))
-    assert all(pair in absorbed for pair in unclosed.maximal)
-    for r, t_value in last:
-        one_r = semiring.add(semiring.one, r)
-        for e, upper in t_value:
-            if morphism.mult(e, e) == e:
-                for f in _maximal_idempotents(semiring, upper, Budget()):
-                    assert semiring.mul(semiring.mul(f, one_r), f) == f
+    assert_pbpol_rules_stable(morphism, rho, ORACLE, pbpol_iopti(morphism, rho, ORACLE))
+    assert_matches_all_candidates(morphism, rho)
 
 
 def test_pbpol_applies_the_rule_to_maximal_idempotents_only(monkeypatch):

@@ -51,7 +51,8 @@ def function_lines(code, in_function: bool = False) -> dict:
     if in_function:
         for _, line in dis.findlinestarts(code):
             if line is not None:
-                lines.setdefault(line, code.co_qualname)
+                # `co_qualname` is new in Python 3.11.
+                lines.setdefault(line, getattr(code, "co_qualname", code.co_name))
     for const in code.co_consts:
         if isinstance(const, CodeType):
             defined = const.co_flags & CO_OPTIMIZED and const.co_name not in IMPORT_TIME
