@@ -33,6 +33,10 @@ from oracles import downset_elements, elements_below, generic_iopti
 A = Alphabet.of("a")
 AB = Alphabet.of("ab")
 ORACLE = mod_cover_oracle()
+# The largest monoid a test asks a level-1 query of. Level 1 sums its
+# pair values with no budget (known defect 1 in ROADMAP.md), and up to
+# this size its engine is known to end.
+LEVEL_ONE_SIZE_CAP = 7
 
 
 def fs(*xs):

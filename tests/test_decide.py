@@ -27,16 +27,16 @@ from modhier.lang import (
 from modhier.rating import canonical_covering_map
 from modhier.refcheck import candidate_language, pol_mod_separator_search
 from modhier.refcheck import SeparatorCandidate
-from modhier.semiring import AntichainSemiring, PairSpace, PowerSemiring
+from modhier.semiring import PowerSemiring
 from modhier.lang import included
 
 from gen import (
     A,
     AB,
+    LEVEL_ONE_SIZE_CAP,
     ORACLE,
     SeparationOnlyOracle,
     boolean_combination_language,
-    count_calls,
     drawn_instances,
     image_of_word,
     lang,
@@ -240,7 +240,7 @@ def test_languages_sharing_a_word_are_never_separated(seed, word):
     budget on its subset enumeration yet."""
     rng = random.Random(seed)
     l1, l2 = (lang(f"({random_regex(rng, AB)})|{word or 'e'}") for _ in range(2))
-    assume(transition_monoid([l1, l2]).size <= 7)
+    assume(transition_monoid([l1, l2]).size <= LEVEL_ONE_SIZE_CAP)
     for level in LEVELS:
         assert not separable(level, l1, l2, ORACLE).answer, level
     for level in COVER_LEVELS:
@@ -317,7 +317,7 @@ def test_imprints_under_a_separation_only_basis_oracle(seed):
     rng = random.Random(seed)
     texts = [random_regex(rng, AB, depth=4) for _ in range(rng.randint(1, 3))]
     dfas = [lang(text) for text in texts]
-    assume(transition_monoid(dfas).size <= 7)
+    assume(transition_monoid(dfas).size <= LEVEL_ONE_SIZE_CAP)
     for level, unit_value in UNIT_VALUES.items():
         _, closed = level_imprint(level, dfas, ORACLE)
         _, generic = level_imprint(level, dfas, SEPARATION_ONLY)
@@ -337,8 +337,8 @@ def test_languages_built_at_a_level_are_members_there_and_above(seed):
     level 0, marked products of length-residue blocks at level 1/2,
     Boolean combinations of those at level 1, marked products of two of
     those at level 3/2, and each lies at every level above its own.
-    Level 1 is asked only of monoids of at most 7 elements, where its
-    engine is known to end. A level-3/2 language is built only within
+    Level 1 is asked only of monoids within `LEVEL_ONE_SIZE_CAP`, where
+    its engine is known to end. A level-3/2 language is built only within
     `SMALL_BUILD`, so its monoid has at most 64 elements."""
     rng = random.Random(seed)
     alphabet = rng.choice([A, AB, Alphabet.of("abc")])
@@ -362,7 +362,7 @@ def test_languages_built_at_a_level_are_members_there_and_above(seed):
         reference = pbpol_iopti_all_candidates(morphism, rho, ORACLE)
         assert pbpol_iopti(morphism, rho, ORACLE).maximal == reference.maximal
     for level, language in built:
-        small = transition_monoid([language]).size <= 7
+        small = transition_monoid([language]).size <= LEVEL_ONE_SIZE_CAP
         for above in LEVELS[LEVELS.index(level):]:
             if above != "1" or small:
                 assert member(above, language, ORACLE).answer, (level, above)
@@ -370,30 +370,6 @@ def test_languages_built_at_a_level_are_members_there_and_above(seed):
 
 # ---------------------------------------------------------------------------
 # Work guards
-
-
-def test_level_three_halves_forms_few_antichain_products(monkeypatch):
-    """The pair space's table of second-coordinate products bounds the inner
-    products of the auxiliary maps."""
-    calls = count_calls(monkeypatch, AntichainSemiring, "mul")
-    kth4 = "(a|b)*{}(a|b)(a|b)(a|b)"
-    verdict = separable("3/2", lang(kth4.format("a")), lang(kth4.format("b")), ORACLE)
-    assert verdict.answer
-    # 960 when every pair of auxiliary values formed its own inner product.
-    assert len(calls) <= 364
-
-
-def test_level_three_halves_forms_each_pair_product_once_per_round(monkeypatch):
-    """One inner semiring per auxiliary map: its omega-power reads back the
-    rows of pair products that its earlier powers formed."""
-    calls = count_calls(monkeypatch, PairSpace, "mult")
-    kth5 = "(a|b)*{}(a|b)(a|b)(a|b)(a|b)"
-    verdict = separable("3/2", lang(kth5.format("a")), lang(kth5.format("b")), ORACLE)
-    assert verdict.answer
-    # 76,228 when each inner product formed its pair products anew; 7,985
-    # with rows, and 4,477 when the inner semiring also kept each pair
-    # product and the auxiliary maps' set products called no `mult`.
-    assert len(calls) <= 9000
 
 
 def test_level_one_closes_the_pair_values_once_per_query(monkeypatch):

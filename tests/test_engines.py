@@ -187,27 +187,54 @@ def test_semi_naive_closure_matches_naive(seed, limit):
     assert all(space.mult(x, y) in downset for x in closed for y in closed)
 
 
-def test_level_half_closure_forms_few_products(monkeypatch):
+def kth(k, letter):
+    """The k-th letter from the end is `letter`."""
+    return lang("(a|b)*" + letter + "(a|b)" * (k - 1))
+
+
+def level_half_monoid_size(languages) -> int:
+    """The size of the languages' monoid, after the level-1/2 closure of
+    their covering map."""
+    morphism = transition_monoid(languages)
+    pol_imprint(morphism, canonical_covering_map(morphism), ORACLE)
+    return morphism.size
+
+
+# Work guards: a query, what it returns, the method whose calls it
+# counts and the most calls it may make. Each comment gives the count
+# with what the guard holds, and without it.
+WORK_BOUNDS = [
     # The 5th letter from the end is a, against the same for b: a
     # 63-element monoid. Multiplying each entering element by each
     # generator forms 375 pair products; a semi-naive pass-based
     # closure forms 4,753.
-    kth5 = "(a|b)*{}(a|b)(a|b)(a|b)(a|b)"
-    morphism = transition_monoid([lang(kth5.format("a")), lang(kth5.format("b"))])
-    assert morphism.size == 63
-    rho = canonical_covering_map(morphism)
-    products = count_calls(monkeypatch, PairSpace, "mult")
-    pol_imprint(morphism, rho, ORACLE)
-    assert len(products) <= 400
-
-
-def test_level_three_halves_closure_forms_few_products(monkeypatch):
+    pytest.param(lambda: level_half_monoid_size([kth(5, "a"), kth(5, "b")]), 63,
+                 PairSpace, "mult", 400, id="level-1/2-closure"),
     # A 41-element monoid. Closing the antichain under the product at the
     # end of every round forms 40,889 pair products; rounds of the other
     # rules alone reach the same imprint after 284,207.
-    products = count_calls(monkeypatch, PairSpace, "mult")
-    assert not member("3/2", lang("(a(a|b)a(b)*)*"), ORACLE).answer
-    assert len(products) <= 60_000
+    pytest.param(lambda: member("3/2", lang("(a(a|b)a(b)*)*"), ORACLE).answer, False,
+                 PairSpace, "mult", 60_000, id="level-3/2-closure"),
+    # The pair space's table of second-coordinate products bounds the
+    # inner products of the auxiliary maps: 960 when every pair of
+    # auxiliary values formed its own inner product.
+    pytest.param(lambda: separable("3/2", kth(4, "a"), kth(4, "b"), ORACLE).answer, True,
+                 AntichainSemiring, "mul", 364, id="level-3/2-antichain-products"),
+    # One inner semiring per auxiliary map: its omega-power reads back the
+    # rows of pair products that its earlier powers formed. 76,228 when
+    # each inner product formed its pair products anew; 7,985 with rows,
+    # and 4,477 when the inner semiring also kept each pair product and
+    # the auxiliary maps' set products called no `mult`.
+    pytest.param(lambda: separable("3/2", kth(5, "a"), kth(5, "b"), ORACLE).answer, True,
+                 PairSpace, "mult", 9000, id="level-3/2-pair-products"),
+]
+
+
+@pytest.mark.parametrize("query, result, owner, name, bound", WORK_BOUNDS)
+def test_work_bounds(monkeypatch, query, result, owner, name, bound):
+    calls = count_calls(monkeypatch, owner, name)
+    assert query() == result
+    assert len(calls) <= bound
 
 
 @pytest.mark.parametrize("level, bound", [("1/2", 210), ("3/2", 5000)])
@@ -261,12 +288,6 @@ def test_pol_imprint_contains_basis_seed(parity_instance):
     result = pol_imprint(morphism, rho, ORACLE)
     assert (morphism.unit, ORACLE.iopti(rho)) in result
     assert (morphism.unit, rho.semiring.one) in result
-
-
-def test_pol_imprint_budget(parity_instance):
-    morphism, rho = parity_instance
-    with pytest.raises(BudgetExceededError):
-        pol_imprint(morphism, rho, ORACLE, Budget(antichain=1))
 
 
 # Fixed instances for the rule-reapplication tests of every level: two
@@ -361,12 +382,6 @@ def test_bpol_iopti_unit_letters():
     rho = RatingMap(AB, semiring, {"a": semiring.one, "b": semiring.one})
     result = bpol_iopti(rho, ORACLE)
     assert downset_elements(result) == {fs(), fs(0)}
-
-
-def test_bpol_iopti_iteration_budget(parity_instance):
-    _, rho = parity_instance
-    with pytest.raises(BudgetExceededError):
-        bpol_iopti(rho, ORACLE, Budget(iterations=1))
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,15 +7,16 @@ takes every distinct argument list of the three benchmark corpora at
 each seed, from this tree's bench/corpus.py: as drawn, with
 `--no-stats`, and with `--no-stats` plus each of `--emit-imprint`,
 `--witness` and `--json`. The query with the short repro deadline is
-left out, as it never returns. To these it adds the help, malformed
-and irregular command lines of tests/command_lines.py, so usage errors
-and argparse's own readings are compared too. Each list runs through
-`modhier.cli.run` of both trees, each tree in its own subprocess; then
-all of them run again as the lines of one `batch` file (one
-`shlex.join` per line), so the parsing of `batch` lines is compared
-too. Every difference in exit code, stdout or stderr is printed, as a
-diff of lines, with the `ms` timings masked. Exits 1 if there is any
-difference, 0 if there is none.
+left out, as it never returns. To these it adds the lines of
+tests/command_lines.py: the help, malformed and irregular lines and
+those of the answer table, so usage errors, argparse's own readings
+and the table's exit codes and outputs are compared too. Each list
+runs through `modhier.cli.run` of both trees, each tree in its own
+subprocess; then all of them run again as the lines of one `batch`
+file (one `shlex.join` per line), so the parsing of `batch` lines is
+compared too. Every difference in exit code, stdout or stderr is
+printed, as a diff of lines, with the `ms` timings masked. Exits 1 if
+there is any difference, 0 if there is none.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ VARIANTS = (
 
 def argument_lists(seeds) -> list:
     """Every distinct argument list of the corpora at `seeds`, and every
-    help, malformed and irregular command line, in a fixed order."""
+    command line of tests/command_lines.py, in a fixed order."""
     sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
     import corpus
-    from command_lines import HELP_LINES, IRREGULAR_LINES, MALFORMED_LINES
+    from command_lines import ANSWERS, HELP_LINES, IRREGULAR_LINES, MALFORMED_LINES
 
-    lists = set(HELP_LINES + MALFORMED_LINES + IRREGULAR_LINES)
+    lists = {*ANSWERS, *HELP_LINES, *MALFORMED_LINES, *IRREGULAR_LINES}
     for seed in seeds:
         for make in corpus.WORKLOADS.values():
             for q in make(seed):
