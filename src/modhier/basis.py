@@ -117,7 +117,9 @@ def mod_iopti(rho: RatingMap, budget: Budget = Budget()):
 class BasisOracle:
     """Behavioral contract shared by every basis: `iopti` returns the
     basis-optimal value of a rating map, and `separates` the modulus of
-    a separator, or None when no class language separates the inputs."""
+    a separator, or None when no class language separates the inputs.
+    The `iopti` value is multiplicatively idempotent (for length
+    residues, omega + 1 is), and `engines.pol_imprint` relies on it."""
 
     def iopti(self, rho: RatingMap, budget: Budget = Budget()):
         raise NotImplementedError

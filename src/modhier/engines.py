@@ -35,29 +35,45 @@ def _close_products(space, acc: Antichain, old: frozenset = frozenset()):
     The antichain at the call holds the generators G. The closure of G
     under a monotone product is the downset of the words over G, and
     every word is a shorter word times one letter of G (right Cayley
-    graph enumeration). So each element that enters the antichain is
-    multiplied on the right by each generator, once: generation k
-    multiplies what generation k - 1 added. An element dominated since
-    it entered is skipped, as what dominates it entered after it and
-    is multiplied in its stead. `old` names elements already closed
-    under the product before the call (the antichain an earlier call
-    returned); a product of two of them is skipped too, since the
-    downset already holds it. Returns the number of generations.
+    graph enumeration, after Froidure and Pin). So each element that
+    enters the antichain is multiplied on the right by generators,
+    once: generation k multiplies what generation k - 1 added. An
+    element dominated since it entered is skipped, as what dominates it
+    entered after it and is multiplied in its stead.
+
+    `old` names elements whose downset is closed under the product and
+    lies in that of G: the antichain an earlier call returned, or a seed
+    known to be idempotent. An element whose last factor is in `old` (a
+    generator is its own last factor) is multiplied by the fresh
+    generators only. What that skips is dominated when it would be
+    formed. For h and g in `old`, h * g lies below some o in `old`, and
+    o below some generator g'. So a generator h in `old` has h * g in
+    the downset from the start. An element x = z * h that entered later
+    has x * g <= z * g', and z was multiplied a generation before x:
+    by induction on the generation, z * g' was formed then, or already
+    lay in the downset. So the generations, the antichains they leave
+    and the budget trips are those of a closure that forms every
+    product. Returns the number of generations.
     """
-    generators = list(acc)
-    fresh = [g for g in generators if g not in old]
-    frontier = generators
+    # One step per generator g: g, and the right factors of what ends in g.
+    fresh: list = []
+    steps: list = []
+    for g in acc:
+        steps.append((g, fresh if g in old else steps))
+        if g not in old:
+            fresh.append(steps[-1])
+    frontier = steps
     passes = 0
     while True:
         passes += 1
         entered = []
-        for x in frontier:
+        for x, factors in frontier:
             if x not in acc:
                 continue
-            for g in fresh if x in old else generators:
+            for g, after in factors:
                 y = space.mult(x, g)
                 if acc.add(y):
-                    entered.append(y)
+                    entered.append((y, after))
         if not entered:
             return passes
         frontier = entered
@@ -89,12 +105,17 @@ def pol_imprint(
     letter pairs, and closed under downward closure (implicit in the
     antichain) and componentwise product. The empty word needs no seed:
     rho(e) <= iopti(rho), as every basis language contains it.
+
+    The basis pair is idempotent, as iopti(rho) = omega + 1 is (see
+    `basis.mod_iopti`): (omega + 1)^2 = omega^2 + omega + 1 = omega + 1.
+    So the closure is told that it is closed, and does not multiply a
+    product ending in it by it again.
     """
     if morphism.alphabet != rho.alphabet:
         raise ValueError("morphism and rating map use different alphabets")
-    seeds = [(morphism.unit, oracle.iopti(rho, budget))]
-    seeds += [(morphism.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
-    return _saturate(PairSpace(morphism, rho.semiring), seeds, budget)
+    basis_pair = (morphism.unit, oracle.iopti(rho, budget))
+    seeds = [basis_pair] + [(morphism.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
+    return _saturate(PairSpace(morphism, rho.semiring), seeds, budget, frozenset({basis_pair}))
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +264,25 @@ def pbpol_iopti(
     iteration reaches the least fixpoint regardless of order. As at
     level 1, a round builds its auxiliary map, over a fresh inner
     semiring, from the antichain the previous round froze, and the
-    fixpoint is reached when a round freezes that antichain again. It
-    is closed under the product, so the closure skips products of two
-    of its elements.
+    fixpoint is reached when a round freezes that antichain again.
+    Since f * f = f, the rule's value is f + f * r * f.
+
+    The round's closure is told that the previous maxima S and every
+    element of every T form a part closed under the product (see
+    `_close_products`), so it multiplies by the idempotent rule's
+    outputs and not by that part. The downset of the part is closed:
+    - S is, as the previous round closed it (S is empty at first).
+    - T * T' lies below a T'' of the same round: the basis value is
+      omega + 1 over the auxiliary map, and the omega power is
+      idempotent, so the product of two of its pairs is one of its
+      pairs. The `+ 1` pair's T is the unit.
+    - S * T and T * S lie below T: each T is a product of factors
+      S * m * S, and S * S lies below S.
 
     The per-round closure is kept for its cost, not for the answer:
     rounds of the other rules alone reached the same maxima on every
     instance tried, but not the same work. Level-3/2 membership of
-    `(a(a|b)a(b)*)*`, a 41-element monoid, forms 40,889 pair products
+    `(a(a|b)a(b)*)*`, a 41-element monoid, forms 38,066 pair products
     with it and 284,207 without it, and a 361-element query that
     answers within 75 MB with it ran past 4 GB without it.
 
@@ -271,8 +303,9 @@ def pbpol_iopti(
     maxima: frozenset = frozenset()
     for iterations in budget.rounds():
         eta = aux_pbpol_map(morphism, rho, maxima, AntichainSemiring(space))
+        closed = set(maxima)
         for r, t_value in oracle.iopti(eta, budget):
-            one_r = semiring.add(semiring.one, r)
+            closed.update(t_value)
             for e, upper in t_value:
                 acc.add((e, upper))
                 if morphism.mult(e, e) != e:
@@ -281,8 +314,8 @@ def pbpol_iopti(
                 if maximal is None:
                     maximal = idempotents[upper] = _maximal_idempotents(semiring, upper, budget)
                 for f in maximal:
-                    acc.add((e, semiring.mul(semiring.mul(f, one_r), f)))
-        _close_products(space, acc, maxima)
+                    acc.add((e, semiring.add(f, semiring.mul(semiring.mul(f, r), f))))
+        _close_products(space, acc, closed)
         new_maxima = acc.freeze()
         if new_maxima == maxima:
             return DownSet(space, maxima, iterations)
@@ -300,8 +333,9 @@ def pbpol_pointed_imprint(
     `iopti` is what `pbpol_iopti` returned. It holds the empty word's
     pair, as rho(e) <= iopti(rho), and that fixpoint ends on a round
     that changed nothing, its product closure included, so its maxima
-    are already closed under the product. The closure therefore skips
-    the products of two of them: the downset holds each one already.
+    are already closed under the product. The closure is told so (see
+    `_close_products`), and does not multiply what ends in one of them
+    by another.
     """
     seeds = list(iopti.maximal)
     seeds += [(morphism.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]

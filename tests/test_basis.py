@@ -219,6 +219,17 @@ def test_mod_iopti_equals_generic_iopti(maps):
     assert time.perf_counter() - started < 60
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**9).map(seeded_maps))
+@example(seeded_maps(7000, 100))
+def test_mod_iopti_is_idempotent(maps):
+    """omega + 1 squares to itself, so `engines.pol_imprint` passes its
+    basis pair to the product closure as a part already closed."""
+    for rho in maps:
+        value = mod_iopti(rho)
+        assert rho.semiring.mul(value, value) == value
+
+
 # ---------------------------------------------------------------------------
 # Oracle wiring
 

@@ -22,7 +22,7 @@ from modhier.engines import (
 )
 from modhier.errors import Budget, BudgetExceededError
 from modhier.lang import Alphabet, MonoidMorphism, disjoint, included, transition_monoid
-from modhier.rating import RatingMap, aux_bpol_map, canonical_covering_map
+from modhier.rating import RatingMap, aux_bpol_map, aux_pbpol_map, canonical_covering_map
 from modhier.semiring import (
     Antichain,
     AntichainSemiring,
@@ -120,9 +120,18 @@ def generation_close_products(space, acc, old=frozenset()):
         frontier = entered
 
 
+def idempotent_power(space, x):
+    """The idempotent among the positive powers of x."""
+    power = x
+    while space.mult(power, power) != power:
+        power = space.mult(power, x)
+    return power
+
+
 def random_closure_instance(rng):
     """A pair space over a transition monoid, or a power semiring as its own space,
-    with small seeds and a few more elements added after the first closure."""
+    with small seeds, in half the draws an idempotent among them, and a few
+    more elements added after the first closure."""
     elements = []
     while len(elements) < 3:
         if rng.random() < 0.5:
@@ -138,17 +147,20 @@ def random_closure_instance(rng):
         return (rng.choice(elements), value) if isinstance(space, PairSpace) else value
 
     seeds = [draw() for _ in range(rng.randint(1, 4))]
-    return space, seeds, [draw() for _ in range(rng.randint(0, 3))]
+    closed = [idempotent_power(space, draw()) for _ in range(rng.randint(0, 1))]
+    return space, seeds + closed, closed, [draw() for _ in range(rng.randint(0, 3))]
 
 
-def close_outcome(close, space, seeds, more, budget):
-    """Close the seeds, then add `more` and close again carrying the first
-    result as `old`, as `pbpol_iopti` does. Each call's result, whether it
-    moved the antichain and the antichain it left, or the budget error;
-    and the final antichain."""
+def close_outcome(close, instance, budget):
+    """Close the seeds, passing the idempotents among them as `old`, as
+    `pol_imprint` passes its basis pair; then add `more` and close again
+    carrying the first result as `old`, as `pbpol_iopti` does. Each call's
+    result, whether it moved the antichain and the antichain it left, or
+    the budget error; and the final antichain."""
+    space, seeds, closed, more = instance
     acc = Antichain(space, budget=budget)
     calls = []
-    old = frozenset()
+    old = frozenset(closed)
     try:
         for batch in (seeds, more):
             for x in batch:
@@ -173,13 +185,14 @@ def test_semi_naive_closure_matches_naive(seed, limit):
     """Fixpoints as the all-pairs closure, and each call moves the antichain
     when that reference reports `changed`; passes and budget trips as the
     generation reference, which has no `old` skip."""
-    space, seeds, more = random_closure_instance(random.Random(seed))
+    instance = random_closure_instance(random.Random(seed))
+    space = instance[0]
     budget = Budget() if limit is None else Budget(antichain=limit)
-    outcome = close_outcome(_close_products, space, seeds, more, budget)
+    outcome = close_outcome(_close_products, instance, budget)
     generation = passes_of(generation_close_products)
-    assert outcome == close_outcome(generation, space, seeds, more, budget)
-    calls, closed = close_outcome(_close_products, space, seeds, more, Budget())
-    reference, _ = close_outcome(all_pairs_close_products, space, seeds, more, Budget())
+    assert outcome == close_outcome(generation, instance, budget)
+    calls, closed = close_outcome(_close_products, instance, Budget())
+    reference, _ = close_outcome(all_pairs_close_products, instance, Budget())
     assert [(moved, fixpoint) for _, moved, fixpoint in calls] == [
         (changed, fixpoint) for (changed, _), _, fixpoint in reference
     ]
@@ -206,15 +219,22 @@ def level_half_monoid_size(languages) -> int:
 WORK_BOUNDS = [
     # The 5th letter from the end is a, against the same for b: a
     # 63-element monoid. Multiplying each entering element by each
-    # generator forms 375 pair products; a semi-naive pass-based
-    # closure forms 4,753.
+    # generator, but what ends in the idempotent basis pair not by that
+    # pair again, forms 312 pair products; by every generator, 375; a
+    # semi-naive pass-based closure forms 4,753.
     pytest.param(lambda: level_half_monoid_size([kth(5, "a"), kth(5, "b")]), 63,
-                 PairSpace, "mult", 400, id="level-1/2-closure"),
+                 PairSpace, "mult", 330, id="level-1/2-closure"),
+    # The same at k = 6, a 127-element monoid: 632 pair products, and
+    # 759 when what ends in the basis pair is multiplied by it again.
+    pytest.param(lambda: level_half_monoid_size([kth(6, "a"), kth(6, "b")]), 127,
+                 PairSpace, "mult", 660, id="level-1/2-closure-kth6"),
     # A 41-element monoid. Closing the antichain under the product at the
-    # end of every round forms 40,889 pair products; rounds of the other
-    # rules alone reach the same imprint after 284,207.
+    # end of every round forms 38,066 pair products; 40,889 when each
+    # round's closure also multiplies by the part already closed (the
+    # previous maxima and the pairs of the basis value); rounds of the
+    # other rules alone reach the same imprint after 284,207.
     pytest.param(lambda: member("3/2", lang("(a(a|b)a(b)*)*"), ORACLE).answer, False,
-                 PairSpace, "mult", 60_000, id="level-3/2-closure"),
+                 PairSpace, "mult", 40_000, id="level-3/2-closure"),
     # The pair space's table of second-coordinate products bounds the
     # inner products of the auxiliary maps: 960 when every pair of
     # auxiliary values formed its own inner product.
@@ -222,11 +242,13 @@ WORK_BOUNDS = [
                  AntichainSemiring, "mul", 364, id="level-3/2-antichain-products"),
     # One inner semiring per auxiliary map: its omega-power reads back the
     # rows of pair products that its earlier powers formed. 76,228 when
-    # each inner product formed its pair products anew; 7,985 with rows,
-    # and 4,477 when the inner semiring also kept each pair product and
-    # the auxiliary maps' set products called no `mult`.
+    # each inner product formed its pair products anew; 6,896 with rows
+    # (7,985 when each round's closure also multiplies by the part
+    # already closed). Before that skip, 4,477 when the inner semiring
+    # also kept each pair product and the auxiliary maps' set products
+    # called no `mult`.
     pytest.param(lambda: separable("3/2", kth(5, "a"), kth(5, "b"), ORACLE).answer, True,
-                 PairSpace, "mult", 9000, id="level-3/2-pair-products"),
+                 PairSpace, "mult", 7200, id="level-3/2-pair-products"),
 ]
 
 
@@ -252,8 +274,8 @@ def test_separation_forms_each_set_product_once_per_pair_space(monkeypatch, leve
     monkeypatch.setattr(PowerSemiring, "mul", counting)
     kth5 = "(a|b)*{}(a|b)(a|b)(a|b)(a|b)"
     separable(level, lang(kth5.format("a")), lang(kth5.format("b")), ORACLE)
-    # 380 at level 1/2 and 7,033 at level 3/2 when each `PairSpace.mult`
-    # call formed its product anew and each set product kept its own.
+    # 317 at level 1/2 and 9,047 at level 3/2 when each `PairSpace.mult`
+    # call formed its product anew.
     assert len(calls) <= bound
 
 
@@ -677,6 +699,43 @@ def test_pbpol_closed_rounds_reach_a_rules_fixpoint(first, second):
         morphism, rho = pbpol_instance(seed, second, alphabet)
     assert_pbpol_rules_stable(morphism, rho, ORACLE, pbpol_iopti(morphism, rho, ORACLE))
     assert_matches_all_candidates(morphism, rho)
+
+
+def closed_antichains(space, rng, count):
+    """The empty antichain, the unit, and `count` antichains of one to three
+    random pairs closed by the all-pairs reference."""
+    yield frozenset()
+    yield frozenset({space.unit})
+    elements = list(space.monoid.elements())
+    for _ in range(count):
+        acc = Antichain(space, [
+            (rng.choice(elements), frozenset(rng.sample(elements, rng.randint(1, 2))))
+            for _ in range(rng.randint(1, 3))
+        ])
+        all_pairs_close_products(space, acc)
+        yield acc.freeze()
+
+
+# Six random pairs of at most 12 elements (seed 4000), then kth4.
+CLOSED_PART_INSTANCES = [
+    *random_instances(6, 4000, size_cap=12),
+    [lang(KTH4.format("a")), lang(KTH4.format("b"))],
+]
+
+
+@pytest.mark.parametrize("index", range(len(CLOSED_PART_INSTANCES)))
+def test_pbpol_round_part_is_closed_under_the_product(index):
+    """The part `pbpol_iopti` passes its round closure as closed is: for a
+    closed antichain S, S with every pair of every T of the basis value
+    of the auxiliary map over S has a downset closed under the product."""
+    morphism, rho = covering_instance(CLOSED_PART_INSTANCES[index])
+    space = PairSpace(morphism, rho.semiring)
+    for maxima in closed_antichains(space, random.Random(index), 8):
+        eta = aux_pbpol_map(morphism, rho, maxima, AntichainSemiring(space))
+        part = set(maxima)
+        for _, t_value in ORACLE.iopti(eta):
+            part.update(t_value)
+        assert_products_inside(DownSet(space, antichain_of(space, part)))
 
 
 def test_pbpol_applies_the_rule_to_maximal_idempotents_only(monkeypatch):

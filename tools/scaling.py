@@ -1,10 +1,11 @@
 """Print how separation scales with the monoid on two families.
 
-    python3 tools/scaling.py
+    python3 tools/scaling.py [LEVEL ...]
 
 For k = 4 to 7, separates the kth family (a|b)*a(a|b)^(k-1) from
 (a|b)*b(a|b)^(k-1) over `ab` (a transition monoid of 2^(k+1) - 1
-elements) at levels 1/2, 1 and 3/2. Then, at level 1, separates the
+elements) at each LEVEL, one row each: 1/2, 1 or 3/2, all three when
+none is given. Then, if level 1 is among them, separates the
 factor family (a|b)*w(a|b)* from its complement for w = aa, aab, aba
 and abba: there the additive closure of the level-1 pair values
 (`semiring.add_closure`) takes most of the time, and its cost grows
@@ -110,12 +111,19 @@ def main(argv) -> int:
     if argv[:1] == ["--child"]:
         print(json.dumps(measure(*argv[1:4])))
         return 0
+    levels = argv or list(LEVELS)
+    unknown = [level for level in levels if level not in LEVELS]
+    if unknown:
+        print(f"unknown level {unknown[0]!r}: choose from {', '.join(LEVELS)}", file=sys.stderr)
+        return 2
     sys.path.insert(0, str(ROOT / "src"))
     from modhier.lang import transition_monoid
 
     header = ["`kth` separation"] + [f"k={k} ({2 ** (k + 1) - 1})" for k in SIZES]
     print_table(header, [(f"level {level}", [("kth", str(k), level) for k in SIZES])
-                         for level in LEVELS])
+                         for level in levels])
+    if "1" not in levels:
+        return 0
     print()
     sizes = [transition_monoid(compiled("factor", w)).size for w in FACTORS]
     header = ["`factor` separation"] + [f"w={w} ({n})" for w, n in zip(FACTORS, sizes)]
