@@ -34,9 +34,10 @@ COVER_LEVELS = ("1/2", "1", "3/2")
 
 # Bounds for the best-effort separator search attached to positive
 # level-1/2 verdicts. Deliberately small: the witness is optional, and
-# neither exhaustion nor a candidate outgrowing the query's budget is
-# reported: either ends the search with no witness, so a witness shown
-# is always the first one the unbounded search finds.
+# neither exhaustion, nor the `antichain` cap on the candidates tried,
+# nor a candidate outgrowing the query's budget is reported: each ends
+# the search with no witness, so a witness shown is always the first
+# one the unbounded search finds.
 SEARCH_DMAX = 4
 SEARCH_NMAX = 2
 SEARCH_UNION_BOUND = 2
@@ -51,9 +52,11 @@ class Verdict:
     covering answers, or an explicit separator candidate for positive
     level-1/2 answers with one constraint when the bounded search finds
     one. `imprint` is the (morphism, imprint) pair the answer was read
-    from, absent at level zero. An `imprint` query (see `imprinted`)
-    has no answer. The query's command and level are the caller's; a
-    verdict holds only what was found.
+    from, absent at level zero; through it a verdict keeps the
+    imprint's pair space and the products that space keeps. An
+    `imprint` query (see `imprinted`) has no answer. The query's
+    command and level are the caller's; a verdict holds only what was
+    found.
     """
 
     answer: Optional[bool]
@@ -75,7 +78,8 @@ def check_imprint_level(level: str) -> None:
 
 
 def level_imprint(level: str, dfas: list[Dfa], oracle: BasisOracle, budget: Budget = Budget()):
-    """The optimal imprint of the languages at a level, by that level's engines.
+    """The optimal imprint of the languages at a level, by that level's engines:
+    the one place that maps a level to its engines.
 
     Returns (morphism, imprint): the transition monoid of the
     languages and the imprint of their canonical covering map. The

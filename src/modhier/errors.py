@@ -36,14 +36,17 @@ class Budget:
     `states` bounds the derivatives of a regex being compiled and the
     subset sequence of a length profile, `monoid` the transition monoid
     and the product states that an inclusion or disjointness check
-    walks, `antichain` every antichain the engines keep and the sets
-    the level-3/2 idempotent search visits, `iterations` the rounds of
-    a fixpoint, and `values` the powers of an omega power. Every loop
-    that grows draws through one of three functions, the only ones that
-    raise `exceeded(field)`: `lang.explore` for reachability walks and
+    walks, `antichain` every antichain the engines keep, the sets the
+    level-3/2 idempotent search visits and the candidates the separator
+    search tries, `iterations` the rounds of a fixpoint, and `values`
+    the powers of an omega power. Every loop that grows draws through
+    one of three functions, the only ones that raise
+    `exceeded(field)`: `lang.explore` for reachability walks and
     searches, `semiring.Antichain.add` for antichains, and `rounds` for
-    fixpoint rounds. One loop draws on none yet: `semiring.add_closure`,
-    the level-1 sums, as README says.
+    fixpoint rounds. The `--witness` separator search reports no
+    overrun: past its candidates, or on a candidate that outgrows
+    `states` or `monoid`, it ends with no witness. One loop draws on
+    none yet: `semiring.add_closure`, the level-1 sums, as README says.
     """
 
     states: int = 4096

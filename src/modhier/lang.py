@@ -24,7 +24,9 @@ character, `"0"`, `"e"`, `"|"`, `"&"`, `"*"`, `"+"` and `"~"`, with
 `"."` for concatenation. `|`, `&` and concatenation are binary and
 group to the left, so `a|b|c` is `a b | c |`. `compile_regex` replays
 a program into interned terms in one loop over its opcodes, then walks
-the terms' derivatives to a minimal DFA.
+the terms' derivatives to a minimal DFA. Only `parse_regex` writes
+programs: `refcheck` writes its candidates as regex text, and `cli`
+only drops trailing `~` opcodes from a parsed program.
 """
 
 from __future__ import annotations
@@ -174,9 +176,10 @@ def explore(start, letters, step, budget: Budget, field: str, what: str | None =
     and `tree[j - 1]` is the pair (i, l) whose step first found state
     j, so i < j. This is the right Cayley graph enumeration of Froidure
     and Pin (1997) when the states are products and `step` multiplies
-    by a generator. The states draw on `budget`'s `field`:
-    `exceeded(field, what)` is raised when one more than it allows
-    turns up.
+    by a generator. Every automaton, monoid, state-subset sequence and
+    power sequence the package builds is numbered here. The states draw
+    on `budget`'s `field`: `exceeded(field, what)` is raised when one
+    more than it allows turns up.
     """
     limit = getattr(budget, field)
     number = {start: 0}
@@ -313,12 +316,37 @@ def disjoint(x: Dfa, y: Dfa, budget: Budget = Budget()) -> bool:
 
 
 def iter_short_words(dfa: Dfa, max_len: int) -> Iterator[str]:
-    """Accepted words of length <= max_len, ordered by length then letters."""
-    layer = [("", dfa.initial)]
-    for length in range(max_len + 1):
+    """Accepted words of length <= max_len, ordered by length then letters.
+
+    A word is extended only while its state can still reach acceptance
+    within the remaining length, so no layer holds prefixes that lead
+    nowhere: `left[q]` is the length of the shortest word accepted from
+    q, up to max_len, found by one backward breadth-first walk.
+    """
+    sources = [[] for _ in dfa.transitions]
+    for p, row in enumerate(dfa.transitions):
+        for q in row:
+            sources[q].append(p)
+    left = dict.fromkeys(dfa.accepting, 0)
+    frontier = list(dfa.accepting)
+    for distance in range(1, max_len + 1):
+        reached = []
+        for q in frontier:
+            for p in sources[q]:
+                if p not in left:
+                    left[p] = distance
+                    reached.append(p)
+        frontier = reached
+    layer = [("", dfa.initial)] if left.get(dfa.initial, max_len + 1) <= max_len else []
+    for room in range(max_len, 0, -1):
         yield from (w for w, q in layer if q in dfa.accepting)
-        if length < max_len:
-            layer = [(w + a, dfa.transitions[q][l]) for w, q in layer for l, a in enumerate(dfa.alphabet)]
+        layer = [
+            (w + a, r)
+            for w, q in layer
+            for a, r in zip(dfa.alphabet, dfa.transitions[q])
+            if left.get(r, room) < room
+        ]
+    yield from (w for w, q in layer if q in dfa.accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +363,9 @@ def compile_regex(program: tuple, alphabet: Alphabet, budget: Budget = Budget())
     Derivatives are found breadth first from the regex, at most
     `budget.states` of them, and the automaton is minimized once.
     Terms are numbered afresh in each call, so nothing is kept between
-    calls.
+    calls. A concatenation derives through its tail only when its head
+    is nullable, so a long path such as `a` repeated 4,000 times
+    compiles in about linear time in its length.
     """
     terms = _Terms(len(alphabet))
     root = terms.replay(program, alphabet)

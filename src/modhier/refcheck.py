@@ -109,18 +109,26 @@ def pol_mod_separator_search(
     PROBE_WORDS words of l2 of length at most nmax + PROBE_EXTRA. A
     candidate failing that cannot verify, so the search returns what
     it would return without the test.
+
+    At most `budget.antichain` candidates are tried: past them the
+    search ends with no witness, as when the space is exhausted. A
+    large pool (625 two-letter markers over 25 letters) would
+    otherwise try hundreds of thousands of marker pairs per modulus.
     """
     if l1.alphabet != l2.alphabet:
         raise ValueError("separation inputs use different alphabets")
     pool = list(iter_short_words(l1, nmax))
     probes = list(islice(iter_short_words(l2, nmax + PROBE_EXTRA), PROBE_WORDS))
-    for d in range(1, dmax + 1):
-        for size in range(0, union_bound + 1):
-            for markers in combinations(pool, size):
-                candidate = SeparatorCandidate(d, markers)
-                if not _agrees_on(candidate, pool, probes):
-                    continue
-                denoted = candidate_language(candidate, l1.alphabet, budget)
-                if verify_separator(denoted, l1, l2, budget):
-                    return candidate
+    candidates = (
+        SeparatorCandidate(d, markers)
+        for d in range(1, dmax + 1)
+        for size in range(0, union_bound + 1)
+        for markers in combinations(pool, size)
+    )
+    for candidate in islice(candidates, budget.antichain):
+        if not _agrees_on(candidate, pool, probes):
+            continue
+        denoted = candidate_language(candidate, l1.alphabet, budget)
+        if verify_separator(denoted, l1, l2, budget):
+            return candidate
     return None

@@ -15,6 +15,11 @@ test dependencies.
 """
 
 QUERY = ("--level", "1", "--alphabet", "ab")
+# The widest alphabet (`e` is regex syntax), the alternation of all its
+# letters and that of all but `a`.
+WIDE = "abcdfghijklmnopqrstuvwxyz"
+ANY = "(" + "|".join(WIDE) + ")"
+NOT_A = "(" + "|".join(WIDE[1:]) + ")"
 
 
 class Head(str):
@@ -55,6 +60,15 @@ ANSWERS = {
     ("separate", "--level", "1/2", "--alphabet", "ab", "(a)*(a|b)b(a|b)*", "((a|b)*(a|b)(a|b)*&b)",
      "--witness", "--max-states", "13", "--no-stats"):
         (0, 'RESULT: separable\nWITNESS: separator d=1 markers ["ab", "bb"]\n', ""),
+    # Over 25 letters. No word of the second language has 4 letters or
+    # less, so the search has no probe word, and learns so without
+    # building the 25^4 words of length 4.
+    ("separate", "--level", "1/2", "--alphabet", WIDE, "--witness", "a", NOT_A * 6 + "*", "--no-stats"):
+        (0, 'RESULT: separable\nWITNESS: separator d=1 markers ["a"]\n', ""),
+    # 625 two-letter markers: the search stops after `--max-antichain`
+    # candidates (50,000 by default) with no witness, not after 4 x 195,626.
+    ("separate", "--level", "1/2", "--alphabet", WIDE, "--witness", ANY * 2 + "(" + ANY * 5 + ")*",
+     "(" + ANY * 5 + ")*", "--no-stats"): (0, "RESULT: separable\n", ""),
     # Imprints of unary parity at each level above 0.
     ("imprint", "--level", "1/2", "--alphabet", "a", "(aa)*", "--no-stats"):
         (0, 'MONOID: 2 elements\n  0 = ""\n  1 = "a"\nIMPRINT: (0,{0}) (1,{1})\n', ""),

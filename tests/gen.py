@@ -1,4 +1,13 @@
-"""Shared fixtures, structure builders and random generators for the test suite."""
+"""Shared fixtures, structure builders and random generators for the test suite.
+
+The test files test the package module by module, one test per claim;
+a property test runs its kept inputs, such as 200 fixed random pairs,
+as Hypothesis `@example`s beside the drawn ones. The fixtures they
+share are here: `lang(text, alphabet=AB)`, the alphabets `A` and `AB`,
+the basis oracle `ORACLE`, `fs` and the method counter `count_calls`.
+The references and rule checkers are in `oracles`, and the command
+lines with their answers in `command_lines`.
+"""
 
 from __future__ import annotations
 

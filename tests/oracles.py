@@ -2,12 +2,13 @@
 that no query takes, and checkers that re-apply an engine's rules to
 its result.
 
-Exact language operations on DFAs, the exact sum of a rating map over
-a regular language, a direct minimum over the block languages (A^d)*
-for the basis approximation, the basis approximation from basis
-separation alone, the level-1 filter over an enumerated carrier with
-its admissible totals summed as values, and the walk of every element
-of a downset (within the antichain budget).
+Exact language operations on DFAs, every accepted word up to a length
+by full layers, the exact sum of a rating map over a regular language,
+a direct minimum over the block languages (A^d)* for the basis
+approximation, the basis approximation from basis separation alone,
+the level-1 filter over an enumerated carrier with its admissible
+totals summed as values, and the walk of every element of a downset
+(within the antichain budget).
 Tests cross-check the package against these; the package itself keeps
 only what a query runs.
 
@@ -49,6 +50,17 @@ def accepts(dfa: Dfa, word: str) -> bool:
     for a in word:
         q = dfa.transitions[q][dfa.alphabet.index(a)]
     return q in dfa.accepting
+
+
+def short_words_by_layers(dfa: Dfa, max_len: int) -> list:
+    """Accepted words of length <= max_len, ordered by length then letters,
+    found by extending every word of each length by every letter."""
+    layer, words = [("", dfa.initial)], []
+    for length in range(max_len + 1):
+        words += [w for w, q in layer if q in dfa.accepting]
+        if length < max_len:
+            layer = [(w + a, dfa.transitions[q][l]) for w, q in layer for l, a in enumerate(dfa.alphabet)]
+    return words
 
 
 def is_empty(x: Dfa) -> bool:

@@ -305,13 +305,6 @@ def test_pol_imprint_trivial_monoid_parity_values():
     assert downset_elements(result) == {(0, fs(0)), (0, fs(1)), (0, fs())}
 
 
-def test_pol_imprint_contains_basis_seed(parity_instance):
-    morphism, rho = parity_instance
-    result = pol_imprint(morphism, rho, ORACLE)
-    assert (morphism.unit, ORACLE.iopti(rho)) in result
-    assert (morphism.unit, rho.semiring.one) in result
-
-
 # Fixed instances for the rule-reapplication tests of every level: two
 # by hand, then six random DFAs of at most 6 elements (seed 9000).
 RULE_INSTANCES = [

@@ -40,7 +40,7 @@ from gen import (
     random_instances,
     validate_morphism,
 )
-from oracles import accepts, equivalent, is_empty
+from oracles import accepts, equivalent, is_empty, short_words_by_layers
 
 
 def program(opcodes):
@@ -499,6 +499,21 @@ def test_short_words():
     assert list(iter_short_words(lang("(ab)*"), 4)) == ["", "ab", "abab"]
     assert list(iter_short_words(lang("a|b"), 2)) == ["a", "b"]
     assert list(iter_short_words(lang("0", A), 3)) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["a", "ab", "abc"]).flatmap(
+        lambda letters: st.tuples(st.just(Alphabet.of(letters)), _tables(len(letters), 6))
+    ),
+    st.integers(0, 4),
+)
+def test_short_words_are_those_of_the_full_layers(drawn, max_len):
+    # Any DFA, with dead or unreachable states: pruning the words that
+    # lead nowhere keeps the same words in the same order.
+    alphabet, (rows, initial, accepting) = drawn
+    dfa = Dfa(alphabet, tuple(rows), initial, accepting)
+    assert list(iter_short_words(dfa, max_len)) == short_words_by_layers(dfa, max_len)
 
 
 # -- transition monoids -----------------------------------------------------

@@ -2,6 +2,7 @@
 use, and the test suite defines each shared fixture and checker once."""
 
 import ast
+import re
 from pathlib import Path
 
 import modhier
@@ -363,3 +364,57 @@ def test_shared_modules_are_imported_at_module_level():
         "    from hypothesis import assume\n"
     )
     assert call_time_imports(source) == [5, 7, 8]
+
+
+# What README may name inside the package besides its modules and the
+# names the root exports: the command line's entry points and the error
+# every input fault raises.
+README_NAMES = ENTRY_POINTS | {("errors", "InputError")}
+
+
+def readme_internals(text: str, sources=None) -> list:
+    """The dotted names in the inline code of `text` that point into the
+    package at anything but a module, a name in `README_NAMES` or an
+    exported name: `module.name` or `Class.member`, `modhier.` in front
+    or not. Fenced code blocks are skipped, and a `.py` suffix names
+    its module. `sources` maps module names to source text, the
+    package's by default."""
+    if sources is None:
+        sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    owners = {name: module for module, source in sources.items() for name in top_level_names(source)}
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    found = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        for dotted in re.findall(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", re.sub(r"\.py\b", "", span)):
+            parts = dotted.split(".")
+            if parts[0] == "modhier":
+                parts = parts[1:]
+            if parts[0] in sources:
+                target = tuple(parts)
+            elif parts[0] in owners:
+                target = (owners[parts[0]], *parts)
+            else:
+                continue
+            exported = len(target) == 2 and target[1] in modhier.__all__
+            if len(target) > 1 and target not in README_NAMES and not exported:
+                found.append(dotted)
+    return found
+
+
+def test_readme_names_only_the_public_surface():
+    """README states what a caller can observe; how the package works is
+    for its docstrings, so README names no internal function, table or
+    member."""
+    readme = (TESTS.parent / "README.md").read_text()
+    assert readme_internals(readme) == []
+    sources = {
+        "lang": "def explore():\n    pass\n",
+        "errors": "class Budget:\n    pass\nclass InputError:\n    pass\n",
+        "cli": "def run():\n    pass\nQUERY_OPTIONS = {}\n",
+    }
+    text = (
+        "`modhier.lang`, `errors.Budget`, `modhier.errors.InputError`, `lang.explore`,\n"
+        "`Budget.rounds()`, `modhier.cli.run`, `cli.QUERY_OPTIONS`, `lang.py`, `x.y`\n"
+        "```python\nlang.explore()\n```\n"
+    )
+    assert readme_internals(text, sources) == ["lang.explore", "Budget.rounds", "cli.QUERY_OPTIONS"]

@@ -3,6 +3,7 @@ and the enumerated level-1 filter."""
 
 import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -30,11 +31,13 @@ from modhier.refcheck import (
 )
 from modhier.semiring import PowerSemiring
 
+from command_lines import ANY, NOT_A, WIDE
 from gen import (
     A,
     AB,
     CyclicMonoid,
     TableSemiring,
+    count_calls,
     drawn_instances,
     fs,
     lang,
@@ -249,6 +252,33 @@ def test_search_compiles_few_candidates_on_three_letters(monkeypatch):
     )
     assert found is None
     assert len(compiled) < 5
+
+
+def test_search_finds_its_probe_words_without_dead_layers():
+    # No word of the second language has 4 letters or less: enumerating
+    # all 25^4 words of length 4 to find so peaked at 45 MB.
+    wide = Alphabet.of(WIDE)
+    l1, l2 = lang("a", wide), lang(NOT_A * 6 + "*", wide)
+    bounds = (SEARCH_DMAX, SEARCH_NMAX, SEARCH_UNION_BOUND)
+    tracemalloc.start()
+    try:
+        found = pol_mod_separator_search(l1, l2, *bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == SeparatorCandidate(1, ("a",))
+    assert peak < 2**20
+
+
+def test_search_tries_at_most_the_antichain_budget_of_candidates(monkeypatch):
+    # 625 two-letter markers make 195,626 candidates per modulus, and
+    # none separates: the budget ends the search with no witness.
+    wide = Alphabet.of(WIDE)
+    l1, l2 = lang(ANY * 2 + "(" + ANY * 5 + ")*", wide), lang("(" + ANY * 5 + ")*", wide)
+    tried = count_calls(monkeypatch, refcheck, "_agrees_on")
+    bounds = (SEARCH_DMAX, SEARCH_NMAX, SEARCH_UNION_BOUND)
+    assert pol_mod_separator_search(l1, l2, *bounds, budget=Budget(antichain=100)) is None
+    assert 0 < len(tried) <= 100
 
 
 # ---------------------------------------------------------------------------
