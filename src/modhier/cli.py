@@ -314,7 +314,7 @@ def _run_batch(args, out, err) -> int:
             code = 2
         else:
             if tokens and tokens[0] == "batch":
-                err.write("batch files cannot nest batch commands\n")
+                err.write("error: batch files cannot nest batch commands\n")
                 code = 2
             else:
                 code = run(tokens, out=out, err=err)

@@ -2,10 +2,13 @@
 
 `ANSWERS` maps an argument list to the exit code, stdout and stderr
 that `modhier.cli.run` gives it, and `tests/test_cli.py` runs every
-row. `HELP_LINES`, `MALFORMED_LINES` and `IRREGULAR_LINES` test
-argument parsing more than deciding. Each maps a line to its exit
-code, and `tests/test_cli.py` checks that `run` exits so and answers
-as one `parse_args` of the whole line would. Most of them are lines
+row. `BATCH_ANSWERS` does the same for `batch`: it maps a file's text,
+or its bytes, to what `batch` answers on that file, so comments, blank
+lines, failing lines and unreadable files are stated once.
+`HELP_LINES`, `MALFORMED_LINES` and `IRREGULAR_LINES` test argument
+parsing more than deciding. Each maps a line to its exit code, and
+`tests/test_cli.py` checks that `run` exits so and answers as one
+`parse_args` of the whole line would. Most of them are lines
 that `modhier.cli`'s quick scan of well-formed query lines must leave
 to argparse. A line may stand in a list and in the table: the list
 says how argparse reads it, the table what it prints.
@@ -44,6 +47,9 @@ ANSWERS = {
     # allows: `--max-states` bounds automata, not the monoid.
     ("member", "--level", "1/2", "--alphabet", "ab", "--max-states", "10", "(a|b)*abba(a|b)*",
      "--no-stats"): (0, "RESULT: not-member\n", ""),
+    # No witness unless asked for.
+    ("separate", "--level", "0", "--alphabet", "a", "(aa)*", "a(aa)*", "--no-stats"):
+        (0, "RESULT: separable\n", ""),
     # Witnesses.
     ("separate", "--level", "0", "--alphabet", "a", "(aa)*", "a(aa)*", "--witness", "--no-stats"):
         (0, "RESULT: separable\nWITNESS: d=2\n", ""),
@@ -52,6 +58,12 @@ ANSWERS = {
         (0, 'RESULT: not-separable\nWITNESS: blocking element 0 word "" image {0,1}\n', ""),
     ("separate", "--level", "1/2", "--alphabet", "a", "(aa)*", "a(aa)*", "--witness", "--no-stats"):
         (0, 'RESULT: separable\nWITNESS: separator d=2 markers [""]\n', ""),
+    # The unpointed blocking witness of level 1 names no element; level
+    # 3/2 names the least one.
+    ("separate", "--level", "1", "--alphabet", "ab", "a", "a", "--witness", "--no-stats"):
+        (0, "RESULT: not-separable\nWITNESS: blocking image {1}\n", ""),
+    ("separate", "--level", "3/2", "--alphabet", "ab", "a", "a", "--witness", "--no-stats"):
+        (0, 'RESULT: not-separable\nWITNESS: blocking element 1 word "a" image {1}\n', ""),
     # The query fits 10 states, but a candidate separator the search
     # compiles before its first hit does not: the search then ends with
     # no witness, and the answer stands. With 13 states it finds one.
@@ -83,10 +95,24 @@ ANSWERS = {
     ("imprint", "--level", "1/2", "--alphabet", "a", "(aa)*", "--json", "--no-stats"):
         (0, '{"basis": "mod", "command": "imprint", "imprint": {"maximal": [[0, [0]], [1, [1]]], '
             '"monoid": ["", "a"], "pointed": true}, "level": "1/2"}\n', ""),
+    ("imprint", "--level", "1", "--alphabet", "a", "(aa)*", "--json", "--no-stats"):
+        (0, '{"basis": "mod", "command": "imprint", "imprint": {"maximal": [[0], [1]], '
+            '"monoid": ["", "a"], "pointed": false}, "level": "1"}\n', ""),
     ("member", "--level", "1/2", "--alphabet", "ab", "a*", "--json", "--no-stats"):
         (0, '{"answer": false, "basis": "mod", "command": "member", "level": "1/2"}\n', ""),
     ("member", "--level", "1", "--alphabet", "ab", "a*", "--json", "--no-stats"):
         (0, '{"answer": true, "basis": "mod", "command": "member", "level": "1"}\n', ""),
+    ("separate", "--level", "1/2", "--alphabet", "ab", "a*", "(a|b)*b(a|b)*", "--witness", "--json",
+     "--no-stats"):
+        (0, '{"answer": false, "basis": "mod", "command": "separate", "level": "1/2", '
+            '"witness": {"blocking": {"element": 0, "image": [0, 1], "word": ""}}}\n', ""),
+    ("separate", "--level", "1/2", "--alphabet", "a", "(aa)*", "a(aa)*", "--witness", "--json",
+     "--no-stats"):
+        (0, '{"answer": true, "basis": "mod", "command": "separate", "level": "1/2", '
+            '"witness": {"separator": {"markers": [""], "modulus": 2}}}\n', ""),
+    ("separate", "--level", "1", "--alphabet", "ab", "a", "a", "--witness", "--json", "--no-stats"):
+        (0, '{"answer": false, "basis": "mod", "command": "separate", "level": "1", '
+            '"witness": {"blocking": {"image": [1]}}}\n', ""),
     # Usage errors exit 2, with argparse's usage text on the error stream.
     (): (2, "", Tail("modhier: error: the following arguments are required: command\n")),
     ("separate", "a*", "b*"):
@@ -147,6 +173,37 @@ ANSWERS = {
      "a(aa)*"): (3, "", "error: state budget exceeded (limit 1)\n"),
     ("cover", "--level", "0", "--alphabet", "a", "--emit-imprint", "(aa)*", "a(aa)*"):
         (4, "", "error: covering is not supported at level 0\n"),
+}
+
+# Text or bytes of a batch file named `queries.txt`: (exit code, stdout,
+# stderr) of `batch queries.txt` run beside it.
+BATCH_ANSWERS = {
+    # Each line but comments and blank ones is echoed, then answered.
+    '# leading comment\n\nmember --level 1 --alphabet ab "a*" --no-stats\n'
+    'separate --level 0 --alphabet a "(aa)*" "a(aa)*" --witness --no-stats\n':
+        (0, 'QUERY: member --level 1 --alphabet ab "a*" --no-stats\nRESULT: member\n'
+            'QUERY: separate --level 0 --alphabet a "(aa)*" "a(aa)*" --witness --no-stats\n'
+            "RESULT: separable\nWITNESS: d=2\n", ""),
+    # A line's usage error goes to the error stream `run` writes to.
+    'member --level 1 --alphabet ab "a*" --max-states 0\n':
+        (2, 'QUERY: member --level 1 --alphabet ab "a*" --max-states 0\n',
+         Tail("modhier member: error: argument --max-states: must be at least 1, got 0\n")),
+    # A line that fails, on its regex or on its quoting, fails alone: the
+    # next line still runs, and the file exits with the first failure.
+    'member --level 1 --alphabet ab "a*(" --no-stats\nmember --level 1 --alphabet ab "a*" --no-stats\n':
+        (2, 'QUERY: member --level 1 --alphabet ab "a*(" --no-stats\n'
+            'QUERY: member --level 1 --alphabet ab "a*" --no-stats\nRESULT: member\n',
+         "error: unexpected end of input (at position 3)\n"),
+    'member --level 1 --alphabet ab "a*\nmember --level 1 --alphabet ab "a*" --no-stats\n':
+        (2, 'QUERY: member --level 1 --alphabet ab "a*\n'
+            'QUERY: member --level 1 --alphabet ab "a*" --no-stats\nRESULT: member\n',
+         "error: No closing quotation\n"),
+    "batch somewhere.txt\n":
+        (2, "QUERY: batch somewhere.txt\n", "error: batch files cannot nest batch commands\n"),
+    # A file that is not UTF-8 runs no line.
+    b"\xff\xfe member\n":
+        (2, "", "error: queries.txt: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte\n"),
 }
 
 # Help, wherever argparse takes it.

@@ -20,7 +20,9 @@ from modhier.cli import QUERY_COMMANDS, build_parser, run
 from modhier.decide import LEVELS
 from modhier.lang import compile_regex
 
-from command_lines import ANSWERS, HELP_LINES, IRREGULAR_LINES, MALFORMED_LINES, Head, Tail
+from command_lines import (
+    ANSWERS, BATCH_ANSWERS, HELP_LINES, IRREGULAR_LINES, MALFORMED_LINES, Head, Tail,
+)
 from gen import count_calls
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -59,6 +61,15 @@ def test_each_line_gives_its_answer(argv, answer, capsys):
     code, out, err = invoke(*argv)
     assert (code, seen(out, answer[1]), seen(err, answer[2])) == answer
     # `run` writes to the streams it is given, argparse's text included.
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("data, answer", BATCH_ANSWERS.items(), ids=map(repr, BATCH_ANSWERS))
+def test_each_batch_file_gives_its_answer(data, answer, capsys, monkeypatch, tmp_path):
+    (tmp_path / "queries.txt").write_bytes(data if isinstance(data, bytes) else data.encode())
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke("batch", "queries.txt")
+    assert (code, seen(out, answer[1]), seen(err, answer[2])) == answer
     assert capsys.readouterr() == ("", "")
 
 
@@ -203,15 +214,6 @@ def test_deep_regexes_answer_as_shallow_ones(regex, shallow):
         assert deep[0] == 0
 
 
-def test_batch_usage_errors_reach_the_err_stream(tmp_path, capsys):
-    script = tmp_path / "queries.txt"
-    script.write_text('member --level 1 --alphabet ab "a*" --max-states 0\n')
-    out, err = StringIO(), StringIO()
-    assert run(["batch", str(script)], out=out, err=err) == 2
-    assert "must be at least 1, got 0" in err.getvalue()
-    assert capsys.readouterr() == ("", "")
-
-
 def test_level_zero_length_profile_exits_three_in_bounded_time():
     # 68 states whose length period is 3 * 4 * 5 * 7 * 11 * 13 * 17 = 1,021,020.
     cycles = [3, 4, 5, 7, 11, 13, 17]
@@ -307,87 +309,16 @@ def test_one_parser_serves_every_run_and_batch_line(counted_parsers, tmp_path):
     )
     assert counted_parsers == []
     assert invoke("member", "--level", "1", "--alphabet", "ab", "a*", "--no-stats")[0] == 0
+    assert invoke("member", "--level", "5/2", "--alphabet", "ab", "a*")[0] == 2
+    assert invoke("member", "--alphabet", "ab", "a*")[0] == 2
     assert invoke("separate", "--level", "1/2", "--alphabet", "ab", "a*", "b*")[0] == 0
     code, out, _ = invoke("batch", str(script))
     assert (code, out.count("RESULT: ")) == (0, 3)
     assert counted_parsers == [1]
 
 
-def test_shared_parser_still_rejects_bad_arguments(counted_parsers):
-    assert invoke("member", "--level", "1", "--alphabet", "ab", "a*", "--no-stats")[0] == 0
-    assert invoke("member", "--level", "5/2", "--alphabet", "ab", "a*")[0] == 2
-    assert invoke("member", "--alphabet", "ab", "a*")[0] == 2
-    code, out, _ = invoke("member", "--level", "1", "--alphabet", "ab", "a*", "--no-stats")
-    assert (code, lines(out)) == (0, ["RESULT: member"])
-    assert counted_parsers == [1]
-
-
-def test_batch_runs_each_line(tmp_path):
-    script = tmp_path / "queries.txt"
-    script.write_text(
-        "# leading comment\n"
-        "\n"
-        'member --level 1 --alphabet ab "a*" --no-stats\n'
-        'separate --level 0 --alphabet a "(aa)*" "a(aa)*" --witness --no-stats\n'
-    )
-    code, out, err = invoke("batch", str(script))
-    assert code == 0
-    assert lines(out) == [
-        'QUERY: member --level 1 --alphabet ab "a*" --no-stats',
-        "RESULT: member",
-        'QUERY: separate --level 0 --alphabet a "(aa)*" "a(aa)*" --witness --no-stats',
-        "RESULT: separable",
-        "WITNESS: d=2",
-    ]
-    assert err == ""
-
-
-def test_batch_continues_after_errors(tmp_path):
-    # A bad regex, and a line shlex cannot split, are each reported on
-    # their own; the next line still runs.
-    script = tmp_path / "queries.txt"
-    for bad, message in [
-        ('member --level 1 --alphabet ab "a*(" --no-stats', "error: "),
-        ('member --level 1 --alphabet ab "a*', "error: No closing quotation\n"),
-    ]:
-        script.write_text(bad + '\nmember --level 1 --alphabet ab "a*" --no-stats\n')
-        code, out, err = invoke("batch", str(script))
-        assert code == 2
-        assert "RESULT: member" in out
-        assert err.startswith(message)
-
-
-def test_batch_rejects_nesting(tmp_path):
-    script = tmp_path / "queries.txt"
-    script.write_text("batch somewhere.txt\n")
-    code, _, err = invoke("batch", str(script))
-    assert code == 2
-    assert "nest" in err
-
-
-def test_batch_unreadable_lines_exit_two(tmp_path):
-    unquoted = tmp_path / "unquoted.txt"
-    unquoted.write_text('member --level 1 --alphabet ab "a*\n')
-    binary = tmp_path / "binary.txt"
-    binary.write_bytes(b"\xff\xfe member\n")
-    for script in (unquoted, binary):
-        code, _, err = invoke("batch", str(script))
-        assert code == 2, script
-        assert err.startswith("error:")
-
-
 # ---------------------------------------------------------------------------
 # Parser wiring
-
-
-def test_parser_knows_all_commands():
-    parser = build_parser()
-    args = parser.parse_args(
-        ["separate", "--level", "1/2", "--alphabet", "ab", "x", "y"]
-    )
-    assert args.command == "separate"
-    assert args.basis == "mod"
-    assert not args.json
 
 
 # A valid query of each command, and a batch file of one good and one
@@ -412,23 +343,20 @@ def test_each_line_runs_as_when_parsed_whole_at_the_top(argv, exit_code, monkeyp
     # whole line with the top-level parser, as `parse_args` does.
     script = tmp_path / "queries.txt"
     script.write_text('member --level 1 --alphabet ab "a*"\nmember --level 1 --alphabet ab a* --bogus\n')
-    argv = [str(script) if arg == BATCH_FILE else arg for arg in argv]
+    line = [str(script) if arg == BATCH_FILE else arg for arg in argv]
 
     def masked():
-        code, out, err = invoke(*argv)
+        code, out, err = invoke(*line)
         return code, MS.sub(r"\1#", out), err
 
     once = masked()
     assert once[0] == exit_code
+    # Help goes to the out stream alone; a malformed line never exits 0.
+    if argv in HELP_LINES:
+        assert (once[1][:len("usage: modhier")], once[2]) == ("usage: modhier", "")
+    assert exit_code or argv not in MALFORMED_LINES
     monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
     assert masked() == once
-
-
-def test_help_lines_print_usage_and_malformed_lines_fail():
-    assert 0 not in MALFORMED_LINES.values()
-    for argv in HELP_LINES:
-        code, out, err = invoke(*argv)
-        assert (code, out[:len("usage: modhier")], err) == (0, "usage: modhier", ""), argv
 
 
 def parsed(parse, argv):

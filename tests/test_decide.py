@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from modhier import engines
 from modhier.decide import COVER_LEVELS, LEVELS, Verdict, coverable, level_imprint, member, separable
 from modhier.engines import pbpol_iopti
-from modhier.errors import Budget, BudgetExceededError, InputError, UnsupportedError
+from modhier.errors import Budget, BudgetExceededError, InputError
 from modhier.lang import (
     Alphabet,
     Dfa,
@@ -91,22 +91,7 @@ def test_even_separates_from_odd_at_every_level():
 
 
 # ---------------------------------------------------------------------------
-# Covering fixtures
-
-
-def test_cover_even_against_odd_at_half():
-    assert coverable("1/2", lang("(aa)*", A), [lang("a(aa)*", A)], ORACLE).answer
-
-
-def test_cover_letter_star_against_marked_b():
-    target, marked = lang("a*"), lang("(a|b)*b(a|b)*")
-    assert not coverable("1/2", target, [marked], ORACLE).answer
-    assert coverable("1", target, [marked], ORACLE).answer
-
-
-def test_cover_level_zero_unsupported():
-    with pytest.raises(UnsupportedError):
-        coverable("0", lang("a*"), [lang("b*")], ORACLE)
+# Input checks
 
 
 def test_unknown_level_rejected():
@@ -138,11 +123,6 @@ def test_member_empty_word_language_at_one():
     assert member("1", lang("e"), ORACLE).answer
 
 
-def test_member_letter_star_needs_level_one():
-    assert not member("1/2", lang("a*"), ORACLE).answer
-    assert member("1", lang("a*"), ORACLE).answer
-
-
 # Every word of length at most three over `ab`, the empty one as `e`.
 SHORT_WORDS = ["".join(w) or "e" for n in range(4) for w in product("ab", repeat=n)]
 
@@ -169,23 +149,6 @@ def test_empty_language_separable_from_itself():
 # Witnesses and stats
 
 
-def test_level_zero_modulus_witness():
-    verdict = separable("0", lang("(aa)*", A), lang("a(aa)*", A), ORACLE, want_witness=True)
-    assert verdict.witness == {"modulus": 2}
-
-
-def test_blocking_witness_fixture():
-    verdict = separable("1/2", lang("a*"), lang("(a|b)*b(a|b)*"), ORACLE, want_witness=True)
-    assert not verdict.answer
-    assert verdict.witness == {"blocking": {"element": 0, "word": "", "image": [0, 1]}}
-
-
-def test_separator_witness_fixture():
-    verdict = coverable("1/2", lang("(aa)*", A), [lang("a(aa)*", A)], ORACLE, want_witness=True)
-    assert verdict.answer
-    assert verdict.witness == {"separator": {"modulus": 2, "markers": [""]}}
-
-
 def test_separator_search_draws_on_the_callers_budget():
     # The inputs compile under the default budget; the separator A*aA*
     # has a 2-state DFA, more than the caller's one state allows, so
@@ -196,11 +159,6 @@ def test_separator_search_draws_on_the_callers_budget():
     assert (bounded.answer, bounded.witness) == (True, None)
     found = separable("1/2", l1, l2, ORACLE, Budget(), want_witness=True)
     assert found.witness == {"separator": {"modulus": 1, "markers": ["a"]}}
-
-
-def test_witness_absent_by_default():
-    assert separable("0", lang("(aa)*", A), lang("a(aa)*", A), ORACLE).witness is None
-    assert separable("1/2", lang("a*"), lang("(a|b)*b(a|b)*"), ORACLE).witness is None
 
 
 def test_stats_shape():

@@ -14,9 +14,12 @@ and the table's exit codes and outputs are compared too. Each list
 runs through `modhier.cli.run` of both trees, each tree in its own
 subprocess; then all of them run again as the lines of one `batch`
 file (one `shlex.join` per line), so the parsing of `batch` lines is
-compared too. Every difference in exit code, stdout or stderr is
-printed, as a diff of lines, with the `ms` timings masked. Exits 1 if
-there is any difference, 0 if there is none.
+compared too. Last, each file of the batch table is written out and
+run as `batch FILE`, so comments, blank lines, unsplittable lines,
+undecodable bytes and nested `batch` lines are compared too. Every
+difference in exit code, stdout or stderr is printed, as a diff of
+lines, with the `ms` timings masked. Exits 1 if there is any
+difference, 0 if there is none.
 """
 
 from __future__ import annotations
@@ -42,12 +45,13 @@ VARIANTS = (
 )
 
 
-def argument_lists(seeds) -> list:
+def argument_lists(seeds) -> tuple:
     """Every distinct argument list of the corpora at `seeds`, and every
-    command line of tests/command_lines.py, in a fixed order."""
+    command line of tests/command_lines.py, in a fixed order; and the
+    files of its batch table, as text or bytes."""
     sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
     import corpus
-    from command_lines import ANSWERS, HELP_LINES, IRREGULAR_LINES, MALFORMED_LINES
+    from command_lines import ANSWERS, BATCH_ANSWERS, HELP_LINES, IRREGULAR_LINES, MALFORMED_LINES
 
     lists = {*ANSWERS, *HELP_LINES, *MALFORMED_LINES, *IRREGULAR_LINES}
     for seed in seeds:
@@ -59,7 +63,7 @@ def argument_lists(seeds) -> list:
                     flags = q.flags + tuple(f for f in extra if f not in q.flags)
                     lists.add((q.command, "--level", q.level, "--alphabet", q.alphabet,
                                *flags, *q.regexes))
-    return sorted(lists)
+    return sorted(lists), list(BATCH_ANSWERS)
 
 
 def run_all(src: str, lists_file: str, results_file: str) -> None:
@@ -85,7 +89,7 @@ def main(argv) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     parent_rev, seeds = argv[0], [int(s) for s in argv[1:]]
-    lists = argument_lists(seeds)
+    lists, batch_files = argument_lists(seeds)
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(tmp) / "parent"
         parent.mkdir()
@@ -95,6 +99,10 @@ def main(argv) -> int:
         batch_file = Path(tmp) / "queries.txt"
         batch_file.write_text("".join(shlex.join(argv) + "\n" for argv in lists))
         runs = [*lists, ("batch", str(batch_file))]
+        for i, data in enumerate(batch_files):
+            path = Path(tmp) / f"batch{i}.txt"
+            path.write_bytes(data if isinstance(data, bytes) else data.encode())
+            runs.append(("batch", str(path)))
         lists_file = Path(tmp) / "lists.json"
         lists_file.write_text(json.dumps(runs))
         results = [Path(tmp) / "parent.json", Path(tmp) / "this.json"]
@@ -119,8 +127,8 @@ def main(argv) -> int:
                                                 "this tree", n=1, lineterm="")
                     print("\n".join("  " + line for line in diff))
     print(f"{len(lists)} argument lists of seeds {' '.join(map(str, seeds))}, "
-          f"one by one and as one batch file, against {parent_rev}: "
-          f"{differences} differences")
+          f"one by one and as one batch file, and {len(batch_files)} batch files, "
+          f"against {parent_rev}: {differences} differences")
     return 1 if differences else 0
 
 
