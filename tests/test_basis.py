@@ -14,8 +14,9 @@ from modhier.basis import (
     mod_cover_oracle,
     mod_iopti,
     mod_separable,
+    oracle_for,
 )
-from modhier.errors import Budget, BudgetExceededError
+from modhier.errors import Budget, BudgetExceededError, UnsupportedError
 from modhier.lang import Dfa, disjoint
 from modhier.rating import RatingMap
 from modhier.semiring import PowerSemiring
@@ -69,6 +70,10 @@ def test_length_profile_matches_subset_stepping(seed):
 
 # ---------------------------------------------------------------------------
 # Separation at level zero
+
+
+def test_mod_separable_even_vs_odd():
+    assert mod_separable(lang("(aa)*", A), lang("a(aa)*", A)) == 2
 
 
 def test_mod_separable_same_lengths():
@@ -167,6 +172,11 @@ def test_length_profile_draws_on_the_state_budget():
 # iopti values
 
 
+def test_mod_iopti_parity():
+    rho = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
+    assert mod_iopti(rho) == fs(0)
+
+
 def test_mod_iopti_omega_power_draws_on_the_values_budget():
     rho = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
     with pytest.raises(BudgetExceededError) as caught:
@@ -186,6 +196,11 @@ def test_mod_iopti_trivial_semiring():
     assert mod_iopti(rho) == 0
 
 
+def test_generic_iopti_parity():
+    rho = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
+    assert generic_iopti(rho, mod_separable) == fs(0)
+
+
 def test_generic_iopti_unit_images():
     semiring = PowerSemiring(CyclicMonoid(2))
     rho = RatingMap(AB, semiring, {"a": semiring.one, "b": semiring.one})
@@ -197,8 +212,6 @@ def test_generic_iopti_unit_images():
 # One hundred fixed maps, within a 60 s ceiling meant to catch an
 # algorithmic regression.
 @example(seeded_maps(7000, 100))
-# Unary parity, whose value `test_mod_cover_oracle_roundtrip` states.
-@example([RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})])
 def test_mod_iopti_equals_generic_iopti(maps):
     started = time.perf_counter()
     for rho in maps:
@@ -227,3 +240,10 @@ def test_mod_cover_oracle_roundtrip():
     assert oracle.iopti(rho) == fs(0)
     assert oracle.separates(lang("(aa)*", A), lang("a(aa)*", A)) == 2
     assert isinstance(oracle, ModOracle)
+
+
+def test_oracle_for_names():
+    assert isinstance(oracle_for("mod"), ModOracle)
+    for name in ("gr", "amod", "xyz"):
+        with pytest.raises(UnsupportedError):
+            oracle_for(name)

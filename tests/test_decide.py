@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from modhier import engines
 from modhier.decide import COVER_LEVELS, LEVELS, Verdict, coverable, level_imprint, member, separable
 from modhier.engines import pbpol_iopti
-from modhier.errors import Budget, BudgetExceededError, InputError
+from modhier.errors import Budget, BudgetExceededError, InputError, UnsupportedError
 from modhier.lang import (
     Alphabet,
     Dfa,
@@ -91,7 +91,22 @@ def test_even_separates_from_odd_at_every_level():
 
 
 # ---------------------------------------------------------------------------
-# Input checks
+# Covering fixtures
+
+
+def test_cover_even_against_odd_at_half():
+    assert coverable("1/2", lang("(aa)*", A), [lang("a(aa)*", A)], ORACLE).answer
+
+
+def test_cover_letter_star_against_marked_b():
+    target, marked = lang("a*"), lang("(a|b)*b(a|b)*")
+    assert not coverable("1/2", target, [marked], ORACLE).answer
+    assert coverable("1", target, [marked], ORACLE).answer
+
+
+def test_cover_level_zero_unsupported():
+    with pytest.raises(UnsupportedError):
+        coverable("0", lang("a*"), [lang("b*")], ORACLE)
 
 
 def test_unknown_level_rejected():
@@ -159,6 +174,11 @@ def test_separator_search_draws_on_the_callers_budget():
     assert (bounded.answer, bounded.witness) == (True, None)
     found = separable("1/2", l1, l2, ORACLE, Budget(), want_witness=True)
     assert found.witness == {"separator": {"modulus": 1, "markers": ["a"]}}
+
+
+def test_witness_absent_by_default():
+    assert separable("0", lang("(aa)*", A), lang("a(aa)*", A), ORACLE).witness is None
+    assert separable("1/2", lang("a*"), lang("(a|b)*b(a|b)*"), ORACLE).witness is None
 
 
 def test_stats_shape():

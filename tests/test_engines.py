@@ -60,6 +60,7 @@ from oracles import (
     assert_products_inside,
     bpol_iopti_enumerated,
     downset_elements,
+    elements_below,
     imprint_covers,
 )
 
@@ -282,6 +283,13 @@ def test_separation_forms_each_set_product_once_per_pair_space(monkeypatch, leve
 # Level 1/2
 
 
+def test_pol_imprint_parity(parity_instance):
+    morphism, rho = parity_instance
+    result = pol_imprint(morphism, rho, ORACLE)
+    assert result.maximal == {(0, fs(0)), (1, fs(1))}
+    assert downset_elements(result) == {(0, fs(0)), (1, fs(1)), (0, fs()), (1, fs())}
+
+
 def test_pol_imprint_trivial_algebra():
     morphism = transition_monoid([lang("~0", A)])
     rho = RatingMap(A, trivial_semiring(), {"a": 0})
@@ -482,6 +490,13 @@ def test_bpol_rules_reapplication_changes_nothing(instances):
         assert_products_inside(bpol_opti(rho, iopti))
 
 
+def test_bpol_opti_parity(parity_instance):
+    _, rho = parity_instance
+    result = bpol_opti(rho, bpol_iopti(rho, ORACLE))
+    assert result.maximal == {fs(0), fs(1)}
+    assert downset_elements(result) == {fs(), fs(0), fs(1)}
+
+
 def test_bpol_opti_unit_letter():
     semiring = PowerSemiring(CyclicMonoid(2))
     rho = RatingMap(A, semiring, {"a": semiring.one})
@@ -519,6 +534,24 @@ def test_pbpol_iopti_trivial_algebra():
     rho = RatingMap(A, semiring, {"a": semiring.one})
     result = pbpol_iopti(morphism, rho, ORACLE)
     assert downset_elements(result) == {(0, fs(0)), (0, fs())}
+
+
+def test_pbpol_pointed_imprint_parity(parity_instance):
+    morphism, rho = parity_instance
+    pointed = pbpol_pointed_imprint(morphism, rho, pbpol_iopti(morphism, rho, ORACLE))
+    assert pointed.maximal == {(0, fs(0)), (1, fs(1))}
+    assert downset_elements(pointed) == {(0, fs(0)), (1, fs(1)), (0, fs()), (1, fs())}
+
+
+def test_pbpol_downset_and_product_closure(parity_instance):
+    morphism, rho = parity_instance
+    result = pbpol_iopti(morphism, rho, ORACLE)
+    space = result.space
+    for x in result.maximal:
+        for y in result.maximal:
+            assert space.mult(x, y) in result
+        for below in elements_below(space, x):
+            assert below in result
 
 
 @settings(max_examples=20, deadline=None)

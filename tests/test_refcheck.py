@@ -131,6 +131,20 @@ def test_verification_walks_within_the_search_budget():
         pol_mod_separator_search(l1, l2, **bounds, budget=Budget(monoid=3))
 
 
+def test_search_finds_parity_block():
+    found = pol_mod_separator_search(
+        lang("(aa)*", A), lang("a(aa)*", A), dmax=2, nmax=2, union_bound=1
+    )
+    assert found == SeparatorCandidate(2, ("",))
+
+
+def test_search_finds_marked_letter():
+    found = pol_mod_separator_search(
+        lang("(a|b)*a(a|b)*"), lang("b*"), dmax=1, nmax=1, union_bound=1
+    )
+    assert found == SeparatorCandidate(1, ("a",))
+
+
 def test_search_exhausts_on_inseparable_pair():
     found = pol_mod_separator_search(
         lang("a*"), lang("(a|b)*b(a|b)*"), dmax=4, nmax=3, union_bound=2
