@@ -10,12 +10,12 @@ query line (a query command, options spelled out in full from
 QUERY_OPTIONS with valid values, one run of positionals that fits the
 command, `--level` and `--alphabet` given) is read in one scan of that
 table, with no parser built. argparse owns help, usage errors and
-irregular spellings: any other line is parsed whole by the top-level
-parser. Each query command is declared once, in QUERY_COMMANDS: its
-help, its regexes and its result words. A query compiles each
-distinct language it names once, in argument order, and a regex that
-complements another (`~r` beside `r`) is `r`'s DFA with acceptance
-flipped.
+irregular spellings: any other line is parsed whole by a top-level
+parser built for that line, and no parser outlives its line. Each
+query command is declared once, in QUERY_COMMANDS: its help, its
+regexes and its result words. A query compiles each distinct language
+it names once, in argument order, and a regex that complements
+another (`~r` beside `r`) is `r`'s DFA with acceptance flipped.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import json
 import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from functools import cache
 from pathlib import Path
 
 from .basis import oracle_for
@@ -108,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built by the first `run` that needs it."""
-    return build_parser()
-
-
 def _scan(argv: list) -> argparse.Namespace | None:
     """The arguments of a well-formed query line, read in one pass; None
     for any other line.
@@ -181,11 +174,10 @@ def _scan(argv: list) -> argparse.Namespace | None:
 
 def _parse(argv: list) -> argparse.Namespace:
     """The arguments of `argv`, parsed once: a well-formed query line by
-    `_scan`, which builds no parser, and any other line by the
-    top-level parser's `parse_args`, which prints help and usage errors.
+    `_scan`, which builds no parser, and any other line by a top-level
+    parser built for it, whose `parse_args` prints help and usage errors.
     """
-    args = _scan(argv)
-    return _parser().parse_args(argv) if args is None else args
+    return _scan(argv) or build_parser().parse_args(argv)
 
 
 def _format_value(value) -> str:

@@ -23,7 +23,7 @@ from .engines import (
     pbpol_pointed_imprint,
     pol_imprint,
 )
-from .errors import Budget, BudgetExceededError, InputError, UnsupportedError
+from .errors import Budget, InputError, UnsupportedError
 from .lang import Dfa, complement, transition_monoid
 from .rating import canonical_covering_map
 from .refcheck import pol_mod_separator_search
@@ -31,16 +31,6 @@ from .semiring import DownSet
 
 LEVELS = ("0", "1/2", "1", "3/2")
 COVER_LEVELS = ("1/2", "1", "3/2")
-
-# Bounds for the best-effort separator search attached to positive
-# level-1/2 verdicts. Deliberately small: the witness is optional, and
-# neither exhaustion, nor the `antichain` cap on the candidates tried,
-# nor a candidate outgrowing the query's budget is reported: each ends
-# the search with no witness, so a witness shown is always the first
-# one the unbounded search finds.
-SEARCH_DMAX = 4
-SEARCH_NMAX = 2
-SEARCH_UNION_BOUND = 2
 
 
 @dataclass(frozen=True)
@@ -161,6 +151,8 @@ def coverable(
     The target is coverable iff no imprint element is accepted by it
     while meeting every constraint; the negative witness is that
     element. Covering below level 1/2 is not defined for this basis.
+    A positive level-1/2 answer against one constraint asks `refcheck`
+    for a separator witness: this function decides only when to ask.
     """
     _check_level(level)
     if level not in COVER_LEVELS:
@@ -181,17 +173,7 @@ def coverable(
         witness = {"blocking": {**pointer, "image": sorted(t)}}
 
     if want_witness and answer and level == "1/2" and len(constraints) == 1:
-        try:
-            found = pol_mod_separator_search(
-                target,
-                constraints[0],
-                dmax=SEARCH_DMAX,
-                nmax=SEARCH_NMAX,
-                union_bound=SEARCH_UNION_BOUND,
-                budget=budget,
-            )
-        except BudgetExceededError:
-            found = None
+        found = pol_mod_separator_search(target, constraints[0], budget=budget)
         if found is not None:
             witness = {
                 "separator": {"modulus": found.modulus, "markers": list(found.markers)}

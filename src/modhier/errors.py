@@ -43,8 +43,8 @@ class Budget:
     one of three functions, the only ones that raise
     `exceeded(field)`: `lang.explore` for reachability walks and
     searches, `semiring.Antichain.add` for antichains, and `rounds` for
-    fixpoint rounds. The `--witness` separator search reports no
-    overrun: past its candidates, or on a candidate that outgrows
+    fixpoint rounds. `refcheck`'s `--witness` separator search reports
+    no overrun: past its candidates, or on a candidate that outgrows
     `states` or `monoid`, it ends with no witness. One loop draws on
     none yet: `semiring.add_closure`, the level-1 sums, as README says.
     """

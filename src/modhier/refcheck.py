@@ -5,7 +5,9 @@ length-residue blocks (`SeparatorCandidate`), each written as regex
 text for `parse_regex`, and verified by exact inclusion and
 disjointness. Verdict assembly runs the search for the best-effort
 witness of `--witness`; a hit certifies separability at level 1/2 by a
-route independent of the engines.
+route independent of the engines. The search's whole policy is here:
+its bounds DMAX, NMAX and UNION_BOUND, the `antichain` cap on the
+candidates it tries, and no witness on an overrun.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .errors import Budget
+from .errors import Budget, BudgetExceededError
 from .lang import Alphabet, Dfa, compile_regex, disjoint, included, iter_short_words, parse_regex
 
 
@@ -82,6 +84,11 @@ def verify_separator(k: Dfa, l1: Dfa, l2: Dfa, budget: Budget = Budget()) -> boo
     return included(l1, k, budget) and disjoint(k, l2, budget)
 
 
+# The search's bounds: deliberately small, as the witness is optional.
+DMAX = 4
+NMAX = 2
+UNION_BOUND = 2
+
 # Words of l2 a candidate separator is tried on before it is compiled.
 PROBE_EXTRA = 2
 PROBE_WORDS = 64
@@ -90,9 +97,9 @@ PROBE_WORDS = 64
 def pol_mod_separator_search(
     l1: Dfa,
     l2: Dfa,
-    dmax: int,
-    nmax: int,
-    union_bound: int,
+    dmax: int = DMAX,
+    nmax: int = NMAX,
+    union_bound: int = UNION_BOUND,
     budget: Budget = Budget(),
 ) -> SeparatorCandidate | None:
     """Bounded search for a marked-product separator of l1 from l2.
@@ -110,10 +117,11 @@ def pol_mod_separator_search(
     candidate failing that cannot verify, so the search returns what
     it would return without the test.
 
-    At most `budget.antichain` candidates are tried: past them the
-    search ends with no witness, as when the space is exhausted. A
-    large pool (625 two-letter markers over 25 letters) would
-    otherwise try hundreds of thousands of marker pairs per modulus.
+    At most `budget.antichain` candidates are tried, and a candidate
+    whose compilation or verification outgrows `budget` ends the search:
+    either way it returns None, as on exhaustion, and reports no overrun.
+    A large pool (625 two-letter markers over 25 letters) would otherwise
+    try hundreds of thousands of marker pairs per modulus.
     """
     if l1.alphabet != l2.alphabet:
         raise ValueError("separation inputs use different alphabets")
@@ -128,7 +136,10 @@ def pol_mod_separator_search(
     for candidate in islice(candidates, budget.antichain):
         if not _agrees_on(candidate, pool, probes):
             continue
-        denoted = candidate_language(candidate, l1.alphabet, budget)
-        if verify_separator(denoted, l1, l2, budget):
-            return candidate
+        try:
+            denoted = candidate_language(candidate, l1.alphabet, budget)
+            if verify_separator(denoted, l1, l2, budget):
+                return candidate
+        except BudgetExceededError:
+            return None
     return None

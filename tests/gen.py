@@ -57,12 +57,13 @@ def lang(text, alphabet=AB):
 
 
 def count_calls(monkeypatch, owner, name):
-    """Count calls of `owner.name`, a method or a module's function, from here on."""
+    """Record the positional arguments of each call of `owner.name`, a
+    method or a module's function, from here on."""
     calls = []
     original = getattr(owner, name)
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)

@@ -4,9 +4,7 @@ import itertools
 import json
 import re
 import shlex
-import sys
 import time
-from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -15,10 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modhier import cli, decide, engines
+from modhier import cli, decide
 from modhier.cli import QUERY_COMMANDS, build_parser, run
 from modhier.decide import LEVELS
-from modhier.lang import compile_regex
 
 from command_lines import (
     ANSWERS, BATCH_ANSWERS, HELP_LINES, IRREGULAR_LINES, MALFORMED_LINES, Head, Tail,
@@ -109,34 +106,19 @@ ENGINES_BY_LEVEL = {
 }
 
 
-def count_engine_runs(monkeypatch) -> Counter:
-    """Count calls of every engine, wherever a modhier module binds it."""
-    calls = Counter()
-    names = [name for group in ENGINES_BY_LEVEL.values() for name in group]
-    modules = [m for key, m in sorted(sys.modules.items()) if key.startswith("modhier")]
-    for name in names:
-        original = getattr(engines, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("level", sorted(ENGINES_BY_LEVEL))
 def test_emit_imprint_runs_each_engine_once(monkeypatch, level):
-    calls = count_engine_runs(monkeypatch)
+    # The engines run through `decide`'s bindings of them.
+    names = [name for group in ENGINES_BY_LEVEL.values() for name in group]
+    calls = {name: count_calls(monkeypatch, decide, name) for name in names}
     code, out, _ = invoke(
         "separate", "--level", level, "--alphabet", "ab", "a*", "(a|b)*b(a|b)*",
         "--emit-imprint", "--no-stats",
     )
     assert code == 0
     assert lines(out)[-1].startswith("IMPRINT: ")
-    assert calls == Counter({name: 1 for name in ENGINES_BY_LEVEL[level]})
+    runs = {name: len(c) for name, c in calls.items() if c}
+    assert runs == dict.fromkeys(ENGINES_BY_LEVEL[level], 1)
 
 
 @pytest.mark.parametrize("argv", [
@@ -244,19 +226,6 @@ def test_internal_value_error_is_not_an_input_error(monkeypatch):
         invoke("member", "--level", "1", "--alphabet", "ab", "a*")
 
 
-@pytest.fixture
-def compilations(monkeypatch):
-    """The programs `cli` compiles, in order."""
-    programs = []
-
-    def counting(program, alphabet, budget):
-        programs.append(program)
-        return compile_regex(program, alphabet, budget)
-
-    monkeypatch.setattr(cli, "compile_regex", counting)
-    return programs
-
-
 X = "(a|b)*ab"
 EVEN = "((a|b)(a|b))*"
 
@@ -272,49 +241,14 @@ EVEN = "((a|b)(a|b))*"
         ("separate", "0", ["aa", "~(aa)"], ["aa", "~(aa) & ~0"]),
     ],
 )
-def test_a_language_and_its_complements_compile_once(compilations, command, level, shared, apart):
+def test_a_language_and_its_complements_compile_once(monkeypatch, command, level, shared, apart):
+    compilations = count_calls(monkeypatch, cli, "compile_regex")
     head = (command, "--level", level, "--alphabet", "ab", "--witness", "--no-stats")
     answer = invoke(*head, *shared)
     assert len(compilations) == 1
     assert invoke(*head, *apart) == answer
     assert len(compilations) == 1 + len(apart)
     assert answer[0] == 0
-
-
-# ---------------------------------------------------------------------------
-# Batch driver
-
-
-@pytest.fixture
-def counted_parsers(monkeypatch):
-    """Count `build_parser` calls from a process that has built no parser yet."""
-    built = []
-
-    def counting():
-        built.append(1)
-        return build_parser()
-
-    monkeypatch.setattr(cli, "build_parser", counting)
-    cli._parser.cache_clear()
-    yield built
-    cli._parser.cache_clear()
-
-
-def test_one_parser_serves_every_run_and_batch_line(counted_parsers, tmp_path):
-    script = tmp_path / "queries.txt"
-    script.write_text(
-        'member --level 1 --alphabet ab "a*" --no-stats\n'
-        'separate --level 0 --alphabet a "(aa)*" "a(aa)*" --no-stats\n'
-        'member --level 1/2 --alphabet ab "a*" --no-stats\n'
-    )
-    assert counted_parsers == []
-    assert invoke("member", "--level", "1", "--alphabet", "ab", "a*", "--no-stats")[0] == 0
-    assert invoke("member", "--level", "5/2", "--alphabet", "ab", "a*")[0] == 2
-    assert invoke("member", "--alphabet", "ab", "a*")[0] == 2
-    assert invoke("separate", "--level", "1/2", "--alphabet", "ab", "a*", "b*")[0] == 0
-    code, out, _ = invoke("batch", str(script))
-    assert (code, out.count("RESULT: ")) == (0, 3)
-    assert counted_parsers == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -434,5 +368,5 @@ def test_well_formed_lines_parse_without_argparse(monkeypatch):
     def no_parser():
         raise AssertionError("argparse was asked to parse a well-formed line")
 
-    monkeypatch.setattr(cli, "_parser", no_parser)
+    monkeypatch.setattr(cli, "build_parser", no_parser)
     assert [cli._parse(argv) for argv in lines] == expected

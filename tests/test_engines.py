@@ -263,20 +263,12 @@ def test_work_bounds(monkeypatch, query, result, owner, name, bound):
 def test_separation_forms_each_set_product_once_per_pair_space(monkeypatch, level, bound):
     """A pair space keeps its second-coordinate products for its lifetime,
     so a closure that multiplies the same sets again reads them back."""
-    calls = []
-    original = PowerSemiring.mul
-
-    def counting(self, x, y):
-        if isinstance(self.monoid, MonoidMorphism):
-            calls.append(1)
-        return original(self, x, y)
-
-    monkeypatch.setattr(PowerSemiring, "mul", counting)
+    calls = count_calls(monkeypatch, PowerSemiring, "mul")
     kth5 = "(a|b)*{}(a|b)(a|b)(a|b)(a|b)"
     separable(level, lang(kth5.format("a")), lang(kth5.format("b")), ORACLE)
     # 317 at level 1/2 and 9,047 at level 3/2 when each `PairSpace.mult`
     # call formed its product anew.
-    assert len(calls) <= bound
+    assert sum(isinstance(args[0].monoid, MonoidMorphism) for args in calls) <= bound
 
 
 # ---------------------------------------------------------------------------

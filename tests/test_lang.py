@@ -30,6 +30,7 @@ from modhier.lang import (
 from gen import (
     A,
     AB,
+    count_calls,
     drawn_instances,
     fs,
     image_of_word,
@@ -384,20 +385,8 @@ def test_printed_regexes_parse_back(regex):
     assert parse_regex(printed(regex), AB) == regex
 
 
-@pytest.fixture
-def minimize_calls(monkeypatch):
-    calls = []
-    original = lang_module.minimize
-
-    def counting(dfa):
-        calls.append(1)
-        return original(dfa)
-
-    monkeypatch.setattr(lang_module, "minimize", counting)
-    return calls
-
-
-def test_equal_subexpressions_are_minimized_once(minimize_calls):
+def test_equal_subexpressions_are_minimized_once(monkeypatch):
+    minimize_calls = count_calls(monkeypatch, lang_module, "minimize")
     # Every compilation minimizes once, at the root, whatever its operators.
     for text in ["(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)", "~(a*b)&(ab)+|e", "(" * 50 + "a" + ")*" * 50]:
         minimize_calls.clear()

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from modhier.basis import mod_cover_oracle, mod_iopti
 from modhier import refcheck
-from modhier.decide import SEARCH_DMAX, SEARCH_NMAX, SEARCH_UNION_BOUND
 from modhier.errors import Budget, BudgetExceededError
 from modhier.lang import (
     Alphabet,
@@ -23,6 +22,9 @@ from modhier.lang import (
 )
 from modhier.rating import RatingMap
 from modhier.refcheck import (
+    DMAX,
+    NMAX,
+    UNION_BOUND,
     SeparatorCandidate,
     candidate_language,
     marked_product_accepts,
@@ -127,8 +129,8 @@ def test_verification_walks_within_the_search_budget():
     bounds = dict(dmax=2, nmax=2, union_bound=1)
     found = pol_mod_separator_search(l1, l2, **bounds, budget=Budget(monoid=4))
     assert found == SeparatorCandidate(2, ("",))
-    with pytest.raises(BudgetExceededError):
-        pol_mod_separator_search(l1, l2, **bounds, budget=Budget(monoid=3))
+    # An overrun ends the search with no witness.
+    assert pol_mod_separator_search(l1, l2, **bounds, budget=Budget(monoid=3)) is None
 
 
 def test_search_finds_parity_block():
@@ -178,6 +180,17 @@ def test_search_results_always_verify(pairs, least_hits):
     assert hits >= least_hits
 
 
+@settings(max_examples=60, deadline=None)
+@given(drawn_instances(size_cap=None), st.integers(1, 40), st.integers(1, 40), st.integers(1, 40))
+# The kept pairs, under a `states` budget the first compiled candidate outgrows.
+@example(search_pairs(), 1, 4, 3)
+def test_a_budgeted_search_finds_the_unbudgeted_witness_or_none(pairs, states, monoid, antichain):
+    budget = Budget(states=states, monoid=monoid, antichain=antichain)
+    for l1, l2 in pairs:
+        found = pol_mod_separator_search(l1, l2, budget=budget)
+        assert found is None or found == pol_mod_separator_search(l1, l2)
+
+
 # ---------------------------------------------------------------------------
 # The word test that runs before a candidate is compiled
 
@@ -211,8 +224,7 @@ WITNESS_PAIRS = [
 def test_filtered_search_matches_unfiltered_on_fixed_pairs(first, second):
     l1 = lang(first)
     l2 = complement(l1) if second is None else lang(second)
-    bounds = (SEARCH_DMAX, SEARCH_NMAX, SEARCH_UNION_BOUND)
-    assert pol_mod_separator_search(l1, l2, *bounds) == unfiltered_search(l1, l2, *bounds)
+    assert pol_mod_separator_search(l1, l2) == unfiltered_search(l1, l2, DMAX, NMAX, UNION_BOUND)
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,20 +249,9 @@ def test_marked_product_accepts_matches_compiled_product(modulus, marker, words)
 
 
 def test_search_compiles_few_candidates_on_three_letters(monkeypatch):
-    compiled = []
-    original = refcheck.candidate_language
-
-    def counting(candidate, alphabet, budget):
-        compiled.append(candidate)
-        return original(candidate, alphabet, budget)
-
-    monkeypatch.setattr(refcheck, "candidate_language", counting)
-    abc = Alphabet.of("abc")
-    l1 = lang(MOD3_ABC, abc)
-    found = pol_mod_separator_search(
-        l1, complement(l1), SEARCH_DMAX, SEARCH_NMAX, SEARCH_UNION_BOUND
-    )
-    assert found is None
+    compiled = count_calls(monkeypatch, refcheck, "candidate_language")
+    l1 = lang(MOD3_ABC, Alphabet.of("abc"))
+    assert pol_mod_separator_search(l1, complement(l1)) is None
     assert len(compiled) < 5
 
 
@@ -259,10 +260,9 @@ def test_search_finds_its_probe_words_without_dead_layers():
     # all 25^4 words of length 4 to find so peaked at 45 MB.
     wide = Alphabet.of(WIDE)
     l1, l2 = lang("a", wide), lang(NOT_A * 6 + "*", wide)
-    bounds = (SEARCH_DMAX, SEARCH_NMAX, SEARCH_UNION_BOUND)
     tracemalloc.start()
     try:
-        found = pol_mod_separator_search(l1, l2, *bounds)
+        found = pol_mod_separator_search(l1, l2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -276,8 +276,7 @@ def test_search_tries_at_most_the_antichain_budget_of_candidates(monkeypatch):
     wide = Alphabet.of(WIDE)
     l1, l2 = lang(ANY * 2 + "(" + ANY * 5 + ")*", wide), lang("(" + ANY * 5 + ")*", wide)
     tried = count_calls(monkeypatch, refcheck, "_agrees_on")
-    bounds = (SEARCH_DMAX, SEARCH_NMAX, SEARCH_UNION_BOUND)
-    assert pol_mod_separator_search(l1, l2, *bounds, budget=Budget(antichain=100)) is None
+    assert pol_mod_separator_search(l1, l2, budget=Budget(antichain=100)) is None
     assert 0 < len(tried) <= 100
 
 
