@@ -13,9 +13,8 @@ table, with no parser built. argparse owns help, usage errors and
 irregular spellings: any other line is parsed whole by a top-level
 parser built for that line, and no parser outlives its line. Each
 query command is declared once, in QUERY_COMMANDS: its help, its
-regexes and its result words. A query compiles each distinct language
-it names once, in argument order, and a regex that complements
-another (`~r` beside `r`) is `r`'s DFA with acceptance flipped.
+regexes and its result words. A query's regexes go to
+`lang.compile_regexes`, which compiles each distinct language once.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .decide import (
     separable,
 )
 from .errors import Budget, BudgetExceededError, InputError, UnsupportedError
-from .lang import Alphabet, compile_regex, complement, parse_regex
+from .lang import Alphabet, compile_regexes
 
 def _positive_int(text: str) -> int:
     """A budget flag's value: an integer of at least 1."""
@@ -250,26 +249,11 @@ def _run_query(args, out) -> int:
     oracle = oracle_for(args.basis)
     alphabet = Alphabet.of(args.alphabet)
     budget = Budget(states=args.max_states, antichain=args.max_antichain)
-    # Each regex is parsed and compiled in argument order, so the first
-    # regex with an error reports it. A program's core drops its trailing
-    # complements: `~r` derives as `r` does with acceptance flipped, so
-    # each core is compiled once and complemented as often as needed.
     regexes = []
     for name, nargs in QUERY_COMMANDS[args.command][1]:
         value = getattr(args, name)
         regexes += value if nargs else [value]
-    cores = {}  # core program -> its DFA
-    dfas = []
-    for text in regexes:
-        program = parse_regex(text, alphabet)
-        end = len(program)
-        while program[end - 1] == ("~", None):
-            end -= 1
-        core = program[:end]
-        dfa = cores.get(core)
-        if dfa is None:
-            dfa = cores[core] = compile_regex(core, alphabet, budget)
-        dfas.append(complement(dfa) if (len(program) - end) % 2 else dfa)
+    dfas = compile_regexes(regexes, alphabet, budget)
 
     show = args.emit_imprint or args.command == "imprint"
     # Covering refuses level 0 on its own terms; the other commands

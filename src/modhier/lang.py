@@ -24,9 +24,9 @@ character, `"0"`, `"e"`, `"|"`, `"&"`, `"*"`, `"+"` and `"~"`, with
 `"."` for concatenation. `|`, `&` and concatenation are binary and
 group to the left, so `a|b|c` is `a b | c |`. `compile_regex` replays
 a program into interned terms in one loop over its opcodes, then walks
-the terms' derivatives to a minimal DFA. Only `parse_regex` writes
-programs: `refcheck` writes its candidates as regex text, and `cli`
-only drops trailing `~` opcodes from a parsed program.
+the terms' derivatives to a minimal DFA, and `compile_regexes` does
+both for a query's regexes. Only `parse_regex` writes programs and only
+`lang` reads them: `refcheck` writes its candidates as regex text.
 """
 
 from __future__ import annotations
@@ -372,6 +372,31 @@ def compile_regex(program: tuple, alphabet: Alphabet, budget: Budget = Budget())
     found, rows, _ = explore(root, range(len(alphabet)), terms.derive, budget, "states")
     accepting = frozenset(q for q, term in enumerate(found) if terms.nullable[term])
     return minimize(Dfa(alphabet, tuple(rows), 0, accepting))
+
+
+def compile_regexes(texts: list[str], alphabet: Alphabet, budget: Budget) -> list[Dfa]:
+    """The minimal DFAs of a query's regexes, parsed and compiled in
+    order, so the first regex with a syntax error or a budget overrun
+    is the one that raises.
+
+    A program's core drops its trailing complements: `~r` derives as
+    `r` does with acceptance flipped. So each distinct core is compiled
+    once, tripping the `states` budget at its own count, and a regex
+    `~r` beside `r` is `r`'s automaton with acceptance flipped.
+    """
+    cores = {}  # core program -> its DFA
+    dfas = []
+    for text in texts:
+        program = parse_regex(text, alphabet)
+        end = len(program)
+        while program[end - 1] == _OPS["~"]:
+            end -= 1
+        core = program[:end]
+        dfa = cores.get(core)
+        if dfa is None:
+            dfa = cores[core] = compile_regex(core, alphabet, budget)
+        dfas.append(complement(dfa) if (len(program) - end) % 2 else dfa)
+    return dfas
 
 
 # The kinds of term: `0`, `e`, a letter, `|`, `&`, concatenation, `*`, `~`.

@@ -2,9 +2,14 @@
 
 The test files test the package module by module, one test per claim;
 a property test runs its kept inputs, such as 200 fixed random pairs,
-as Hypothesis `@example`s beside the drawn ones. The fixtures they
-share are here: `lang(text, alphabet=AB)`, the alphabets `A` and `AB`,
-the basis oracle `ORACLE`, `fs` and the method counter `count_calls`.
+as Hypothesis `@example`s beside the drawn ones, and a module's fixed
+answers under one harness are rows of one parametrized test, each row
+named by `named`. The fixtures they share are here: `lang(text,
+alphabet=AB)`, the alphabets `A` and `AB`, the basis oracle `ORACLE`,
+`fs`, the method counter `count_calls`, unary length parity as the
+power semiring `PARITY_POWER` and the rating map `PARITY`, the
+one-element semiring `TRIVIAL`, and `covering_instance` and its
+`parity_instance`, built per call since a morphism keeps memo tables.
 The references and rule checkers are in `oracles`, and the command
 lines with their answers in `command_lines`.
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import strategies as st
 
 from modhier.basis import BasisOracle, mod_cover_oracle, mod_separable
@@ -26,7 +32,7 @@ from modhier.lang import (
     parse_regex,
     transition_monoid,
 )
-from modhier.rating import RatingMap, aux_pbpol_map
+from modhier.rating import RatingMap, aux_pbpol_map, canonical_covering_map
 from modhier.refcheck import SeparatorCandidate, candidate_program
 from modhier.semiring import (
     Antichain,
@@ -54,6 +60,22 @@ def fs(*xs):
 
 def lang(text, alphabet=AB):
     return compile_regex(parse_regex(text, alphabet), alphabet)
+
+
+def named(rows):
+    """The rows of a table as `pytest.param`s, each row's first field its id."""
+    return [pytest.param(*row, id=name) for name, *row in rows]
+
+
+def covering_instance(dfas):
+    """The transition monoid of the DFAs and its canonical covering map."""
+    morphism = transition_monoid(dfas)
+    return morphism, canonical_covering_map(morphism)
+
+
+def parity_instance():
+    """Unary parity: the two-element monoid of (aa)* and its covering map."""
+    return covering_instance([lang("(aa)*", A)])
 
 
 def count_calls(monkeypatch, owner, name):
@@ -181,6 +203,11 @@ class TransformationMonoid:
 
     def elements(self) -> range:
         return range(len(self._elems))
+
+
+PARITY_POWER = PowerSemiring(CyclicMonoid(2))
+PARITY = RatingMap(A, PARITY_POWER, {"a": fs(1)})
+TRIVIAL = TableSemiring([[0]], [[0]], zero=0, one=0)
 
 
 def random_monoid(

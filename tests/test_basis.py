@@ -21,8 +21,12 @@ from modhier.lang import Dfa, disjoint
 from modhier.rating import RatingMap
 from modhier.semiring import PowerSemiring
 
-from gen import A, AB, CyclicMonoid, TableSemiring, fs, lang, random_dfa, seeded_maps
-from oracles import generic_iopti
+from gen import (
+    A, AB, PARITY, PARITY_POWER, TRIVIAL, CyclicMonoid, fs, lang, named, random_dfa, seeded_maps,
+)
+from oracles import (
+    block_language, brute_iopti_mod, equivalent, eval_regular, generic_iopti, mod_iopti_bound,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -72,24 +76,22 @@ def test_length_profile_matches_subset_stepping(seed):
 # Separation at level zero
 
 
-def test_mod_separable_even_vs_odd():
-    assert mod_separable(lang("(aa)*", A), lang("a(aa)*", A)) == 2
-
-
-def test_mod_separable_same_lengths():
-    assert mod_separable(lang("a*"), lang("b*")) is None
-
-
-def test_mod_separable_colliding_multiples():
+# Pairs of languages with the modulus that separates them, or None.
+MOD_SEPARATIONS = [
+    ("mod_separable_even_vs_odd", lang("(aa)*", A), lang("a(aa)*", A), 2),
+    ("mod_separable_same_lengths", lang("a*"), lang("b*"), None),
     # lengths 2,4,6,... vs 3,6,9,...: length 6 in both
-    assert mod_separable(lang("aa(aa)*", A), lang("aaa(aaa)*", A)) is None
-
-
-def test_mod_separable_finite_vs_periodic():
-    assert mod_separable(lang("aa", A), lang("(aaaa)*", A)) == 4
+    ("mod_separable_colliding_multiples", lang("aa(aa)*", A), lang("aaa(aaa)*", A), None),
+    ("mod_separable_finite_vs_periodic", lang("aa", A), lang("(aaaa)*", A), 4),
     # The least multiple of the common period at or above the common
     # threshold, not the least separating modulus: mod 3 separates too.
-    assert mod_separable(lang("a", A), lang("aaa", A)) == 4
+    ("mod_separable_finite_vs_periodic", lang("a", A), lang("aaa", A), 4),
+]
+
+
+@pytest.mark.parametrize("l1, l2, modulus", named(MOD_SEPARATIONS))
+def test_mod_separable(l1, l2, modulus):
+    assert mod_separable(l1, l2) == modulus
 
 
 def test_mod_separable_rejects_mixed_alphabets():
@@ -172,39 +174,28 @@ def test_length_profile_draws_on_the_state_budget():
 # iopti values
 
 
-def test_mod_iopti_parity():
-    rho = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
-    assert mod_iopti(rho) == fs(0)
+# Rating maps with their iopti value, by the closed form and by
+# separation alone.
+IOPTI_VALUES = [
+    ("mod_iopti_parity", PARITY, fs(0)),
+    ("mod_iopti_mod_three", RatingMap(A, PowerSemiring(CyclicMonoid(3)), {"a": fs(1)}), fs(0)),
+    ("mod_iopti_trivial_semiring", RatingMap(A, TRIVIAL, {"a": 0}), 0),
+    ("generic_iopti_unit_images",
+     RatingMap(AB, PARITY_POWER, {"a": PARITY_POWER.one, "b": PARITY_POWER.one}), PARITY_POWER.one),
+]
+
+
+@pytest.mark.parametrize("rho, value", named(IOPTI_VALUES))
+def test_iopti_values(rho, value):
+    assert mod_iopti(rho) == generic_iopti(rho, mod_separable) == value
 
 
 def test_mod_iopti_omega_power_draws_on_the_values_budget():
-    rho = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
+    oracle = mod_cover_oracle()
     with pytest.raises(BudgetExceededError) as caught:
-        mod_cover_oracle().iopti(rho, Budget(values=1))
+        oracle.iopti(PARITY, Budget(values=1))
     assert (caught.value.what, caught.value.limit) == ("omega power", 1)
-    assert mod_cover_oracle().iopti(rho, Budget()) == mod_iopti(rho, Budget(values=2)) == fs(0)
-
-
-def test_mod_iopti_mod_three():
-    rho = RatingMap(A, PowerSemiring(CyclicMonoid(3)), {"a": fs(1)})
-    assert mod_iopti(rho) == fs(0)
-
-
-def test_mod_iopti_trivial_semiring():
-    trivial = TableSemiring([[0]], [[0]], zero=0, one=0)
-    rho = RatingMap(A, trivial, {"a": 0})
-    assert mod_iopti(rho) == 0
-
-
-def test_generic_iopti_parity():
-    rho = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
-    assert generic_iopti(rho, mod_separable) == fs(0)
-
-
-def test_generic_iopti_unit_images():
-    semiring = PowerSemiring(CyclicMonoid(2))
-    rho = RatingMap(AB, semiring, {"a": semiring.one, "b": semiring.one})
-    assert generic_iopti(rho, mod_separable) == semiring.one
+    assert oracle.iopti(PARITY, Budget()) == mod_iopti(PARITY, Budget(values=2)) == fs(0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -216,6 +207,55 @@ def test_mod_iopti_equals_generic_iopti(maps):
     started = time.perf_counter()
     for rho in maps:
         assert mod_iopti(rho) == generic_iopti(rho, mod_separable)
+    assert time.perf_counter() - started < 60
+
+
+def test_block_language_matches_regex():
+    assert equivalent(block_language(AB, 3), lang("((a|b)(a|b)(a|b))*"))
+
+
+def test_block_values_for_parity():
+    assert eval_regular(PARITY, block_language(A, 1)) == fs(0, 1)
+    assert eval_regular(PARITY, block_language(A, 2)) == fs(0)
+    assert brute_iopti_mod(PARITY, 2) == fs(0)
+
+
+def test_brute_iopti_trivial_semiring():
+    rho = RatingMap(A, TRIVIAL, {"a": 0})
+    assert brute_iopti_mod(rho, 1) == TRIVIAL.one
+
+
+def test_brute_iopti_mod_three():
+    rho = RatingMap(A, PowerSemiring(CyclicMonoid(3)), {"a": fs(1)})
+    assert brute_iopti_mod(rho, 3) == fs(0)
+
+
+def test_mod_iopti_bound_fixtures():
+    three = RatingMap(A, PowerSemiring(CyclicMonoid(3)), {"a": fs(1)})
+    flat = RatingMap(A, TRIVIAL, {"a": 0})
+    assert mod_iopti_bound(PARITY) == 2
+    assert mod_iopti_bound(three) == 3
+    assert mod_iopti_bound(flat) == 1
+
+
+def test_mod_iopti_bound_draws_on_the_values_budget():
+    # The powers of {1} in 2^(Z/7Z) are the seven singletons.
+    seven = RatingMap(A, PowerSemiring(CyclicMonoid(7)), {"a": fs(1)})
+    assert mod_iopti_bound(seven, Budget(values=7)) == 7
+    with pytest.raises(BudgetExceededError) as caught:
+        mod_iopti_bound(seven, Budget(values=6))
+    assert str(caught.value) == "omega power budget exceeded (limit 6)"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9).map(seeded_maps))
+# The hundred fixed maps of `test_mod_iopti_equals_generic_iopti`, within
+# a 60 s ceiling meant to catch an algorithmic regression.
+@example(seeded_maps(7000, 100))
+def test_brute_iopti_matches_mod_iopti(maps):
+    started = time.perf_counter()
+    for rho in maps:
+        assert brute_iopti_mod(rho, mod_iopti_bound(rho)) == mod_iopti(rho)
     assert time.perf_counter() - started < 60
 
 
@@ -236,8 +276,7 @@ def test_mod_iopti_is_idempotent(maps):
 
 def test_mod_cover_oracle_roundtrip():
     oracle = mod_cover_oracle()
-    rho = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
-    assert oracle.iopti(rho) == fs(0)
+    assert oracle.iopti(PARITY) == fs(0)
     assert oracle.separates(lang("(aa)*", A), lang("a(aa)*", A)) == 2
     assert isinstance(oracle, ModOracle)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modhier import cli, decide
+from modhier import cli, decide, lang
 from modhier.cli import QUERY_COMMANDS, build_parser, run
 from modhier.decide import LEVELS
 
@@ -242,7 +242,7 @@ EVEN = "((a|b)(a|b))*"
     ],
 )
 def test_a_language_and_its_complements_compile_once(monkeypatch, command, level, shared, apart):
-    compilations = count_calls(monkeypatch, cli, "compile_regex")
+    compilations = count_calls(monkeypatch, lang, "compile_regex")
     head = (command, "--level", level, "--alphabet", "ab", "--witness", "--no-stats")
     answer = invoke(*head, *shared)
     assert len(compilations) == 1

@@ -42,6 +42,7 @@ from gen import (
     lang,
     marked_concatenation_language,
     marked_product_language,
+    named,
     pbpol_iopti_all_candidates,
     random_dfa,
     random_instances,
@@ -84,58 +85,48 @@ def test_unreachable_states_enlarge_the_monoid_but_keep_the_answers():
     assert True in answers and False in answers
 
 
-def test_even_separates_from_odd_at_every_level():
-    even, odd = lang("(aa)*", A), lang("a(aa)*", A)
-    for level in LEVELS:
-        assert separable(level, even, odd, ORACLE).answer, level
-
-
 # ---------------------------------------------------------------------------
-# Covering fixtures
+# Fixed queries
 
 
-def test_cover_even_against_odd_at_half():
-    assert coverable("1/2", lang("(aa)*", A), [lang("a(aa)*", A)], ORACLE).answer
+# Queries with their answers: the call, its level and its languages, a
+# target before its constraints.
+EVEN, ODD, EMPTY = lang("(aa)*", A), lang("a(aa)*", A), lang("0", A)
+LETTER_STAR, MARKED_A, MARKED_B = lang("a*"), lang("(a|b)*a(a|b)*"), lang("(a|b)*b(a|b)*")
+VERDICTS = [
+    *(("even_separates_from_odd_at_every_level", separable, level, [EVEN, ODD], True)
+      for level in LEVELS),
+    *(("empty_language_separable_from_itself", separable, level, [EMPTY, EMPTY], True)
+      for level in LEVELS),
+    ("cover_even_against_odd_at_half", coverable, "1/2", [EVEN, [ODD]], True),
+    ("cover_letter_star_against_marked_b", coverable, "1/2", [LETTER_STAR, [MARKED_B]], False),
+    ("cover_letter_star_against_marked_b", coverable, "1", [LETTER_STAR, [MARKED_B]], True),
+    ("member_marked_letter_at_half", member, "1/2", [MARKED_A], True),
+    ("member_empty_word_language_at_one", member, "1", [lang("e")], True),
+    ("member_level_zero_is_length_membership", member, "0", [EVEN], True),
+    ("member_level_zero_is_length_membership", member, "0", [MARKED_A], False),
+]
 
 
-def test_cover_letter_star_against_marked_b():
-    target, marked = lang("a*"), lang("(a|b)*b(a|b)*")
-    assert not coverable("1/2", target, [marked], ORACLE).answer
-    assert coverable("1", target, [marked], ORACLE).answer
+@pytest.mark.parametrize("call, level, languages, answer", named(VERDICTS))
+def test_verdicts(call, level, languages, answer):
+    assert call(level, *languages, ORACLE).answer == answer
 
 
-def test_cover_level_zero_unsupported():
-    with pytest.raises(UnsupportedError):
-        coverable("0", lang("a*"), [lang("b*")], ORACLE)
+# Queries that fail on their input, with the error they raise.
+INPUT_ERRORS = [
+    ("cover_level_zero_unsupported", coverable, "0", [LETTER_STAR, [lang("b*")]], UnsupportedError),
+    ("unknown_level_rejected", separable, "5/2", [LETTER_STAR, lang("b*")], InputError),
+    ("cover_needs_constraints", coverable, "1/2", [LETTER_STAR, []], InputError),
+    ("alphabet_mismatch_rejected", separable, "1/2", [lang("a*", A), LETTER_STAR], InputError),
+    ("alphabet_mismatch_rejected", coverable, "1/2", [lang("a*", A), [LETTER_STAR]], InputError),
+]
 
 
-def test_unknown_level_rejected():
-    with pytest.raises(InputError):
-        separable("5/2", lang("a*"), lang("b*"), ORACLE)
-
-
-def test_cover_needs_constraints():
-    with pytest.raises(InputError):
-        coverable("1/2", lang("a*"), [], ORACLE)
-
-
-def test_alphabet_mismatch_rejected():
-    with pytest.raises(InputError):
-        separable("1/2", lang("a*", A), lang("a*"), ORACLE)
-    with pytest.raises(InputError):
-        coverable("1/2", lang("a*", A), [lang("a*")], ORACLE)
-
-
-# ---------------------------------------------------------------------------
-# Membership fixtures
-
-
-def test_member_marked_letter_at_half():
-    assert member("1/2", lang("(a|b)*a(a|b)*"), ORACLE).answer
-
-
-def test_member_empty_word_language_at_one():
-    assert member("1", lang("e"), ORACLE).answer
+@pytest.mark.parametrize("call, level, languages, error", named(INPUT_ERRORS))
+def test_input_errors(call, level, languages, error):
+    with pytest.raises(error):
+        call(level, *languages, ORACLE)
 
 
 # Every word of length at most three over `ab`, the empty one as `e`.
@@ -147,17 +138,6 @@ def test_short_words_are_members_at_level_one_and_above(word):
     language = lang(word)
     assert member("1", language, ORACLE).answer
     assert member("3/2", language, ORACLE).answer
-
-
-def test_member_level_zero_is_length_membership():
-    assert member("0", lang("(aa)*", A), ORACLE).answer
-    assert not member("0", lang("(a|b)*a(a|b)*"), ORACLE).answer
-
-
-def test_empty_language_separable_from_itself():
-    empty = lang("0", A)
-    for level in LEVELS:
-        assert separable(level, empty, empty, ORACLE).answer, level
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modhier import engines
+from modhier.basis import mod_cover_oracle
 from modhier.decide import member, separable
 from modhier.engines import (
     _close_products,
@@ -37,13 +38,17 @@ from gen import (
     AB,
     CyclicMonoid,
     ORACLE,
-    TableSemiring,
+    PARITY_POWER,
+    TRIVIAL,
     all_pairs_close_products,
     ceiling_totals,
     count_calls,
+    covering_instance,
     drawn_instances,
     fs,
     lang,
+    named,
+    parity_instance,
     pbpol_iopti_all_candidates,
     random_dfa,
     random_instances,
@@ -72,24 +77,9 @@ KTH4 = KTH3 + "(a|b)"
 FACTOR_ABA = "(a|b)*aba(a|b)*"
 
 
-def pair_morphism(first, second):
-    return transition_monoid([lang(first), lang(second)])
-
-
-def covering_instance(dfas):
-    """The transition monoid of the DFAs and its canonical covering map."""
-    morphism = transition_monoid(dfas)
-    return morphism, canonical_covering_map(morphism)
-
-
-@pytest.fixture
-def parity_instance():
-    """Unary parity: two-element monoid, canonical covering map."""
-    return covering_instance([lang("(aa)*", A)])
-
-
-def trivial_semiring():
-    return TableSemiring([[0]], [[0]], zero=0, one=0)
+def pair_instance(first, second):
+    """The monoid of two regexes' languages and its covering map."""
+    return covering_instance([lang(first), lang(second)])
 
 
 # ---------------------------------------------------------------------------
@@ -272,29 +262,61 @@ def test_separation_forms_each_set_product_once_per_pair_space(monkeypatch, leve
 
 
 # ---------------------------------------------------------------------------
+# Hand-saturated fixtures
+
+
+# Instances by name: a monoid morphism, where the engine takes one, and a
+# rating map. Each is built per test, as a morphism keeps memo tables.
+UNIT = PowerSemiring(CyclicMonoid(1))
+ENGINE_INSTANCES = {
+    "parity": parity_instance,
+    "trivial_algebra": lambda: (transition_monoid([lang("~0", A)]), RatingMap(A, TRIVIAL, {"a": 0})),
+    "trivial_monoid_parity_values": lambda: (
+        transition_monoid([lang("~0")]), RatingMap(AB, PARITY_POWER, {"a": fs(1), "b": fs(1)})),
+    "unit_letters": lambda: (
+        None, RatingMap(AB, PARITY_POWER, {"a": PARITY_POWER.one, "b": PARITY_POWER.one})),
+    "unit_letter": lambda: (None, RatingMap(A, PARITY_POWER, {"a": PARITY_POWER.one})),
+    # Level 3/2 rates into a power semiring; this one is over the trivial monoid.
+    "trivial_power_algebra": lambda: (
+        transition_monoid([lang("~0", A)]), RatingMap(A, UNIT, {"a": UNIT.one})),
+}
+# Each engine on a morphism and a map, after the basis value it takes.
+ENGINE_RUNS = {
+    "pol_imprint": lambda morphism, rho: pol_imprint(morphism, rho, ORACLE),
+    "bpol_iopti": lambda _, rho: bpol_iopti(rho, ORACLE),
+    "bpol_opti": lambda _, rho: bpol_opti(rho, bpol_iopti(rho, ORACLE)),
+    "pbpol_iopti": lambda morphism, rho: pbpol_iopti(morphism, rho, ORACLE),
+    "pbpol_pointed_imprint": lambda morphism, rho: pbpol_pointed_imprint(
+        morphism, rho, pbpol_iopti(morphism, rho, ORACLE)),
+}
+# An engine on an instance, with the maxima, the whole downset and the
+# passes of its result.
+ENGINE_FIXTURES = [
+    ("pol_imprint_parity", "pol_imprint", "parity", {(0, fs(0)), (1, fs(1))},
+     {(0, fs(0)), (1, fs(1)), (0, fs()), (1, fs())}, 1),
+    ("pol_imprint_trivial_algebra", "pol_imprint", "trivial_algebra", {(0, 0)}, {(0, 0)}, 1),
+    ("pol_imprint_trivial_monoid_parity_values", "pol_imprint", "trivial_monoid_parity_values",
+     {(0, fs(0)), (0, fs(1))}, {(0, fs(0)), (0, fs(1)), (0, fs())}, 1),
+    ("bpol_iopti_parity", "bpol_iopti", "parity", {fs(0)}, {fs(), fs(0)}, 2),
+    ("bpol_iopti_unit_letters", "bpol_iopti", "unit_letters", {fs(0)}, {fs(), fs(0)}, 2),
+    ("bpol_opti_parity", "bpol_opti", "parity", {fs(0), fs(1)}, {fs(), fs(0), fs(1)}, 1),
+    ("bpol_opti_unit_letter", "bpol_opti", "unit_letter", {fs(0)}, {fs(), fs(0)}, 1),
+    ("pbpol_iopti_parity", "pbpol_iopti", "parity", {(0, fs(0))}, {(0, fs(0)), (0, fs())}, 2),
+    ("pbpol_iopti_trivial_algebra", "pbpol_iopti", "trivial_power_algebra", {(0, fs(0))},
+     {(0, fs(0)), (0, fs())}, 2),
+    ("pbpol_pointed_imprint_parity", "pbpol_pointed_imprint", "parity", {(0, fs(0)), (1, fs(1))},
+     {(0, fs(0)), (1, fs(1)), (0, fs()), (1, fs())}, 1),
+]
+
+
+@pytest.mark.parametrize("engine, instance, maximal, downset, passes", named(ENGINE_FIXTURES))
+def test_engine_fixtures(engine, instance, maximal, downset, passes):
+    result = ENGINE_RUNS[engine](*ENGINE_INSTANCES[instance]())
+    assert (result.maximal, downset_elements(result), result.passes) == (maximal, downset, passes)
+
+
+# ---------------------------------------------------------------------------
 # Level 1/2
-
-
-def test_pol_imprint_parity(parity_instance):
-    morphism, rho = parity_instance
-    result = pol_imprint(morphism, rho, ORACLE)
-    assert result.maximal == {(0, fs(0)), (1, fs(1))}
-    assert downset_elements(result) == {(0, fs(0)), (1, fs(1)), (0, fs()), (1, fs())}
-
-
-def test_pol_imprint_trivial_algebra():
-    morphism = transition_monoid([lang("~0", A)])
-    rho = RatingMap(A, trivial_semiring(), {"a": 0})
-    result = pol_imprint(morphism, rho, ORACLE)
-    assert result.maximal == {(0, 0)}
-
-
-def test_pol_imprint_trivial_monoid_parity_values():
-    morphism = transition_monoid([lang("~0")])
-    rho = RatingMap(AB, PowerSemiring(CyclicMonoid(2)), {"a": fs(1), "b": fs(1)})
-    result = pol_imprint(morphism, rho, ORACLE)
-    assert result.maximal == {(0, fs(0)), (0, fs(1))}
-    assert downset_elements(result) == {(0, fs(0)), (0, fs(1)), (0, fs())}
 
 
 # Fixed instances for the rule-reapplication tests of every level: two
@@ -376,26 +398,16 @@ def test_ceilings_give_the_maximal_admissible_totals_of_auxiliary_pairs(seed):
 # Level 1
 
 
-def test_bpol_iopti_parity(parity_instance):
-    _, rho = parity_instance
-    result = bpol_iopti(rho, ORACLE)
-    assert result.maximal == {fs(0)}
-    assert downset_elements(result) == {fs(), fs(0)}
-    assert result.passes == 2
-
-
-def test_bpol_iopti_unit_letters():
-    semiring = PowerSemiring(CyclicMonoid(2))
-    rho = RatingMap(AB, semiring, {"a": semiring.one, "b": semiring.one})
-    result = bpol_iopti(rho, ORACLE)
-    assert downset_elements(result) == {fs(), fs(0)}
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_bpol_routes_agree(seed):
     rho = random_rating_map(random.Random(seed), AB, max_monoid=3)
     assert bpol_iopti(rho, ORACLE) == bpol_iopti_enumerated(rho, ORACLE)
+
+
+def test_bpol_iopti_enumerated_trivial_semiring():
+    rho = RatingMap(A, TRIVIAL, {"a": 0})
+    assert downset_elements(bpol_iopti_enumerated(rho, mod_cover_oracle())) == {0}
 
 
 @settings(max_examples=40, deadline=None)
@@ -482,21 +494,6 @@ def test_bpol_rules_reapplication_changes_nothing(instances):
         assert_products_inside(bpol_opti(rho, iopti))
 
 
-def test_bpol_opti_parity(parity_instance):
-    _, rho = parity_instance
-    result = bpol_opti(rho, bpol_iopti(rho, ORACLE))
-    assert result.maximal == {fs(0), fs(1)}
-    assert downset_elements(result) == {fs(), fs(0), fs(1)}
-
-
-def test_bpol_opti_unit_letter():
-    semiring = PowerSemiring(CyclicMonoid(2))
-    rho = RatingMap(A, semiring, {"a": semiring.one})
-    result = bpol_opti(rho, bpol_iopti(rho, ORACLE))
-    assert result.maximal == {fs(0)}
-    assert downset_elements(result) == {fs(), fs(0)}
-
-
 def test_bpol_opti_trivial_semiring_binary_alphabet():
     semiring = PowerSemiring(CyclicMonoid(1))
     rho = RatingMap(AB, semiring, {"a": semiring.one, "b": semiring.one})
@@ -511,32 +508,8 @@ def test_bpol_opti_trivial_semiring_binary_alphabet():
 # Level 3/2
 
 
-def test_pbpol_iopti_parity(parity_instance):
-    morphism, rho = parity_instance
-    result = pbpol_iopti(morphism, rho, ORACLE)
-    assert result.maximal == {(0, fs(0))}
-    assert downset_elements(result) == {(0, fs(0)), (0, fs())}
-    assert result.passes == 2
-
-
-def test_pbpol_iopti_trivial_algebra():
-    # Level 3/2 rates into a power semiring; this one is over the trivial monoid.
-    morphism = transition_monoid([lang("~0", A)])
-    semiring = PowerSemiring(CyclicMonoid(1))
-    rho = RatingMap(A, semiring, {"a": semiring.one})
-    result = pbpol_iopti(morphism, rho, ORACLE)
-    assert downset_elements(result) == {(0, fs(0)), (0, fs())}
-
-
-def test_pbpol_pointed_imprint_parity(parity_instance):
-    morphism, rho = parity_instance
-    pointed = pbpol_pointed_imprint(morphism, rho, pbpol_iopti(morphism, rho, ORACLE))
-    assert pointed.maximal == {(0, fs(0)), (1, fs(1))}
-    assert downset_elements(pointed) == {(0, fs(0)), (1, fs(1)), (0, fs()), (1, fs())}
-
-
-def test_pbpol_downset_and_product_closure(parity_instance):
-    morphism, rho = parity_instance
+def test_pbpol_downset_and_product_closure():
+    morphism, rho = parity_instance()
     result = pbpol_iopti(morphism, rho, ORACLE)
     space = result.space
     for x in result.maximal:
@@ -591,10 +564,8 @@ def test_pbpol_carried_closure_matches_fresh(seed):
 
 
 def test_pbpol_skips_products_of_the_closed_antichain(monkeypatch):
-    morphism = pair_morphism(KTH4.format("a"), KTH4.format("b"))
-    fresh, carried = pbpol_fresh_and_carried(
-        monkeypatch, morphism, canonical_covering_map(morphism)
-    )
+    morphism, rho = pair_instance(KTH4.format("a"), KTH4.format("b"))
+    fresh, carried = pbpol_fresh_and_carried(monkeypatch, morphism, rho)
     assert carried[:2] == fresh[:2]
     assert fresh[1] > 2
     assert carried[2] < fresh[2]
@@ -603,8 +574,7 @@ def test_pbpol_skips_products_of_the_closed_antichain(monkeypatch):
 def test_pointed_closure_skips_products_of_iopti_maxima(monkeypatch):
     """pbpol_iopti ends on an antichain closed under the product, so the
     pointed closure forms fewer products than one that is not told so."""
-    morphism = pair_morphism(KTH4.format("a"), KTH4.format("b"))
-    rho = canonical_covering_map(morphism)
+    morphism, rho = pair_instance(KTH4.format("a"), KTH4.format("b"))
     iopti = pbpol_iopti(morphism, rho, ORACLE)
     seeds = list(iopti.maximal)
     seeds += [(morphism.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
@@ -652,9 +622,9 @@ def test_pbpol_matches_all_candidates_route(seed, random_map):
     (FACTOR_ABA, f"~({FACTOR_ABA})"),
 ])
 def test_pbpol_matches_all_candidates_on_families(first, second):
-    morphism = pair_morphism(first, second)
+    morphism, rho = pair_instance(first, second)
     assert morphism.size in (12, 15)
-    assert_matches_all_candidates(morphism, canonical_covering_map(morphism))
+    assert_matches_all_candidates(morphism, rho)
 
 
 # Pairs of regexes with their covering map, and seeds of `pbpol_instance`
@@ -677,8 +647,7 @@ def test_pbpol_closed_rounds_reach_a_rules_fixpoint(first, second):
     in as many rounds. Rounds of the other rules alone reach the same
     imprint, in more rounds on four of these instances."""
     if isinstance(first, str):
-        morphism = pair_morphism(first, second)
-        rho = canonical_covering_map(morphism)
+        morphism, rho = pair_instance(first, second)
     else:
         seed, alphabet = first if isinstance(first, tuple) else (first, AB)
         morphism, rho = pbpol_instance(seed, second, alphabet)
@@ -724,8 +693,7 @@ def test_pbpol_round_part_is_closed_under_the_product(index):
 
 
 def test_pbpol_applies_the_rule_to_maximal_idempotents_only(monkeypatch):
-    morphism = pair_morphism(KTH4.format("a"), KTH4.format("b"))
-    rho = canonical_covering_map(morphism)
+    morphism, rho = pair_instance(KTH4.format("a"), KTH4.format("b"))
     # Every set product of a run counts; the rule's are where the routes differ.
     products = count_calls(monkeypatch, PowerSemiring, "mul")
     engine = pbpol_iopti(morphism, rho, ORACLE)
@@ -782,8 +750,7 @@ def test_maximal_idempotents_match_the_walk(seed):
 
 
 def test_pbpol_trips_the_antichain_budget():
-    morphism = pair_morphism(KTH3.format("a"), KTH3.format("b"))
-    rho = canonical_covering_map(morphism)
+    morphism, rho = pair_instance(KTH3.format("a"), KTH3.format("b"))
     with pytest.raises(BudgetExceededError) as raised:
         pbpol_iopti(morphism, rho, ORACLE, Budget(antichain=1))
     assert str(raised.value) == "antichain budget exceeded (limit 1)"

@@ -36,6 +36,7 @@ from gen import (
     image_of_word,
     lang,
     matches,
+    named,
     product_transition_monoid,
     random_dfa,
     random_instances,
@@ -54,28 +55,25 @@ def program(opcodes):
 # -- parsing ----------------------------------------------------------------
 
 
-def test_parse_concat_star():
-    assert parse_regex("a(ab)*", AB) == (
-        ("letter", "a"), ("letter", "a"), ("letter", "b"), (".", None), ("*", None), (".", None)
-    )
-
-
-def test_parse_complement_of_empty():
-    assert parse_regex("~0", A) == program("0 ~")
-
-
-def test_parse_precedence():
+# Each regex with its program.
+PARSES = [
+    ("parse_concat_star", "a(ab)*", AB,
+     (("letter", "a"), ("letter", "a"), ("letter", "b"), (".", None), ("*", None), (".", None))),
+    ("parse_complement_of_empty", "~0", A, program("0 ~")),
     # union lowest, complement binds the following item with its postfix
-    assert parse_regex("a|b a", AB) == program("a b a . |")
-    assert parse_regex("~a*", A) == program("a * ~")
-    assert parse_regex("~ab", AB) == program("a ~ b .")
-    assert parse_regex("a+", A) == program("a +")
-    assert parse_regex("e|a", A) == program("e a |")
+    ("parse_precedence", "a|b a", AB, program("a b a . |")),
+    ("parse_precedence", "~a*", A, program("a * ~")),
+    ("parse_precedence", "~ab", AB, program("a ~ b .")),
+    ("parse_precedence", "a+", A, program("a +")),
+    ("parse_precedence", "e|a", A, program("e a |")),
+    ("parse_groups_binary_operators_to_the_left", "a|b|a&b&a", AB, program("a b | a b & a & |")),
+    ("parse_groups_binary_operators_to_the_left", "a b (a b) a", AB, program("a b . a b . . a .")),
+]
 
 
-def test_parse_groups_binary_operators_to_the_left():
-    assert parse_regex("a|b|a&b&a", AB) == program("a b | a b & a & |")
-    assert parse_regex("a b (a b) a", AB) == program("a b . a b . . a .")
+@pytest.mark.parametrize("text, alphabet, opcodes", named(PARSES))
+def test_parse(text, alphabet, opcodes):
+    assert parse_regex(text, alphabet) == opcodes
 
 
 # Each malformed text with its full message; the position ends the message.
@@ -121,26 +119,19 @@ def test_alphabet_validation():
 # -- compilation ------------------------------------------------------------
 
 
-def test_compile_even_length_unary():
-    d = lang("(aa)*", A)
-    assert d.num_states == 2
-    assert d.initial == 0
-    assert d.accepting == frozenset({0})
-    assert d.transitions == ((1,), (0,))
-
-
-def test_compile_empty_language():
-    d = lang("0", A)
-    assert d.num_states == 1
-    assert d.accepting == frozenset()
-
-
-def test_compile_single_letter_choice():
-    d = lang("a|b")
+# Regexes with their minimal DFA: its transition rows and accepting
+# states, from the initial state 0.
+EXACT_DFAS = [
+    ("compile_even_length_unary", "(aa)*", A, ((1,), (0,)), fs(0)),
+    ("compile_empty_language", "0", A, ((0,),), fs()),
     # canonical minimal form: initial, accept, sink
-    assert d.num_states == 3
-    assert d.accepting == frozenset({1})
-    assert d.transitions == ((1, 1), (2, 2), (2, 2))
+    ("compile_single_letter_choice", "a|b", AB, ((1, 1), (2, 2), (2, 2)), fs(1)),
+]
+
+
+@pytest.mark.parametrize("text, alphabet, transitions, accepting", named(EXACT_DFAS))
+def test_compile_exact_dfa(text, alphabet, transitions, accepting):
+    assert lang(text, alphabet) == Dfa(alphabet, transitions, 0, accepting)
 
 
 def test_compile_membership_samples():

@@ -56,7 +56,7 @@ def members(node: ast.stmt) -> list:
     implicitly (`in`, `len`, iteration), so no attribute names them;
     `tools/reached.py` lists the ones no query runs. One it lists,
     `DownSet.__contains__`, stays: the tests read downsets through
-    `in`, and without it 39 tier-1 tests, of 14 test functions, fail."""
+    `in`, and without it 43 tier-1 tests, of 14 test functions, fail."""
     if isinstance(node, ast.FunctionDef):
         names = [node.name]
     elif isinstance(node, ast.Assign) and all(isinstance(t, ast.Name) for t in node.targets):
@@ -155,10 +155,19 @@ BUDGET_CALLERS = {
     "errors.Budget.rounds",
     "semiring.Antichain.add",
 }
+# The functions that parse or compile regexes: `lang` turns a query's
+# regexes into automata, and `refcheck` writes and compiles its
+# candidates. No other module reads a regex program.
+REGEX_CALLERS = {"lang.compile_regexes", "refcheck.candidate_program", "refcheck.candidate_language"}
+REGEX_FUNCTIONS = {"parse_regex", "compile_regex"}
 
 
-def budget_callers(source: str, module: str) -> set:
-    """Qualified names of the functions in `source` that call `.exceeded(`."""
+def callers(names, sources=None) -> set:
+    """Qualified names of the functions that call one of `names`, by bare
+    name or as an attribute. `sources` maps module names to source text,
+    the package's by default."""
+    if sources is None:
+        sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     found = set()
 
     def visit(node, prefix):
@@ -167,24 +176,27 @@ def budget_callers(source: str, module: str) -> set:
                 name = f"{prefix}.{child.name}"
                 if isinstance(child, ast.FunctionDef) and any(
                     isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "exceeded"
+                    and getattr(call.func, "attr", getattr(call.func, "id", None)) in names
                     for call in ast.walk(child)
                 ):
                     found.add(name)
                 visit(child, name)
 
-    visit(ast.parse(source), module)
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
     return found
 
 
 def test_only_the_allowed_functions_raise_budget_errors():
-    found = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        found |= budget_callers(path.read_text(), path.stem)
-    assert found == BUDGET_CALLERS
+    assert callers({"exceeded"}) == BUDGET_CALLERS
     loop = "def walk(b):\n    while True:\n        raise b.exceeded('states')\n"
-    assert budget_callers(loop, "lang") == {"lang.walk"}
+    assert callers({"exceeded"}, {"lang": loop}) == {"lang.walk"}
+
+
+def test_only_lang_and_refcheck_parse_or_compile_regexes():
+    assert callers(REGEX_FUNCTIONS) == REGEX_CALLERS
+    query = "def run(args):\n    return [lang.compile_regex(parse_regex(t)) for t in args]\n"
+    assert callers(REGEX_FUNCTIONS, {"cli": query}) == {"cli.run"}
 
 
 # The abstract interfaces the package keeps. `BasisOracle` is the

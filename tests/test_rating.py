@@ -20,11 +20,14 @@ from modhier.semiring import AntichainSemiring, PairSpace, PowerSemiring
 from gen import (
     A,
     AB,
-    CyclicMonoid,
+    PARITY,
+    PARITY_POWER,
     eval_word,
     fs,
     image_of_word,
     lang,
+    named,
+    parity_instance,
     random_dfa,
     random_rating_map,
     random_regex,
@@ -32,48 +35,42 @@ from gen import (
 from oracles import accepts, eval_regular, value_automaton
 
 
-@pytest.fixture
-def parity():
-    """Rating map counting length parity: a maps to {1} in 2^(Z/2Z)."""
-    return RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
-
-
 # ---------------------------------------------------------------------------
 # Word and language evaluation
 
 
-def test_eval_word_parity(parity):
-    assert eval_word(parity, "aa") == fs(0)
-    assert eval_word(parity, "") == fs(0)
-    assert eval_word(parity, "aaa") == fs(1)
+def test_eval_word_parity():
+    assert eval_word(PARITY, "aa") == fs(0)
+    assert eval_word(PARITY, "") == fs(0)
+    assert eval_word(PARITY, "aaa") == fs(1)
 
 
-def test_eval_regular_parity(parity):
-    assert eval_regular(parity, lang("(aa)*", A)) == fs(0)
-    assert eval_regular(parity, lang("0", A)) == fs()
-    assert eval_regular(parity, lang("a*", A)) == fs(0, 1)
+def test_eval_regular_parity():
+    assert eval_regular(PARITY, lang("(aa)*", A)) == fs(0)
+    assert eval_regular(PARITY, lang("0", A)) == fs()
+    assert eval_regular(PARITY, lang("a*", A)) == fs(0, 1)
 
 
-def test_eval_regular_checks_alphabet(parity):
+def test_eval_regular_checks_alphabet():
     with pytest.raises(ValueError):
-        eval_regular(parity, lang("a*", AB))
+        eval_regular(PARITY, lang("a*", AB))
 
 
-def test_eval_regular_budget(parity):
+def test_eval_regular_budget():
     with pytest.raises(BudgetExceededError):
-        eval_regular(parity, lang("(aa)*", A), Budget(values=1))
+        eval_regular(PARITY, lang("(aa)*", A), Budget(values=1))
 
 
-def test_value_automaton_parity(parity):
-    values, transitions = value_automaton(parity)
+def test_value_automaton_parity():
+    values, transitions = value_automaton(PARITY)
     assert values == [fs(0), fs(1)]
     assert transitions == ((1,), (0,))
-    assert set(value_automaton(parity)[0]) == {fs(0), fs(1)}
+    assert set(value_automaton(PARITY)[0]) == {fs(0), fs(1)}
 
 
 def test_rating_map_requires_all_letters():
     with pytest.raises(ValueError):
-        RatingMap(AB, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
+        RatingMap(AB, PARITY_POWER, {"a": fs(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -111,29 +108,27 @@ def test_covering_map_detects_intersection(seed):
 # Auxiliary maps
 
 
-def test_aux_bpol_map_full_s(parity):
-    full = [fs(), fs(0), fs(1), fs(0, 1)]
-    eta = aux_bpol_map(parity, full, PowerSemiring(parity.semiring))
-    assert eta.letter_image["a"] == {(fs(1), frozenset(full))}
+# Sets S of parity values and the semiring of the inner products, with
+# the image of `a` under the auxiliary map a -> {(rho(a), S.{rho(a)}.S)}.
+FULL = [fs(), fs(0), fs(1), fs(0, 1)]
+AUX_BPOL_IMAGES = [
+    ("aux_bpol_map_full_s", FULL, PowerSemiring(PARITY.semiring), {(fs(1), frozenset(FULL))}),
+    ("aux_bpol_map_empty_s", [], PowerSemiring(PARITY.semiring), {(fs(1), frozenset())}),
+    # maxima of the four products: the top subset alone
+    ("aux_bpol_map_antichain_inner", FULL, AntichainSemiring(PARITY.semiring),
+     {(fs(1), frozenset({fs(0, 1)}))}),
+]
+
+
+@pytest.mark.parametrize("s_values, inner, image", named(AUX_BPOL_IMAGES))
+def test_aux_bpol_map(s_values, inner, image):
+    eta = aux_bpol_map(PARITY, s_values, inner)
+    assert eta.letter_image["a"] == image
     assert eta.semiring.one == {(fs(0), frozenset({fs(0)}))}
 
 
-def test_aux_bpol_map_empty_s(parity):
-    eta = aux_bpol_map(parity, [], PowerSemiring(parity.semiring))
-    assert eta.letter_image["a"] == {(fs(1), frozenset())}
-
-
-def test_aux_bpol_map_antichain_inner(parity):
-    full = [fs(), fs(0), fs(1), fs(0, 1)]
-    inner = AntichainSemiring(parity.semiring)
-    eta = aux_bpol_map(parity, full, inner=inner)
-    # maxima of the four products: the top subset alone
-    assert eta.letter_image["a"] == {(fs(1), frozenset({fs(0, 1)}))}
-
-
 def test_aux_pbpol_map_fixtures():
-    morphism = transition_monoid([lang("(aa)*", A)])
-    rho = canonical_covering_map(morphism)
+    morphism, rho = parity_instance()
     inner = PowerSemiring(PairSpace(morphism, rho.semiring))
     empty = aux_pbpol_map(morphism, rho, [], inner)
     assert empty.letter_image["a"] == {(fs(1), frozenset())}

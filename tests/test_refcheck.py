@@ -1,8 +1,7 @@
-"""Brute-force cross-checks: separator search, direct iopti minimization,
-and the enumerated level-1 filter."""
+"""The level-1/2 separator search: candidate denotations, verification,
+and the search against its unfiltered reference."""
 
 import random
-import time
 import tracemalloc
 from itertools import combinations
 
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modhier.basis import mod_cover_oracle, mod_iopti
 from modhier import refcheck
 from modhier.errors import Budget, BudgetExceededError
 from modhier.lang import (
@@ -20,7 +18,6 @@ from modhier.lang import (
     included,
     iter_short_words,
 )
-from modhier.rating import RatingMap
 from modhier.refcheck import (
     DMAX,
     NMAX,
@@ -31,67 +28,41 @@ from modhier.refcheck import (
     pol_mod_separator_search,
     verify_separator,
 )
-from modhier.semiring import PowerSemiring
 
 from command_lines import ANY, NOT_A, WIDE
 from gen import (
     A,
     AB,
-    CyclicMonoid,
-    TableSemiring,
     count_calls,
     drawn_instances,
-    fs,
     lang,
+    named,
     random_dfa,
     search_pairs,
-    seeded_maps,
 )
-from oracles import (
-    accepts,
-    block_language,
-    bpol_iopti_enumerated,
-    brute_iopti_mod,
-    downset_elements,
-    equivalent,
-    eval_regular,
-    is_empty,
-    mod_iopti_bound,
-)
+from oracles import accepts, equivalent
 
 
 # ---------------------------------------------------------------------------
 # Candidate denotations
 
 
-def test_candidate_empty_union_denotes_empty():
-    assert is_empty(candidate_language(SeparatorCandidate(3, ()), AB))
+# Each candidate, over an alphabet, with a regex of what it denotes.
+DENOTATIONS = [
+    ("candidate_empty_union_denotes_empty", SeparatorCandidate(3, ()), AB, "0"),
+    ("candidate_blank_marker_denotes_block", SeparatorCandidate(2, ("",)), A, "(aa)*"),
+    ("candidate_single_marker", SeparatorCandidate(1, ("a",)), AB, "(a|b)*a(a|b)*"),
+    ("candidate_marker_inside_blocks", SeparatorCandidate(2, ("b",)), AB,
+     "((a|b)(a|b))*b((a|b)(a|b))*"),
+    ("candidate_two_letter_marker_word", SeparatorCandidate(2, ("ab",)), AB,
+     "((a|b)(a|b))*a((a|b)(a|b))*b((a|b)(a|b))*"),
+    ("candidate_union_of_products", SeparatorCandidate(2, ("", "a")), A, "(aa)*|(aa)*a(aa)*"),
+]
 
 
-def test_candidate_blank_marker_denotes_block():
-    denoted = candidate_language(SeparatorCandidate(2, ("",)), A)
-    assert equivalent(denoted, lang("(aa)*", A))
-
-
-def test_candidate_single_marker():
-    denoted = candidate_language(SeparatorCandidate(1, ("a",)), AB)
-    assert equivalent(denoted, lang("(a|b)*a(a|b)*"))
-
-
-def test_candidate_marker_inside_blocks():
-    denoted = candidate_language(SeparatorCandidate(2, ("b",)), AB)
-    assert equivalent(denoted, lang("((a|b)(a|b))*b((a|b)(a|b))*"))
-
-
-def test_candidate_two_letter_marker_word():
-    denoted = candidate_language(SeparatorCandidate(2, ("ab",)), AB)
-    pattern = "((a|b)(a|b))*a((a|b)(a|b))*b((a|b)(a|b))*"
-    assert equivalent(denoted, lang(pattern))
-
-
-def test_candidate_union_of_products():
-    denoted = candidate_language(SeparatorCandidate(2, ("", "a")), A)
-    assert equivalent(denoted, lang("(aa)*|(aa)*a(aa)*", A))
+@pytest.mark.parametrize("candidate, alphabet, regex", named(DENOTATIONS))
+def test_candidate_denotes(candidate, alphabet, regex):
+    assert equivalent(candidate_language(candidate, alphabet), lang(regex, alphabet))
 
 
 def test_candidate_rejects_bad_modulus():
@@ -99,24 +70,38 @@ def test_candidate_rejects_bad_modulus():
         SeparatorCandidate(0, ())
 
 
-def test_block_language_matches_regex():
-    assert equivalent(block_language(AB, 3), lang("((a|b)(a|b)(a|b))*"))
-
-
 # ---------------------------------------------------------------------------
 # Separator verification and search
 
 
-def test_verify_separator_accepts_true_separator():
-    assert verify_separator(lang("(aa)*", A), lang("(aaaa)*", A), lang("a(aa)*", A))
+# A language K and a pair L1, L2 over `a`, with whether K separates them.
+VERIFICATIONS = [
+    ("verify_separator_accepts_true_separator", "(aa)*", "(aaaa)*", "a(aa)*", True),
+    ("verify_separator_rejects_non_disjoint", "a*", "(aa)*", "a(aa)*", False),
+    ("verify_separator_rejects_non_covering", "aa", "(aa)*", "a(aa)*", False),
+]
 
 
-def test_verify_separator_rejects_non_disjoint():
-    assert not verify_separator(lang("a*", A), lang("(aa)*", A), lang("a(aa)*", A))
+@pytest.mark.parametrize("k, l1, l2, separates", named(VERIFICATIONS))
+def test_verify_separator(k, l1, l2, separates):
+    assert verify_separator(lang(k, A), lang(l1, A), lang(l2, A)) == separates
 
 
-def test_verify_separator_rejects_non_covering():
-    assert not verify_separator(lang("aa", A), lang("(aa)*", A), lang("a(aa)*", A))
+# A pair, the search's bounds (dmax, nmax, union_bound) and what it finds.
+SEARCHES = [
+    ("search_finds_parity_block", lang("(aa)*", A), lang("a(aa)*", A), (2, 2, 1),
+     SeparatorCandidate(2, ("",))),
+    ("search_finds_marked_letter", lang("(a|b)*a(a|b)*"), lang("b*"), (1, 1, 1),
+     SeparatorCandidate(1, ("a",))),
+    ("search_exhausts_on_inseparable_pair", lang("a*"), lang("(a|b)*b(a|b)*"), (4, 3, 2), None),
+    ("search_empty_left_language_uses_empty_union", lang("0"), lang("a*"), (3, 2, 2),
+     SeparatorCandidate(1, ())),
+]
+
+
+@pytest.mark.parametrize("l1, l2, bounds, found", named(SEARCHES))
+def test_search_finds(l1, l2, bounds, found):
+    assert pol_mod_separator_search(l1, l2, *bounds) == found
 
 
 def test_verification_walks_within_the_search_budget():
@@ -131,32 +116,6 @@ def test_verification_walks_within_the_search_budget():
     assert found == SeparatorCandidate(2, ("",))
     # An overrun ends the search with no witness.
     assert pol_mod_separator_search(l1, l2, **bounds, budget=Budget(monoid=3)) is None
-
-
-def test_search_finds_parity_block():
-    found = pol_mod_separator_search(
-        lang("(aa)*", A), lang("a(aa)*", A), dmax=2, nmax=2, union_bound=1
-    )
-    assert found == SeparatorCandidate(2, ("",))
-
-
-def test_search_finds_marked_letter():
-    found = pol_mod_separator_search(
-        lang("(a|b)*a(a|b)*"), lang("b*"), dmax=1, nmax=1, union_bound=1
-    )
-    assert found == SeparatorCandidate(1, ("a",))
-
-
-def test_search_exhausts_on_inseparable_pair():
-    found = pol_mod_separator_search(
-        lang("a*"), lang("(a|b)*b(a|b)*"), dmax=4, nmax=3, union_bound=2
-    )
-    assert found is None
-
-
-def test_search_empty_left_language_uses_empty_union():
-    found = pol_mod_separator_search(lang("0"), lang("a*"), dmax=3, nmax=2, union_bound=2)
-    assert found == SeparatorCandidate(1, ())
 
 
 def test_search_rejects_mixed_alphabets():
@@ -278,66 +237,3 @@ def test_search_tries_at_most_the_antichain_budget_of_candidates(monkeypatch):
     tried = count_calls(monkeypatch, refcheck, "_agrees_on")
     assert pol_mod_separator_search(l1, l2, budget=Budget(antichain=100)) is None
     assert 0 < len(tried) <= 100
-
-
-# ---------------------------------------------------------------------------
-# Direct iopti minimization
-
-
-def test_block_values_for_parity():
-    rho = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
-
-    assert eval_regular(rho, block_language(A, 1)) == fs(0, 1)
-    assert eval_regular(rho, block_language(A, 2)) == fs(0)
-    assert brute_iopti_mod(rho, 2) == fs(0)
-
-
-def test_brute_iopti_trivial_semiring():
-    trivial = TableSemiring([[0]], [[0]], zero=0, one=0)
-    rho = RatingMap(A, trivial, {"a": 0})
-    assert brute_iopti_mod(rho, 1) == trivial.one
-
-
-def test_brute_iopti_mod_three():
-    rho = RatingMap(A, PowerSemiring(CyclicMonoid(3)), {"a": fs(1)})
-    assert brute_iopti_mod(rho, 3) == fs(0)
-
-
-def test_mod_iopti_bound_fixtures():
-    parity = RatingMap(A, PowerSemiring(CyclicMonoid(2)), {"a": fs(1)})
-    three = RatingMap(A, PowerSemiring(CyclicMonoid(3)), {"a": fs(1)})
-    trivial = TableSemiring([[0]], [[0]], zero=0, one=0)
-    flat = RatingMap(A, trivial, {"a": 0})
-    assert mod_iopti_bound(parity) == 2
-    assert mod_iopti_bound(three) == 3
-    assert mod_iopti_bound(flat) == 1
-
-
-def test_mod_iopti_bound_draws_on_the_values_budget():
-    # The powers of {1} in 2^(Z/7Z) are the seven singletons.
-    seven = RatingMap(A, PowerSemiring(CyclicMonoid(7)), {"a": fs(1)})
-    assert mod_iopti_bound(seven, Budget(values=7)) == 7
-    with pytest.raises(BudgetExceededError) as caught:
-        mod_iopti_bound(seven, Budget(values=6))
-    assert str(caught.value) == "omega power budget exceeded (limit 6)"
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9).map(seeded_maps))
-# The hundred fixed maps of `test_mod_iopti_equals_generic_iopti`, within
-# a 60 s ceiling meant to catch an algorithmic regression.
-@example(seeded_maps(7000, 100))
-def test_brute_iopti_matches_mod_iopti(maps):
-    started = time.perf_counter()
-    for rho in maps:
-        assert brute_iopti_mod(rho, mod_iopti_bound(rho)) == mod_iopti(rho)
-    assert time.perf_counter() - started < 60
-
-
-# ---------------------------------------------------------------------------
-# Enumerated level-1 filter
-
-
-def test_bpol_iopti_enumerated_trivial_semiring():
-    rho = RatingMap(A, TableSemiring([[0]], [[0]], zero=0, one=0), {"a": 0})
-    assert downset_elements(bpol_iopti_enumerated(rho, mod_cover_oracle())) == {0}

@@ -23,10 +23,12 @@ from modhier.semiring import (
 )
 
 from gen import (
+    PARITY_POWER,
     CyclicMonoid,
     TableSemiring,
     fs,
     materialize,
+    named,
     random_dfa,
     random_monoid,
     random_power_semiring,
@@ -36,121 +38,106 @@ from gen import (
 from oracles import downset_elements, elements_below
 
 
-@pytest.fixture
-def parity_power():
-    return PowerSemiring(CyclicMonoid(2))
-
-
 # ---------------------------------------------------------------------------
 # Canonical order
 
 
-def test_leq_is_inclusion_in_power_semirings(parity_power):
-    assert parity_power.leq(fs(0), fs(0, 1))
-    assert parity_power.leq(fs(), fs(1))
-    assert not parity_power.leq(fs(0), fs(1))
+def test_leq_is_inclusion_in_power_semirings():
+    assert PARITY_POWER.leq(fs(0), fs(0, 1))
+    assert PARITY_POWER.leq(fs(), fs(1))
+    assert not PARITY_POWER.leq(fs(0), fs(1))
 
 
-def test_power_semiring_operations(parity_power):
-    assert parity_power.mul(fs(1), fs(1)) == fs(0)
-    assert parity_power.mul(fs(0, 1), fs(1)) == fs(0, 1)
-    assert parity_power.one == fs(0)
-    assert parity_power.zero == fs()
-    assert set(elements_below(parity_power, parity_power.top())) == {fs(), fs(0), fs(1), fs(0, 1)}
+def test_power_semiring_operations():
+    assert PARITY_POWER.mul(fs(1), fs(1)) == fs(0)
+    assert PARITY_POWER.mul(fs(0, 1), fs(1)) == fs(0, 1)
+    assert PARITY_POWER.one == fs(0)
+    assert PARITY_POWER.zero == fs()
+    assert set(elements_below(PARITY_POWER, PARITY_POWER.top())) == {fs(), fs(0), fs(1), fs(0, 1)}
 
 
 # ---------------------------------------------------------------------------
 # Omega powers
 
 
-def test_omega_power_of_odd_residue(parity_power):
-    assert omega_power(parity_power, fs(1)) == fs(0)
+# A value of a power semiring with its omega power, an idempotent.
+OMEGA_POWERS = [
+    ("omega_power_of_odd_residue", PARITY_POWER, fs(1), fs(0)),
+    *(("omega_power_fixes_idempotents", PARITY_POWER, e, e) for e in (fs(), fs(0), fs(0, 1))),
+    ("omega_power_mod_three", PowerSemiring(CyclicMonoid(3)), fs(1), fs(0)),
+    ("omega_power_mod_three", PowerSemiring(CyclicMonoid(3)), fs(1, 2), fs(0, 1, 2)),
+    ("omega_power_longer_cycle", PowerSemiring(CyclicMonoid(4)), fs(1), fs(0)),
+    ("omega_power_longer_cycle", PowerSemiring(CyclicMonoid(4)), fs(2), fs(0)),
+]
 
 
-def test_omega_power_fixes_idempotents(parity_power):
-    for e in (fs(), fs(0), fs(0, 1)):
-        assert parity_power.mul(e, e) == e
-        assert omega_power(parity_power, e) == e
-
-
-def test_omega_power_mod_three():
-    r3 = PowerSemiring(CyclicMonoid(3))
-    assert omega_power(r3, fs(1)) == fs(0)
-    assert omega_power(r3, fs(1, 2)) == fs(0, 1, 2)
-
-
-def test_omega_power_longer_cycle():
-    r4 = PowerSemiring(CyclicMonoid(4))
-    assert omega_power(r4, fs(1)) == fs(0)
-    assert omega_power(r4, fs(2)) == fs(0)
+@pytest.mark.parametrize("semiring, value, omega", named(OMEGA_POWERS))
+def test_omega_power(semiring, value, omega):
+    assert omega_power(semiring, value) == omega
+    assert semiring.mul(omega, omega) == omega
 
 
 # ---------------------------------------------------------------------------
 # Downward closure
 
 
-def test_downclose_keeps_incomparable_maxima(parity_power):
-    d = DownSet(parity_power, antichain_of(parity_power, [fs(0), fs(1)]))
-    assert d.maximal == {fs(0), fs(1)}
-    assert downset_elements(d) == {fs(), fs(0), fs(1)}
-    assert fs(0) in d
-    assert fs(0, 1) not in d
+# Values of 2^(Z/2Z) with the maxima and the elements of their downset.
+DOWNSETS = [
+    ("downclose_keeps_incomparable_maxima", [fs(0), fs(1)], {fs(0), fs(1)}, {fs(), fs(0), fs(1)}),
+    ("downclose_empty_and_top", [], frozenset(), frozenset()),
+    ("downclose_empty_and_top", [fs(0, 1)], {fs(0, 1)}, {fs(), fs(0), fs(1), fs(0, 1)}),
+    ("downclose_prunes_dominated", [fs(0), fs(0, 1), fs()], {fs(0, 1)},
+     {fs(), fs(0), fs(1), fs(0, 1)}),
+    ("downclose_idempotent_on_fixture", [fs(0), fs(1), fs()], {fs(0), fs(1)}, {fs(), fs(0), fs(1)}),
+]
 
 
-def test_downclose_empty_and_top(parity_power):
-    empty = DownSet(parity_power, antichain_of(parity_power, []))
-    assert empty.maximal == frozenset()
-    assert downset_elements(empty) == frozenset()
-    top = DownSet(parity_power, antichain_of(parity_power, [fs(0, 1)]))
-    assert downset_elements(top) == {fs(), fs(0), fs(1), fs(0, 1)}
-
-
-def test_downclose_prunes_dominated(parity_power):
-    d = DownSet(parity_power, antichain_of(parity_power, [fs(0), fs(0, 1), fs()]))
-    assert d.maximal == {fs(0, 1)}
-
-
-def test_downclose_idempotent_on_fixture(parity_power):
-    d = DownSet(parity_power, antichain_of(parity_power, [fs(0), fs(1), fs()]))
-    again = DownSet(parity_power, antichain_of(parity_power, d.maximal))
-    assert again.maximal == d.maximal
+@pytest.mark.parametrize("values, maximal, elements", named(DOWNSETS))
+def test_downclose(values, maximal, elements):
+    d = DownSet(PARITY_POWER, antichain_of(PARITY_POWER, values))
+    assert d.maximal == maximal
+    assert downset_elements(d) == elements
+    for x in elements_below(PARITY_POWER, PARITY_POWER.top()):
+        assert (x in d) == (x in elements)
+    # Closing the maxima again keeps them.
+    assert DownSet(PARITY_POWER, antichain_of(PARITY_POWER, d.maximal)).maximal == d.maximal
 
 
 # ---------------------------------------------------------------------------
 # Additive closure
 
 
-def test_add_closure_examples(parity_power):
-    assert add_closure(parity_power, [fs(0), fs(1)]) == {fs(0), fs(1), fs(0, 1)}
-    assert add_closure(parity_power, [fs(0)]) == {fs(0)}
-    assert add_closure(parity_power, [fs(0), fs(0, 1)]) == {fs(0), fs(0, 1)}
+def test_add_closure_examples():
+    assert add_closure(PARITY_POWER, [fs(0), fs(1)]) == {fs(0), fs(1), fs(0, 1)}
+    assert add_closure(PARITY_POWER, [fs(0)]) == {fs(0)}
+    assert add_closure(PARITY_POWER, [fs(0), fs(0, 1)]) == {fs(0), fs(0, 1)}
 
 
-def test_add_closure_rejects_empty(parity_power):
+def test_add_closure_rejects_empty():
     with pytest.raises(ValueError):
-        add_closure(parity_power, [])
+        add_closure(PARITY_POWER, [])
 
 
 # ---------------------------------------------------------------------------
 # Pair spaces and pair semirings
 
 
-def test_pair_space_product_and_order(parity_power):
-    space = PairSpace(CyclicMonoid(2), parity_power)
+def test_pair_space_product_and_order():
+    space = PairSpace(CyclicMonoid(2), PARITY_POWER)
     assert space.mult((0, fs(0)), (1, fs(1))) == (1, fs(1))
     assert space.unit == (0, fs(0))
     assert space.leq((1, fs(0)), (1, fs(0, 1)))
     assert not space.leq((0, fs(0)), (1, fs(0, 1)))
 
 
-def test_pair_space_downclose_moves_second_coordinate(parity_power):
-    space = PairSpace(CyclicMonoid(2), parity_power)
+def test_pair_space_downclose_moves_second_coordinate():
+    space = PairSpace(CyclicMonoid(2), PARITY_POWER)
     d = DownSet(space, antichain_of(space, [(1, fs(0, 1))]))
     assert downset_elements(d) == {(1, fs()), (1, fs(0)), (1, fs(1)), (1, fs(0, 1))}
 
 
-def test_pair_semiring_lifts_componentwise(parity_power):
-    ps = PowerSemiring(PairSpace(CyclicMonoid(2), parity_power))
+def test_pair_semiring_lifts_componentwise():
+    ps = PowerSemiring(PairSpace(CyclicMonoid(2), PARITY_POWER))
     assert ps.one == fs((0, fs(0)))
     assert ps.mul(fs((0, fs(0))), fs((1, fs(1)))) == fs((1, fs(1)))
     assert ps.add(fs((0, fs(0))), fs((1, fs(1)))) == fs((0, fs(0)), (1, fs(1)))
@@ -303,7 +290,7 @@ def test_products_are_canonical_objects():
     second = morphism.mult_sets(fs(*morphism.elements()), fs(0))
     assert first == second and first is second
 
-    space = PairSpace(CyclicMonoid(2), PowerSemiring(CyclicMonoid(2)))
+    space = PairSpace(CyclicMonoid(2), PARITY_POWER)
     x = space.mult((0, fs(1)), (1, fs(1)))
     y = space.mult((1, fs(0)), (0, fs(0)))
     assert x == (1, fs(0)) and x is y
@@ -322,14 +309,14 @@ def test_products_are_canonical_objects():
 # Explicit tables and axiom checking
 
 
-def test_materialized_power_semiring_passes_axioms(parity_power):
-    table = materialize(parity_power)
+def test_materialized_power_semiring_passes_axioms():
+    table = materialize(PARITY_POWER)
     assert len(list(table.elements())) == 4
-    elems = list(elements_below(parity_power, parity_power.top()))
+    elems = list(elements_below(PARITY_POWER, PARITY_POWER.top()))
     for x in table.elements():
         for y in table.elements():
-            assert elems[table.add(x, y)] == parity_power.add(elems[x], elems[y])
-            assert elems[table.mul(x, y)] == parity_power.mul(elems[x], elems[y])
+            assert elems[table.add(x, y)] == PARITY_POWER.add(elems[x], elems[y])
+            assert elems[table.mul(x, y)] == PARITY_POWER.mul(elems[x], elems[y])
 
 
 def test_table_semiring_rejects_broken_idempotence():
@@ -350,18 +337,13 @@ def test_table_semiring_rejects_broken_distributivity():
 # Antichains
 
 
-def test_antichain_of_keeps_maxima(parity_power):
-    assert antichain_of(parity_power, [fs(), fs(0), fs(0, 1)]) == {fs(0, 1)}
-    assert antichain_of(parity_power, [fs(0), fs(1)]) == {fs(0), fs(1)}
-
-
-def test_antichain_accumulator(parity_power):
-    acc = Antichain(parity_power)
+def test_antichain_accumulator():
+    acc = Antichain(PARITY_POWER)
     assert acc.add(fs(0))
     assert not acc.add(fs())
     assert acc.add(fs(0, 1))
     assert set(acc) == {fs(0, 1)}
-    assert fs(1) in DownSet(parity_power, acc.freeze())
+    assert fs(1) in DownSet(PARITY_POWER, acc.freeze())
     assert acc.freeze() == fs(fs(0, 1))
 
 
@@ -431,8 +413,8 @@ def test_bucketed_antichains_match_flat(seed, limit):
         assert antichain_of(space, stream) == flat_maxima(space.leq, stream)
 
 
-def test_antichain_semiring_normalizes(parity_power):
-    ac = AntichainSemiring(PairSpace(CyclicMonoid(2), parity_power))
+def test_antichain_semiring_normalizes():
+    ac = AntichainSemiring(PairSpace(CyclicMonoid(2), PARITY_POWER))
     x = fs((1, fs(0)))
     y = fs((1, fs(0, 1)))
     assert ac.normal([*x, *y]) == y
